@@ -10,10 +10,10 @@
 
 #include "committee/params.h"
 #include "common/args.h"
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/coin_runner.h"
-#include "core/parallel.h"
 
 using namespace coincidence;
 
@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(args.get_int("n", 36));
   const int runs = static_cast<int>(args.get_int("runs", 200));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
-  core::ThreadPool pool(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
 
   std::cout << "== E1: shared-coin (Algorithm 1) success rate, n=" << n
             << ", " << runs << " flips per row, " << pool.size()
@@ -50,7 +49,7 @@ int main(int argc, char** argv) {
         // Hostile-but-legal: starve a third of the senders' messages.
         if (hostile) o.delay_senders = n / 3;
       }
-      std::vector<core::CoinReport> reports = core::parallel_map(
+      std::vector<core::CoinReport> reports = parallel_map(
           pool, flips.size(),
           [&](std::size_t i) { return core::run_coin_trial(flips[i]); });
       std::size_t agree = 0, ones = 0, done = 0;

@@ -11,10 +11,10 @@
 
 #include "committee/params.h"
 #include "common/args.h"
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/coin_runner.h"
-#include "core/parallel.h"
 
 using namespace coincidence;
 
@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   Args args(argc, argv);
   const int runs = static_cast<int>(args.get_int("runs", 120));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
-  core::ThreadPool pool(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
 
   std::cout << "== E2: WHP coin (Algorithm 2), " << runs
             << " flips per row, " << pool.size() << " threads ==\n\n";
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
       o.round = static_cast<std::uint64_t>(run);
       o.silent = row.silent;
     }
-    std::vector<core::CoinReport> reports = core::parallel_map(
+    std::vector<core::CoinReport> reports = parallel_map(
         pool, flips.size(),
         [&](std::size_t i) { return core::run_coin_trial(flips[i]); });
     std::size_t returned = 0, agree = 0;

@@ -15,10 +15,10 @@
 
 #include "bench_json.h"
 #include "common/args.h"
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/coin_runner.h"
-#include "core/parallel.h"
 #include "core/runner.h"
 
 using namespace coincidence;
@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   const std::size_t shards =
       static_cast<std::size_t>(args.get_int("shards", 0));
   const std::string json_path = args.get("bench_json", "");
-  core::ThreadPool pool(
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
 
   bench::BenchJson json;
   json.context("bench", "word_scaling");
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
       o.kind = core::CoinKind::kWhp;
       flips[static_cast<std::size_t>(tn + trial)] = o;
     }
-    std::vector<core::CoinReport> reports = core::parallel_map(
+    std::vector<core::CoinReport> reports = parallel_map(
         pool, flips.size(),
         [&](std::size_t i) { return core::run_coin_trial(flips[i]); });
     double shared_words = 0, whp_words = 0;

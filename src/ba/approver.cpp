@@ -339,8 +339,10 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
       }
     accept_scratch_[sig_ok_of_scratch_[k]] = all ? 1 : 0;
   }
-  ctx.note_sig_verify_batch(sig_scratch_.size(), stats.rejects,
-                            stats.memo_hits);
+  ctx.count(sim::Counter::kSigVerifyFlushes, 1);
+  ctx.count(sim::Counter::kSigVerifySigs, sig_scratch_.size());
+  ctx.count(sim::Counter::kSigVerifyRejects, stats.rejects);
+  ctx.count(sim::Counter::kSigVerifyMemoHits, stats.memo_hits);
 
   // Apply survivors in arrival order with the same guards the inline
   // path uses — bit-identical state evolution.

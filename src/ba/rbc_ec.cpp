@@ -76,7 +76,8 @@ EcBroadcast::Flow& EcBroadcast::flow_of(sim::ProcessId source,
 void EcBroadcast::broadcast(sim::Context& ctx, Bytes payload) {
   const std::uint64_t size = payload.size();
   const std::vector<Bytes> fragments = rs_.encode(payload);
-  ctx.note_rbc_encode(fragments.size());
+  ctx.count(sim::Counter::kRbcEncodes, 1);
+  ctx.count(sim::Counter::kRbcFragmentsEncoded, fragments.size());
   const crypto::MerkleTree tree(fragments);
   const std::size_t frag_words =
       fragment_word_count(rs_.fragment_size(size));
@@ -231,24 +232,27 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
     if (subset.size() == k) break;
   }
   Bytes value;
+  bool consistent = true;
   try {
     value = rs_.decode(subset, flow.value_size);
   } catch (const CodecError&) {
-    ctx.note_rbc_decode(false, k);
-    flow.poisoned = true;
-    return;
+    consistent = false;
   }
-  const std::vector<Bytes> reencoded = rs_.encode(value);
-  ctx.note_rbc_encode(reencoded.size());
-  const crypto::MerkleTree tree(reencoded);
-  if (tree.root() != flow.root) {
+  if (consistent) {
+    const std::vector<Bytes> reencoded = rs_.encode(value);
+    ctx.count(sim::Counter::kRbcEncodes, 1);
+    ctx.count(sim::Counter::kRbcFragmentsEncoded, reencoded.size());
+    consistent = crypto::MerkleTree(reencoded).root() == flow.root;
+  }
+  ctx.count(sim::Counter::kRbcDecodes, 1);
+  ctx.count(sim::Counter::kRbcFragmentsDecoded, k);
+  if (!consistent) {
     // Inconsistently-encoded dispersal: deterministic for every correct
     // process, so nobody ever delivers under this root.
-    ctx.note_rbc_decode(false, k);
+    ctx.count(sim::Counter::kRbcDecodeFailures, 1);
     flow.poisoned = true;
     return;
   }
-  ctx.note_rbc_decode(true, k);
 
   delivered_[flow.source] = true;
   ++delivered_count_;

@@ -141,7 +141,10 @@ void SharedCoin::flush_queue(sim::Context& ctx) {
   std::vector<char> verdicts;
   BatchVerifier::FlushStats stats =
       cfg_.batcher->verify_shares(entries, verdicts);
-  ctx.note_verify_batch(shares.size(), stats.rejects, stats.memo_hits);
+  ctx.count(sim::Counter::kVerifyFlushes, 1);
+  ctx.count(sim::Counter::kVerifyShares, shares.size());
+  ctx.count(sim::Counter::kVerifyRejects, stats.rejects);
+  ctx.count(sim::Counter::kVerifyMemoHits, stats.memo_hits);
   // Arrival order + the done_/dedup guards in apply_share reproduce the
   // inline state evolution exactly; rejected shares are simply skipped
   // (inline: "forged value/proof: ignore").

@@ -191,7 +191,10 @@ void WhpCoin::flush_queue(sim::Context& ctx) {
   std::size_t rejects = 0;
   for (char a : accept)
     if (!a) ++rejects;
-  ctx.note_verify_batch(shares.size(), rejects, stats.memo_hits);
+  ctx.count(sim::Counter::kVerifyFlushes, 1);
+  ctx.count(sim::Counter::kVerifyShares, shares.size());
+  ctx.count(sim::Counter::kVerifyRejects, rejects);
+  ctx.count(sim::Counter::kVerifyMemoHits, stats.memo_hits);
 
   for (std::size_t i = 0; i < shares.size(); ++i) {
     if (!accept[i]) continue;

@@ -2,8 +2,8 @@
 //
 // Lives in common/ (rather than core/, where it started) so that lower
 // layers — notably the coin layer's batch share verification — can fan
-// work out without depending on the experiment runner. core/parallel.h
-// re-exports these names for its callers and layers the run_agreement
+// work out without depending on the experiment runner.
+// core::run_agreements_parallel (core/runner.h) layers the run_agreement
 // driver on top.
 //
 // Work items execute on whatever thread grabs them, but results are

@@ -11,11 +11,10 @@ Env build(committee::Params params, std::size_t n, std::uint64_t seed) {
   env.params = params;
   env.registry = crypto::KeyRegistry::create_for(n, seed);
   env.vrf = std::make_shared<crypto::FastVrf>(env.registry);
-  env.sampler = std::make_shared<committee::CachingSampler>(
-      env.vrf, env.registry, env.params.sample_prob());
   env.signer = std::make_shared<crypto::Signer>(env.registry);
-  env.batcher = std::make_shared<coin::BatchVerifier>(
-      coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
+  Env::CryptoLane lane = env.new_lane();
+  env.sampler = std::move(lane.sampler);
+  env.batcher = std::move(lane.batcher);
   return env;
 }
 }  // namespace
@@ -52,12 +51,19 @@ Env Env::make_relaxed_ddh(std::size_t n, std::uint64_t seed,
   }
   env.registry = std::move(registry);
   env.vrf = std::move(vrf);
-  env.sampler = std::make_shared<committee::CachingSampler>(
-      env.vrf, env.registry, env.params.sample_prob());
   env.signer = std::make_shared<crypto::Signer>(env.registry);
-  env.batcher = std::make_shared<coin::BatchVerifier>(
-      coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
+  Env::CryptoLane lane = env.new_lane();
+  env.sampler = std::move(lane.sampler);
+  env.batcher = std::move(lane.batcher);
   return env;
+}
+
+Env::CryptoLane Env::new_lane() const {
+  auto lane_sampler = std::make_shared<committee::CachingSampler>(
+      vrf, registry, params.sample_prob());
+  auto lane_batcher = std::make_shared<coin::BatchVerifier>(
+      coin::BatchVerifier::Config{vrf, lane_sampler, signer});
+  return {std::move(lane_sampler), std::move(lane_batcher)};
 }
 
 }  // namespace coincidence::core

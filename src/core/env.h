@@ -33,6 +33,18 @@ struct Env {
   std::size_t n() const { return params.n; }
   std::size_t f() const { return params.f; }
 
+  /// A fresh sampler cache and BatchVerifier over this Env's keys. The
+  /// sharded engine runs handlers concurrently, so every process of a
+  /// sharded run takes its own lane instead of the shared `sampler` and
+  /// `batcher`. Verdicts are pure functions of their inputs, so
+  /// decisions, sends and words match the shared wiring; only
+  /// cross-process memo hits (and wall-clock) differ.
+  struct CryptoLane {
+    std::shared_ptr<committee::Sampler> sampler;
+    std::shared_ptr<coin::BatchVerifier> batcher;
+  };
+  CryptoLane new_lane() const;
+
   /// Builds an environment with explicit parameters. strict=true enforces
   /// the paper's ε/d windows (§2, §5.1); strict=false waives the
   /// lower-bound constants for small-n exploration (DESIGN.md §6).

@@ -199,16 +199,11 @@ RunReport run_agreement(const RunOptions& options,
   const bool sharded = options.shards > 0;
   std::vector<std::shared_ptr<coin::BatchVerifier>> lane_batchers(
       sharded ? options.n : 0);
-  auto crypto_lane = [&](sim::ProcessId id)
-      -> std::pair<std::shared_ptr<committee::Sampler>,
-                   std::shared_ptr<coin::BatchVerifier>> {
+  auto crypto_lane = [&](sim::ProcessId id) -> Env::CryptoLane {
     if (!sharded) return {env.sampler, env.batcher};
-    auto sampler = std::make_shared<committee::CachingSampler>(
-        env.vrf, env.registry, env.params.sample_prob());
-    auto batcher = std::make_shared<coin::BatchVerifier>(
-        coin::BatchVerifier::Config{env.vrf, sampler, env.signer});
-    lane_batchers[id] = batcher;
-    return {sampler, batcher};
+    Env::CryptoLane lane = env.new_lane();
+    lane_batchers[id] = lane.batcher;
+    return lane;
   };
 
   auto make_process =
@@ -246,7 +241,7 @@ RunReport run_agreement(const RunOptions& options,
           ccfg.f = f;
           ccfg.vrf = env.vrf;
           ccfg.registry = env.registry;
-          if (defer) ccfg.batcher = lane.second;
+          if (defer) ccfg.batcher = lane.batcher;
           return std::make_unique<coin::SharedCoin>(ccfg);
         };
         return std::make_unique<ba::Mmr>(cfg, input);
@@ -266,8 +261,8 @@ RunReport run_agreement(const RunOptions& options,
           ccfg.params = env.params;
           ccfg.vrf = env.vrf;
           ccfg.registry = env.registry;
-          ccfg.sampler = lane.first;
-          if (defer) ccfg.batcher = lane.second;
+          ccfg.sampler = lane.sampler;
+          if (defer) ccfg.batcher = lane.batcher;
           return std::make_unique<coin::WhpCoin>(ccfg);
         };
         return std::make_unique<ba::Mmr>(cfg, input);
@@ -295,9 +290,9 @@ RunReport run_agreement(const RunOptions& options,
         cfg.params = env.params;
         cfg.vrf = env.vrf;
         cfg.registry = env.registry;
-        cfg.sampler = lane.first;
+        cfg.sampler = lane.sampler;
         cfg.signer = env.signer;
-        if (options.defer_verify) cfg.batcher = lane.second;
+        if (options.defer_verify) cfg.batcher = lane.batcher;
         cfg.max_rounds = options.max_rounds;
         return std::make_unique<ba::BaWhp>(cfg, input);
       }
@@ -406,32 +401,8 @@ RunReport run_agreement(const RunOptions& options,
     report.correct_words = sim.metrics().correct_words();
     report.messages = sim.metrics().messages_sent();
     report.words_by_tag = sim.metrics().words_by_tag();
-    report.link_drops = sim.metrics().link_drops();
-    report.link_duplicates = sim.metrics().link_duplicates();
-    report.link_replays = sim.metrics().link_replays();
-    report.retransmits = sim.metrics().retransmits();
-    report.retransmit_words = sim.metrics().retransmit_words();
-    report.dead_letters = sim.metrics().dead_letters();
-    report.dead_letter_words = sim.metrics().dead_letter_words();
-    report.verify_flushes = sim.metrics().verify_flushes();
-    report.verify_shares = sim.metrics().verify_shares();
-    report.verify_rejects = sim.metrics().verify_rejects();
-    report.verify_memo_hits = sim.metrics().verify_memo_hits();
-    report.sig_verify_flushes = sim.metrics().sig_verify_flushes();
-    report.sig_verify_sigs = sim.metrics().sig_verify_sigs();
-    report.sig_verify_rejects = sim.metrics().sig_verify_rejects();
-    report.sig_verify_memo_hits = sim.metrics().sig_verify_memo_hits();
-    report.rbc_encodes = sim.metrics().rbc_encodes();
-    report.rbc_fragments_encoded = sim.metrics().rbc_fragments_encoded();
-    report.rbc_decodes = sim.metrics().rbc_decodes();
-    report.rbc_fragments_decoded = sim.metrics().rbc_fragments_decoded();
-    report.rbc_decode_failures = sim.metrics().rbc_decode_failures();
+    report.counters = sim.metrics().counters();
     report.corrupted = sim.corrupted_count();
-    report.partition_held = sim.metrics().partition_held();
-    report.partition_dropped = sim.metrics().partition_dropped();
-    report.partition_released = sim.metrics().partition_released();
-    report.storm_copies = sim.metrics().storm_copies();
-    report.churn_crashes = sim.metrics().churn_crashes();
     for (sim::ProcessId i = 0; i < options.n; ++i)
       report.duration = std::max(report.duration, sim.depth_of(i));
 
@@ -475,6 +446,12 @@ RunReport run_agreement(const RunOptions& options,
     report.sig_memo_hits = env.batcher->sig_memo().hits();
   }
   return report;
+}
+
+std::vector<RunReport> run_agreements_parallel(
+    ThreadPool& pool, const std::vector<RunOptions>& options) {
+  return parallel_map(pool, options.size(),
+                      [&](std::size_t i) { return run_agreement(options[i]); });
 }
 
 }  // namespace coincidence::core

@@ -13,6 +13,7 @@
 
 #include "ba/broadcast.h"
 #include "ba/value.h"
+#include "common/parallel.h"
 #include "core/env.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
@@ -160,45 +161,15 @@ struct RunReport {
   std::size_t faulty = 0;
   std::size_t protocol_f = 0;  // the f the protocol was configured with
 
-  // Link-fault / transport accounting (zero on a reliable network).
-  std::uint64_t link_drops = 0;
-  std::uint64_t link_duplicates = 0;
-  std::uint64_t link_replays = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t retransmit_words = 0;  // repair overhead, not §2 words
-  // Frames a transport abandoned after exhausting retransmissions —
-  // surfaced so lossy runs can assert every loss is accounted for.
-  std::uint64_t dead_letters = 0;
-  std::uint64_t dead_letter_words = 0;
-
-  // Deferred-verification accounting (zero with defer_verify off or for
-  // protocols without VRF proofs). Rejected shares were discarded
-  // without entering protocol state — the batched analogue of an inline
-  // verification failure.
-  std::uint64_t verify_flushes = 0;
-  std::uint64_t verify_shares = 0;
-  std::uint64_t verify_rejects = 0;
-  std::uint64_t verify_memo_hits = 0;
-  // Deferred signature-verification accounting (the approver's ok-proof
-  // sweep; zero with defer_verify off or for protocols without an
-  // approver). sig_checks counts every check routed through the shared
-  // BatchVerifier (flush batches + memoized echo singles); memo_hit_rate
-  // = sig_memo_hits / sig_checks is the cross-receiver dedup factor.
-  std::uint64_t sig_verify_flushes = 0;
-  std::uint64_t sig_verify_sigs = 0;
-  std::uint64_t sig_verify_rejects = 0;
-  std::uint64_t sig_verify_memo_hits = 0;
+  /// The run's Metrics counters (sim/counters.h): link faults,
+  /// transport repair, dead letters, deferred verification, erasure
+  /// coding and chaos events. All zero when the run had none of them.
+  sim::Counters counters;
+  // Signature checks routed through the shared BatchVerifier (flush
+  // batches + memoized echo singles); memo_hit_rate = sig_memo_hits /
+  // sig_checks is the cross-receiver dedup factor.
   std::uint64_t sig_checks = 0;
   std::uint64_t sig_memo_hits = 0;
-  // Erasure-coded dissemination accounting (zero on the Bracha backend):
-  // encodes fire at the source and at the deliver-time re-encode
-  // consistency check; a decode failure marks a poisoned (inconsistently
-  // dispersed) broadcast that no correct process will ever deliver.
-  std::uint64_t rbc_encodes = 0;
-  std::uint64_t rbc_fragments_encoded = 0;
-  std::uint64_t rbc_decodes = 0;
-  std::uint64_t rbc_fragments_decoded = 0;
-  std::uint64_t rbc_decode_failures = 0;
   // BatchVerifier queue ledger, read after every coin has retired. The
   // conservation law verify_enqueued == verify_batch_flushed +
   // verify_discarded must hold for every run — crash-recovery must
@@ -207,13 +178,7 @@ struct RunReport {
   std::uint64_t verify_batch_flushed = 0;
   std::uint64_t verify_discarded = 0;
 
-  // Chaos accounting (zero without a schedule).
   std::size_t corrupted = 0;  // final corrupted count (static + churn + hunt)
-  std::uint64_t partition_held = 0;
-  std::uint64_t partition_dropped = 0;
-  std::uint64_t partition_released = 0;
-  std::uint64_t storm_copies = 0;
-  std::uint64_t churn_crashes = 0;
   /// InvariantChecker::describe lines (empty = run passed all checks, or
   /// check_invariants was off).
   std::vector<std::string> invariant_violations;
@@ -250,5 +215,14 @@ RunReport run_agreement(const RunOptions& options);
 /// Same run, with telemetry attached (tools/run_report drives this).
 RunReport run_agreement(const RunOptions& options,
                         const RunInstruments& instruments);
+
+/// Runs every RunOptions to completion on the pool — the fan-out for
+/// chaos sweeps, success-rate estimates and word-scaling curves. Each run
+/// builds its own Env/Simulation from its seeded options, so runs share
+/// no mutable state; reports[i] is byte-identical to a serial
+/// run_agreement(options[i]) whatever the thread count, because results
+/// merge in input order, not completion order.
+std::vector<RunReport> run_agreements_parallel(
+    ThreadPool& pool, const std::vector<RunOptions>& options);
 
 }  // namespace coincidence::core

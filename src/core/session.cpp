@@ -2,7 +2,6 @@
 
 #include "ba/ba_whp.h"
 #include "ba/instance_mux.h"
-#include "ba/mv_ba.h"
 #include "common/errors.h"
 #include "sim/observer.h"
 #include "sim/simulation.h"
@@ -67,6 +66,9 @@ SessionReport Session::run_concurrent_slots(
   sim.add_observer(slot_words);
 
   for (sim::ProcessId i = 0; i < n; ++i) {
+    // Sharded handlers run concurrently: one crypto lane per process.
+    Env::CryptoLane lane{env_.sampler, env_.batcher};
+    if (cfg.shards > 0) lane = env_.new_lane();
     auto mux = std::make_unique<ba::InstanceMux>();
     for (std::size_t slot = 0; slot < slots; ++slot) {
       ba::BaWhp::Config bcfg;
@@ -74,9 +76,9 @@ SessionReport Session::run_concurrent_slots(
       bcfg.params = env_.params;
       bcfg.vrf = env_.vrf;
       bcfg.registry = env_.registry;
-      bcfg.sampler = env_.sampler;
+      bcfg.sampler = lane.sampler;
       bcfg.signer = env_.signer;
-      if (defer_verify_) bcfg.batcher = env_.batcher;
+      if (defer_verify_) bcfg.batcher = lane.batcher;
       bcfg.max_rounds = max_rounds;
       bcfg.skip_timeout = options_.skip_timeout;
       bcfg.skip_max_attempts = options_.skip_max_attempts;
@@ -120,103 +122,6 @@ SessionReport Session::run_concurrent_slots(
       }
       if (!sr.decision) sr.decision = ba.decision();
       if (*sr.decision != ba.decision()) sr.agreement = false;
-      sr.max_decided_round = std::max(sr.max_decided_round, ba.decided_round());
-    }
-    if (!sr.all_correct_decided) sr.decision.reset();
-    sr.correct_words = slot_words->words_of(slot);
-  }
-  report.correct_words = sim.metrics().correct_words();
-  report.messages = sim.metrics().messages_sent();
-  for (sim::ProcessId i = 0; i < n; ++i)
-    report.duration = std::max(report.duration, sim.depth_of(i));
-  return report;
-}
-
-SessionReport Session::run_concurrent_mv_slots(
-    const std::vector<std::vector<Bytes>>& proposals, std::uint64_t seed,
-    std::size_t silent_faults, std::uint64_t max_rounds) {
-  const std::size_t slots = proposals.size();
-  const std::size_t n = env_.n();
-  COIN_REQUIRE(slots > 0, "Session: need at least one slot");
-  for (const auto& slot_proposals : proposals)
-    COIN_REQUIRE(slot_proposals.size() == n, "Session: proposals size != n");
-  COIN_REQUIRE(silent_faults <= std::max<std::size_t>(env_.f(), 0),
-               "Session: faults exceed f");
-
-  sim::SimConfig cfg;
-  cfg.n = n;
-  cfg.f = silent_faults;
-  cfg.seed = seed;
-  cfg.shards = options_.shards;
-  cfg.threads = options_.threads;
-  sim::Simulation sim(cfg);
-  auto slot_words = std::make_shared<SlotWordObserver>(slots);
-  sim.add_observer(slot_words);
-
-  for (sim::ProcessId i = 0; i < n; ++i) {
-    auto mux = std::make_unique<ba::InstanceMux>();
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      ba::MultiValuedBa::Config mcfg;
-      mcfg.tag = "slot" + std::to_string(slot);
-      mcfg.params = env_.params;
-      mcfg.vrf = env_.vrf;
-      mcfg.registry = env_.registry;
-      mcfg.sampler = env_.sampler;
-      mcfg.signer = env_.signer;
-      if (defer_verify_) mcfg.batcher = env_.batcher;
-      mcfg.max_rounds = max_rounds;
-      mcfg.skip_timeout = options_.skip_timeout;
-      mcfg.skip_max_attempts = options_.skip_max_attempts;
-      mcfg.rbc = options_.rbc;
-      mux->add_instance("slot" + std::to_string(slot),
-                        std::make_unique<ba::MultiValuedBa>(
-                            std::move(mcfg), proposals[slot][i]));
-    }
-    sim.add_process(std::move(mux));
-  }
-  sim::ProcessId next = static_cast<sim::ProcessId>(n);
-  for (std::size_t i = 0; i < silent_faults; ++i)
-    sim.corrupt(--next, sim::FaultPlan::silent());
-
-  sim.start();
-  sim.run_until([&] {
-    for (sim::ProcessId i = 0; i < n; ++i) {
-      if (sim.is_corrupted(i)) continue;
-      if (!dynamic_cast<ba::InstanceMux&>(sim.process(i)).all_decided())
-        return false;
-    }
-    return true;
-  });
-
-  SessionReport report;
-  report.slots.resize(slots);
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    SlotReport& sr = report.slots[slot];
-    sr.all_correct_decided = true;
-    const Bytes* first_value = nullptr;
-    for (sim::ProcessId i = 0; i < n; ++i) {
-      if (sim.is_corrupted(i)) continue;
-      auto& mux = dynamic_cast<ba::InstanceMux&>(sim.process(i));
-      auto& ba = mux.instance("slot" + std::to_string(slot));
-      const auto* mv = dynamic_cast<const ba::MultiValuedBa*>(&ba);
-      if (mv) {
-        sr.max_round_reached =
-            std::max(sr.max_round_reached, mv->max_inner_round());
-        sr.rounds_skipped += mv->rounds_skipped();
-      }
-      if (!ba.decided()) {
-        sr.all_correct_decided = false;
-        continue;
-      }
-      if (!sr.decision) sr.decision = ba.decision();
-      if (*sr.decision != ba.decision()) sr.agreement = false;
-      if (mv) {
-        // Multivalued agreement is about payloads, not just indices.
-        if (!first_value)
-          first_value = &mv->decided_value();
-        else if (*first_value != mv->decided_value())
-          sr.agreement = false;
-      }
       sr.max_decided_round = std::max(sr.max_decided_round, ba.decided_round());
     }
     if (!sr.all_correct_decided) sr.decision.reset();

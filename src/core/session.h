@@ -11,9 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ba/broadcast.h"
 #include "ba/value.h"
-#include "common/bytes.h"
 #include "core/env.h"
 #include "core/runner.h"
 
@@ -46,10 +44,6 @@ struct SessionOptions {
   /// k >= 1 is bit-identical for every shard/thread count.
   std::size_t shards = 0;
   std::size_t threads = 0;
-  /// Dissemination backend for multivalued slots (ba/broadcast.h):
-  /// Bracha full-value echoes or erasure-coded AVID-M fragments. Binary
-  /// slots have no proposal broadcast and ignore it.
-  ba::RbcBackend rbc = ba::RbcBackend::kBracha;
 };
 
 struct SessionReport {
@@ -86,15 +80,6 @@ class Session {
   /// the same keys.
   SessionReport run_concurrent_slots(
       const std::vector<std::vector<ba::Value>>& inputs, std::uint64_t seed,
-      std::size_t silent_faults = 0, std::uint64_t max_rounds = 32);
-
-  /// Multivalued analogue: `proposals[slot][process]` is that process's
-  /// byte-string proposal for the slot; every slot runs a MultiValuedBa
-  /// instance (proposal dissemination via SessionOptions::rbc) and the
-  /// report's per-slot decision is the adopted rank index (-1 = no-op).
-  /// Agreement additionally compares the adopted payloads byte-for-byte.
-  SessionReport run_concurrent_mv_slots(
-      const std::vector<std::vector<Bytes>>& proposals, std::uint64_t seed,
       std::size_t silent_faults = 0, std::uint64_t max_rounds = 32);
 
   const Env& env() const { return env_; }

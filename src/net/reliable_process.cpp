@@ -53,19 +53,8 @@ class ReliableProcess::ChannelContext final : public sim::Context {
                         std::size_t words) override {
     outer().note_dead_letter(to, tag, words);
   }
-  void note_verify_batch(std::size_t shares, std::size_t rejects,
-                         std::size_t memo_hits) override {
-    outer().note_verify_batch(shares, rejects, memo_hits);
-  }
-  void note_sig_verify_batch(std::size_t sigs, std::size_t rejects,
-                             std::size_t memo_hits) override {
-    outer().note_sig_verify_batch(sigs, rejects, memo_hits);
-  }
-  void note_rbc_encode(std::size_t fragments) override {
-    outer().note_rbc_encode(fragments);
-  }
-  void note_rbc_decode(bool ok, std::size_t fragments) override {
-    outer().note_rbc_decode(ok, fragments);
+  void count(sim::Counter c, std::uint64_t n) override {
+    outer().count(c, n);
   }
 
  private:

@@ -26,6 +26,7 @@
 
 #include "common/log_hist.h"
 #include "common/stats.h"
+#include "sim/counters.h"
 #include "sim/message.h"
 
 namespace coincidence::sim {
@@ -81,74 +82,10 @@ class Metrics {
   /// histogram. Always on — decisions are rare.
   void record_decide(std::uint64_t round, std::uint64_t depth);
 
-  // Lossy-link events (sim/link.h). Duplicates/replays charge no words
-  // anywhere: the network, not a process, created the copy.
-  void record_link_drop(const Message& msg);
-  void record_link_duplicate() { ++link_duplicates_; }
-  void record_link_replay() { ++link_replays_; }
-
-  /// A transport abandoned a frame after exhausting retransmissions
-  /// (Context::note_dead_letter). Always on — dead letters must be
-  /// accounted, never invisible.
-  void record_dead_letter(std::size_t words) {
-    ++dead_letters_;
-    dead_letter_words_ += words;
-  }
-
-  // Chaos orchestration events (sim/chaos.h). Always on — chaos runs
-  // exist to be audited, and the counters are the audit trail.
-  void record_partition_hold(const Message& msg) {
-    ++partition_held_;
-    partition_held_words_ += msg.words;
-  }
-  void record_partition_drop(const Message& msg) {
-    ++partition_dropped_;
-    partition_dropped_words_ += msg.words;
-  }
-  void record_partition_release(std::size_t count) {
-    partition_released_ += count;
-  }
-  void record_storm_copy() { ++storm_copies_; }
-  void record_churn_crash() { ++churn_crashes_; }
-
-  /// A deferred-verification batch flushed (Context::note_verify_batch).
-  /// Always on — rejected shares are discarded protocol input and must
-  /// be accounted, never invisible.
-  void record_verify_batch(std::size_t shares, std::size_t rejects,
-                           std::size_t memo_hits) {
-    ++verify_flushes_;
-    verify_shares_ += shares;
-    verify_rejects_ += rejects;
-    verify_memo_hits_ += memo_hits;
-  }
-
-  /// A deferred signature batch flushed (Context::note_sig_verify_batch;
-  /// the approver's ok-proof sweep). Same always-on contract.
-  void record_sig_verify_batch(std::size_t sigs, std::size_t rejects,
-                               std::size_t memo_hits) {
-    ++sig_verify_flushes_;
-    sig_verify_sigs_ += sigs;
-    sig_verify_rejects_ += rejects;
-    sig_verify_memo_hits_ += memo_hits;
-  }
-
-  /// An erasure-coding pass produced `fragments` coded fragments
-  /// (Context::note_rbc_encode; fires for source encodes and for the
-  /// deliver-time re-encode consistency check). Always on — coding work
-  /// is part of the dissemination bill.
-  void record_rbc_encode(std::size_t fragments) {
-    ++rbc_encodes_;
-    rbc_fragments_encoded_ += fragments;
-  }
-
-  /// A decode attempt from `fragments` proof-valid fragments
-  /// (Context::note_rbc_decode). Failures mark an inconsistently-
-  /// dispersed (poisoned) broadcast — accounted, never invisible.
-  void record_rbc_decode(bool ok, std::size_t fragments) {
-    ++rbc_decodes_;
-    rbc_fragments_decoded_ += fragments;
-    if (!ok) ++rbc_decode_failures_;
-  }
+  /// Adds `n` to a run counter (sim/counters.h). Always on — link
+  /// faults, dead letters, verification rejects, poisoned dispersals and
+  /// chaos events must be accounted, never invisible.
+  void count(Counter c, std::uint64_t n) { counters_[c] += n; }
 
   /// Switches on per-tag histogram recording (words/depth/latency).
   void enable_detail() { detail_ = true; }
@@ -163,48 +100,24 @@ class Metrics {
   /// Max causal depth over recorded decision events (paper "duration").
   std::uint64_t duration() const { return max_decision_depth_; }
 
-  // Link-fault accounting.
-  std::uint64_t link_drops() const { return link_drops_; }
-  std::uint64_t link_dropped_words() const { return link_dropped_words_; }
-  std::uint64_t link_duplicates() const { return link_duplicates_; }
-  std::uint64_t link_replays() const { return link_replays_; }
-  /// Retransmissions by correct processes, reported separately from
-  /// correct_words (the §2 measure stays comparable across profiles).
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t retransmit_words() const { return retransmit_words_; }
-  // Dead-letter accounting (frames a transport gave up on).
-  std::uint64_t dead_letters() const { return dead_letters_; }
-  std::uint64_t dead_letter_words() const { return dead_letter_words_; }
-  // Chaos-partition accounting: held messages are buffered cross-
-  // partition traffic awaiting the heal; dropped ones are gone (drop
-  // mode); released counts what the heal pushed back into the pool.
-  // held == released at quiescence is the "partitions eventually heal"
-  // invariant's metric side.
-  std::uint64_t partition_held() const { return partition_held_; }
-  std::uint64_t partition_held_words() const { return partition_held_words_; }
-  std::uint64_t partition_dropped() const { return partition_dropped_; }
-  std::uint64_t partition_dropped_words() const {
-    return partition_dropped_words_;
+  const Counters& counters() const { return counters_; }
+
+  // One-line reads kept for the benchmark harness (perfbench/), which
+  // builds against this header and reads them by name.
+  std::uint64_t verify_shares() const {
+    return counters_[Counter::kVerifyShares];
   }
-  std::uint64_t partition_released() const { return partition_released_; }
-  std::uint64_t storm_copies() const { return storm_copies_; }
-  std::uint64_t churn_crashes() const { return churn_crashes_; }
-  // Deferred-verification accounting (coin/verify_queue.h).
-  std::uint64_t verify_flushes() const { return verify_flushes_; }
-  std::uint64_t verify_shares() const { return verify_shares_; }
-  std::uint64_t verify_rejects() const { return verify_rejects_; }
-  std::uint64_t verify_memo_hits() const { return verify_memo_hits_; }
-  // Deferred signature-verification accounting (approver ok proofs).
-  std::uint64_t sig_verify_flushes() const { return sig_verify_flushes_; }
-  std::uint64_t sig_verify_sigs() const { return sig_verify_sigs_; }
-  std::uint64_t sig_verify_rejects() const { return sig_verify_rejects_; }
-  std::uint64_t sig_verify_memo_hits() const { return sig_verify_memo_hits_; }
-  // Erasure-coded dissemination accounting (ba/rbc_ec.h).
-  std::uint64_t rbc_encodes() const { return rbc_encodes_; }
-  std::uint64_t rbc_fragments_encoded() const { return rbc_fragments_encoded_; }
-  std::uint64_t rbc_decodes() const { return rbc_decodes_; }
-  std::uint64_t rbc_fragments_decoded() const { return rbc_fragments_decoded_; }
-  std::uint64_t rbc_decode_failures() const { return rbc_decode_failures_; }
+  std::uint64_t verify_rejects() const {
+    return counters_[Counter::kVerifyRejects];
+  }
+  std::uint64_t verify_memo_hits() const {
+    return counters_[Counter::kVerifyMemoHits];
+  }
+  std::uint64_t rbc_encodes() const { return counters_[Counter::kRbcEncodes]; }
+  std::uint64_t rbc_decodes() const { return counters_[Counter::kRbcDecodes]; }
+  std::uint64_t rbc_decode_failures() const {
+    return counters_[Counter::kRbcDecodeFailures];
+  }
 
   /// Rounds-to-decide histogram over note_decide events from correct
   /// processes (one entry per decision point, sub-protocols included).
@@ -250,34 +163,7 @@ class Metrics {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t deliveries_ = 0;
   std::uint64_t max_decision_depth_ = 0;
-  std::uint64_t link_drops_ = 0;
-  std::uint64_t link_dropped_words_ = 0;
-  std::uint64_t link_duplicates_ = 0;
-  std::uint64_t link_replays_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t retransmit_words_ = 0;
-  std::uint64_t dead_letters_ = 0;
-  std::uint64_t dead_letter_words_ = 0;
-  std::uint64_t verify_flushes_ = 0;
-  std::uint64_t verify_shares_ = 0;
-  std::uint64_t verify_rejects_ = 0;
-  std::uint64_t verify_memo_hits_ = 0;
-  std::uint64_t sig_verify_flushes_ = 0;
-  std::uint64_t sig_verify_sigs_ = 0;
-  std::uint64_t sig_verify_rejects_ = 0;
-  std::uint64_t sig_verify_memo_hits_ = 0;
-  std::uint64_t rbc_encodes_ = 0;
-  std::uint64_t rbc_fragments_encoded_ = 0;
-  std::uint64_t rbc_decodes_ = 0;
-  std::uint64_t rbc_fragments_decoded_ = 0;
-  std::uint64_t rbc_decode_failures_ = 0;
-  std::uint64_t partition_held_ = 0;
-  std::uint64_t partition_held_words_ = 0;
-  std::uint64_t partition_dropped_ = 0;
-  std::uint64_t partition_dropped_words_ = 0;
-  std::uint64_t partition_released_ = 0;
-  std::uint64_t storm_copies_ = 0;
-  std::uint64_t churn_crashes_ = 0;
+  Counters counters_;
   // Correct-sender words per full tag, indexed by TagId (grown lazily).
   std::vector<std::uint64_t> words_by_tag_id_;
 

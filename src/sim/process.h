@@ -12,6 +12,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "sim/counters.h"
 #include "sim/message.h"
 
 namespace coincidence::sim {
@@ -96,37 +97,12 @@ class Context {
     (void)words;
   }
 
-  /// This process flushed a deferred-verification batch of `shares`
-  /// coin shares, of which `rejects` failed their proof checks (and were
-  /// discarded) and `memo_hits` were answered by the verified-share memo.
-  virtual void note_verify_batch(std::size_t shares, std::size_t rejects,
-                                 std::size_t memo_hits) {
-    (void)shares;
-    (void)rejects;
-    (void)memo_hits;
-  }
-
-  /// This process flushed a deferred signature batch (the approver's
-  /// ok-proof sweep) of `sigs` HMAC checks, of which `rejects` failed and
-  /// `memo_hits` were answered by the signature memo.
-  virtual void note_sig_verify_batch(std::size_t sigs, std::size_t rejects,
-                                     std::size_t memo_hits) {
-    (void)sigs;
-    (void)rejects;
-    (void)memo_hits;
-  }
-
-  /// This process Reed–Solomon-encoded a value into `fragments` coded
-  /// fragments (erasure-coded broadcast: source dispersal or the
-  /// pre-delivery re-encode consistency check).
-  virtual void note_rbc_encode(std::size_t fragments) { (void)fragments; }
-
-  /// This process attempted an erasure decode from `fragments` collected
-  /// fragments; `ok` is false when the dispersal failed the consistency
-  /// check (Byzantine source) and the flow was discarded.
-  virtual void note_rbc_decode(bool ok, std::size_t fragments) {
-    (void)ok;
-    (void)fragments;
+  /// Adds `n` to run counter `c` (sim/counters.h): work that is not
+  /// words, such as share/signature verification batches and
+  /// Reed–Solomon coding passes.
+  virtual void count(Counter c, std::uint64_t n) {
+    (void)c;
+    (void)n;
   }
 };
 

@@ -36,10 +36,7 @@ struct Simulation::PendingEffect {
     kDecide,
     kRound,
     kDeadLetter,
-    kVerifyBatch,
-    kSigVerifyBatch,
-    kRbcEncode,
-    kRbcDecode,
+    kCount,
   };
   Kind kind = Kind::kSend;
   bool retransmit = false;
@@ -49,9 +46,8 @@ struct Simulation::PendingEffect {
   Tag tag;
   SharedBytes payload;
   // kSend: a=words b=causal_depth; kWakeup: a=delay; kDecide: a=round
-  // b=value c=depth; kRound: a=round; kDeadLetter: a=words; k*Verify:
-  // a=count b=rejects c=memo_hits; kRbcEncode: a=fragments; kRbcDecode:
-  // a=fragments b=ok.
+  // b=value c=depth; kRound: a=round; kDeadLetter: a=words; kCount:
+  // a=Counter b=n.
   std::uint64_t a = 0, b = 0, c = 0;
 };
 
@@ -208,46 +204,15 @@ class Simulation::SlotContext final : public Context {
     sim_->note_dead_letter_from(id_, to, tag, words);
   }
 
-  void note_verify_batch(std::size_t shares, std::size_t rejects,
-                         std::size_t memo_hits) override {
+  void count(Counter c, std::uint64_t n) override {
+    if (n == 0) return;
     if (sim_->parallel_phase_) {
-      PendingEffect& e = buffered_effect(PendingEffect::Kind::kVerifyBatch);
-      e.a = shares;
-      e.b = rejects;
-      e.c = memo_hits;
+      PendingEffect& e = buffered_effect(PendingEffect::Kind::kCount);
+      e.a = static_cast<std::uint64_t>(c);
+      e.b = n;
       return;
     }
-    sim_->note_verify_batch_from(id_, shares, rejects, memo_hits);
-  }
-
-  void note_sig_verify_batch(std::size_t sigs, std::size_t rejects,
-                             std::size_t memo_hits) override {
-    if (sim_->parallel_phase_) {
-      PendingEffect& e = buffered_effect(PendingEffect::Kind::kSigVerifyBatch);
-      e.a = sigs;
-      e.b = rejects;
-      e.c = memo_hits;
-      return;
-    }
-    sim_->note_sig_verify_batch_from(id_, sigs, rejects, memo_hits);
-  }
-
-  void note_rbc_encode(std::size_t fragments) override {
-    if (sim_->parallel_phase_) {
-      buffered_effect(PendingEffect::Kind::kRbcEncode).a = fragments;
-      return;
-    }
-    sim_->note_rbc_encode_from(id_, fragments);
-  }
-
-  void note_rbc_decode(bool ok, std::size_t fragments) override {
-    if (sim_->parallel_phase_) {
-      PendingEffect& e = buffered_effect(PendingEffect::Kind::kRbcDecode);
-      e.a = fragments;
-      e.b = ok ? 1 : 0;
-      return;
-    }
-    sim_->note_rbc_decode_from(id_, ok, fragments);
+    sim_->metrics_.count(c, n);
   }
 
  private:
@@ -454,11 +419,13 @@ void Simulation::push_through_link(Message msg) {
     std::size_t phase = 0;
     if (chaos_->blocked(msg.from, msg.to, &mode, &phase)) {
       if (mode == ChaosPhase::PartitionMode::kHold) {
-        metrics_.record_partition_hold(msg);
+        metrics_.count(Counter::kPartitionHeld, 1);
+        metrics_.count(Counter::kPartitionHeldWords, msg.words);
         for (auto& obs : observers_) obs->on_partition_block(msg, true);
         held_.emplace_back(phase, std::move(msg));
       } else {
-        metrics_.record_partition_drop(msg);
+        metrics_.count(Counter::kPartitionDropped, 1);
+        metrics_.count(Counter::kPartitionDroppedWords, msg.words);
         for (auto& obs : observers_) obs->on_partition_block(msg, false);
       }
       return;
@@ -480,7 +447,7 @@ void Simulation::push_through_link(Message msg) {
         for (std::size_t i = 0; i < copies; ++i) {
           Message dup = msg;
           dup.id = next_msg_id_++;
-          metrics_.record_storm_copy();
+          metrics_.count(Counter::kStormCopies, 1);
           route_message(std::move(dup));
         }
       }
@@ -500,7 +467,8 @@ void Simulation::push_through_link(Message msg) {
   }
 
   if (plan.drop_p > 0.0 && link_rng_.next_bool(plan.drop_p)) {
-    metrics_.record_link_drop(msg);
+    metrics_.count(Counter::kLinkDrops, 1);
+    metrics_.count(Counter::kLinkDroppedWords, msg.words);
     for (auto& obs : observers_) obs->on_link_drop(msg);
   } else {
     std::size_t copies = 0;
@@ -513,7 +481,7 @@ void Simulation::push_through_link(Message msg) {
     for (std::size_t i = 0; i < copies; ++i) {
       Message dup = msg;
       dup.id = next_msg_id_++;
-      metrics_.record_link_duplicate();
+      metrics_.count(Counter::kLinkDuplicates, 1);
       for (auto& obs : observers_) obs->on_link_duplicate(dup);
       route_message(std::move(dup));
     }
@@ -531,7 +499,7 @@ void Simulation::push_through_link(Message msg) {
           (*history)[static_cast<std::size_t>(
               link_rng_.next_below(history->size()))];
       replay.id = next_msg_id_++;
-      metrics_.record_link_replay();
+      metrics_.count(Counter::kLinkReplays, 1);
       for (auto& obs : observers_) obs->on_link_replay(replay);
       route_message(std::move(replay));
     }
@@ -627,31 +595,9 @@ void Simulation::note_round_from(ProcessId who, std::uint64_t round) {
 
 void Simulation::note_dead_letter_from(ProcessId who, ProcessId to, Tag tag,
                                        std::size_t words) {
-  metrics_.record_dead_letter(words);
+  metrics_.count(Counter::kDeadLetters, 1);
+  metrics_.count(Counter::kDeadLetterWords, words);
   for (auto& obs : observers_) obs->on_dead_letter(who, to, tag, words);
-}
-
-void Simulation::note_verify_batch_from(ProcessId /*who*/, std::size_t shares,
-                                        std::size_t rejects,
-                                        std::size_t memo_hits) {
-  metrics_.record_verify_batch(shares, rejects, memo_hits);
-}
-
-void Simulation::note_sig_verify_batch_from(ProcessId /*who*/,
-                                            std::size_t sigs,
-                                            std::size_t rejects,
-                                            std::size_t memo_hits) {
-  metrics_.record_sig_verify_batch(sigs, rejects, memo_hits);
-}
-
-void Simulation::note_rbc_encode_from(ProcessId /*who*/,
-                                      std::size_t fragments) {
-  metrics_.record_rbc_encode(fragments);
-}
-
-void Simulation::note_rbc_decode_from(ProcessId /*who*/, bool ok,
-                                      std::size_t fragments) {
-  metrics_.record_rbc_decode(ok, fragments);
 }
 
 // ----------------------------------------------------- timers/recovery --
@@ -762,7 +708,7 @@ void Simulation::churn_wave(std::size_t phase_idx) {
       continue;
     // Fresh corruptions respect the budget like adversary requests do.
     if (!slot.corrupted && corrupted_count_ >= cfg_.f) continue;
-    metrics_.record_churn_crash();
+    metrics_.count(Counter::kChurnCrashes, 1);
     corrupt(id, FaultPlan::crash_recover(phase.churn_down));
   }
 }
@@ -784,7 +730,7 @@ void Simulation::release_partition(std::size_t phase_idx) {
     }
   }
   held_.swap(kept);
-  metrics_.record_partition_release(released);
+  metrics_.count(Counter::kPartitionReleased, released);
 }
 
 void Simulation::apply_corruptions() {
@@ -1078,26 +1024,10 @@ void Simulation::commit_activation(CalEntry& act) {
         for (auto& obs : observers_) obs->on_round(who, e.a);
         break;
       case PendingEffect::Kind::kDeadLetter:
-        metrics_.record_dead_letter(static_cast<std::size_t>(e.a));
-        for (auto& obs : observers_)
-          obs->on_dead_letter(who, e.to, e.tag,
-                              static_cast<std::size_t>(e.a));
+        note_dead_letter_from(who, e.to, e.tag, static_cast<std::size_t>(e.a));
         break;
-      case PendingEffect::Kind::kVerifyBatch:
-        metrics_.record_verify_batch(static_cast<std::size_t>(e.a),
-                                     static_cast<std::size_t>(e.b),
-                                     static_cast<std::size_t>(e.c));
-        break;
-      case PendingEffect::Kind::kSigVerifyBatch:
-        metrics_.record_sig_verify_batch(static_cast<std::size_t>(e.a),
-                                         static_cast<std::size_t>(e.b),
-                                         static_cast<std::size_t>(e.c));
-        break;
-      case PendingEffect::Kind::kRbcEncode:
-        metrics_.record_rbc_encode(static_cast<std::size_t>(e.a));
-        break;
-      case PendingEffect::Kind::kRbcDecode:
-        metrics_.record_rbc_decode(e.b != 0, static_cast<std::size_t>(e.a));
+      case PendingEffect::Kind::kCount:
+        metrics_.count(static_cast<Counter>(e.a), e.b);
         break;
     }
   }

@@ -228,12 +228,6 @@ class Simulation {
   void note_round_from(ProcessId who, std::uint64_t round);
   void note_dead_letter_from(ProcessId who, ProcessId to, Tag tag,
                              std::size_t words);
-  void note_verify_batch_from(ProcessId who, std::size_t shares,
-                              std::size_t rejects, std::size_t memo_hits);
-  void note_rbc_encode_from(ProcessId who, std::size_t fragments);
-  void note_rbc_decode_from(ProcessId who, bool ok, std::size_t fragments);
-  void note_sig_verify_batch_from(ProcessId who, std::size_t sigs,
-                                  std::size_t rejects, std::size_t memo_hits);
 
   // Lossy-link layer (sim/link.h), applied between enqueue and the pool.
   void push_through_link(Message msg);

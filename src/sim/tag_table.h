@@ -14,13 +14,13 @@
 // (traces, words_by_tag views, adversary matching) resolves back to the
 // string. See docs/SIM_FAST_PATH.md for the full argument.
 //
-// Thread-safety: core/parallel.h runs whole simulations on worker
-// threads, and protocols intern at construction time — so intern() takes
-// a shared lock for the (overwhelmingly common) lookup-hit path and only
-// upgrades to an exclusive lock to insert a genuinely new tag, while
-// str() is lock-free (chunked storage with stable addresses; an acquire
-// on the published size pairs with the release in intern(), so any id
-// obtained from a Tag resolves safely).
+// Thread-safety: core::run_agreements_parallel runs whole simulations on
+// worker threads, and protocols intern at construction time — so
+// intern() takes a shared lock for the (overwhelmingly common)
+// lookup-hit path and only upgrades to an exclusive lock to insert a
+// genuinely new tag, while str() is lock-free (chunked storage with
+// stable addresses; an acquire on the published size pairs with the
+// release in intern(), so any id obtained from a Tag resolves safely).
 #pragma once
 
 #include <array>

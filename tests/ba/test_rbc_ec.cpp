@@ -215,6 +215,8 @@ TEST(RbcEc, InconsistentDispersalPoisonedNobodyDelivers) {
     auto& host = dynamic_cast<EcHost&>(sim.process(i));
     EXPECT_EQ(host.delivered.count(0), 0u) << i;
   }
+  // The poisoned flow is accounted, never invisible.
+  EXPECT_GT(sim.metrics().counters()[sim::Counter::kRbcDecodeFailures], 0u);
 }
 
 TEST(RbcEc, SizeEquivocationUnderOneRootRejected) {

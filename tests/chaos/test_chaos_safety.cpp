@@ -9,11 +9,13 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel.h"
+#include "common/parallel.h"
 #include "core/runner.h"
 
 namespace coincidence::core {
 namespace {
+
+using sim::Counter;
 
 using sim::LinkPlan;
 using sim::NetworkProfile;
@@ -247,8 +249,8 @@ TEST(ChaosSafety, BaWhpDeferredSigVerdictsMatchInlineAcrossChaosSweep) {
     EXPECT_EQ(deferred.words_by_tag, direct.words_by_tag);
     // The deferred run exercised the signature batch plane; the direct
     // run never touched it.
-    EXPECT_GT(deferred.sig_verify_sigs, 0u);
-    EXPECT_EQ(direct.sig_verify_sigs, 0u);
+    EXPECT_GT(deferred.counters[Counter::kSigVerifySigs], 0u);
+    EXPECT_EQ(direct.counters[Counter::kSigVerifySigs], 0u);
     // Conservation holds under chaos too.
     EXPECT_EQ(deferred.verify_enqueued,
               deferred.verify_batch_flushed + deferred.verify_discarded);
@@ -275,10 +277,10 @@ TEST(ChaosSafety, BaWhpOverReliableChannelDecidesUnder20PctDrop) {
   EXPECT_TRUE(report.agreement);
   ASSERT_TRUE(report.decision.has_value());
   EXPECT_EQ(*report.decision, 1);
-  EXPECT_GT(report.link_drops, 0u);
-  EXPECT_GT(report.link_duplicates, 0u);
-  EXPECT_GT(report.retransmits, 0u);
-  EXPECT_GT(report.retransmit_words, 0u);
+  EXPECT_GT(report.counters[Counter::kLinkDrops], 0u);
+  EXPECT_GT(report.counters[Counter::kLinkDuplicates], 0u);
+  EXPECT_GT(report.counters[Counter::kRetransmits], 0u);
+  EXPECT_GT(report.counters[Counter::kRetransmitWords], 0u);
   // Repair overhead must be outside the paper's word complexity.
   EXPECT_GT(report.correct_words, 0u);
   // ISSUE 4 satellite: frames the channels abandoned mid-run must be
@@ -288,13 +290,13 @@ TEST(ChaosSafety, BaWhpOverReliableChannelDecidesUnder20PctDrop) {
   // when the original copy is merely slow, not lost. Exactly-once
   // delivery absorbed every abandoned frame (the decision above), and
   // the counters prove the losses were accounted.
-  EXPECT_GT(report.dead_letters, 0u);
-  EXPECT_GT(report.dead_letter_words, 0u);
+  EXPECT_GT(report.counters[Counter::kDeadLetters], 0u);
+  EXPECT_GT(report.counters[Counter::kDeadLetterWords], 0u);
   // Each abandoned frame was charged to correct_words once (plus its
   // retries to retransmit_words), so the loss accounting is bounded by
   // what actually went on the wire.
-  EXPECT_LE(report.dead_letter_words,
-            report.correct_words + report.retransmit_words);
+  EXPECT_LE(report.counters[Counter::kDeadLetterWords],
+            report.correct_words + report.counters[Counter::kRetransmitWords]);
 }
 
 // Duplicating/replaying links redeliver coin shares verbatim; the
@@ -315,10 +317,10 @@ TEST(ChaosSafety, DuplicatedSharesHitTheVerifyMemo) {
   options.inputs.assign(options.n, ba::kZero);
   options.inputs[0] = ba::kOne;
   RunReport report = run_agreement(options);
-  EXPECT_GT(report.verify_shares, 0u);
+  EXPECT_GT(report.counters[Counter::kVerifyShares], 0u);
   // With a 50% duplication + 30% replay profile, re-delivered tuples are
   // plentiful — the memo must catch a healthy share of them.
-  EXPECT_GT(report.verify_memo_hits, 0u);
+  EXPECT_GT(report.counters[Counter::kVerifyMemoHits], 0u);
 }
 
 // Identical seeds must reproduce identical runs even with every chaos
@@ -349,11 +351,7 @@ TEST(ChaosSafety, ChaoticRunsAreSeedDeterministic) {
   EXPECT_EQ(a.decision, b.decision);
   EXPECT_EQ(a.correct_words, b.correct_words);
   EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.link_drops, b.link_drops);
-  EXPECT_EQ(a.link_duplicates, b.link_duplicates);
-  EXPECT_EQ(a.link_replays, b.link_replays);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.retransmit_words, b.retransmit_words);
+  EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.words_by_tag, b.words_by_tag);
 }
 

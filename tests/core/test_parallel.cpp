@@ -9,7 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/parallel.h"
+#include "common/parallel.h"
+#include "core/runner.h"
 
 namespace coincidence::core {
 namespace {
@@ -25,11 +26,7 @@ void expect_reports_equal(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.words_by_tag, b.words_by_tag);
   EXPECT_EQ(a.faulty, b.faulty);
   EXPECT_EQ(a.protocol_f, b.protocol_f);
-  EXPECT_EQ(a.link_drops, b.link_drops);
-  EXPECT_EQ(a.link_duplicates, b.link_duplicates);
-  EXPECT_EQ(a.link_replays, b.link_replays);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.retransmit_words, b.retransmit_words);
+  EXPECT_EQ(a.counters, b.counters);
 }
 
 std::vector<RunOptions> mixed_workload() {

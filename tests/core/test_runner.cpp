@@ -8,6 +8,8 @@
 namespace coincidence::core {
 namespace {
 
+using sim::Counter;
+
 TEST(Env, MakeRelaxedWiresEverything) {
   Env env = Env::make_relaxed(40, 9);
   EXPECT_EQ(env.n(), 40u);
@@ -158,11 +160,11 @@ TEST(Runner, DeferredVerificationIsBitIdenticalToInline) {
       EXPECT_EQ(inline_r.duration, deferred_r.duration);
       EXPECT_EQ(inline_r.words_by_tag, deferred_r.words_by_tag);
       // The deferred run actually went through the batch plane...
-      EXPECT_GT(deferred_r.verify_flushes, 0u);
-      EXPECT_GT(deferred_r.verify_shares, 0u);
+      EXPECT_GT(deferred_r.counters[Counter::kVerifyFlushes], 0u);
+      EXPECT_GT(deferred_r.counters[Counter::kVerifyShares], 0u);
       // ...and the inline run never did.
-      EXPECT_EQ(inline_r.verify_flushes, 0u);
-      EXPECT_EQ(inline_r.verify_shares, 0u);
+      EXPECT_EQ(inline_r.counters[Counter::kVerifyFlushes], 0u);
+      EXPECT_EQ(inline_r.counters[Counter::kVerifyShares], 0u);
     }
   }
 }
@@ -179,7 +181,38 @@ TEST(Runner, DeferredVerificationCountsJunkRejects) {
   o.junk = 2;
   RunReport r = run_agreement(o);
   EXPECT_TRUE(r.all_correct_decided);
-  EXPECT_GT(r.verify_shares, 0u);
+  EXPECT_GT(r.counters[Counter::kVerifyShares], 0u);
+}
+
+TEST(Runner, CodingCountersFollowTheCodeShape) {
+  // Erasure-coded Bracha: every encode (source dispersal or the
+  // deliver-time re-encode check) yields n fragments, and every decode
+  // reads exactly k = f+1 of them. No dispersal here is poisoned.
+  RunOptions o;
+  o.protocol = Protocol::kBracha;
+  o.rbc = ba::RbcBackend::kEc;
+  o.n = 16;
+  o.seed = 7;
+  o.inputs.assign(o.n, ba::kZero);
+  for (std::size_t i = 0; i < o.n / 2; ++i) o.inputs[i] = ba::kOne;
+  const RunReport r = run_agreement(o);
+  ASSERT_TRUE(r.all_correct_decided);
+  const sim::Counters& c = r.counters;
+  ASSERT_GT(c[Counter::kRbcEncodes], 0u);
+  ASSERT_GT(c[Counter::kRbcDecodes], 0u);
+  EXPECT_EQ(c[Counter::kRbcFragmentsEncoded], o.n * c[Counter::kRbcEncodes]);
+  EXPECT_EQ(c[Counter::kRbcFragmentsDecoded],
+            (r.protocol_f + 1) * c[Counter::kRbcDecodes]);
+  EXPECT_EQ(c[Counter::kRbcDecodeFailures], 0u);
+
+  // net::ReliableProcess forwards the coding counts of the process it
+  // wraps: on a reliable network the same run does the same coding work.
+  o.reliable_channel = true;
+  const RunReport wrapped = run_agreement(o);
+  for (Counter k : {Counter::kRbcEncodes, Counter::kRbcFragmentsEncoded,
+                    Counter::kRbcDecodes, Counter::kRbcFragmentsDecoded,
+                    Counter::kRbcDecodeFailures})
+    EXPECT_EQ(wrapped.counters[k], c[k]);
 }
 
 TEST(Runner, InstrumentedRunMatchesBareRun) {

@@ -150,44 +150,6 @@ TEST(Session, RejectsBadShapes) {
   std::vector<std::vector<ba::Value>> wrong_n(1,
                                               std::vector<ba::Value>(10, 0));
   EXPECT_THROW(session.run_concurrent_slots(wrong_n, 1), PreconditionError);
-  EXPECT_THROW(session.run_concurrent_mv_slots({}, 1), PreconditionError);
-  std::vector<std::vector<Bytes>> wrong_mv(1, std::vector<Bytes>(10));
-  EXPECT_THROW(session.run_concurrent_mv_slots(wrong_mv, 1),
-               PreconditionError);
-}
-
-TEST(Session, MultivaluedSlotsAdoptOneProposalPerBackend) {
-  // The multivalued session path under both dissemination backends
-  // (SessionOptions::rbc): every slot adopts exactly one proposer's
-  // payload with payload-level agreement, and the coded backend spends
-  // fewer words on the same workload.
-  const std::size_t n = 48;
-  std::uint64_t words_by_backend[2] = {0, 0};
-  for (ba::RbcBackend backend :
-       {ba::RbcBackend::kBracha, ba::RbcBackend::kEc}) {
-    Session session(Env::make_relaxed(n, 11));
-    SessionOptions opts;
-    opts.skip_timeout = session::auto_skip_timeout(n, 2);
-    opts.rbc = backend;
-    session.set_options(opts);
-    // ~2KB proposals: large enough that fragment shipping beats full-
-    // value echoing despite the per-echo Merkle branch overhead.
-    std::vector<std::vector<Bytes>> proposals(2, std::vector<Bytes>(n));
-    for (std::size_t s = 0; s < proposals.size(); ++s)
-      for (std::size_t i = 0; i < n; ++i)
-        proposals[s][i] = bytes_of("slot" + std::to_string(s) + "-payload-" +
-                                   std::string(2048, 'a' + (i % 26)));
-    SessionReport r =
-        session.run_concurrent_mv_slots(proposals, /*seed=*/9, /*silent=*/2);
-    ASSERT_TRUE(r.all_slots_decided()) << ba::to_string(backend);
-    for (const auto& s : r.slots) {
-      EXPECT_TRUE(s.agreement) << ba::to_string(backend);
-      ASSERT_TRUE(s.decision.has_value());
-      EXPECT_GE(*s.decision, 0) << ba::to_string(backend);  // non-noop
-    }
-    words_by_backend[backend == ba::RbcBackend::kEc] = r.correct_words;
-  }
-  EXPECT_LT(words_by_backend[1], words_by_backend[0]);
 }
 
 TEST(InstanceMux, RoutesByPrefixAndRejectsDuplicates) {

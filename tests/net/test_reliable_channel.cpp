@@ -11,6 +11,8 @@
 namespace coincidence::net {
 namespace {
 
+using sim::Counter;
+
 /// Sends `count` distinct messages to `target` at start; counts every
 /// application-level receipt by tag.
 class Pitcher final : public sim::Process {
@@ -74,7 +76,7 @@ TEST(ReliableChannel, DeliversExactlyOnceOnLosslessLinks) {
   pair.sim->run();
   expect_exactly_once(*pair.receiver, 5);
   EXPECT_EQ(pair.sender_channel->unacked(), 0u);
-  EXPECT_EQ(pair.sim->metrics().retransmits(), 0u);
+  EXPECT_EQ(pair.sim->metrics().counters()[Counter::kRetransmits], 0u);
 }
 
 TEST(ReliableChannel, SuppressesLinkDuplicates) {
@@ -101,8 +103,8 @@ TEST(ReliableChannel, RetransmitsThroughHeavyLoss) {
   // even after the network drains.
   expect_exactly_once(*pair.receiver, 10);
   EXPECT_EQ(pair.sender_channel->unacked(), 0u);
-  EXPECT_GT(pair.sim->metrics().retransmits(), 0u);
-  EXPECT_GT(pair.sim->metrics().link_drops(), 0u);
+  EXPECT_GT(pair.sim->metrics().counters()[Counter::kRetransmits], 0u);
+  EXPECT_GT(pair.sim->metrics().counters()[Counter::kLinkDrops], 0u);
 }
 
 TEST(ReliableChannel, RepairTrafficAccountedSeparately) {
@@ -111,10 +113,11 @@ TEST(ReliableChannel, RepairTrafficAccountedSeparately) {
   pair.sim->start();
   pair.sim->run();
   const auto& m = pair.sim->metrics();
-  EXPECT_GT(m.retransmit_words(), 0u);
+  EXPECT_GT(m.counters()[Counter::kRetransmitWords], 0u);
   // All processes are correct, so every word is either protocol cost or
   // repair overhead — and the buckets must not bleed into each other.
-  EXPECT_EQ(m.correct_words() + m.retransmit_words(), m.total_words());
+  EXPECT_EQ(m.correct_words() + m.counters()[Counter::kRetransmitWords],
+            m.total_words());
   // The paper-complexity buckets see channel framing, never repair.
   ASSERT_TRUE(m.words_by_tag().count("dat"));
   ASSERT_TRUE(m.words_by_tag().count("ack"));
@@ -147,7 +150,7 @@ TEST(ReliableChannel, GivesUpOnDeadPeerInsteadOfLivelocking) {
   pair.sim->run();  // terminates: the retry cap bounds the repair loop
   EXPECT_EQ(pair.sender_channel->abandoned(), 2u);
   EXPECT_EQ(pair.sender_channel->unacked(), 0u);
-  EXPECT_EQ(pair.sim->metrics().retransmits(), 2u * 3u);
+  EXPECT_EQ(pair.sim->metrics().counters()[Counter::kRetransmits], 2u * 3u);
 }
 
 TEST(ReliableChannel, SelfSendsBypassTheChannel) {
@@ -197,12 +200,13 @@ TEST(ReliableChannel, AbandonedFramesAreAccountedNotSilent) {
   pair.sim->run();
 
   EXPECT_EQ(pair.sender_channel->abandoned(), 2u);
-  EXPECT_EQ(pair.sim->metrics().dead_letters(),
+  EXPECT_EQ(pair.sim->metrics().counters()[Counter::kDeadLetters],
             pair.sender_channel->abandoned());
   EXPECT_EQ(counter->count, pair.sender_channel->abandoned());
   // Each abandoned frame carried the 2-word payload; the words are
   // reported too so lossy experiments can bound what was lost.
-  EXPECT_EQ(pair.sim->metrics().dead_letter_words(), counter->words);
+  EXPECT_EQ(pair.sim->metrics().counters()[Counter::kDeadLetterWords],
+            counter->words);
   EXPECT_GT(counter->words, 0u);
 }
 
@@ -214,8 +218,8 @@ TEST(ReliableChannel, NoDeadLettersWhenEverythingAcks) {
   // Heavy loss but a live peer and the default generous retry budget:
   // nothing may be abandoned, and the accounting must agree on zero.
   EXPECT_EQ(pair.sender_channel->abandoned(), 0u);
-  EXPECT_EQ(pair.sim->metrics().dead_letters(), 0u);
-  EXPECT_EQ(pair.sim->metrics().dead_letter_words(), 0u);
+  EXPECT_EQ(pair.sim->metrics().counters()[Counter::kDeadLetters], 0u);
+  EXPECT_EQ(pair.sim->metrics().counters()[Counter::kDeadLetterWords], 0u);
 }
 
 TEST(ReliableChannel, SameSeedSameRepairSchedule) {
@@ -224,9 +228,10 @@ TEST(ReliableChannel, SameSeedSameRepairSchedule) {
         8, sim::NetworkProfile::uniform(sim::LinkPlan::lossy(0.3)), seed);
     pair.sim->start();
     pair.sim->run();
+    const sim::Metrics& m = pair.sim->metrics();
     return std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>(
-        pair.sim->metrics().retransmits(), pair.sim->metrics().link_drops(),
-        pair.sim->metrics().deliveries());
+        m.counters()[Counter::kRetransmits], m.counters()[Counter::kLinkDrops],
+        m.deliveries());
   };
   EXPECT_EQ(run(21), run(21));
 }

@@ -126,6 +126,9 @@ TEST(ReplicatedLog, ErasureCodedBackendCommitsTheSameRequests) {
   ASSERT_TRUE(ec.all_committed);
   EXPECT_TRUE(bracha.agreement);
   EXPECT_TRUE(ec.agreement);
+  // Every slot adopts some proposer's batch on both backends.
+  EXPECT_EQ(bracha.noop_slots, 0u);
+  EXPECT_EQ(ec.noop_slots, 0u);
   // Candidate races can resolve differently (the word schedule reshapes
   // the delivery interleaving), so the adopted batches may differ — but
   // both backends commit full batches of batch_size requests.

@@ -181,9 +181,9 @@ TEST(ChaosSim, PartitionHoldBuffersUntilIdleAdvanceHeals) {
   sim.run();
   // Broadcast includes self-delivery: 4 receipts each once healed.
   for (ProcessId i = 0; i < 4; ++i) EXPECT_EQ(received_of(sim, i), 4) << i;
-  EXPECT_EQ(sim.metrics().partition_held(), 8u);
-  EXPECT_EQ(sim.metrics().partition_released(), 8u);
-  EXPECT_EQ(sim.metrics().partition_dropped(), 0u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kPartitionHeld], 8u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kPartitionReleased], 8u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kPartitionDropped], 0u);
   EXPECT_EQ(sim.chaos_held(), 0u);  // partitions eventually heal
   EXPECT_GE(sim.deliveries(), 12u);
 }
@@ -195,8 +195,8 @@ TEST(ChaosSim, PartitionDropLosesCrossTrafficForGood) {
   sim.run();
   // Only the same-side traffic (self + one peer) arrives.
   for (ProcessId i = 0; i < 4; ++i) EXPECT_EQ(received_of(sim, i), 2) << i;
-  EXPECT_EQ(sim.metrics().partition_dropped(), 8u);
-  EXPECT_EQ(sim.metrics().partition_held(), 0u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kPartitionDropped], 8u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kPartitionHeld], 0u);
   EXPECT_EQ(sim.chaos_held(), 0u);  // dropped, not stranded
 }
 
@@ -209,7 +209,7 @@ TEST(ChaosSim, StormDuplicatesEverySendAtPOne) {
   sim.start();
   sim.run();
   for (ProcessId i = 0; i < 4; ++i) EXPECT_EQ(received_of(sim, i), 7) << i;
-  EXPECT_EQ(sim.metrics().storm_copies(), 12u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kStormCopies], 12u);
 }
 
 TEST(ChaosSim, ChurnWavesRecycleTheSameVictimWithinBudget) {
@@ -220,7 +220,7 @@ TEST(ChaosSim, ChurnWavesRecycleTheSameVictimWithinBudget) {
   Simulation& sim = *sim_ptr;
   sim.start();
   sim.run();
-  EXPECT_EQ(sim.metrics().churn_crashes(), 3u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kChurnCrashes], 3u);
   EXPECT_EQ(sim.corrupted_count(), 1u);  // within f despite three crashes
   EXPECT_TRUE(sim.is_corrupted(3));
   EXPECT_TRUE(sim.has_recovered(3));
@@ -236,7 +236,7 @@ TEST(ChaosSim, ChurnWithoutBudgetIsSkippedNotFatal) {
   Simulation& sim = *sim_ptr;
   sim.start();
   sim.run();
-  EXPECT_EQ(sim.metrics().churn_crashes(), 0u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kChurnCrashes], 0u);
   EXPECT_EQ(sim.corrupted_count(), 0u);
   for (ProcessId i = 0; i < 4; ++i) EXPECT_EQ(received_of(sim, i), 4) << i;
 }
@@ -255,17 +255,17 @@ TEST(ChaosSim, CombinedScheduleIsSeedDeterministic) {
   auto a = run(9);
   auto b = run(9);
   auto c = run(10);
-  EXPECT_EQ(a->metrics().storm_copies(), b->metrics().storm_copies());
-  EXPECT_EQ(a->metrics().partition_held(), b->metrics().partition_held());
-  EXPECT_EQ(a->metrics().churn_crashes(), b->metrics().churn_crashes());
+  EXPECT_EQ(a->metrics().counters(), b->metrics().counters());
   EXPECT_EQ(a->metrics().correct_words(), b->metrics().correct_words());
   EXPECT_EQ(a->deliveries(), b->deliveries());
   for (ProcessId i = 0; i < 4; ++i)
     EXPECT_EQ(received_of(*a, i), received_of(*b, i)) << i;
   // Different seed: the storm draws a different burst pattern. (The
   // partition/churn phases are schedule-driven and stay identical.)
-  EXPECT_EQ(a->metrics().partition_held(), c->metrics().partition_held());
-  EXPECT_EQ(a->metrics().churn_crashes(), c->metrics().churn_crashes());
+  const Counters& ca = a->metrics().counters();
+  const Counters& cc = c->metrics().counters();
+  EXPECT_EQ(ca[sim::Counter::kPartitionHeld], cc[sim::Counter::kPartitionHeld]);
+  EXPECT_EQ(ca[sim::Counter::kChurnCrashes], cc[sim::Counter::kChurnCrashes]);
 }
 
 // ------------------------------------------------- InvariantChecker ------

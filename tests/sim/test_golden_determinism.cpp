@@ -24,6 +24,8 @@
 namespace coincidence {
 namespace {
 
+using sim::Counter;
+
 /// FNV-1a over the trace's canonical dump — one number pinning the exact
 /// event sequence (ids, endpoints, tags, word counts, sender flags).
 std::uint64_t trace_hash(const sim::TraceRecorder& trace) {
@@ -47,8 +49,9 @@ std::string fingerprint(const sim::Simulation& sim,
   os << "total_words=" << sim.metrics().total_words() << "\n";
   os << "messages_sent=" << sim.metrics().messages_sent() << "\n";
   os << "deliveries=" << sim.metrics().deliveries() << "\n";
-  os << "link_duplicates=" << sim.metrics().link_duplicates() << "\n";
-  os << "link_replays=" << sim.metrics().link_replays() << "\n";
+  const sim::Counters& counters = sim.metrics().counters();
+  os << "link_duplicates=" << counters[Counter::kLinkDuplicates] << "\n";
+  os << "link_replays=" << counters[Counter::kLinkReplays] << "\n";
   os << "words_by_tag=";
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     os << tag << ":" << words << ";";

@@ -70,9 +70,9 @@ TEST(LinkFaults, LosslessProfileMatchesDefault) {
   for (ProcessId i = 0; i < 4; ++i)
     EXPECT_EQ(received(*plain, i), received(*lossless, i)) << i;
   EXPECT_EQ(plain->metrics().deliveries(), lossless->metrics().deliveries());
-  EXPECT_EQ(lossless->metrics().link_drops(), 0u);
-  EXPECT_EQ(lossless->metrics().link_duplicates(), 0u);
-  EXPECT_EQ(lossless->metrics().link_replays(), 0u);
+  EXPECT_EQ(lossless->metrics().counters()[sim::Counter::kLinkDrops], 0u);
+  EXPECT_EQ(lossless->metrics().counters()[sim::Counter::kLinkDuplicates], 0u);
+  EXPECT_EQ(lossless->metrics().counters()[sim::Counter::kLinkReplays], 0u);
 }
 
 TEST(LinkFaults, FullDropLosesAllCrossTraffic) {
@@ -82,8 +82,9 @@ TEST(LinkFaults, FullDropLosesAllCrossTraffic) {
   sim->run();
   // Self-links are exempt: everyone still gets exactly their own copy.
   for (ProcessId i = 0; i < 4; ++i) EXPECT_EQ(received(*sim, i), 1) << i;
-  EXPECT_EQ(sim->metrics().link_drops(), 4u * 3u);
-  EXPECT_EQ(sim->metrics().link_dropped_words(), 4u * 3u);
+  EXPECT_EQ(sim->metrics().counters()[sim::Counter::kLinkDrops], 4u * 3u);
+  EXPECT_EQ(sim->metrics().counters()[sim::Counter::kLinkDroppedWords],
+            4u * 3u);
   // The senders were still charged: drops happen after the send event.
   EXPECT_EQ(sim->metrics().correct_words(), 4u * 4u);
 }
@@ -93,7 +94,8 @@ TEST(LinkFaults, PartialDropIsSeededAndCounted) {
       6, NetworkProfile::uniform(LinkPlan::lossy(0.5)), 11);
   sim->start();
   sim->run();
-  const std::uint64_t drops = sim->metrics().link_drops();
+  const std::uint64_t drops =
+      sim->metrics().counters()[sim::Counter::kLinkDrops];
   EXPECT_GT(drops, 0u);
   EXPECT_LT(drops, 6u * 5u);
   std::uint64_t delivered_cross = 0;
@@ -109,7 +111,7 @@ TEST(LinkFaults, CertainDuplicationDeliversEveryMessageTwice) {
   sim->run();
   for (ProcessId i = 0; i < 4; ++i)
     EXPECT_EQ(received(*sim, i), 1 + 2 * 3) << i;  // self once, peers twice
-  EXPECT_EQ(sim->metrics().link_duplicates(), 4u * 3u);
+  EXPECT_EQ(sim->metrics().counters()[sim::Counter::kLinkDuplicates], 4u * 3u);
   // Network-made copies charge no words to anyone.
   EXPECT_EQ(sim->metrics().correct_words(), 4u * 4u);
 }
@@ -130,12 +132,13 @@ TEST(LinkFaults, ReplayResurrectsDeliveredMessages) {
       4, NetworkProfile::uniform(LinkPlan::replaying(0.9)), 19, /*rounds=*/6);
   sim->start();
   sim->run();
-  EXPECT_GT(sim->metrics().link_replays(), 0u);
+  EXPECT_GT(sim->metrics().counters()[sim::Counter::kLinkReplays], 0u);
   // Replays are extra pool deliveries of old traffic on top of the
   // originals. All traffic is broadcasts, so of every 4 sends exactly 3
   // cross the network (the 4th is the free self copy).
   const std::uint64_t cross = sim->metrics().messages_sent() * 3 / 4;
-  EXPECT_EQ(sim->metrics().deliveries(), cross + sim->metrics().link_replays());
+  EXPECT_EQ(sim->metrics().deliveries(),
+            cross + sim->metrics().counters()[sim::Counter::kLinkReplays]);
 }
 
 TEST(LinkFaults, PerLinkOverrideAffectsOnlyThatLink) {
@@ -148,7 +151,7 @@ TEST(LinkFaults, PerLinkOverrideAffectsOnlyThatLink) {
   EXPECT_EQ(received(*sim, 0), 4);
   EXPECT_EQ(received(*sim, 2), 4);
   EXPECT_EQ(received(*sim, 3), 4);
-  EXPECT_EQ(sim->metrics().link_drops(), 1u);
+  EXPECT_EQ(sim->metrics().counters()[sim::Counter::kLinkDrops], 1u);
 }
 
 TEST(LinkFaults, SameSeedSameChaos) {
@@ -169,9 +172,7 @@ TEST(LinkFaults, SameSeedSameChaos) {
   for (ProcessId i = 0; i < 5; ++i)
     EXPECT_EQ(received(*a, i), received(*b, i)) << i;
   EXPECT_EQ(a->metrics().deliveries(), b->metrics().deliveries());
-  EXPECT_EQ(a->metrics().link_drops(), b->metrics().link_drops());
-  EXPECT_EQ(a->metrics().link_duplicates(), b->metrics().link_duplicates());
-  EXPECT_EQ(a->metrics().link_replays(), b->metrics().link_replays());
+  EXPECT_EQ(a->metrics().counters(), b->metrics().counters());
   EXPECT_EQ(a->metrics().messages_sent(), b->metrics().messages_sent());
 }
 
@@ -241,8 +242,8 @@ TEST(LinkFaults, RetransmissionWordsAccountedSeparately) {
   sim.run();
   // Each process: one first-transmission (3 words) + one retransmission.
   EXPECT_EQ(sim.metrics().correct_words(), 2u * 3u);
-  EXPECT_EQ(sim.metrics().retransmits(), 2u);
-  EXPECT_EQ(sim.metrics().retransmit_words(), 2u * 3u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kRetransmits], 2u);
+  EXPECT_EQ(sim.metrics().counters()[sim::Counter::kRetransmitWords], 2u * 3u);
   EXPECT_EQ(sim.metrics().total_words(), 2u * 6u);
 }
 

@@ -145,10 +145,21 @@ TEST(Metrics, RecordDecideFeedsDurationAndRoundsHistogram) {
 
 TEST(Metrics, DeadLettersAlwaysAccounted) {
   Metrics m;  // detail off: dead letters must be counted regardless
-  m.record_dead_letter(5);
-  m.record_dead_letter(2);
-  EXPECT_EQ(m.dead_letters(), 2u);
-  EXPECT_EQ(m.dead_letter_words(), 7u);
+  m.count(Counter::kDeadLetters, 1);
+  m.count(Counter::kDeadLetterWords, 5);
+  m.count(Counter::kDeadLetters, 1);
+  m.count(Counter::kDeadLetterWords, 2);
+  EXPECT_EQ(m.counters()[Counter::kDeadLetters], 2u);
+  EXPECT_EQ(m.counters()[Counter::kDeadLetterWords], 7u);
+}
+
+std::size_t occurrences(const std::string& haystack,
+                        const std::string& needle) {
+  std::size_t hits = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1))
+    ++hits;
+  return hits;
 }
 
 TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
@@ -161,7 +172,9 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
     m.record_delivery(a, 6);
     m.record_send(msg("ba/1/a1/init", 2), true);
     m.record_decide(1, 4);
-    m.record_dead_letter(3);
+    // A distinct value per counter, so each export line is attributable.
+    for (const CounterInfo& row : kCounterTable)
+      m.count(row.id, 1000 + static_cast<std::uint64_t>(row.id));
     return m;
   };
   std::ostringstream ja, jb, pa, pb;
@@ -169,11 +182,30 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
   build().to_json(jb);
   EXPECT_EQ(ja.str(), jb.str());
   EXPECT_NE(ja.str().find("\"correct_words\""), std::string::npos);
-  EXPECT_NE(ja.str().find("\"dead_letters\""), std::string::npos);
   build().to_prometheus(pa);
   build().to_prometheus(pb);
   EXPECT_EQ(pa.str(), pb.str());
   EXPECT_NE(pa.str().find("coincidence_correct_words"), std::string::npos);
+
+  // Every table row reaches the exports: once in JSON with its own
+  // value, and in Prometheus exactly when the row says so.
+  Metrics m = build();
+  for (const CounterInfo& row : kCounterTable) {
+    SCOPED_TRACE(row.name);
+    const std::string value = std::to_string(m.counters()[row.id]);
+    const std::string key = std::string("\"") + row.name + "\"";
+    EXPECT_EQ(occurrences(ja.str(), key), 1u);
+    EXPECT_EQ(occurrences(ja.str(), key + ":" + value), 1u);
+    const std::string series =
+        std::string("coincidence_") + row.name + "_total";
+    const std::size_t expected = row.exported_to_prometheus ? 1 : 0;
+    EXPECT_EQ(occurrences(pa.str(), "# TYPE " + series + " counter\n"),
+              expected);
+    EXPECT_EQ(occurrences(pa.str(), series + " " + value + "\n"), expected);
+  }
+  // reset() zeroes every counter.
+  m.reset();
+  EXPECT_EQ(m.counters(), Counters{});
 }
 
 TEST(Metrics, ResetClearsTelemetryState) {
@@ -183,13 +215,14 @@ TEST(Metrics, ResetClearsTelemetryState) {
   m.record_send(a, true);
   m.record_delivery(a, 3);
   m.record_decide(2, 7);
-  m.record_dead_letter(1);
+  m.count(Counter::kDeadLetters, 1);
+  m.count(Counter::kDeadLetterWords, 1);
   m.reset();
   EXPECT_TRUE(m.by_tag().empty());
   EXPECT_TRUE(m.words_by_phase().empty());
   EXPECT_EQ(m.decide_rounds().total(), 0u);
-  EXPECT_EQ(m.dead_letters(), 0u);
-  EXPECT_EQ(m.dead_letter_words(), 0u);
+  EXPECT_EQ(m.counters()[Counter::kDeadLetters], 0u);
+  EXPECT_EQ(m.counters()[Counter::kDeadLetterWords], 0u);
 }
 
 TEST(Metrics, ResetClearsEverything) {

@@ -30,6 +30,8 @@
 namespace coincidence {
 namespace {
 
+using sim::Counter;
+
 struct RunSurface {
   std::string fingerprint;  // decisions + headline metrics + trace hash
   std::string trace_jsonl;  // full structured trace stream
@@ -52,14 +54,15 @@ RunSurface surface_of(const sim::Simulation& sim,
   RunSurface out;
   std::ostringstream trace_dump;
   trace.dump(trace_dump);
+  const sim::Counters& counters = sim.metrics().counters();
   std::ostringstream fp;
   fp << "decisions=" << decisions << "\n"
      << "correct_words=" << sim.metrics().correct_words() << "\n"
      << "total_words=" << sim.metrics().total_words() << "\n"
      << "messages_sent=" << sim.metrics().messages_sent() << "\n"
      << "deliveries=" << sim.metrics().deliveries() << "\n"
-     << "link_duplicates=" << sim.metrics().link_duplicates() << "\n"
-     << "link_replays=" << sim.metrics().link_replays() << "\n"
+     << "link_duplicates=" << counters[Counter::kLinkDuplicates] << "\n"
+     << "link_replays=" << counters[Counter::kLinkReplays] << "\n"
      << "words_by_tag=";
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     fp << tag << ":" << words << ";";

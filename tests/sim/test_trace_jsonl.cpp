@@ -17,6 +17,8 @@
 namespace coincidence {
 namespace {
 
+using sim::Counter;
+
 using core::Protocol;
 using core::RunInstruments;
 using core::RunOptions;
@@ -122,8 +124,8 @@ TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
   topts.structured = true;
   auto run = run_traced(options, topts);
   ASSERT_TRUE(run.report.all_correct_decided);
-  ASSERT_GT(run.report.link_duplicates, 0u);
-  ASSERT_GT(run.report.link_replays, 0u);
+  ASSERT_GT(run.report.counters[Counter::kLinkDuplicates], 0u);
+  ASSERT_GT(run.report.counters[Counter::kLinkReplays], 0u);
 
   std::size_t dup_events = 0, replay_events = 0;
   std::size_t dup_delivers = 0, replay_delivers = 0, fresh_delivers = 0;
@@ -142,8 +144,8 @@ TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
     }
   }
   // One kDuplicate/kReplay record per link event, matching Metrics.
-  EXPECT_EQ(dup_events, run.report.link_duplicates);
-  EXPECT_EQ(replay_events, run.report.link_replays);
+  EXPECT_EQ(dup_events, run.report.counters[Counter::kLinkDuplicates]);
+  EXPECT_EQ(replay_events, run.report.counters[Counter::kLinkReplays]);
   // Copies actually reached receivers and were attributed as such.
   EXPECT_GT(dup_delivers, 0u);
   EXPECT_GT(replay_delivers, 0u);

@@ -32,12 +32,13 @@
 
 #include "common/args.h"
 #include "common/errors.h"
-#include "core/parallel.h"
+#include "common/parallel.h"
 #include "core/runner.h"
 #include "sim/chaos.h"
 #include "sim/observer.h"
 
 using namespace coincidence;
+using C = sim::Counter;
 
 namespace {
 
@@ -119,11 +120,11 @@ std::uint64_t digest_reports(const std::vector<core::RunReport>& reports) {
     h = fnv1a(h, r.correct_words);
     h = fnv1a(h, r.messages);
     h = fnv1a(h, r.corrupted);
-    h = fnv1a(h, r.partition_held);
-    h = fnv1a(h, r.partition_dropped);
-    h = fnv1a(h, r.partition_released);
-    h = fnv1a(h, r.storm_copies);
-    h = fnv1a(h, r.churn_crashes);
+    h = fnv1a(h, r.counters[C::kPartitionHeld]);
+    h = fnv1a(h, r.counters[C::kPartitionDropped]);
+    h = fnv1a(h, r.counters[C::kPartitionReleased]);
+    h = fnv1a(h, r.counters[C::kStormCopies]);
+    h = fnv1a(h, r.counters[C::kChurnCrashes]);
     h = fnv1a(h, r.invariant_violations.size());
   }
   return h;
@@ -219,7 +220,7 @@ int run_sweep(const Args& args) {
     cells.push_back(&cell);
   }
 
-  core::ThreadPool pool(threads);
+  ThreadPool pool(threads);
   const std::vector<core::RunReport> reports =
       core::run_agreements_parallel(pool, options);
 
@@ -228,11 +229,11 @@ int run_sweep(const Args& args) {
   std::ostringstream failures;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const core::RunReport& r = reports[i];
-    held += r.partition_held;
-    dropped += r.partition_dropped;
-    released += r.partition_released;
-    storm += r.storm_copies;
-    churn += r.churn_crashes;
+    held += r.counters[C::kPartitionHeld];
+    dropped += r.counters[C::kPartitionDropped];
+    released += r.counters[C::kPartitionReleased];
+    storm += r.counters[C::kStormCopies];
+    churn += r.counters[C::kChurnCrashes];
     const bool bad = !r.invariant_violations.empty() ||
                      !r.all_correct_decided || !r.agreement;
     if (!r.all_correct_decided) ++undecided;
@@ -352,15 +353,17 @@ int main(int argc, char** argv) {
             << "\n  decided: "
             << (r.all_correct_decided ? "all correct" : "NOT ALL");
   if (r.decision) std::cout << "  decision=" << *r.decision;
+  const sim::Counters& c = r.counters;
   std::cout << "  rounds<=" << r.max_decided_round
             << "\n  corrupted: " << r.corrupted << " (of f=" << r.protocol_f
-            << ")  churn crashes: " << r.churn_crashes
-            << "\n  partition held/dropped/released: " << r.partition_held
-            << '/' << r.partition_dropped << '/' << r.partition_released
-            << "  storm copies: " << r.storm_copies
-            << "\n  transport: retransmits=" << r.retransmits
-            << " dead letters=" << r.dead_letters
-            << " (words=" << r.dead_letter_words << ")"
+            << ")  churn crashes: " << c[C::kChurnCrashes]
+            << "\n  partition held/dropped/released: "
+            << c[C::kPartitionHeld] << '/' << c[C::kPartitionDropped] << '/'
+            << c[C::kPartitionReleased]
+            << "  storm copies: " << c[C::kStormCopies]
+            << "\n  transport: retransmits=" << c[C::kRetransmits]
+            << " dead letters=" << c[C::kDeadLetters]
+            << " (words=" << c[C::kDeadLetterWords] << ")"
             << "\n  verify ledger: enqueued=" << r.verify_enqueued
             << " flushed=" << r.verify_batch_flushed
             << " discarded=" << r.verify_discarded

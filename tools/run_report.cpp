@@ -40,7 +40,7 @@
 
 #include "committee/params.h"
 #include "common/args.h"
-#include "core/parallel.h"
+#include "common/parallel.h"
 #include "core/runner.h"
 #include "sim/trace.h"
 
@@ -256,15 +256,17 @@ int main(int argc, char** argv) {
             << "words (correct)   : " << r.correct_words << '\n'
             << "messages          : " << r.messages << '\n'
             << "causal duration   : " << r.duration << '\n';
-  if (r.link_drops + r.link_duplicates + r.link_replays + r.retransmits +
-          r.dead_letters >
+  using C = sim::Counter;
+  const sim::Counters& c = r.counters;
+  if (c[C::kLinkDrops] + c[C::kLinkDuplicates] + c[C::kLinkReplays] +
+          c[C::kRetransmits] + c[C::kDeadLetters] >
       0)
-    std::cout << "link faults       : drops=" << r.link_drops
-              << " dups=" << r.link_duplicates
-              << " replays=" << r.link_replays
-              << " retransmits=" << r.retransmits
-              << " dead-letters=" << r.dead_letters << " ("
-              << r.dead_letter_words << " words)\n";
+    std::cout << "link faults       : drops=" << c[C::kLinkDrops]
+              << " dups=" << c[C::kLinkDuplicates]
+              << " replays=" << c[C::kLinkReplays]
+              << " retransmits=" << c[C::kRetransmits]
+              << " dead-letters=" << c[C::kDeadLetters] << " ("
+              << c[C::kDeadLetterWords] << " words)\n";
   // Engine telemetry lives in the human report ONLY: the --json export
   // is the cross-shard byte-compare surface (CI diffs it across --shards
   // 1/2/4/8), so per-shard counters must never leak into Metrics.
@@ -301,17 +303,17 @@ int main(int argc, char** argv) {
   // row carries zero words, so the partition of correct_words above
   // stays exact while the verification pipeline is still accounted.
   std::cout << "  verify" << std::string(widest - 6 + 2, ' ') << 0 << "   ("
-            << r.verify_flushes << " flushes, " << r.verify_shares
-            << " shares, " << r.verify_rejects << " rejects, "
-            << r.verify_memo_hits << " memo hits)\n";
+            << c[C::kVerifyFlushes] << " flushes, " << c[C::kVerifyShares]
+            << " shares, " << c[C::kVerifyRejects] << " rejects, "
+            << c[C::kVerifyMemoHits] << " memo hits)\n";
   // Same deal for the approver's deferred W-signature sweeps: zero words
   // (the ok messages were already charged), pure verification compute.
   // memo hit-rate is the run-wide dedup factor — every ok embeds the
   // SAME W signed echoes, so hits/checks ≈ 1 - 1/n in a clean run.
-  if (r.sig_verify_flushes + r.sig_checks > 0) {
+  if (c[C::kSigVerifyFlushes] + r.sig_checks > 0) {
     std::cout << "  sig-verify" << std::string(widest > 10 ? widest - 10 + 2 : 2, ' ')
-              << 0 << "   (" << r.sig_verify_flushes << " batches, "
-              << r.sig_verify_sigs << " sigs, " << r.sig_verify_rejects
+              << 0 << "   (" << c[C::kSigVerifyFlushes] << " batches, "
+              << c[C::kSigVerifySigs] << " sigs, " << c[C::kSigVerifyRejects]
               << " rejects";
     if (r.sig_checks > 0)
       std::cout << ", memo hit-rate "
@@ -323,12 +325,13 @@ int main(int argc, char** argv) {
   // Erasure-coding work is compute too: fragments already paid their
   // wire words in the initial/echo rows, so the dissemination row stays
   // at zero words and only surfaces the codec pipeline.
-  if (r.rbc_encodes + r.rbc_decodes > 0) {
+  if (c[C::kRbcEncodes] + c[C::kRbcDecodes] > 0) {
     std::cout << "  rbc-code" << std::string(widest > 8 ? widest - 8 + 2 : 2, ' ')
-              << 0 << "   (" << r.rbc_encodes << " encodes / "
-              << r.rbc_fragments_encoded << " fragments, " << r.rbc_decodes
-              << " decodes / " << r.rbc_fragments_decoded << " fragments, "
-              << r.rbc_decode_failures << " poisoned)\n";
+              << 0 << "   (" << c[C::kRbcEncodes] << " encodes / "
+              << c[C::kRbcFragmentsEncoded] << " fragments, "
+              << c[C::kRbcDecodes] << " decodes / "
+              << c[C::kRbcFragmentsDecoded] << " fragments, "
+              << c[C::kRbcDecodeFailures] << " poisoned)\n";
   }
   std::cout << "  total " << phase_total
             << (phase_total == r.correct_words
@@ -376,7 +379,7 @@ int main(int argc, char** argv) {
   if (samples > 1) {
     std::vector<core::RunOptions> fan(samples, o);
     for (std::size_t i = 0; i < samples; ++i) fan[i].seed = o.seed + i;
-    core::ThreadPool pool(threads);
+    ThreadPool pool(threads);
     const auto reports = core::run_agreements_parallel(pool, fan);
     std::map<std::uint64_t, std::size_t> by_round;
     std::size_t undecided = 0;
