@@ -18,6 +18,7 @@
 #include "coin/coin_protocol.h"
 #include "coin/whp_coin.h"
 #include "core/env.h"
+#include "core/runner.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
 
@@ -26,17 +27,21 @@ namespace {
 
 using sim::Counter;
 
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 /// FNV-1a over the trace's canonical dump — one number pinning the exact
 /// event sequence (ids, endpoints, tags, word counts, sender flags).
 std::uint64_t trace_hash(const sim::TraceRecorder& trace) {
   std::ostringstream os;
   trace.dump(os);
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : os.str()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return fnv1a(os.str());
 }
 
 /// Canonical one-line-per-field fingerprint of a finished run.
@@ -163,6 +168,101 @@ TEST(GoldenDeterminism, BaWhpDupReplaySeed9) {
       "trace_events=12080\n"
       "trace_hash=9430220647100695956\n";
   EXPECT_EQ(fingerprint(sim, *trace, decisions), expected);
+}
+
+/// Tallies the fault-plane callbacks a faulted golden run must exercise.
+struct FaultTally final : sim::Observer {
+  std::size_t junk = 0;
+  std::size_t crash_recover = 0;
+  std::size_t recovers = 0;
+  void on_corrupt(sim::ProcessId, const sim::FaultPlan& plan) override {
+    if (plan.mode == sim::FaultPlan::Mode::kJunk) ++junk;
+    if (plan.mode == sim::FaultPlan::Mode::kCrashRecover) ++crash_recover;
+  }
+  void on_recover(sim::ProcessId) override { ++recovers; }
+};
+
+/// Bracha BA over erasure-coded RBC at n=7 with every handler side effect
+/// the simulator knows: a junk sender, a crash-recover restart, lossy
+/// links repaired by the reliable channel (timers and retransmissions),
+/// a retransmit budget low enough to dead-letter frames, and coding
+/// counters. Pins the structured JSONL trace plus the metrics JSON, so
+/// any reordering of sends, wakeups, notes or counts shows — on the
+/// legacy loop and, absolutely, on the sharded engine.
+std::string faulted_bracha_fingerprint(std::size_t shards) {
+  core::RunOptions o;
+  o.protocol = core::Protocol::kBracha;
+  o.n = 7;
+  o.seed = 3;
+  o.inputs.assign(o.n, ba::kZero);
+  for (std::size_t i = 0; i < o.n / 2; ++i) o.inputs[i] = ba::kOne;
+  o.rbc = ba::RbcBackend::kEc;
+  o.junk = 1;
+  o.crash_recover = 1;
+  o.network.default_link.drop_p = 0.02;
+  o.reliable_channel = true;
+  o.transport_retransmits = 4;
+  o.shards = shards;
+
+  sim::TraceOptions topts;
+  topts.structured = true;
+  auto trace = std::make_shared<sim::TraceRecorder>(topts);
+  auto tally = std::make_shared<FaultTally>();
+  core::RunInstruments instruments;
+  instruments.observers = {trace, tally};
+  instruments.detailed_metrics = true;
+  std::string metrics_json;
+  instruments.metrics_out = [&](const sim::Metrics& m) {
+    std::ostringstream os;
+    m.to_json(os);
+    metrics_json = os.str();
+  };
+  const core::RunReport r = core::run_agreement(o, instruments);
+
+  EXPECT_EQ(tally->junk, 1u);
+  EXPECT_EQ(tally->crash_recover, 1u);
+  EXPECT_EQ(tally->recovers, 1u);
+  EXPECT_GT(r.counters[Counter::kRetransmits], 0u);
+  EXPECT_GT(r.counters[Counter::kDeadLetters], 0u);
+  EXPECT_GT(r.counters[Counter::kRbcEncodes], 0u);
+
+  std::ostringstream jsonl;
+  trace->dump_jsonl(jsonl);
+  std::ostringstream os;
+  os << "decided=" << r.all_correct_decided << "\n";
+  os << "correct_words=" << r.correct_words << "\n";
+  os << "retransmits=" << r.counters[Counter::kRetransmits] << "\n";
+  os << "dead_letters=" << r.counters[Counter::kDeadLetters] << "\n";
+  os << "rbc_encodes=" << r.counters[Counter::kRbcEncodes] << "\n";
+  os << "trace_hash=" << fnv1a(jsonl.str()) << "\n";
+  os << "metrics_hash=" << fnv1a(metrics_json) << "\n";
+  return os.str();
+}
+
+TEST(GoldenDeterminism, FaultedBrachaEcLegacyLoop) {
+  // Captured at the parent of the one-effect-path refactor.
+  const std::string expected =
+      "decided=1\n"
+      "correct_words=18705\n"
+      "retransmits=3787\n"
+      "dead_letters=776\n"
+      "rbc_encodes=119\n"
+      "trace_hash=4109079863141927836\n"
+      "metrics_hash=12709266375542951223\n";
+  EXPECT_EQ(faulted_bracha_fingerprint(/*shards=*/0), expected);
+}
+
+TEST(GoldenDeterminism, FaultedBrachaEcSharded) {
+  // Captured at the parent of the one-effect-path refactor.
+  const std::string expected =
+      "decided=1\n"
+      "correct_words=19500\n"
+      "retransmits=3305\n"
+      "dead_letters=410\n"
+      "rbc_encodes=119\n"
+      "trace_hash=3047549176778613168\n"
+      "metrics_hash=332929561535842401\n";
+  EXPECT_EQ(faulted_bracha_fingerprint(/*shards=*/4), expected);
 }
 
 }  // namespace
