@@ -15,6 +15,10 @@ constexpr std::uint32_t kSnapshotVersion = 1;
 // costs a full ok-proof sweep, so Byzantine-crafted junk locks must not
 // turn every skip-req into W signature checks.
 constexpr std::uint32_t kMaxLockChecks = 4;
+// Re-broadcast the skip-req at most this many times per round, then wait
+// passively (bounds wakeup traffic of a lone straggler that can never
+// assemble a skip quorum).
+constexpr std::uint32_t kSkipMaxAttempts = 8;
 // Word accounting for the fallback plane. A bare skip-req is one word; a
 // lock or certificate entry repeats one <ok> (2 + 2W words, §6.1) plus
 // its claimed sender.
@@ -367,7 +371,7 @@ void BaWhp::on_wakeup(sim::Context& ctx) {
   retired_coins_.clear();
   if (!skip_enabled() || phase_ == Phase::kHalted || decision_) return;
   if (round_ != armed_round_) return;  // round moved on; its timer is live
-  if (skip_attempts_ >= cfg_.skip_max_attempts) return;
+  if (skip_attempts_ >= kSkipMaxAttempts) return;
   const std::uint64_t now = ctx.now();
   if (now < skip_deadline_) {
     // Either a sibling instance's tick (our own chain is still pending:

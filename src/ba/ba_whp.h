@@ -79,10 +79,6 @@ class BaWhp final : public BaProcess {
     /// size it well above one healthy round's delivery count (the
     /// session layer scales it by n and concurrent slots).
     std::uint64_t skip_timeout = 0;
-    /// Re-broadcast the skip-req at most this many times per round, then
-    /// wait passively (bounds wakeup traffic of a lone straggler that can
-    /// never assemble a skip quorum).
-    std::uint32_t skip_max_attempts = 8;
   };
 
   BaWhp(Config cfg, Value initial);

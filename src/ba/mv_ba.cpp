@@ -84,7 +84,6 @@ void MultiValuedBa::activate_next(sim::Context& ctx) {
   bcfg.max_rounds = cfg_.max_rounds;
   bcfg.extra_rounds = cfg_.extra_rounds;
   bcfg.skip_timeout = cfg_.skip_timeout;
-  bcfg.skip_max_attempts = cfg_.skip_max_attempts;
   const Value input = delivered_[rank_[k]].has_value() ? kOne : kZero;
   bas_.push_back(std::make_unique<BaWhp>(std::move(bcfg), input));
   ba_done_.push_back(false);

@@ -68,7 +68,6 @@ class MultiValuedBa final : public BaProcess {
     std::uint64_t extra_rounds = 4;
     /// Round-skip liveness fallback, forwarded to inner instances.
     std::uint64_t skip_timeout = 0;
-    std::uint32_t skip_max_attempts = 8;
     /// Stop examining candidates after this many rejections and close
     /// with the no-op decision. 0 means all n proposers are eligible.
     std::size_t max_candidates = 0;

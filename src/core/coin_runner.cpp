@@ -20,7 +20,7 @@ const char* coin_name(CoinKind k) {
 CoinReport run_coin_trial(const CoinOptions& options) {
   Env env = Env::make(options.n, options.epsilon, options.d,
                       options.seed ^ 0xc2b2ae3d27d4eb4fULL,
-                      options.strict_params);
+                      /*strict=*/false);
   const std::size_t f = env.params.f;
   const std::size_t bias_budget = std::min(options.bias_budget, f);
   COIN_REQUIRE(options.silent + bias_budget <= std::max<std::size_t>(f, 1),
@@ -53,13 +53,10 @@ CoinReport run_coin_trial(const CoinOptions& options) {
         cfg.vrf = env.vrf;
         cfg.registry = env.registry;
         // Sharded handlers run concurrently: the shared sampler's cache
-        // would race, so every process gets a private one (same vrf and
+        // would race, so every process gets a private lane (same vrf and
         // registry — verdicts, and thus words/outputs, are identical).
-        cfg.sampler = options.shards == 0
-                          ? env.sampler
-                          : std::make_shared<committee::CachingSampler>(
-                                env.vrf, env.registry,
-                                env.params.sample_prob());
+        cfg.sampler =
+            options.shards == 0 ? env.sampler : env.new_lane().sampler;
         return std::make_unique<coin::WhpCoin>(cfg);
       }
       case CoinKind::kDealer: {

@@ -25,7 +25,6 @@ struct CoinOptions {
   std::uint64_t round = 0;
   double epsilon = 0.25;
   double d = 0.02;
-  bool strict_params = false;
 
   /// Fault mix applied to the highest ids (silent processes).
   std::size_t silent = 0;

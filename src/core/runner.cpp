@@ -172,7 +172,7 @@ RunReport run_agreement(const RunOptions& options,
 
   Env env = Env::make(options.n, options.epsilon, options.d,
                       options.seed ^ 0x9e3779b97f4a7c15ULL,
-                      options.strict_params);
+                      /*strict=*/false);
   const std::size_t f = resilience_f(options.protocol, options.n, env);
   const std::size_t faulty = options.crash + options.silent + options.junk +
                              options.crash_recover;

@@ -70,7 +70,6 @@ struct RunOptions {
   // Parameters for the committee-based protocols.
   double epsilon = 0.25;
   double d = 0.02;
-  bool strict_params = false;
 
   AdversaryKind adversary = AdversaryKind::kRandom;
 

@@ -81,7 +81,6 @@ SessionReport Session::run_concurrent_slots(
       if (defer_verify_) bcfg.batcher = lane.batcher;
       bcfg.max_rounds = max_rounds;
       bcfg.skip_timeout = options_.skip_timeout;
-      bcfg.skip_max_attempts = options_.skip_max_attempts;
       mux->add_instance("slot" + std::to_string(slot),
                         std::make_unique<ba::BaWhp>(bcfg, inputs[slot][i]));
     }

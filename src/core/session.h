@@ -39,7 +39,6 @@ struct SessionOptions {
   /// BaWhp round-skip liveness fallback (ba_whp.h): silence window in
   /// delivery events before a wedged round is skipped. 0 = off.
   std::uint64_t skip_timeout = 0;
-  std::uint32_t skip_max_attempts = 8;
   /// Sharded superstep engine (sim/simulation.h). 0 = legacy loop;
   /// k >= 1 is bit-identical for every shard/thread count.
   std::size_t shards = 0;

@@ -108,7 +108,6 @@ void LogProcess::activate_slot(sim::Context& ctx) {
   mcfg.max_rounds = cfg_.max_rounds;
   mcfg.extra_rounds = cfg_.extra_rounds;
   mcfg.skip_timeout = cfg_.skip_timeout;
-  mcfg.skip_max_attempts = cfg_.skip_max_attempts;
   mcfg.max_candidates = cfg_.max_candidates;
   mcfg.rbc = cfg_.rbc;
   slots_.push_back(std::make_unique<ba::MultiValuedBa>(

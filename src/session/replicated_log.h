@@ -58,7 +58,6 @@ struct LogConfig {
   std::uint64_t max_rounds = 32;
   std::uint64_t extra_rounds = 4;
   std::uint64_t skip_timeout = 0;
-  std::uint32_t skip_max_attempts = 8;
   std::size_t max_candidates = 8;
   /// Dissemination backend for every slot's proposal broadcasts
   /// (ba/broadcast.h): Bracha or erasure-coded AVID-M.
