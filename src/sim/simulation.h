@@ -197,15 +197,25 @@ class Simulation {
  private:
   struct Slot;       // per-process runtime state
   class SlotContext; // Context implementation bound to one slot
-  struct PendingEffect;  // sharded engine: buffered handler side-effect
-  struct CalEntry;       // sharded engine: one routed in-flight message
-  struct ShardState;     // sharded engine: per-shard calendar + work list
+  struct Effect;     // one recorded handler side effect
+  struct CalEntry;   // sharded engine: one routed in-flight message
+  struct ShardState; // sharded engine: per-shard calendar + work list
 
-  void dispatch_to(ProcessId to, const Message& msg);
-  void drain_self_queue(ProcessId id);
-  void enqueue_send(ProcessId from, ProcessId to, Tag tag,
-                    SharedBytes payload, std::size_t words,
-                    bool retransmit = false);
+  // The one effect path (DESIGN.md §5g). A handler runs as an activation
+  // that records its side effects on an effect list; commit_effects then
+  // applies them in issue order. Both engines and every serial callback
+  // go through it; only when the commit happens differs per engine.
+  template <class Handler>
+  std::size_t activate(Slot& slot, std::vector<Effect>& effects,
+                       std::uint64_t now, bool drain_self, Handler&& handler);
+  template <class Handler>
+  void run_serial(ProcessId id, bool drain_self, Handler&& handler);
+  void record_send(ProcessId from, ProcessId to, Tag tag, SharedBytes payload,
+                   std::size_t words, bool retransmit);
+  void commit_effects(ProcessId who, std::vector<Effect>& effects);
+  void begin_delivery(const Message& msg, std::uint64_t age,
+                      bool forced_by_fairness);
+  void end_delivery(const Message& msg);
   void apply_corruptions();
 
   // Sharded superstep engine (DESIGN.md §5g). route_message is the one
@@ -213,28 +223,14 @@ class Simulation {
   // sharded inserts into a shard calendar at a hash-addressed superstep.
   bool superstep();
   void route_message(Message msg);
-  void buffer_send(ProcessId from, ProcessId to, Tag tag,
-                   SharedBytes payload, std::size_t words, bool retransmit);
   void run_shard_handlers(std::size_t shard);
-  void deliver_in_phase(Slot& slot, const Message& msg);
-  void commit_activation(CalEntry& act);
   std::size_t shard_of(ProcessId to) const { return to % cfg_.shards; }
 
-  // Telemetry notes forwarded from SlotContext (Context::note_*): fan
-  // out to Metrics and the observers. Pure observation — nothing here
-  // touches scheduling state.
-  void note_decide_from(ProcessId who, Tag scope, int value,
-                        std::uint64_t round);
-  void note_round_from(ProcessId who, std::uint64_t round);
-  void note_dead_letter_from(ProcessId who, ProcessId to, Tag tag,
-                             std::size_t words);
-
-  // Lossy-link layer (sim/link.h), applied between enqueue and the pool.
+  // Lossy-link layer (sim/link.h), applied between the send and the pool.
   void push_through_link(Message msg);
   void remember_delivered(const Message& msg);
 
   // Delivery-event timers: process wakeups and crash-recover restarts.
-  void schedule_wakeup_for(ProcessId id, std::uint64_t delay);
   void fire_due_timers();
   std::optional<std::uint64_t> next_timer_due() const;
   void recover_process(ProcessId id);
@@ -252,6 +248,8 @@ class Simulation {
   // the per-send link-plan lookup and the per-delivery history check.
   bool network_reliable_ = true;
   std::vector<std::unique_ptr<Slot>> slots_;
+  // Effect list reused by serial activations (run_serial).
+  std::vector<Effect> serial_effects_;
   std::unique_ptr<Adversary> adversary_;
   std::vector<std::shared_ptr<Observer>> observers_;
   PendingPool pending_;
@@ -299,7 +297,6 @@ class Simulation {
   std::uint64_t superstep_ = 0;
   std::uint64_t calendar_size_ = 0;   // in-flight entries across shards
   std::vector<std::uint64_t> slot_counts_;  // per ring slot, across shards
-  bool parallel_phase_ = false;       // handler phase: buffer effects
   std::uint64_t merge_stalls_ = 0;
   std::vector<ShardStats> shard_stats_;
 };
