@@ -1,7 +1,9 @@
 // E7 — crypto substrate microbenchmarks (google-benchmark).
 //
 // Quantifies the per-word costs behind §2's accounting and the DESIGN.md
-// substitution table: SHA-256 / HMAC throughput, bignum modular
+// substitution table: SHA-256 / HMAC throughput (and the scalar versus
+// dispatched compression and GF(2^8) kernels, with a Reed–Solomon
+// encode at the log's shape), bignum modular
 // exponentiation at several group sizes, the real DDH-VRF (eval+verify)
 // vs the simulation-grade FastVrf, committee sampling, and Shamir
 // share/reconstruct for the dealer-coin baseline.
@@ -16,7 +18,9 @@
 #include "crypto/ddh_vrf.h"
 #include "crypto/fast_vrf.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/prime_group.h"
+#include "crypto/reed_solomon.h"
 #include "crypto/shamir.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
@@ -46,6 +50,75 @@ void BM_HmacSha256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
+
+// The compression kernel alone over range(0) bytes of whole blocks:
+// the portable code versus the one Sha256 dispatches to on this host
+// (labelled, so a gate can tell a SHA-NI run from a scalar fallback).
+void run_sha256_blocks(benchmark::State& state,
+                       crypto::detail::Sha256BlocksFn compress) {
+  Rng rng(6);
+  const Bytes data = rng.next_bytes(static_cast<std::size_t>(state.range(0)));
+  std::uint32_t h[8] = {};
+  for (auto _ : state) {
+    compress(h, data.data(), data.size() / kSha256BlockSize);
+    benchmark::DoNotOptimize(h);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void BM_Sha256BlocksScalar(benchmark::State& state) {
+  run_sha256_blocks(state, &crypto::detail::sha256_blocks_scalar);
+}
+BENCHMARK(BM_Sha256BlocksScalar)->Arg(16384);
+
+void BM_Sha256BlocksDispatched(benchmark::State& state) {
+  const bool fast = crypto::detail::sha256_blocks_shani() != nullptr;
+  state.SetLabel(fast ? "sha-ni" : "scalar");
+  run_sha256_blocks(state, crypto::detail::sha256_blocks());
+}
+BENCHMARK(BM_Sha256BlocksDispatched)->Arg(16384);
+
+// dst ^= w·src over range(0) bytes: the split-nibble scalar kernel
+// versus the dispatched one (AVX2 where present).
+void run_gf256_mul_acc(benchmark::State& state,
+                       crypto::detail::Gf256MulAccFn mul_acc) {
+  Rng rng(7);
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const Bytes src = rng.next_bytes(len);
+  Bytes dst = rng.next_bytes(len);
+  for (auto _ : state) {
+    mul_acc(dst.data(), src.data(), len, 0x8e);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void BM_Gf256MulAccScalar(benchmark::State& state) {
+  run_gf256_mul_acc(state, &crypto::detail::gf256_mul_acc_scalar);
+}
+BENCHMARK(BM_Gf256MulAccScalar)->Arg(2048);
+
+void BM_Gf256MulAccDispatched(benchmark::State& state) {
+  const bool fast = crypto::detail::gf256_mul_acc_avx2() != nullptr;
+  state.SetLabel(fast ? "avx2" : "scalar");
+  run_gf256_mul_acc(state, crypto::detail::gf256_mul_acc());
+}
+BENCHMARK(BM_Gf256MulAccDispatched)->Arg(2048);
+
+// One dispersal at the replicated log's shape: n=48, k=16, a 2 KiB value.
+void BM_ReedSolomonEncode(benchmark::State& state) {
+  const ReedSolomon rs(48, 16);
+  Rng rng(8);
+  const Bytes value = rng.next_bytes(2048);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rs.encode(value));
+  }
+}
+BENCHMARK(BM_ReedSolomonEncode);
 
 void BM_BignumModExp(benchmark::State& state) {
   auto bits = static_cast<std::size_t>(state.range(0));

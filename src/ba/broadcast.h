@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
 #include "sim/process.h"
@@ -36,6 +37,32 @@ inline std::size_t value_words(std::size_t bytes) {
 
 /// λ: a sha256 digest in 8-byte words.
 inline constexpr std::size_t kDigestWords = 4;
+
+/// Distinct-sender tally for the echo/ready quorums: a bitmap over
+/// process ids plus its population, so an accepted message costs no node
+/// allocation (the std::set it replaces paid one per insert).
+class SenderSet {
+ public:
+  explicit SenderSet(std::size_t n = 0) : seen_(n, false) {}
+
+  /// std::set::insert().second: true iff `p` was not yet counted.
+  /// Out-of-range ids grow the map rather than being dropped.
+  bool insert(sim::ProcessId p) {
+    if (p >= seen_.size()) seen_.resize(p + 1, false);
+    if (seen_[p]) return false;
+    seen_[p] = true;
+    ++count_;
+    return true;
+  }
+  bool contains(sim::ProcessId p) const {
+    return p < seen_.size() && seen_[p];
+  }
+  std::size_t size() const { return count_; }
+
+ private:
+  std::vector<bool> seen_;
+  std::size_t count_ = 0;
+};
 
 class Broadcast {
  public:

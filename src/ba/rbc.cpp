@@ -1,5 +1,6 @@
 #include "ba/rbc.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/errors.h"
@@ -13,6 +14,8 @@ ReliableBroadcast::ReliableBroadcast(Config cfg, DeliverFn on_deliver)
       tag_initial_(cfg_.tag + "/initial"),
       tag_echo_(cfg_.tag + "/echo"),
       tag_ready_(cfg_.tag + "/ready"),
+      held_(cfg_.n),
+      echoed_sources_(cfg_.n),
       delivered_(cfg_.n, false) {
   COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "ReliableBroadcast: requires n > 3f");
 }
@@ -35,7 +38,20 @@ ReliableBroadcast::Flow& ReliableBroadcast::flow_of(
   Flow& flow = bucket.emplace_back();
   flow.source = source;
   flow.digest = digest;
+  flow.echoes = SenderSet(cfg_.n);
+  flow.readies = SenderSet(cfg_.n);
   return flow;
+}
+
+ReliableBroadcast::Flow* ReliableBroadcast::held_flow(sim::ProcessId source,
+                                                      BytesView payload) {
+  for (const crypto::Digest& digest : held_[source]) {
+    Flow& flow = flow_of(source, digest);
+    if (std::equal(payload.begin(), payload.end(), flow.payload->begin(),
+                   flow.payload->end()))
+      return &flow;
+  }
+  return nullptr;
 }
 
 void ReliableBroadcast::broadcast(sim::Context& ctx, Bytes payload) {
@@ -71,7 +87,7 @@ bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
   if (msg.tag == tag_initial_) {
     // Echo once per source: the first initial wins; an equivocating
     // source simply fails to gather a quorum for either payload.
-    if (echoed_sources_.insert(msg.from).second) {
+    if (echoed_sources_.insert(msg.from)) {
       Writer w;
       w.u32(msg.from).blob(msg.payload);
       ctx.broadcast(tag_echo_, w.take(),
@@ -84,35 +100,37 @@ bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
   bool is_ready = msg.tag == tag_ready_;
   if (!is_echo && !is_ready) return false;
 
+  // `body` views the echoed payload or the ready's digest inside msg.
   sim::ProcessId source = 0;
-  Bytes payload;
-  crypto::Digest digest{};
+  BytesView body;
   try {
     Reader r(msg.payload);
     source = r.u32();
-    if (is_echo) {
-      payload = r.blob();
-      digest = crypto::sha256(payload);
-    } else {
-      const Bytes d = r.blob();
-      if (d.size() != digest.size()) return true;
-      std::copy(d.begin(), d.end(), digest.begin());
-    }
+    body = r.blob_view();
     r.done();
   } catch (const CodecError&) {
     return true;
   }
   if (source >= cfg_.n) return true;
 
-  Flow& flow = flow_of(source, digest);
   if (is_echo) {
-    if (!flow.echoes.insert(msg.from).second) return true;
-    if (!flow.payload.has_value()) flow.payload = std::move(payload);
-    if (2 * flow.echoes.size() > cfg_.n + cfg_.f)
-      maybe_send_ready(ctx, flow);
-    maybe_deliver(ctx, flow);  // a ready quorum may already be waiting
+    Flow* flow = held_flow(source, body);
+    if (flow == nullptr) flow = &flow_of(source, crypto::sha256(body));
+    if (!flow->echoes.insert(msg.from)) return true;
+    if (!flow->payload.has_value()) {
+      // First payload for this flow (possibly one readies created).
+      flow->payload.emplace(body.begin(), body.end());
+      held_[source].push_back(flow->digest);
+    }
+    if (2 * flow->echoes.size() > cfg_.n + cfg_.f)
+      maybe_send_ready(ctx, *flow);
+    maybe_deliver(ctx, *flow);  // a ready quorum may already be waiting
   } else {
-    if (!flow.readies.insert(msg.from).second) return true;
+    crypto::Digest digest{};
+    if (body.size() != digest.size()) return true;
+    std::copy(body.begin(), body.end(), digest.begin());
+    Flow& flow = flow_of(source, digest);
+    if (!flow.readies.insert(msg.from)) return true;
     if (flow.readies.size() >= cfg_.f + 1) maybe_send_ready(ctx, flow);
     maybe_deliver(ctx, flow);
   }

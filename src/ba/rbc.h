@@ -21,11 +21,17 @@
 // quorum and a payload-bearing echo: readies alone no longer identify
 // the value. Word ledger, exact: initial = 1+⌈|m|/8⌉, echo = initial+1
 // (source word), ready = 1+λ.
+//
+// Each distinct echo value is hashed once per process, not once per
+// echoer: an echo whose bytes equal a payload this process already holds
+// for that source reuses that flow's digest, and only a miss runs
+// sha256. The payload is parsed as a view and copied only when a flow
+// first stores it. Flow identity stays (source, sha256(payload)), so
+// the quorums, and every message sent, are what hashing each echo gave.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "ba/broadcast.h"
@@ -61,14 +67,16 @@ class ReliableBroadcast final : public Broadcast {
     // Learned from the first payload-bearing echo (readies only carry
     // the digest). Delivery waits for it.
     std::optional<Bytes> payload;
-    std::set<sim::ProcessId> echoes;
-    std::set<sim::ProcessId> readies;
+    SenderSet echoes;
+    SenderSet readies;
     bool ready_sent = false;
   };
 
   static std::uint64_t flow_key(sim::ProcessId source,
                                 const crypto::Digest& digest);
   Flow& flow_of(sim::ProcessId source, const crypto::Digest& digest);
+  /// The flow of `source` whose stored payload equals `payload`, if any.
+  Flow* held_flow(sim::ProcessId source, BytesView payload);
 
   void maybe_send_ready(sim::Context& ctx, Flow& flow);
   void maybe_deliver(sim::Context& ctx, Flow& flow);
@@ -81,7 +89,10 @@ class ReliableBroadcast final : public Broadcast {
   sim::Tag tag_ready_;
 
   sim::FlatMap64<std::vector<Flow>> flows_;
-  std::set<sim::ProcessId> echoed_sources_;  // echo once per source
+  // Per source: digests of its flows that hold a payload (one for a
+  // correct source; more only under equivocation or forged echoes).
+  std::vector<std::vector<crypto::Digest>> held_;
+  SenderSet echoed_sources_;  // echo once per source
   std::vector<bool> delivered_;
   std::size_t delivered_count_ = 0;
 };

@@ -42,6 +42,7 @@ EcBroadcast::EcBroadcast(Config cfg, DeliverFn on_deliver)
       tag_initial_(cfg_.tag + "/initial"),
       tag_echo_(cfg_.tag + "/echo"),
       tag_ready_(cfg_.tag + "/ready"),
+      echoed_sources_(cfg_.n),
       delivered_(cfg_.n, false) {
   COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "EcBroadcast: requires n > 3f");
 }
@@ -70,6 +71,8 @@ EcBroadcast::Flow& EcBroadcast::flow_of(sim::ProcessId source,
   Flow& flow = bucket.emplace_back();
   flow.source = source;
   flow.key = key;
+  flow.echoes = SenderSet(cfg_.n);
+  flow.readies = SenderSet(cfg_.n);
   return flow;
 }
 
@@ -110,15 +113,15 @@ void EcBroadcast::handle_initial(sim::Context& ctx, const sim::Message& msg) {
   // Echo once per source: the first branch-valid initial wins; an
   // equivocating source splits its echo power across roots and gathers a
   // quorum for at most one.
-  if (echoed_sources_.count(msg.from)) return;
+  if (echoed_sources_.contains(msg.from)) return;
 
   std::uint64_t size = 0;
-  Bytes fragment;
+  BytesView fragment;
   std::vector<crypto::Digest> branch;
   try {
     Reader r(msg.payload);
     size = r.u64();
-    fragment = r.blob();
+    fragment = r.blob_view();
     const auto parsed = split_branch(r.blob_view());
     r.done();
     if (!parsed) return;
@@ -145,16 +148,16 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   sim::ProcessId source = 0;
   std::uint64_t size = 0;
   crypto::Digest claimed_root{};
-  Bytes fragment;
+  BytesView fragment;  // views msg; copied only into a flow's store
   std::vector<crypto::Digest> branch;
   try {
     Reader r(msg.payload);
     source = r.u32();
     size = r.u64();
-    const Bytes root_bytes = r.blob();
+    const BytesView root_bytes = r.blob_view();
     if (root_bytes.size() != kDigestSize) return;
     std::copy(root_bytes.begin(), root_bytes.end(), claimed_root.begin());
-    fragment = r.blob();
+    fragment = r.blob_view();
     const auto parsed = split_branch(r.blob_view());
     r.done();
     if (!parsed) return;
@@ -171,15 +174,17 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   if (!implied || *implied != claimed_root) return;
 
   Flow& flow = flow_of(source, composite_key(claimed_root, size));
-  if (!flow.echoes.insert(msg.from).second) return;
+  if (!flow.echoes.insert(msg.from)) return;
   if (!flow.have_root) {
     flow.have_root = true;
     flow.root = claimed_root;
     flow.value_size = size;
   }
   // Same-index duplicates are byte-identical (same root, same leaf slot,
-  // collision-resistant hash), so first-wins is safe.
-  flow.fragments.emplace(msg.from, std::move(fragment));
+  // collision-resistant hash), so first-wins is safe. Once the source is
+  // delivered or the flow poisoned, no decode reads fragments again.
+  if (!delivered_[source] && !flow.poisoned)
+    flow.fragments.try_emplace(msg.from, fragment.begin(), fragment.end());
   if (2 * flow.echoes.size() > cfg_.n + cfg_.f) maybe_send_ready(ctx, flow);
   maybe_deliver(ctx, flow);  // a ready quorum may be waiting on fragments
 }
@@ -190,7 +195,7 @@ void EcBroadcast::handle_ready(sim::Context& ctx, const sim::Message& msg) {
   try {
     Reader r(msg.payload);
     source = r.u32();
-    const Bytes key_bytes = r.blob();
+    const BytesView key_bytes = r.blob_view();
     if (key_bytes.size() != kDigestSize) return;
     std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
     r.done();
@@ -200,7 +205,7 @@ void EcBroadcast::handle_ready(sim::Context& ctx, const sim::Message& msg) {
   if (source >= cfg_.n) return;
 
   Flow& flow = flow_of(source, key);
-  if (!flow.readies.insert(msg.from).second) return;
+  if (!flow.readies.insert(msg.from)) return;
   if (flow.readies.size() >= cfg_.f + 1) maybe_send_ready(ctx, flow);
   maybe_deliver(ctx, flow);
 }
@@ -225,10 +230,12 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
   // collision resistance pins every branch-valid fragment to the decoded
   // value's codeword; if it fails, no k-subset can pass (a passing
   // subset would pin *all* fragments — including ours — to its value).
+  // Either outcome below drops the fragment store, so the subset takes
+  // its fragments instead of copying them.
   std::vector<std::pair<std::size_t, Bytes>> subset;
   subset.reserve(k);
-  for (const auto& [index, frag] : flow.fragments) {
-    subset.emplace_back(index, frag);
+  for (auto& [index, frag] : flow.fragments) {
+    subset.emplace_back(index, std::move(frag));
     if (subset.size() == k) break;
   }
   Bytes value;
@@ -251,10 +258,12 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
     // process, so nobody ever delivers under this root.
     ctx.count(sim::Counter::kRbcDecodeFailures, 1);
     flow.poisoned = true;
+    flow.fragments.clear();
     return;
   }
 
   delivered_[flow.source] = true;
+  flow.fragments.clear();
   ++delivered_count_;
   ctx.note_decide(cfg_.tag, static_cast<int>(flow.source), 0);
   if (on_deliver_) on_deliver_(flow.source, value);

@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "ba/broadcast.h"
@@ -81,9 +80,11 @@ class EcBroadcast final : public Broadcast {
     crypto::Digest root{};  // learned with the first valid echo
     std::uint64_t value_size = 0;
     bool have_root = false;
-    std::map<std::size_t, Bytes> fragments;  // branch-valid, by index
-    std::set<sim::ProcessId> echoes;
-    std::set<sim::ProcessId> readies;
+    // Branch-valid fragments by index; dropped once the source is
+    // delivered or the flow poisoned (nothing decodes them again).
+    std::map<std::size_t, Bytes> fragments;
+    SenderSet echoes;
+    SenderSet readies;
     bool ready_sent = false;
     bool poisoned = false;  // failed the re-encode consistency check
   };
@@ -113,7 +114,7 @@ class EcBroadcast final : public Broadcast {
   sim::Tag tag_ready_;
 
   sim::FlatMap64<std::vector<Flow>> flows_;
-  std::set<sim::ProcessId> echoed_sources_;  // echo once per source
+  SenderSet echoed_sources_;  // echo once per source
   std::vector<bool> delivered_;
   std::size_t delivered_count_ = 0;
 };

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "common/errors.h"
+#include "crypto/kernels.h"
 
 namespace coincidence::crypto {
 
@@ -11,9 +16,13 @@ namespace {
 
 // log/exp tables for the primitive element 0x02 modulo x^8+x^4+x^3+x^2+1.
 // exp_ is doubled so mul can skip the mod-255 reduction on the sum.
+// nibble[w] holds the split-nibble product tables of weight w: [0, 16)
+// is w·x for x < 16, [16, 32) is w·(x << 4), so w·b is the xor of
+// nibble[w][b & 15] and nibble[w][16 + (b >> 4)].
 struct Tables {
   std::uint8_t log[256];
   std::uint8_t exp[510];
+  alignas(32) std::uint8_t nibble[256][32];
 
   Tables() {
     std::uint16_t x = 1;
@@ -25,6 +34,17 @@ struct Tables {
       if (x & 0x100) x ^= 0x11d;
     }
     log[0] = 0;  // never read: mul/inv guard zero explicitly
+    for (int w = 0; w < 256; ++w) {
+      for (int v = 0; v < 16; ++v) {
+        nibble[w][v] = product(w, v);
+        nibble[w][16 + v] = product(w, v << 4);
+      }
+    }
+  }
+
+  std::uint8_t product(int a, int b) const {
+    if (a == 0 || b == 0) return 0;
+    return exp[log[a] + log[b]];
   }
 };
 
@@ -36,9 +56,7 @@ const Tables& tables() {
 }  // namespace
 
 std::uint8_t mul(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  const Tables& t = tables();
-  return t.exp[t.log[a] + t.log[b]];
+  return tables().product(a, b);
 }
 
 std::uint8_t inv(std::uint8_t a) {
@@ -48,6 +66,72 @@ std::uint8_t inv(std::uint8_t a) {
 }
 
 }  // namespace gf256
+
+namespace detail {
+
+void gf256_mul_acc_scalar(std::uint8_t* dst, const std::uint8_t* src,
+                          std::size_t len, std::uint8_t w) {
+  const std::uint8_t* lo = gf256::tables().nibble[w];
+  const std::uint8_t* hi = lo + 16;
+  for (std::size_t j = 0; j < len; ++j)
+    dst[j] ^= lo[src[j] & 0x0f] ^ hi[src[j] >> 4];
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+namespace {
+
+// 32 products per step: pshufb looks each nibble up in the weight's
+// 16-entry table (broadcast to both lanes); the scalar kernel finishes
+// the tail with the same tables.
+__attribute__((target("avx2"))) void gf256_mul_acc_avx2_impl(
+    std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
+    std::uint8_t w) {
+  const std::uint8_t* lo = gf256::tables().nibble[w];
+  const __m256i tlo = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(lo)));
+  const __m256i thi = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(lo + 16)));
+  const __m256i mask = _mm256_set1_epi8(0x0f);
+  std::size_t j = 0;
+  for (; j + 32 <= len; j += 32) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + j));
+    const __m256i p = _mm256_xor_si256(
+        _mm256_shuffle_epi8(tlo, _mm256_and_si256(x, mask)),
+        _mm256_shuffle_epi8(thi,
+                            _mm256_and_si256(_mm256_srli_epi64(x, 4), mask)));
+    __m256i* out = reinterpret_cast<__m256i*>(dst + j);
+    _mm256_storeu_si256(out, _mm256_xor_si256(_mm256_loadu_si256(out), p));
+  }
+  gf256_mul_acc_scalar(dst + j, src + j, len - j, w);
+}
+
+}  // namespace
+
+Gf256MulAccFn gf256_mul_acc_avx2() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported ? &gf256_mul_acc_avx2_impl : nullptr;
+}
+
+#else
+
+Gf256MulAccFn gf256_mul_acc_avx2() { return nullptr; }
+
+#endif
+
+Gf256MulAccFn gf256_mul_acc() {
+  static const Gf256MulAccFn chosen = [] {
+    const Gf256MulAccFn fast = gf256_mul_acc_avx2();
+    return fast != nullptr ? fast : &gf256_mul_acc_scalar;
+  }();
+  return chosen;
+}
+
+}  // namespace detail
 
 ReedSolomon::ReedSolomon(std::size_t n, std::size_t k) : n_(n), k_(k) {
   COIN_REQUIRE(k >= 1 && k <= n, "ReedSolomon: requires 1 <= k <= n");
@@ -91,16 +175,14 @@ std::vector<Bytes> ReedSolomon::encode(BytesView value) const {
     std::copy_n(value.begin() + static_cast<std::ptrdiff_t>(off), avail,
                 fragments[m].begin());
   }
+  const detail::Gf256MulAccFn mul_acc = detail::gf256_mul_acc();
   for (std::size_t i = k_; i < n_; ++i) {
     const std::vector<std::uint8_t>& row = parity_rows_[i - k_];
     Bytes& out = fragments[i];
     out.assign(len, 0);
     for (std::size_t m = 0; m < k_; ++m) {
-      const std::uint8_t w = row[m];
-      if (w == 0) continue;
-      const Bytes& data = fragments[m];
-      for (std::size_t j = 0; j < len; ++j)
-        out[j] ^= gf256::mul(w, data[j]);
+      if (row[m] == 0) continue;
+      mul_acc(out.data(), fragments[m].data(), len, row[m]);
     }
   }
   return fragments;
@@ -127,6 +209,7 @@ Bytes ReedSolomon::decode(
   }
 
   Bytes value(value_size, 0);
+  const detail::Gf256MulAccFn mul_acc = detail::gf256_mul_acc();
   for (std::size_t m = 0; m < k_; ++m) {
     const std::size_t off = m * len;
     if (off >= value_size && value_size != 0) break;
@@ -142,12 +225,8 @@ Bytes ReedSolomon::decode(
     }
     const std::vector<std::uint8_t> row =
         lagrange_row(xs, static_cast<std::uint8_t>(m));
-    for (std::size_t j = 0; j < take; ++j) {
-      std::uint8_t acc = 0;
-      for (std::size_t s = 0; s < k_; ++s)
-        acc ^= gf256::mul(row[s], fragments[s].second[j]);
-      value[off + j] = acc;
-    }
+    for (std::size_t s = 0; s < k_; ++s)
+      mul_acc(value.data() + off, fragments[s].second.data(), take, row[s]);
   }
   return value;
 }

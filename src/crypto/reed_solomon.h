@@ -12,8 +12,10 @@
 // byte i at evaluation points x_i = i; parity fragment i ∈ [k, n) holds
 // p_j(x_i) at every position j. Decoding Lagrange-interpolates each
 // position from any k distinct fragments. All arithmetic is in GF(2^8)
-// with the AES-adjacent primitive polynomial x^8+x^4+x^3+x^2+1 (0x11d),
-// multiplied via log/exp tables. Field size caps n at 255 fragments —
+// with the AES-adjacent primitive polynomial x^8+x^4+x^3+x^2+1 (0x11d):
+// single products via log/exp tables, the bulk row × fragment work via a
+// split-nibble multiply-accumulate (AVX2 when present, crypto/kernels.h).
+// Field size caps n at 255 fragments —
 // plenty for the session-layer configurations; callers must gate larger
 // cohorts onto the Bracha backend.
 #pragma once

@@ -3,6 +3,8 @@
 // This is the hash underlying every derived primitive in the library:
 // HMAC, HMAC-DRBG, the hash-to-group map of the DDH VRF, the FastVrf and
 // the simulated signature scheme. Tested against the FIPS/NIST vectors.
+// The block compression is dispatched once per process: SHA-NI when the
+// CPU has it, the portable scalar code otherwise (crypto/kernels.h).
 #pragma once
 
 #include <array>
@@ -27,8 +29,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kSha256BlockSize> buffer_;
   std::size_t buffer_len_ = 0;

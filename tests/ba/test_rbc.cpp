@@ -23,10 +23,15 @@ class RbcHost final : public sim::Process {
     if (to_send_) rbc_.broadcast(ctx, *to_send_);
   }
   void on_message(sim::Context& ctx, const sim::Message& msg) override {
+    // Broadcasts loop back to the sender: a self-addressed ready is this
+    // process's own ready going out.
+    if (msg.from == ctx.self() && msg.tag == sim::Tag("rbc/ready"))
+      ++readies_sent;
     rbc_.handle(ctx, msg);
   }
 
   std::map<sim::ProcessId, Bytes> delivered;
+  std::size_t readies_sent = 0;
 
  private:
   ReliableBroadcast rbc_;
@@ -173,6 +178,94 @@ TEST(Rbc, MalformedEchoIgnored) {
   // Normal delivery still happens; no crash on malformed inputs.
   auto& host = dynamic_cast<RbcHost&>(sim.process(1));
   EXPECT_EQ(host.delivered.count(0), 1u);
+}
+
+// Digest reuse: process 0 is the only correct process, and every other
+// process's messages are scripted. With n=4, f=1 an echo quorum is 3
+// distinct echoers, a ready quorum 3, and 2 readies amplify.
+class RbcDigestReuse : public ::testing::Test {
+ protected:
+  static constexpr sim::ProcessId kSource = 3;
+
+  RbcDigestReuse() : sim_(sim_cfg()) {
+    for (sim::ProcessId i = 0; i < 4; ++i)
+      sim_.add_process(std::make_unique<RbcHost>(rbc_cfg(4, 1), std::nullopt));
+    for (sim::ProcessId i = 1; i < 4; ++i)
+      sim_.corrupt(i, sim::FaultPlan::silent());
+    sim_.start();
+  }
+
+  static sim::SimConfig sim_cfg() {
+    sim::SimConfig cfg;
+    cfg.n = 4;
+    cfg.f = 3;
+    cfg.seed = 13;
+    return cfg;
+  }
+
+  void echo(sim::ProcessId from, const Bytes& payload) {
+    Writer w;
+    w.u32(kSource).blob(payload);
+    sim_.inject(from, 0, "rbc/echo", w.bytes(), 1);
+  }
+  void ready(sim::ProcessId from, const Bytes& payload) {
+    const crypto::Digest d = crypto::sha256(payload);
+    Writer w;
+    w.u32(kSource).blob(BytesView(d.data(), d.size()));
+    sim_.inject(from, 0, "rbc/ready", w.bytes(), 1);
+  }
+  RbcHost& host() { return dynamic_cast<RbcHost&>(sim_.process(0)); }
+
+  const Bytes held_ = bytes_of("a held payload, echoed by correct peers");
+  sim::Simulation sim_;
+};
+
+TEST_F(RbcDigestReuse, FlippedByteEchoFormsItsOwnFlow) {
+  // A Byzantine echoer replays the held payload with its last byte
+  // flipped: same length, same prefix. Credited to the held flow it
+  // would complete that flow's echo quorum (and send a ready for it);
+  // as its own flow it carries its own bytes.
+  Bytes flipped = held_;
+  flipped.back() ^= 0x01;
+  echo(1, held_);
+  echo(2, held_);
+  sim_.run();
+  echo(3, flipped);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 0u);
+  EXPECT_EQ(host().delivered.count(kSource), 0u);
+
+  // Readies for the flipped digest deliver exactly the flipped bytes.
+  for (sim::ProcessId from : {1, 2, 3}) ready(from, flipped);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 1u);
+  ASSERT_EQ(host().delivered.count(kSource), 1u);
+  EXPECT_EQ(host().delivered[kSource], flipped);
+}
+
+TEST_F(RbcDigestReuse, EchoAfterReadiesIsHashedAndAttached) {
+  // Readies create the flow before any payload is seen; the first echo
+  // must still be hashed, matched to that flow and supply its payload.
+  for (sim::ProcessId from : {1, 2, 3}) ready(from, held_);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 1u);  // f+1 amplification
+  EXPECT_EQ(host().delivered.count(kSource), 0u);  // no payload yet
+  echo(1, held_);
+  sim_.run();
+  ASSERT_EQ(host().delivered.count(kSource), 1u);
+  EXPECT_EQ(host().delivered[kSource], held_);
+}
+
+TEST_F(RbcDigestReuse, DuplicateEchoCountsOnce) {
+  for (int copy = 0; copy < 3; ++copy) echo(1, held_);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 0u);  // one echoer, not three
+  echo(2, held_);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 0u);
+  echo(3, held_);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 1u);  // the third distinct echoer
 }
 
 TEST(Rbc, RequiresN3f) {

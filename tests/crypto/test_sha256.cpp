@@ -69,6 +69,16 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.finish(), sha256(msg));
 }
 
+TEST(Sha256, EmptyUpdateMidBlock) {
+  // An empty vector's view has a null data pointer (an empty Merkle leaf
+  // does this); with bytes already buffered it must be a no-op.
+  Sha256 h;
+  h.update(bytes_of("ab"));
+  h.update(Bytes{});
+  h.update(bytes_of("c"));
+  EXPECT_EQ(h.finish(), sha256(bytes_of("abc")));
+}
+
 TEST(Sha256, FinishTwiceThrows) {
   Sha256 h;
   h.update(bytes_of("x"));
