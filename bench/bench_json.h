@@ -8,8 +8,11 @@
 
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "crypto/kernels.h"
 
 namespace coincidence::bench {
 
@@ -24,6 +27,19 @@ class BenchJson {
   }
   void context(const std::string& key, double value) {
     context_.emplace_back(key, number(value));
+  }
+
+  /// Records the machine a run measured: cores, whether the CPU has the
+  /// instructions the crypto kernels dispatch on (1 = used, 0 = scalar
+  /// fallback), and the compiler and build type (set in
+  /// bench/CMakeLists.txt).
+  void machine_context() {
+    context("nproc",
+            static_cast<double>(std::thread::hardware_concurrency()));
+    context("sha_ni", crypto::detail::sha256_blocks_shani() ? 1.0 : 0.0);
+    context("avx2", crypto::detail::gf256_mul_acc_avx2() ? 1.0 : 0.0);
+    context("compiler", COINCIDENCE_BENCH_COMPILER);
+    context("build_type", COINCIDENCE_BENCH_BUILD_TYPE);
   }
 
   struct Row {

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   json.context("bench", "session_throughput");
   json.context("n", static_cast<double>(n));
   json.context("seed", static_cast<double>(seed));
+  json.machine_context();
 
   std::cout << "== E9: concurrent multi-slot sessions over one setup, n="
             << n << " ==\n\n";

@@ -471,6 +471,7 @@ int main(int argc, char** argv) {
   json.context("defer_verify", g_defer_verify ? 1.0 : 0.0);
   json.context("shards", static_cast<double>(g_shards));
   json.context("threads", static_cast<double>(g_threads));
+  json.machine_context();
 
   std::cout << "== simulator message-plane throughput (null crypto), reps="
             << reps;

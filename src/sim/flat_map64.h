@@ -1,12 +1,12 @@
 // Open-addressing hash map keyed by u64 (ISSUE 3 tentpole).
 //
-// The simulator's hot-path indexes — PendingPool's id->index map, the
-// replay history's (from,to)->ring map, NetworkProfile overrides — were
-// node-based (std::map / std::unordered_map): one heap allocation per
-// insert and pointer-chasing per lookup, paid per message. FlatMap64 is
-// a fixed-purpose replacement: linear probing over a power-of-two slot
-// array, tombstone deletion, amortized O(1) with zero per-insert
-// allocations. Values must be default-constructible and movable.
+// The simulator's hot-path indexes — the replay history's (from,to)->ring
+// map, NetworkProfile overrides — were node-based (std::map /
+// std::unordered_map): one heap allocation per insert and pointer-chasing
+// per lookup, paid per message. FlatMap64 is a fixed-purpose replacement:
+// linear probing over a power-of-two slot array, tombstone deletion,
+// amortized O(1) with zero per-insert allocations. Values must be
+// default-constructible and movable.
 //
 // Iteration order is slot order (hash-dependent) — callers must not let
 // it reach anything determinism-sensitive; the simulator only ever does

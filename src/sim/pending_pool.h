@@ -7,18 +7,24 @@
 // visibility rule (payload access is reserved to the Simulation via
 // take()).
 //
-// Hot-path containers (ISSUE 3): the id->index map is a flat hash (no
-// per-push node allocation) and the lazily-cleaned oldest-message heap
-// is compacted once stale entries outnumber live ones, so the pool's
-// memory stays proportional to what is actually in flight.
+// Layout: the messages sit in a dense, swap-removed array (the index
+// space the adversary chooses from). Beside it, `order_` lists one entry
+// per pushed message sorted by (enqueue tick, id), and `pos_` maps each
+// live message to its entry. Ticks come from the delivery counter, so a
+// push almost always appends; the few that arrive out of order (partition
+// heals re-push old ids, network copies are routed before their original)
+// shift back past the handful of same-tick entries they precede. A take
+// marks its entry dead, the oldest lookup advances a head cursor past dead
+// entries, and the array is compacted once dead entries outnumber
+// 2*(live+8), so its memory stays proportional to what is in flight. No
+// hashing, no heap.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "sim/flat_map64.h"
+#include "common/errors.h"
 #include "sim/message.h"
 
 namespace coincidence::sim {
@@ -35,25 +41,27 @@ class PendingPool {
   TagId tag_id(std::size_t i) const { return msgs_[i].tag.id(); }
   std::size_t words(std::size_t i) const { return msgs_[i].words; }
   std::uint64_t send_seq(std::size_t i) const { return msgs_[i].send_seq; }
-  std::uint64_t enqueue_tick(std::size_t i) const { return ticks_[i]; }
-
-  /// Index of the message enqueued earliest among those still pending.
-  /// Amortized O(1) via a lazily-cleaned min-heap. Pool must be non-empty.
-  std::size_t oldest_index() const;
-
-  /// Lower bound on the oldest pending message's enqueue tick: the heap
-  /// top's tick, stale entries included (a stale tick is never larger
-  /// than the live minimum, since ticks only grow). Lets the scheduler
-  /// skip the precise oldest_index() resolution — and its stale-entry
-  /// pops — whenever even this bound cannot trip the fairness check.
-  /// O(1), no cleanup. Pool must be non-empty.
-  std::uint64_t oldest_tick_lower_bound() const {
-    return oldest_heap_.top().first;
+  std::uint64_t enqueue_tick(std::size_t i) const {
+    return order_[pos_[i]].tick;
   }
 
-  /// Capacity hint (SimConfig::expected_in_flight): presizes the message
-  /// and tick arrays and the id->index hash so a run whose in-flight
-  /// population peaks at `n` never regrows or rehashes mid-flight.
+  /// Index of the pending message with the smallest (enqueue tick, id).
+  /// Amortized O(1): advances the head cursor past dead entries. Pool
+  /// must be non-empty.
+  std::size_t oldest_index() const;
+
+  /// Lower bound on the oldest pending message's enqueue tick: the head
+  /// entry's tick, dead or not (every live entry sorts at or after it).
+  /// Lets the scheduler skip the oldest_index() resolution whenever even
+  /// this bound cannot trip the fairness check. O(1). Pool must be
+  /// non-empty.
+  std::uint64_t oldest_tick_lower_bound() const {
+    COIN_REQUIRE(!msgs_.empty(), "oldest_tick_lower_bound on empty pool");
+    return order_[head_].tick;
+  }
+
+  /// Capacity hint (SimConfig::expected_in_flight): presizes the arrays so
+  /// a run whose in-flight population peaks at `n` never regrows them.
   void reserve(std::size_t n);
 
   void push(Message msg, std::uint64_t tick);
@@ -62,22 +70,24 @@ class PendingPool {
   /// messages may change).
   Message take(std::size_t i);
 
-  /// Heap entries including stale ones — whitebox view for the compaction
-  /// regression test.
-  std::size_t heap_size() const { return oldest_heap_.size(); }
+  /// Dead entries still held in the order array — whitebox view for the
+  /// compaction regression test.
+  std::size_t stale_entries() const { return order_.size() - msgs_.size(); }
 
  private:
-  void compact_heap() const;
+  static constexpr std::size_t kDead = static_cast<std::size_t>(-1);
+
+  struct Entry {
+    std::uint64_t tick;
+    std::size_t index;  // into msgs_, or kDead once taken
+  };
+
+  void compact();
 
   std::vector<Message> msgs_;
-  std::vector<std::uint64_t> ticks_;
-  mutable FlatMap64<std::size_t> index_of_;  // id -> idx
-  // min-heap of (tick, id); stale ids skipped lazily, bulk-evicted by
-  // compact_heap() once they outnumber the live messages.
-  using HeapEntry = std::pair<std::uint64_t, std::uint64_t>;
-  using Heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                   std::greater<HeapEntry>>;
-  mutable Heap oldest_heap_;
+  std::vector<std::size_t> pos_;  // msgs_[i]'s entry is order_[pos_[i]]
+  std::vector<Entry> order_;      // sorted by (tick, id) from head_ on
+  mutable std::size_t head_ = 0;  // every entry before it is dead
 };
 
 }  // namespace coincidence::sim

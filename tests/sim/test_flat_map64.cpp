@@ -45,10 +45,10 @@ TEST(FlatMap64, EraseReleasesValueAndTombstoneIsReusable) {
   EXPECT_EQ(m.size(), 1u);
 }
 
-// The PendingPool id->index map does exactly this: monotonically
-// increasing u64 keys, with every key erased shortly after insertion.
-// Tombstones must be reclaimed (not accumulate until probes degrade or
-// rehash thrashes) and lookups must stay exact throughout.
+// Erase-heavy churn: monotonically increasing u64 keys, with every key
+// erased shortly after insertion. Tombstones must be reclaimed (not
+// accumulate until probes degrade or rehash thrashes) and lookups must
+// stay exact throughout.
 TEST(FlatMap64, EraseHeavyChurnStaysConsistent) {
   FlatMap64<std::uint64_t> m;
   const std::uint64_t kTotal = 20000;
