@@ -30,6 +30,7 @@
 #include "common/table.h"
 #include "crypto/key_registry.h"
 #include "crypto/signer.h"
+#include "crypto/verdict_memo.h"
 #include "crypto/vrf.h"
 #include "sim/simulation.h"
 
@@ -368,7 +369,11 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
 // the erasure-coded backend ships ⌈|v|/k⌉-byte fragments plus Merkle
 // branches — the alloc/bytes-per-delivery columns are the message-plane
 // cost of that difference, with no BA or crypto on the profile (sha256
-// is the only hashing either backend does).
+// is the only hashing either backend does). On the legacy loop every
+// process shares one run-wide verdict memo, as a log run's processes do,
+// so each distinct echo branch and dispersal is checked once; sharded
+// runs keep a private memo per process (handlers run on several
+// threads).
 // ---------------------------------------------------------------------------
 
 class RbcHost final : public sim::Process {
@@ -404,12 +409,14 @@ RunStats run_rbc(std::size_t n, std::uint64_t seed) {
   cfg.shards = g_shards;
   cfg.threads = g_threads;
   if (g_shards > 0) cfg.expected_in_flight = n * 16;
+  crypto::VerdictMemo memo;  // outlives the simulation's processes
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
     ba::Broadcast::Config bcfg;
     bcfg.tag = "rbc";
     bcfg.n = n;
     bcfg.f = f;
+    bcfg.memo = g_shards == 0 ? &memo : nullptr;
     Bytes payload;
     if (i < sources) {
       payload.resize(1024);

@@ -27,6 +27,10 @@
 #include "common/bytes.h"
 #include "sim/process.h"
 
+namespace coincidence::crypto {
+class VerdictMemo;
+}  // namespace coincidence::crypto
+
 namespace coincidence::ba {
 
 /// Words charged for a broadcast value: one header word plus the payload
@@ -70,6 +74,11 @@ class Broadcast {
     std::string tag;  // instance namespace; one broadcast per source in it
     std::size_t n = 0;
     std::size_t f = 0;
+    /// Run-wide verdict memo for the backend's pure checks (the EC
+    /// backend's branch and re-encode checks; Bracha has none). Must
+    /// outlive the broadcast and be touched by one thread at a time.
+    /// Null: the backend keeps a private one.
+    crypto::VerdictMemo* memo = nullptr;
   };
 
   /// Fires exactly once per source whose broadcast gets delivered.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "coin/verify_queue.h"
 #include "common/errors.h"
 #include "crypto/sha256.h"
 
@@ -12,7 +13,8 @@ MultiValuedBa::MultiValuedBa(Config cfg, Bytes proposal)
     : cfg_(std::move(cfg)),
       proposal_(std::move(proposal)),
       rbc_(make_broadcast(cfg_.rbc,
-                          {cfg_.tag + "/rbc", cfg_.params.n, cfg_.params.f},
+                          {cfg_.tag + "/rbc", cfg_.params.n, cfg_.params.f,
+                           cfg_.batcher ? &cfg_.batcher->rbc_memo() : nullptr},
                           [this](sim::ProcessId src, const Bytes& payload) {
                             on_rbc_deliver(src, payload);
                           })),

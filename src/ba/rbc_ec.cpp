@@ -5,6 +5,7 @@
 
 #include "common/errors.h"
 #include "common/ser.h"
+#include "crypto/merkle.h"
 
 namespace coincidence::ba {
 
@@ -20,17 +21,26 @@ Bytes concat_branch(const std::vector<crypto::Digest>& branch) {
   return out;
 }
 
-std::optional<std::vector<crypto::Digest>> split_branch(BytesView raw) {
-  if (raw.size() % kDigestSize != 0) return std::nullopt;
-  std::vector<crypto::Digest> branch(raw.size() / kDigestSize);
-  for (std::size_t i = 0; i < branch.size(); ++i)
-    std::copy_n(raw.begin() + static_cast<std::ptrdiff_t>(i * kDigestSize),
-                kDigestSize, branch[i].begin());
-  return branch;
-}
-
 std::size_t fragment_word_count(std::size_t fragment_bytes) {
   return (fragment_bytes + 7) / 8;
+}
+
+/// The leading 64 bits of a sha256 digest: already uniform.
+std::uint64_t digest_bits(BytesView digest) {
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < 8; ++i) bits = (bits << 8) | digest[i];
+  return bits;
+}
+
+constexpr std::uint64_t kIndexMix = 0x9e3779b97f4a7c15ULL;
+
+/// Memo fingerprint of a check under `root` for process `index` (echoer
+/// or source) and a `size`-byte value. The fragment and value bytes are
+/// left out: fragments of one value share prefixes and would collide.
+std::uint64_t memo_fp(BytesView root, std::uint64_t index,
+                      std::uint64_t size) {
+  return digest_bits(root) ^ (index * kIndexMix) ^
+         (size * 0xc2b2ae3d27d4eb4fULL);
 }
 
 }  // namespace
@@ -38,19 +48,22 @@ std::size_t fragment_word_count(std::size_t fragment_bytes) {
 EcBroadcast::EcBroadcast(Config cfg, DeliverFn on_deliver)
     : cfg_(std::move(cfg)),
       on_deliver_(std::move(on_deliver)),
+      own_memo_(cfg_.memo ? nullptr : std::make_unique<crypto::VerdictMemo>()),
+      memo_(cfg_.memo ? cfg_.memo : own_memo_.get()),
       rs_(cfg_.n, cfg_.f + 1),
       tag_initial_(cfg_.tag + "/initial"),
       tag_echo_(cfg_.tag + "/echo"),
       tag_ready_(cfg_.tag + "/ready"),
+      held_(cfg_.n),
       echoed_sources_(cfg_.n),
       delivered_(cfg_.n, false) {
   COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "EcBroadcast: requires n > 3f");
 }
 
-crypto::Digest EcBroadcast::composite_key(const crypto::Digest& root,
+crypto::Digest EcBroadcast::composite_key(BytesView root,
                                           std::uint64_t value_size) {
   crypto::Sha256 h;
-  h.update(BytesView(root.data(), root.size()));
+  h.update(root);
   const Bytes size_bytes = bytes_of_u64(value_size);
   h.update(size_bytes);
   return h.finish();
@@ -58,9 +71,8 @@ crypto::Digest EcBroadcast::composite_key(const crypto::Digest& root,
 
 std::uint64_t EcBroadcast::flow_fold(sim::ProcessId source,
                                      const crypto::Digest& key) {
-  std::uint64_t fold = 0;
-  for (std::size_t i = 0; i < 8; ++i) fold = (fold << 8) | key[i];
-  return fold ^ (static_cast<std::uint64_t>(source) * 0x9e3779b97f4a7c15ull);
+  return digest_bits(key) ^
+         (static_cast<std::uint64_t>(source) * kIndexMix);
 }
 
 EcBroadcast::Flow& EcBroadcast::flow_of(sim::ProcessId source,
@@ -74,6 +86,47 @@ EcBroadcast::Flow& EcBroadcast::flow_of(sim::ProcessId source,
   flow.echoes = SenderSet(cfg_.n);
   flow.readies = SenderSet(cfg_.n);
   return flow;
+}
+
+crypto::Digest EcBroadcast::held_key(sim::ProcessId source, BytesView root,
+                                     std::uint64_t value_size) {
+  std::vector<Held>& held = held_[source];
+  for (const Held& h : held)
+    if (h.value_size == value_size &&
+        std::equal(root.begin(), root.end(), h.root.begin()))
+      return h.key;
+  Held& h = held.emplace_back();
+  std::copy(root.begin(), root.end(), h.root.begin());
+  h.value_size = value_size;
+  h.key = composite_key(root, value_size);
+  return h.key;
+}
+
+bool EcBroadcast::branch_valid(std::size_t index, BytesView root,
+                               std::uint64_t value_size, BytesView fragment,
+                               BytesView branch) {
+  using Int = crypto::VerdictMemo::IntField;
+  return memo_->verdict(
+      memo_fp(root, index, value_size),
+      {Int(cfg_.n), Int(index), root, Int(value_size), fragment, branch}, [&] {
+        const auto implied =
+            crypto::merkle_implied_root(cfg_.n, index, fragment, branch);
+        return implied &&
+               std::equal(root.begin(), root.end(), implied->begin());
+      });
+}
+
+bool EcBroadcast::reencodes_to(sim::Context& ctx, const Flow& flow,
+                               BytesView value) {
+  using Int = crypto::VerdictMemo::IntField;
+  return memo_->verdict(
+      memo_fp(flow.root, flow.source, value.size()),
+      {Int(cfg_.n), Int(rs_.k()), Int(flow.source), flow.root, value}, [&] {
+        const std::vector<Bytes> reencoded = rs_.encode(value);
+        ctx.count(sim::Counter::kRbcEncodes, 1);
+        ctx.count(sim::Counter::kRbcFragmentsEncoded, reencoded.size());
+        return crypto::MerkleTree(reencoded).root() == flow.root;
+      });
 }
 
 void EcBroadcast::broadcast(sim::Context& ctx, Bytes payload) {
@@ -117,74 +170,80 @@ void EcBroadcast::handle_initial(sim::Context& ctx, const sim::Message& msg) {
 
   std::uint64_t size = 0;
   BytesView fragment;
-  std::vector<crypto::Digest> branch;
+  BytesView branch;
   try {
     Reader r(msg.payload);
     size = r.u64();
     fragment = r.blob_view();
-    const auto parsed = split_branch(r.blob_view());
+    branch = r.blob_view();
     r.done();
-    if (!parsed) return;
-    branch = *parsed;
   } catch (const CodecError&) {
     return;
   }
+  // fragment_size(size) cannot wrap, so a claimed |v| near 2^64 fails
+  // here and is never echoed (nor counted, in handle_echo).
   if (fragment.size() != rs_.fragment_size(size)) return;
-  const auto root = crypto::merkle_implied_root(cfg_.n, ctx.self(),
-                                                fragment, branch);
+  const auto root =
+      crypto::merkle_implied_root(cfg_.n, ctx.self(), fragment, branch);
   if (!root) return;
+
+  // The echo below is exactly the branch-valid (self, root, |v|,
+  // fragment, branch): record its verdict so no receiver recomputes it.
+  using Int = crypto::VerdictMemo::IntField;
+  const BytesView root_view(*root);
+  memo_->store(memo_fp(root_view, ctx.self(), size),
+               {Int(cfg_.n), Int(ctx.self()), root_view, Int(size), fragment,
+                branch},
+               true);
 
   echoed_sources_.insert(msg.from);
   Writer w;
   w.u32(msg.from).u64(size);
-  w.blob(BytesView(root->data(), root->size()));
-  w.blob(fragment).blob(concat_branch(branch));
+  w.blob(root_view);
+  w.blob(fragment).blob(branch);
   ctx.broadcast(tag_echo_, w.take(),
                 1 + kDigestWords + fragment_word_count(fragment.size()) +
-                    branch_words(branch.size()));
+                    branch_words(branch.size() / kDigestSize));
 }
 
 void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   sim::ProcessId source = 0;
   std::uint64_t size = 0;
-  crypto::Digest claimed_root{};
-  BytesView fragment;  // views msg; copied only into a flow's store
-  std::vector<crypto::Digest> branch;
+  BytesView root;  // all three view msg.payload
+  BytesView fragment;
+  BytesView branch;
   try {
     Reader r(msg.payload);
     source = r.u32();
     size = r.u64();
-    const BytesView root_bytes = r.blob_view();
-    if (root_bytes.size() != kDigestSize) return;
-    std::copy(root_bytes.begin(), root_bytes.end(), claimed_root.begin());
+    root = r.blob_view();
     fragment = r.blob_view();
-    const auto parsed = split_branch(r.blob_view());
+    branch = r.blob_view();
     r.done();
-    if (!parsed) return;
-    branch = *parsed;
   } catch (const CodecError&) {
     return;
   }
-  if (source >= cfg_.n) return;
+  if (source >= cfg_.n || root.size() != kDigestSize) return;
   if (fragment.size() != rs_.fragment_size(size)) return;
   // The echoer vouches for its *own* leaf: the branch must place the
   // fragment at the sender's index under the claimed root.
-  const auto implied =
-      crypto::merkle_implied_root(cfg_.n, msg.from, fragment, branch);
-  if (!implied || *implied != claimed_root) return;
+  if (!branch_valid(msg.from, root, size, fragment, branch)) return;
 
-  Flow& flow = flow_of(source, composite_key(claimed_root, size));
+  Flow& flow = flow_of(source, held_key(source, root, size));
   if (!flow.echoes.insert(msg.from)) return;
   if (!flow.have_root) {
     flow.have_root = true;
-    flow.root = claimed_root;
+    std::copy(root.begin(), root.end(), flow.root.begin());
     flow.value_size = size;
   }
   // Same-index duplicates are byte-identical (same root, same leaf slot,
   // collision-resistant hash), so first-wins is safe. Once the source is
   // delivered or the flow poisoned, no decode reads fragments again.
-  if (!delivered_[source] && !flow.poisoned)
-    flow.fragments.try_emplace(msg.from, fragment.begin(), fragment.end());
+  if (!delivered_[source] && !flow.poisoned) {
+    if (flow.fragments.empty()) flow.fragments.resize(cfg_.n);
+    flow.fragments[msg.from] = Fragment{msg.payload, fragment};
+    ++flow.fragment_count;
+  }
   if (2 * flow.echoes.size() > cfg_.n + cfg_.f) maybe_send_ready(ctx, flow);
   maybe_deliver(ctx, flow);  // a ready quorum may be waiting on fragments
 }
@@ -223,21 +282,18 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
   if (delivered_[flow.source] || flow.poisoned) return;
   if (flow.readies.size() < 2 * cfg_.f + 1) return;
   const std::size_t k = cfg_.f + 1;
-  if (!flow.have_root || flow.fragments.size() < k) return;
+  if (!flow.have_root || flow.fragment_count < k) return;
 
   // Decode from the k lowest-indexed fragments. The re-encode check
   // below makes the outcome independent of this choice: if it passes,
   // collision resistance pins every branch-valid fragment to the decoded
   // value's codeword; if it fails, no k-subset can pass (a passing
   // subset would pin *all* fragments — including ours — to its value).
-  // Either outcome below drops the fragment store, so the subset takes
-  // its fragments instead of copying them.
-  std::vector<std::pair<std::size_t, Bytes>> subset;
+  std::vector<std::pair<std::size_t, BytesView>> subset;
   subset.reserve(k);
-  for (auto& [index, frag] : flow.fragments) {
-    subset.emplace_back(index, std::move(frag));
-    if (subset.size() == k) break;
-  }
+  for (std::size_t i = 0; subset.size() < k; ++i)
+    if (!flow.fragments[i].payload.empty())
+      subset.emplace_back(i, flow.fragments[i].bytes);
   Bytes value;
   bool consistent = true;
   try {
@@ -245,25 +301,19 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
   } catch (const CodecError&) {
     consistent = false;
   }
-  if (consistent) {
-    const std::vector<Bytes> reencoded = rs_.encode(value);
-    ctx.count(sim::Counter::kRbcEncodes, 1);
-    ctx.count(sim::Counter::kRbcFragmentsEncoded, reencoded.size());
-    consistent = crypto::MerkleTree(reencoded).root() == flow.root;
-  }
+  if (consistent) consistent = reencodes_to(ctx, flow, value);
   ctx.count(sim::Counter::kRbcDecodes, 1);
   ctx.count(sim::Counter::kRbcFragmentsDecoded, k);
+  flow.fragments = {};  // either outcome below ends decoding for the flow
   if (!consistent) {
     // Inconsistently-encoded dispersal: deterministic for every correct
     // process, so nobody ever delivers under this root.
     ctx.count(sim::Counter::kRbcDecodeFailures, 1);
     flow.poisoned = true;
-    flow.fragments.clear();
     return;
   }
 
   delivered_[flow.source] = true;
-  flow.fragments.clear();
   ++delivered_count_;
   ctx.note_decide(cfg_.tag, static_cast<int>(flow.source), 0);
   if (on_deliver_) on_deliver_(flow.source, value);

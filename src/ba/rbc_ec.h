@@ -38,19 +38,48 @@
 // total, the sub-quadratic dissemination bill the paper's multivalued
 // extension assumes.
 //
+// Verify once, store once. Both checks are pure functions of bytes every
+// correct receiver sees identically, so their verdicts go through a
+// crypto::VerdictMemo (Config::memo; shared by every process of a log
+// run via coin::BatchVerifier::rbc_memo(), private per instance when
+// null):
+//   - echo branch: key (n, echoer index, claimed root, |v|, fragment,
+//     branch), verdict "implied root == claimed root". The echoer's own
+//     initial check already decided its echo, so it stores the verdict
+//     before broadcasting and no receiver recomputes an honest echo.
+//     The fingerprint comes from the root, index and size only: fragments
+//     of one value share prefixes and fingerprint poorly.
+//   - consistency: key (n, k, source, root, decoded value), verdict
+//     "re-encoding reproduces the root". Decoding stays per receiver; a
+//     hit skips the re-encode and the tree build (kRbcEncodes counts
+//     only real encodes). The source is in the key although the verdict
+//     does not depend on it: one process checks each source once, so a
+//     private memo never hits here and its encode count is the
+//     memo-less one, even when two sources send equal values (binary BA).
+// Hits need an exact byte match, so a Byzantine variant one byte away
+// from an honest key is checked in full and cannot borrow its verdict.
+// H(root ‖ |v|) is computed once per (source, root, |v|) an instance
+// sees, and fragments are kept as views into the echo payloads.
+//
+// Cost ledger per broadcast, with a shared memo: one branch check per
+// echoer (the n² receiver checks hit), one encode and tree build at the
+// source, one decode and one composite hash per receiver, and one
+// re-encode and tree build per distinct decoded value. With private
+// memos each receiver instead pays n branch checks and its own re-encode.
+//
 // GF(2^8) caps n at 255; larger cohorts must use the Bracha backend.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "ba/broadcast.h"
 #include "common/bytes.h"
-#include "crypto/merkle.h"
+#include "common/shared_bytes.h"
 #include "crypto/reed_solomon.h"
 #include "crypto/sha256.h"
+#include "crypto/verdict_memo.h"
 #include "sim/flat_map64.h"
 #include "sim/process.h"
 
@@ -71,6 +100,13 @@ class EcBroadcast final : public Broadcast {
   std::size_t delivered_count() const override { return delivered_count_; }
 
  private:
+  // A branch-valid fragment: a view into the echo that carried it, kept
+  // alive by holding that echo's payload (never empty for a parsed echo).
+  struct Fragment {
+    SharedBytes payload;
+    BytesView bytes;
+  };
+
   // One flow per (source, H(root ‖ |v|)): fragment store + echo/ready
   // tallies. Buckets under a 64-bit key fold; the full composite digest
   // disambiguates fold collisions.
@@ -80,20 +116,41 @@ class EcBroadcast final : public Broadcast {
     crypto::Digest root{};  // learned with the first valid echo
     std::uint64_t value_size = 0;
     bool have_root = false;
-    // Branch-valid fragments by index; dropped once the source is
-    // delivered or the flow poisoned (nothing decodes them again).
-    std::map<std::size_t, Bytes> fragments;
+    // Branch-valid fragments by echoer index (n slots once the first
+    // arrives); dropped once the source is delivered or the flow
+    // poisoned (nothing decodes them again).
+    std::vector<Fragment> fragments;
+    std::size_t fragment_count = 0;
     SenderSet echoes;
     SenderSet readies;
     bool ready_sent = false;
     bool poisoned = false;  // failed the re-encode consistency check
   };
 
-  static crypto::Digest composite_key(const crypto::Digest& root,
+  // A (root, |v|) some echo for a source named, with its composite key.
+  struct Held {
+    crypto::Digest root{};
+    std::uint64_t value_size = 0;
+    crypto::Digest key{};
+  };
+
+  static crypto::Digest composite_key(BytesView root,
                                       std::uint64_t value_size);
   static std::uint64_t flow_fold(sim::ProcessId source,
                                  const crypto::Digest& key);
   Flow& flow_of(sim::ProcessId source, const crypto::Digest& key);
+  /// H(root ‖ |v|), hashed only the first time `source` pairs them.
+  crypto::Digest held_key(sim::ProcessId source, BytesView root,
+                          std::uint64_t value_size);
+
+  /// Memoised echo check: `branch` places `fragment` at leaf `index`
+  /// under `root`.
+  bool branch_valid(std::size_t index, BytesView root,
+                    std::uint64_t value_size, BytesView fragment,
+                    BytesView branch);
+  /// Memoised consistency check: re-encoding `value`, decoded from
+  /// `flow`, reproduces the flow's root.
+  bool reencodes_to(sim::Context& ctx, const Flow& flow, BytesView value);
 
   void handle_initial(sim::Context& ctx, const sim::Message& msg);
   void handle_echo(sim::Context& ctx, const sim::Message& msg);
@@ -108,12 +165,15 @@ class EcBroadcast final : public Broadcast {
 
   Config cfg_;
   DeliverFn on_deliver_;
+  std::unique_ptr<crypto::VerdictMemo> own_memo_;  // when cfg_.memo is null
+  crypto::VerdictMemo* memo_;
   crypto::ReedSolomon rs_;  // k = f+1
   sim::Tag tag_initial_;
   sim::Tag tag_echo_;
   sim::Tag tag_ready_;
 
   sim::FlatMap64<std::vector<Flow>> flows_;
+  std::vector<std::vector<Held>> held_;  // per source
   SenderSet echoed_sources_;  // echo once per source
   std::vector<bool> delivered_;
   std::size_t delivered_count_ = 0;

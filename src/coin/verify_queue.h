@@ -33,6 +33,7 @@
 #include "committee/sampler.h"
 #include "crypto/sig_memo.h"
 #include "crypto/signer.h"
+#include "crypto/verdict_memo.h"
 #include "crypto/verify_memo.h"
 #include "crypto/vrf.h"
 
@@ -101,6 +102,9 @@ class BatchVerifier {
   std::size_t watermark() const { return cfg_.watermark; }
   const crypto::VerifyMemo& memo() const { return memo_; }
   const crypto::SigMemo& sig_memo() const { return sig_memo_; }
+  /// Branch and re-encode verdicts of the erasure-coded broadcasts
+  /// (Broadcast::Config::memo), shared by every process of the run.
+  crypto::VerdictMemo& rbc_memo() { return rbc_memo_; }
 
   /// Cumulative counters across all flushes (all processes of the run).
   std::uint64_t batches() const { return batches_; }
@@ -131,6 +135,7 @@ class BatchVerifier {
   Config cfg_;
   crypto::VerifyMemo memo_;
   crypto::SigMemo sig_memo_;
+  crypto::VerdictMemo rbc_memo_;
   std::uint64_t batches_ = 0;
   std::uint64_t shares_ = 0;
   std::uint64_t rejects_ = 0;

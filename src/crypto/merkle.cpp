@@ -6,13 +6,38 @@ namespace coincidence::crypto {
 
 namespace {
 
-Digest node_hash(const Digest& left, const Digest& right) {
+Digest node_hash(BytesView left, BytesView right) {
   Sha256 h;
   const std::uint8_t prefix = 0x01;
   h.update(BytesView(&prefix, 1));
-  h.update(BytesView(left.data(), left.size()));
-  h.update(BytesView(right.data(), right.size()));
+  h.update(left);
+  h.update(right);
   return h.finish();
+}
+
+// Replays the promotion schedule from (index, leaf_count), hashing in
+// sibling(i) for the i-th level that has one; nullopt unless exactly
+// `branch_len` siblings are used.
+template <typename SiblingFn>
+std::optional<Digest> implied_root(std::size_t leaf_count, std::size_t index,
+                                   BytesView leaf, std::size_t branch_len,
+                                   SiblingFn sibling_at) {
+  if (leaf_count == 0 || index >= leaf_count) return std::nullopt;
+  Digest acc = merkle_leaf(leaf);
+  std::size_t used = 0;
+  std::size_t width = leaf_count;
+  while (width > 1) {
+    const std::size_t sibling = index ^ 1;
+    if (sibling < width) {
+      if (used >= branch_len) return std::nullopt;
+      const BytesView sib = sibling_at(used++);
+      acc = (index & 1) ? node_hash(sib, acc) : node_hash(acc, sib);
+    }
+    index >>= 1;
+    width = (width + 1) / 2;
+  }
+  if (used != branch_len) return std::nullopt;
+  return acc;
 }
 
 }  // namespace
@@ -58,22 +83,19 @@ std::vector<Digest> MerkleTree::branch(std::size_t index) const {
 std::optional<Digest> merkle_implied_root(std::size_t leaf_count,
                                           std::size_t index, BytesView leaf,
                                           const std::vector<Digest>& branch) {
-  if (leaf_count == 0 || index >= leaf_count) return std::nullopt;
-  Digest acc = merkle_leaf(leaf);
-  std::size_t used = 0;
-  std::size_t width = leaf_count;
-  while (width > 1) {
-    const std::size_t sibling = index ^ 1;
-    if (sibling < width) {
-      if (used >= branch.size()) return std::nullopt;
-      const Digest& sib = branch[used++];
-      acc = (index & 1) ? node_hash(sib, acc) : node_hash(acc, sib);
-    }
-    index >>= 1;
-    width = (width + 1) / 2;
-  }
-  if (used != branch.size()) return std::nullopt;
-  return acc;
+  return implied_root(leaf_count, index, leaf, branch.size(),
+                      [&](std::size_t i) { return BytesView(branch[i]); });
+}
+
+std::optional<Digest> merkle_implied_root(std::size_t leaf_count,
+                                          std::size_t index, BytesView leaf,
+                                          BytesView branch) {
+  if (branch.size() % kSha256DigestSize != 0) return std::nullopt;
+  return implied_root(leaf_count, index, leaf,
+                      branch.size() / kSha256DigestSize, [&](std::size_t i) {
+                        return branch.subspan(i * kSha256DigestSize,
+                                              kSha256DigestSize);
+                      });
 }
 
 bool MerkleTree::verify(const Digest& root, std::size_t leaf_count,

@@ -31,6 +31,12 @@ std::optional<Digest> merkle_implied_root(std::size_t leaf_count,
                                           std::size_t index, BytesView leaf,
                                           const std::vector<Digest>& branch);
 
+/// The same, with the branch as its digests concatenated on the wire:
+/// nullopt also when `branch` is not a whole number of digests.
+std::optional<Digest> merkle_implied_root(std::size_t leaf_count,
+                                          std::size_t index, BytesView leaf,
+                                          BytesView branch);
+
 class MerkleTree {
  public:
   /// Builds the tree over `leaves` (at least one), hashing each payload.

@@ -191,6 +191,15 @@ std::vector<Bytes> ReedSolomon::encode(BytesView value) const {
 Bytes ReedSolomon::decode(
     const std::vector<std::pair<std::size_t, Bytes>>& fragments,
     std::size_t value_size) const {
+  std::vector<std::pair<std::size_t, BytesView>> views;
+  views.reserve(fragments.size());
+  for (const auto& [idx, frag] : fragments) views.emplace_back(idx, frag);
+  return decode(views, value_size);
+}
+
+Bytes ReedSolomon::decode(
+    std::span<const std::pair<std::size_t, BytesView>> fragments,
+    std::size_t value_size) const {
   if (fragments.size() != k_)
     throw CodecError("ReedSolomon::decode: needs exactly k fragments");
   const std::size_t len = fragment_size(value_size);

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -42,9 +43,11 @@ class ReedSolomon {
   std::size_t n() const { return n_; }
   std::size_t k() const { return k_; }
 
-  /// Per-fragment byte length for a `value_size`-byte value: ⌈size/k⌉.
+  /// Per-fragment byte length for a `value_size`-byte value: ⌈size/k⌉,
+  /// computed without the wrap (size + k − 1) would hit for sizes a
+  /// Byzantine sender may claim near 2^64.
   std::size_t fragment_size(std::size_t value_size) const {
-    return (value_size + k_ - 1) / k_;
+    return value_size / k_ + (value_size % k_ != 0 ? 1 : 0);
   }
 
   /// Encodes `value` into n fragments of fragment_size(value.size())
@@ -54,8 +57,13 @@ class ReedSolomon {
 
   /// Reconstructs the original value from any k distinct (index,
   /// fragment) pairs. Throws CodecError on duplicate/out-of-range
-  /// indices, a fragment-count or fragment-length mismatch, or
-  /// value_size > k * fragment length.
+  /// indices or a fragment-count or fragment-length mismatch. Fragments
+  /// must be fragment_size(value_size) long, so a value_size above
+  /// k * fragment length throws before anything is sized from it.
+  Bytes decode(std::span<const std::pair<std::size_t, BytesView>> fragments,
+               std::size_t value_size) const;
+
+  /// The same over owned fragments.
   Bytes decode(const std::vector<std::pair<std::size_t, Bytes>>& fragments,
                std::size_t value_size) const;
 

@@ -1,6 +1,5 @@
-// Verified-signature memo: a result cache over (signer, message, sig)
-// triples, keyed the same way as crypto::VerifyMemo — an FNV-1a
-// fingerprint for the hash table plus the full bytes for exact equality.
+// Verified-signature memo: crypto::VerdictMemo keyed by (signer,
+// message, sig) triples.
 //
 // The approver's ok-path is where this pays: every ⟨ok,v⟩ message embeds
 // the SAME W signed ⟨echo,v⟩ entries (§6.1), so the ~λ ok messages a
@@ -13,47 +12,41 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
-#include "common/bytes.h"
 #include "crypto/signer.h"
+#include "crypto/verdict_memo.h"
 
 namespace coincidence::crypto {
 
 class SigMemo {
  public:
   /// The cached verdict for `e`, if any. Counts a hit or miss.
-  std::optional<bool> lookup(const SigBatchEntry& e) const;
+  std::optional<bool> lookup(const SigBatchEntry& e) const {
+    return memo_.lookup(fingerprint(e),
+                        {VerdictMemo::IntField(e.signer), e.message, e.sig});
+  }
 
   /// Records the verdict for `e` (overwrites on the unlikely re-store).
-  void store(const SigBatchEntry& e, bool ok);
+  void store(const SigBatchEntry& e, bool ok) {
+    memo_.store(fingerprint(e),
+                {VerdictMemo::IntField(e.signer), e.message, e.sig}, ok);
+  }
 
   /// The table fingerprint of `e` — exposed so batch callers can dedup
   /// identical triples WITHIN one flush before they reach the signer
   /// (the memo itself only collapses repeats across flushes: lookups all
   /// happen before any store).
-  static std::uint64_t fingerprint(const SigBatchEntry& e);
+  static std::uint64_t fingerprint(const SigBatchEntry& e) {
+    return VerdictMemo::fingerprint(
+        {VerdictMemo::IntField(e.signer), e.message, e.sig});
+  }
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
+  std::uint64_t hits() const { return memo_.hits(); }
+  std::uint64_t misses() const { return memo_.misses(); }
   std::size_t size() const { return memo_.size(); }
 
  private:
-  // Fingerprint-keyed multimap with owned bytes only in the stored
-  // entries: a lookup walks the (almost always singleton) fingerprint
-  // bucket comparing views — the hot path allocates nothing. The old
-  // map-of-full-keys shape cost two Bytes copies per probe.
-  struct Entry {
-    ProcessId signer;
-    Bytes message, sig;
-    bool ok;
-  };
-
-  static bool matches(const Entry& entry, const SigBatchEntry& e);
-
-  std::unordered_multimap<std::uint64_t, Entry> memo_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
+  VerdictMemo memo_;
 };
 
 }  // namespace coincidence::crypto

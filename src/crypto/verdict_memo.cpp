@@ -1,0 +1,118 @@
+#include "crypto/verdict_memo.h"
+
+#include <cstring>
+
+namespace coincidence::crypto {
+
+namespace {
+
+constexpr std::size_t kLenBytes = 8;
+
+void put_u64(std::uint8_t* out, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::size_t framed_size(VerdictMemo::Fields key) {
+  std::size_t total = 0;
+  for (BytesView f : key) total += kLenBytes + f.size();
+  return total;
+}
+
+bool same_key(const Bytes& stored, VerdictMemo::Fields key) {
+  if (framed_size(key) != stored.size()) return false;
+  const std::uint8_t* p = stored.data();
+  for (BytesView f : key) {
+    std::uint8_t len[kLenBytes];
+    put_u64(len, f.size());
+    if (std::memcmp(p, len, kLenBytes) != 0) return false;
+    p += kLenBytes;
+    if (!f.empty() && std::memcmp(p, f.data(), f.size()) != 0) return false;
+    p += f.size();
+  }
+  return true;
+}
+
+// Callers may pass raw digest bits as the fingerprint; the finalizer
+// spreads any of them over the low bits the mask keeps.
+std::size_t home(std::uint64_t fp, std::size_t mask) {
+  fp ^= fp >> 33;
+  fp *= 0xff51afd7ed558ccdULL;
+  fp ^= fp >> 33;
+  return static_cast<std::size_t>(fp) & mask;
+}
+
+}  // namespace
+
+VerdictMemo::IntField::IntField(std::uint64_t v) { put_u64(bytes_.data(), v); }
+
+std::uint64_t VerdictMemo::fingerprint(Fields key) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  for (BytesView f : key) {
+    h ^= f.size();
+    h *= kPrime;
+    for (std::uint8_t byte : f) {
+      h ^= byte;
+      h *= kPrime;
+    }
+  }
+  return h;
+}
+
+std::size_t VerdictMemo::probe(std::uint64_t fp, Fields key) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(fp, mask);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.entry == 0 ||
+        (s.fp == fp && same_key(entries_[s.entry - 1].key, key)))
+      return i;
+  }
+}
+
+std::optional<bool> VerdictMemo::lookup(std::uint64_t fp, Fields key) const {
+  if (!slots_.empty()) {
+    const Slot& s = slots_[probe(fp, key)];
+    if (s.entry != 0) {
+      ++hits_;
+      return entries_[s.entry - 1].ok;
+    }
+  }
+  ++misses_;
+  return std::nullopt;
+}
+
+void VerdictMemo::store(std::uint64_t fp, Fields key, bool ok) {
+  if (2 * (entries_.size() + 1) > slots_.size()) grow();
+  Slot& s = slots_[probe(fp, key)];
+  if (s.entry != 0) {
+    entries_[s.entry - 1].ok = ok;
+    return;
+  }
+  Entry e;
+  e.key.resize(framed_size(key));
+  std::uint8_t* p = e.key.data();
+  for (BytesView f : key) {
+    put_u64(p, f.size());
+    p += kLenBytes;
+    if (!f.empty()) std::memcpy(p, f.data(), f.size());
+    p += f.size();
+  }
+  e.ok = ok;
+  entries_.push_back(std::move(e));
+  s = Slot{fp, entries_.size()};
+}
+
+void VerdictMemo::grow() {
+  std::vector<Slot> old(slots_.empty() ? 16 : 2 * slots_.size());
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.entry == 0) continue;
+    std::size_t i = home(s.fp, mask);
+    while (slots_[i].entry != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
+}  // namespace coincidence::crypto

@@ -1,0 +1,97 @@
+// Exact-bytes verdict memo: the one result cache behind every pure check
+// whose inputs repeat verbatim across receivers.
+//
+// A broadcast reaches n processes with identical bytes, and each of them
+// runs the same pure check on it: a coin share's VRF proof
+// (VerifyMemo), an ⟨echo⟩ signature (SigMemo), an erasure-coded echo's
+// Merkle branch or a decoded dispersal's re-encode (ba/rbc_ec.h). With
+// one memo shared by every receiver of a run the check runs once per
+// distinct input instead of once per receiver.
+//
+// A key is a short list of byte fields plus a caller-chosen 64-bit
+// fingerprint. The table is open-addressed over the fingerprints; each
+// slot points at an entry that owns a copy of its key bytes. A lookup
+// takes views and allocates nothing. Only an exact compare of every
+// field produces a hit: a fingerprint collision, or a Byzantine variant
+// one byte away from an honest key, is a miss and is computed in full.
+// Negative verdicts are cached like positive ones, so a forged input
+// replayed n times is checked once and never poisons the honest key.
+//
+// Fields are length-framed in the stored copy, so ("ab", "c") and
+// ("a", "bc") are different keys, and keys with different field counts
+// never match. Single-threaded, like the simulator's handlers: a run
+// that executes handlers on several threads gives each process its own
+// memo (core::Env::new_lane).
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <optional>
+#include <vector>
+
+#include "common/bytes.h"
+
+namespace coincidence::crypto {
+
+class VerdictMemo {
+ public:
+  using Fields = std::initializer_list<BytesView>;
+
+  /// A fixed-width integer as a key field. Views of a temporary IntField
+  /// stay valid until the end of the full expression, which covers a
+  /// lookup or store call that takes them.
+  class IntField {
+   public:
+    explicit IntField(std::uint64_t v);
+    operator BytesView() const { return BytesView(bytes_); }
+
+   private:
+    std::array<std::uint8_t, 8> bytes_{};
+  };
+
+  /// FNV-1a over the fields with a length marker before each, for keys
+  /// without a cheaper well-spread fingerprint.
+  static std::uint64_t fingerprint(Fields key);
+
+  /// The cached verdict for `key`, if any. Counts a hit or a miss.
+  std::optional<bool> lookup(std::uint64_t fp, Fields key) const;
+
+  /// Records the verdict for `key`, overwriting an earlier one.
+  void store(std::uint64_t fp, Fields key, bool ok);
+
+  /// The cached verdict for `key`, or `check()` run and recorded.
+  template <typename Check>
+  bool verdict(std::uint64_t fp, Fields key, Check check) {
+    if (const std::optional<bool> hit = lookup(fp, key)) return *hit;
+    const bool ok = check();
+    store(fp, key, ok);
+    return ok;
+  }
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  struct Slot {
+    std::uint64_t fp = 0;
+    std::size_t entry = 0;  // 1 + index into entries_; 0 = empty
+  };
+  struct Entry {
+    Bytes key;  // each field as an 8-byte length, then its bytes
+    bool ok = false;
+  };
+
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  std::size_t probe(std::uint64_t fp, Fields key) const;
+  void grow();
+
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::vector<Entry> entries_;
+  mutable std::uint64_t hits_ = 0;
+  mutable std::uint64_t misses_ = 0;
+};
+
+}  // namespace coincidence::crypto

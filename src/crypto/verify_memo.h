@@ -1,6 +1,5 @@
-// Verified-share memo: a result cache over (pk, input, value, proof)
-// tuples, keyed the same way as committee/CachingSampler — an FNV-1a
-// fingerprint for the hash table plus the full bytes for exact equality.
+// Verified-share memo: crypto::VerdictMemo keyed by (pk, input, value,
+// proof) tuples.
 //
 // Lossy links duplicate and replay coin shares verbatim (see
 // sim::NetworkProfile); with deferred batch verification those copies
@@ -12,9 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
-#include "common/bytes.h"
+#include "crypto/verdict_memo.h"
 #include "crypto/vrf.h"
 
 namespace coincidence::crypto {
@@ -22,36 +20,23 @@ namespace coincidence::crypto {
 class VerifyMemo {
  public:
   /// The cached verdict for `e`, if any. Counts a hit or miss.
-  std::optional<bool> lookup(const VrfBatchEntry& e) const;
+  std::optional<bool> lookup(const VrfBatchEntry& e) const {
+    const VerdictMemo::Fields key = {e.pk, e.input, e.value, e.proof};
+    return memo_.lookup(VerdictMemo::fingerprint(key), key);
+  }
 
   /// Records the verdict for `e` (overwrites on the unlikely re-store).
-  void store(const VrfBatchEntry& e, bool ok);
+  void store(const VrfBatchEntry& e, bool ok) {
+    const VerdictMemo::Fields key = {e.pk, e.input, e.value, e.proof};
+    memo_.store(VerdictMemo::fingerprint(key), key, ok);
+  }
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
+  std::uint64_t hits() const { return memo_.hits(); }
+  std::uint64_t misses() const { return memo_.misses(); }
   std::size_t size() const { return memo_.size(); }
 
  private:
-  struct Key {
-    std::uint64_t fingerprint;
-    Bytes pk, input, value, proof;
-
-    friend bool operator==(const Key& a, const Key& b) {
-      return a.fingerprint == b.fingerprint && a.pk == b.pk &&
-             a.input == b.input && a.value == b.value && a.proof == b.proof;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(k.fingerprint);
-    }
-  };
-
-  static Key make_key(const VrfBatchEntry& e);
-
-  std::unordered_map<Key, bool, KeyHash> memo_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
+  VerdictMemo memo_;
 };
 
 }  // namespace coincidence::crypto

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/errors.h"
@@ -148,6 +149,19 @@ TEST(ReedSolomon, DecodeRejectsMalformedInput) {
   EXPECT_THROW(rs.decode(oob, value.size()), CodecError);
   Subset short_frag = {{0, frags[0]}, {1, frags[1]}, {2, Bytes{1}}};
   EXPECT_THROW(rs.decode(short_frag, value.size()), CodecError);
+}
+
+TEST(ReedSolomon, HugeValueSizeNeverWrapsToEmptyFragments) {
+  // ⌈|v|/k⌉ computed as (|v| + k − 1) / k wraps to 0 near 2^64, which
+  // let k empty fragments "decode" into a 2^64 − 1 byte buffer.
+  ReedSolomon rs(5, 2);
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(rs.fragment_size(kHuge), kHuge / 2 + 1);
+  std::vector<std::pair<std::size_t, Bytes>> empty = {{0, Bytes{}},
+                                                      {1, Bytes{}}};
+  EXPECT_THROW(rs.decode(empty, kHuge), CodecError);
+  EXPECT_THROW(rs.decode(empty, 1), CodecError);
+  EXPECT_EQ(rs.decode(empty, 0), Bytes{});
 }
 
 TEST(ReedSolomon, ConstructorEnforcesFieldLimits) {
