@@ -313,18 +313,12 @@ RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
 /// BatchVerifier's SigMemo is built to collapse.
 RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
   NullEnv env = make_null_env(n, seed);
-  // Legacy loop: one shared batcher so the SigMemo collapses the W-sig
-  // sweep across processes. Sharded handlers run concurrently, and the
-  // BatchVerifier's caches are unsynchronized — each process gets a
-  // private lane (verdicts are pure, so deliveries stay identical; only
-  // the memo-hit split differs).
-  std::vector<std::shared_ptr<coin::BatchVerifier>> batchers;
-  if (g_defer_verify) {
-    const std::size_t lanes = g_shards > 0 ? n : 1;
-    for (std::size_t i = 0; i < lanes; ++i)
-      batchers.push_back(std::make_shared<coin::BatchVerifier>(
-          coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer}));
-  }
+  // One batcher for every process, on both engines, so the SigMemo
+  // collapses the W-sig sweep across processes.
+  std::shared_ptr<coin::BatchVerifier> batcher;
+  if (g_defer_verify)
+    batcher = std::make_shared<coin::BatchVerifier>(
+        coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.f = 0;
@@ -341,7 +335,7 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
     bcfg.registry = env.registry;
     bcfg.sampler = env.sampler;
     bcfg.signer = env.signer;
-    if (!batchers.empty()) bcfg.batcher = batchers[i % batchers.size()];
+    bcfg.batcher = batcher;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
         std::move(bcfg), static_cast<ba::Value>(i % 2)));
@@ -355,9 +349,9 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
     });
     return sim.metrics().deliveries();
   });
-  for (const auto& b : batchers) {
-    s.sig_checks += b->sig_checks();
-    s.sig_memo_hits += b->sig_memo().hits();
+  if (batcher) {
+    s.sig_checks = batcher->sig_checks();
+    s.sig_memo_hits = batcher->sig_memo().hits();
   }
   return s;
 }
@@ -369,11 +363,9 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
 // the erasure-coded backend ships ⌈|v|/k⌉-byte fragments plus Merkle
 // branches — the alloc/bytes-per-delivery columns are the message-plane
 // cost of that difference, with no BA or crypto on the profile (sha256
-// is the only hashing either backend does). On the legacy loop every
-// process shares one run-wide verdict memo, as a log run's processes do,
-// so each distinct echo branch and dispersal is checked once; sharded
-// runs keep a private memo per process (handlers run on several
-// threads).
+// is the only hashing either backend does). Every process shares one
+// run-wide verdict memo, as a log run's processes do, so each distinct
+// echo branch and dispersal is checked once.
 // ---------------------------------------------------------------------------
 
 class RbcHost final : public sim::Process {
@@ -416,7 +408,7 @@ RunStats run_rbc(std::size_t n, std::uint64_t seed) {
     bcfg.tag = "rbc";
     bcfg.n = n;
     bcfg.f = f;
-    bcfg.memo = g_shards == 0 ? &memo : nullptr;
+    bcfg.memo = &memo;
     Bytes payload;
     if (i < sources) {
       payload.resize(1024);

@@ -274,7 +274,7 @@ bool Approver::should_flush() const {
   // carry the count across W, flush now so done fires in this delivery
   // frame, like inline verification.
   if (!done_ && ok_count_ + pending_oks_.size() >= cfg_.params.W) return true;
-  return pending_oks_.size() >= cfg_.batcher->watermark();
+  return pending_oks_.size() >= coin::BatchVerifier::kWatermark;
 }
 
 void Approver::flush_ok_queue(sim::Context& ctx) {

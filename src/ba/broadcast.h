@@ -76,7 +76,8 @@ class Broadcast {
     std::size_t f = 0;
     /// Run-wide verdict memo for the backend's pure checks (the EC
     /// backend's branch and re-encode checks; Bracha has none). Must
-    /// outlive the broadcast and be touched by one thread at a time.
+    /// outlive the broadcast; sharded handlers may share it, since its
+    /// stores wait for the superstep barrier (common/write_sink.h).
     /// Null: the backend keeps a private one.
     crypto::VerdictMemo* memo = nullptr;
   };

@@ -126,7 +126,7 @@ bool SharedCoin::should_flush() const {
     return true;
   if (!done_ && second_set_.size() + queue_.pending_second() >= cfg_.n - cfg_.f)
     return true;
-  return queue_.pending() >= cfg_.batcher->watermark();
+  return queue_.pending() >= BatchVerifier::kWatermark;
 }
 
 void SharedCoin::flush_queue(sim::Context& ctx) {

@@ -1,6 +1,5 @@
 #include "coin/verify_queue.h"
 
-#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 
@@ -10,8 +9,6 @@ namespace coincidence::coin {
 
 BatchVerifier::BatchVerifier(Config cfg) : cfg_(std::move(cfg)) {
   COIN_REQUIRE(cfg_.vrf != nullptr, "BatchVerifier: vrf is required");
-  COIN_REQUIRE(cfg_.watermark > 0 && cfg_.chunk > 0,
-               "BatchVerifier: watermark and chunk must be positive");
 }
 
 BatchVerifier::FlushStats BatchVerifier::verify_shares(
@@ -41,26 +38,8 @@ BatchVerifier::FlushStats BatchVerifier::verify_shares(
     misses.reserve(miss_of.size());
     for (std::size_t i : miss_of) misses.push_back(entries[i]);
 
-    // Fixed-size chunks: boundaries depend only on the miss count, so
-    // each chunk's batch (and its DRBG combiner scalars, which are
-    // content-addressed per chunk) is identical whether the chunks run
-    // serially or on the pool.
-    const std::size_t chunks = (misses.size() + cfg_.chunk - 1) / cfg_.chunk;
-    std::vector<char> verdicts(misses.size(), 0);
-    auto run_chunk = [&](std::size_t c) {
-      const std::size_t lo = c * cfg_.chunk;
-      const std::size_t hi = std::min(lo + cfg_.chunk, misses.size());
-      std::vector<char> chunk_out;
-      cfg_.vrf->batch_verify(
-          std::span<const crypto::VrfBatchEntry>(misses.data() + lo, hi - lo),
-          chunk_out);
-      std::copy(chunk_out.begin(), chunk_out.end(), verdicts.begin() + lo);
-    };
-    if (cfg_.pool != nullptr && chunks > 1) {
-      cfg_.pool->for_each_index(chunks, run_chunk);
-    } else {
-      for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
-    }
+    std::vector<char> verdicts;
+    cfg_.vrf->batch_verify(misses, verdicts);
 
     // Fill memo + results serially, in order.
     for (std::size_t j = 0; j < misses.size(); ++j) {

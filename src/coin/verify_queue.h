@@ -11,10 +11,8 @@
 //   (c) the round ends (a retired coin simply drops its queue: its
 //       output was already delivered).
 // A flush folds all pending proofs into one DdhVrf::batch_verify random
-// linear combination (near-k-fold amortization), consults the
-// verified-share memo so duplicate/replayed tuples never re-verify, and
-// can fan chunks out over a ThreadPool — chunk boundaries depend only on
-// the batch size, so verdicts are bit-identical at any thread count.
+// linear combination (near-k-fold amortization) and consults the
+// verified-share memo so duplicate/replayed tuples never re-verify.
 //
 // Applying flushed shares in arrival order with the same guards the
 // inline path uses makes the deferred path's state evolution — sends,
@@ -22,13 +20,13 @@
 // Metrics verify counters can tell the two apart.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/shared_bytes.h"
 #include "committee/sampler.h"
 #include "crypto/sig_memo.h"
@@ -41,11 +39,11 @@ namespace coincidence::coin {
 
 /// Shared, per-Env verification service: memoized + batched VRF share
 /// checks and batched committee-election checks. One instance is shared
-/// by every process of a run (the simulator delivers one message at a
-/// time, so unsynchronized shared state is safe — same contract as
-/// CachingSampler), which lets the memo dedup identical tuples across
-/// receivers: a share broadcast to n processes verifies once, not n
-/// times.
+/// by every process of a run on both simulator engines, which lets the
+/// memos dedup identical tuples across receivers: a share broadcast to n
+/// processes verifies once, not n times. Concurrent sharded handlers
+/// only read the memos (their stores wait for the superstep barrier,
+/// common/write_sink.h) and bump the atomic counters.
 class BatchVerifier {
  public:
   struct Config {
@@ -55,15 +53,10 @@ class BatchVerifier {
     /// Needed only by callers that defer HMAC signature checks (the
     /// approver's ok-proof sweep).
     std::shared_ptr<const crypto::Signer> signer;
-    /// Pending shares that force a queue flush.
-    std::size_t watermark = 16;
-    /// Entries per batch_verify call when splitting across the pool.
-    std::size_t chunk = 16;
-    /// Optional worker pool for flushes; null = serial (identical
-    /// verdicts either way). The pool must not be shared with a caller
-    /// already inside a for_each_index job (jobs are non-reentrant).
-    ThreadPool* pool = nullptr;
   };
+
+  /// Pending shares (or ok messages) that force a queue flush.
+  static constexpr std::size_t kWatermark = 16;
 
   struct FlushStats {
     std::size_t rejects = 0;    // entries that failed verification
@@ -73,8 +66,8 @@ class BatchVerifier {
   explicit BatchVerifier(Config cfg);
 
   /// Verifies every entry (memo first, then one batched verification of
-  /// the misses, chunked over the pool when configured). out[i] is the
-  /// verdict for entries[i], exactly what Vrf::verify would return.
+  /// the misses). out[i] is the verdict for entries[i], exactly what
+  /// Vrf::verify would return.
   FlushStats verify_shares(std::span<const crypto::VrfBatchEntry> entries,
                            std::vector<char>& out);
 
@@ -99,7 +92,6 @@ class BatchVerifier {
   bool check_signature(const crypto::SigBatchEntry& entry,
                        bool* memo_hit = nullptr);
 
-  std::size_t watermark() const { return cfg_.watermark; }
   const crypto::VerifyMemo& memo() const { return memo_; }
   const crypto::SigMemo& sig_memo() const { return sig_memo_; }
   /// Branch and re-encode verdicts of the erasure-coded broadcasts
@@ -136,15 +128,15 @@ class BatchVerifier {
   crypto::VerifyMemo memo_;
   crypto::SigMemo sig_memo_;
   crypto::VerdictMemo rbc_memo_;
-  std::uint64_t batches_ = 0;
-  std::uint64_t shares_ = 0;
-  std::uint64_t rejects_ = 0;
-  std::uint64_t sig_batches_ = 0;
-  std::uint64_t sig_checks_ = 0;
-  std::uint64_t sig_rejects_ = 0;
-  std::uint64_t enqueued_ = 0;
-  std::uint64_t flushed_ = 0;
-  std::uint64_t discarded_ = 0;
+  std::atomic<std::uint64_t> batches_ = 0;
+  std::atomic<std::uint64_t> shares_ = 0;
+  std::atomic<std::uint64_t> rejects_ = 0;
+  std::atomic<std::uint64_t> sig_batches_ = 0;
+  std::atomic<std::uint64_t> sig_checks_ = 0;
+  std::atomic<std::uint64_t> sig_rejects_ = 0;
+  std::atomic<std::uint64_t> enqueued_ = 0;
+  std::atomic<std::uint64_t> flushed_ = 0;
+  std::atomic<std::uint64_t> discarded_ = 0;
 };
 
 /// Arrival-ordered buffer of not-yet-verified coin shares. The payload

@@ -149,7 +149,7 @@ bool WhpCoin::should_flush() const {
     return true;
   if (!done_ && second_count_ + queue_.pending_second() >= cfg_.params.W)
     return true;
-  return queue_.pending() >= cfg_.batcher->watermark();
+  return queue_.pending() >= BatchVerifier::kWatermark;
 }
 
 void WhpCoin::flush_queue(sim::Context& ctx) {

@@ -1,5 +1,7 @@
 #include "committee/sampler.h"
 
+#include <optional>
+
 #include "common/errors.h"
 #include "common/ser.h"
 
@@ -31,22 +33,49 @@ Sampler::Election Sampler::sample(ProcessId i, const std::string& seed) const {
   return {sampled, w.take()};
 }
 
+namespace {
+
+/// The (VRF value, VRF proof) views of a serialized election proof, or
+/// nothing when it is malformed or its value is too short to threshold.
+std::optional<std::pair<BytesView, BytesView>> split_proof(BytesView proof) {
+  try {
+    Reader r(proof);
+    const BytesView value = r.blob_view();
+    const BytesView vrf_proof = r.blob_view();
+    r.done();
+    if (value.size() < 8) return std::nullopt;
+    return std::make_pair(value, vrf_proof);
+  } catch (const CodecError&) {
+    return std::nullopt;
+  }
+}
+
+/// Calls use(fingerprint, fields) with the val-memo key of one
+/// committee-val check, (id, seed, proof). VRF proofs are pseudorandom,
+/// so the FNV fingerprint of the fields spreads well.
+template <typename Use>
+auto with_val_key(ProcessId id, const std::string& seed, BytesView proof,
+                  Use use) {
+  const crypto::VerdictMemo::IntField id_field(id);
+  const crypto::VerdictMemo::Fields key = {
+      id_field,
+      BytesView(reinterpret_cast<const std::uint8_t*>(seed.data()),
+                seed.size()),
+      proof};
+  return use(crypto::VerdictMemo::fingerprint(key), key);
+}
+
+}  // namespace
+
 bool Sampler::committee_val(const std::string& seed, ProcessId i,
                             BytesView proof) const {
   if (!registry_->has(i)) return false;
-  BytesView value, vrf_proof;
-  try {
-    Reader r(proof);
-    value = r.blob_view();
-    vrf_proof = r.blob_view();
-    r.done();
-  } catch (const CodecError&) {
-    return false;
-  }
-  if (value.size() < 8) return false;
-  if (!vrf_->verify(registry_->pk_of(i), vrf_input(seed), value, vrf_proof))
-    return false;
-  return crypto::vrf_value_as_unit_double(value) < lambda_over_n_;
+  const auto parts = split_proof(proof);
+  if (!parts) return false;
+  const auto [value, vrf_proof] = *parts;
+  return vrf_->verify(registry_->pk_of(i), vrf_input(seed), value,
+                      vrf_proof) &&
+         crypto::vrf_value_as_unit_double(value) < lambda_over_n_;
 }
 
 void Sampler::committee_val_batch(std::span<const ValCheck> checks,
@@ -59,35 +88,22 @@ void Sampler::committee_val_batch(std::span<const ValCheck> checks,
   std::vector<std::size_t> entry_of;  // entries[j] came from checks[entry_of[j]]
   entries.reserve(checks.size());
   entry_of.reserve(checks.size());
-  std::vector<BytesView> values(checks.size());
   for (std::size_t i = 0; i < checks.size(); ++i) {
     const ValCheck& c = checks[i];
     if (!registry_->has(c.id)) continue;
-    BytesView value, vrf_proof;
-    try {
-      Reader r(c.proof);
-      value = r.blob_view();
-      vrf_proof = r.blob_view();
-      r.done();
-    } catch (const CodecError&) {
-      continue;
-    }
-    if (value.size() < 8) continue;
+    const auto parts = split_proof(c.proof);
+    if (!parts) continue;
     inputs[i] = vrf_input(*c.seed);
-    values[i] = value;
     entries.push_back(crypto::VrfBatchEntry{registry_->pk_of(c.id), inputs[i],
-                                            value, vrf_proof});
+                                            parts->first, parts->second});
     entry_of.push_back(i);
   }
   std::vector<char> verdicts;
   vrf_->batch_verify(entries, verdicts);
-  for (std::size_t j = 0; j < entries.size(); ++j) {
-    std::size_t i = entry_of[j];
-    out[i] = (verdicts[j] &&
-              crypto::vrf_value_as_unit_double(values[i]) < lambda_over_n_)
-                 ? 1
-                 : 0;
-  }
+  for (std::size_t j = 0; j < entries.size(); ++j)
+    out[entry_of[j]] =
+        verdicts[j] &&
+        crypto::vrf_value_as_unit_double(entries[j].value) < lambda_over_n_;
 }
 
 CachingSampler::CachingSampler(
@@ -95,61 +111,37 @@ CachingSampler::CachingSampler(
     std::shared_ptr<const crypto::KeyRegistry> registry, double lambda_over_n)
     : Sampler(std::move(vrf), std::move(registry), lambda_over_n) {}
 
-CachingSampler::CacheKey CachingSampler::make_key(ProcessId i,
-                                                  const std::string& seed,
-                                                  BytesView proof) {
-  // FNV-1a over (id, seed, proof) — precomputed once so the table probe
-  // costs one integer compare before the final equality check.
-  std::uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](const unsigned char* data, std::size_t len) {
-    for (std::size_t b = 0; b < len; ++b) {
-      h ^= data[b];
-      h *= 1099511628211ull;
-    }
-  };
-  std::uint64_t id64 = static_cast<std::uint64_t>(i);
-  mix(reinterpret_cast<const unsigned char*>(&id64), sizeof(id64));
-  mix(reinterpret_cast<const unsigned char*>(seed.data()), seed.size());
-  mix(reinterpret_cast<const unsigned char*>(proof.data()), proof.size());
-  CacheKey key;
-  key.hash = h;
-  key.id = i;
-  key.seed = seed;
-  key.proof.assign(proof.begin(), proof.end());
-  return key;
-}
-
 Sampler::Election CachingSampler::sample(ProcessId i,
                                          const std::string& seed) const {
-  CacheKey key = make_key(i, seed, {});
+  auto key = std::make_pair(i, seed);
   auto it = sample_cache_.find(key);
   if (it != sample_cache_.end()) return it->second;
   Election e = Sampler::sample(i, seed);
-  sample_cache_.emplace(std::move(key), e);
+  defer_write([this, key = std::move(key), e] {
+    sample_cache_.emplace(key, e);
+  });
   return e;
 }
 
 bool CachingSampler::committee_val(const std::string& seed, ProcessId i,
                                    BytesView proof) const {
-  CacheKey key = make_key(i, seed, proof);
-  auto it = val_cache_.find(key);
-  if (it != val_cache_.end()) return it->second;
-  bool ok = Sampler::committee_val(seed, i, proof);
-  val_cache_.emplace(std::move(key), ok);
-  return ok;
+  return with_val_key(i, seed, proof, [&](std::uint64_t fp, auto key) {
+    return val_memo_.verdict(
+        fp, key, [&] { return Sampler::committee_val(seed, i, proof); });
+  });
 }
 
 void CachingSampler::committee_val_batch(std::span<const ValCheck> checks,
                                          std::vector<char>& out) const {
   out.assign(checks.size(), 0);
-  std::vector<CacheKey> keys(checks.size());
   std::vector<ValCheck> misses;
   std::vector<std::size_t> miss_of;  // misses[j] is checks[miss_of[j]]
   for (std::size_t i = 0; i < checks.size(); ++i) {
-    keys[i] = make_key(checks[i].id, *checks[i].seed, checks[i].proof);
-    auto it = val_cache_.find(keys[i]);
-    if (it != val_cache_.end()) {
-      out[i] = it->second ? 1 : 0;
+    const std::optional<bool> hit = with_val_key(
+        checks[i].id, *checks[i].seed, checks[i].proof,
+        [&](std::uint64_t fp, auto key) { return val_memo_.lookup(fp, key); });
+    if (hit) {
+      out[i] = *hit ? 1 : 0;
     } else {
       misses.push_back(checks[i]);
       miss_of.push_back(i);
@@ -159,10 +151,11 @@ void CachingSampler::committee_val_batch(std::span<const ValCheck> checks,
   std::vector<char> verdicts;
   Sampler::committee_val_batch(misses, verdicts);
   for (std::size_t j = 0; j < misses.size(); ++j) {
-    std::size_t i = miss_of[j];
-    out[i] = verdicts[j];
-    // A batch may carry the same tuple twice; emplace keeps the first.
-    val_cache_.emplace(std::move(keys[i]), verdicts[j] != 0);
+    const ValCheck& c = misses[j];
+    out[miss_of[j]] = verdicts[j];
+    with_val_key(c.id, *c.seed, c.proof, [&](std::uint64_t fp, auto key) {
+      val_memo_.store(fp, key, verdicts[j] != 0);
+    });
   }
 }
 

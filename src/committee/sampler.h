@@ -10,15 +10,16 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "crypto/key_registry.h"
+#include "crypto/verdict_memo.h"
 #include "crypto/vrf.h"
 
 namespace coincidence::committee {
@@ -76,7 +77,9 @@ class Sampler {
 /// validation (§6.1) re-verifies the same W elections for every one of
 /// the ~λ ok messages a process receives, which this collapses to one
 /// verification each — the standard verify-once optimization a real node
-/// would ship. Single-threaded by design, like the simulator.
+/// would ship. One instance serves every process of a run on both
+/// simulator engines: cache writes go through defer_write
+/// (common/write_sink.h), so sharded handlers only read the caches.
 class CachingSampler final : public Sampler {
  public:
   CachingSampler(std::shared_ptr<const crypto::Vrf> vrf,
@@ -93,35 +96,13 @@ class CachingSampler final : public Sampler {
                            std::vector<char>& out) const override;
 
   std::size_t sample_cache_size() const { return sample_cache_.size(); }
-  std::size_t val_cache_size() const { return val_cache_.size(); }
+  std::size_t val_cache_size() const { return val_memo_.size(); }
 
  private:
-  // Cache keys carry their FNV-1a hash, computed once at lookup: the
-  // unordered_map never re-walks the seed/proof bytes the way the old
-  // std::map did on every tree-node comparison (O(log n) string
-  // compares per hit → one hash + one final equality check).
-  struct CacheKey {
-    std::uint64_t hash = 0;
-    ProcessId id = 0;
-    std::string seed;
-    Bytes proof;  // empty for sample-cache keys
-
-    bool operator==(const CacheKey& o) const {
-      return hash == o.hash && id == o.id && seed == o.seed &&
-             proof == o.proof;
-    }
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return static_cast<std::size_t>(k.hash);
-    }
-  };
-  static CacheKey make_key(ProcessId i, const std::string& seed,
-                           BytesView proof);
-
-  mutable std::unordered_map<CacheKey, Election, CacheKeyHash> sample_cache_;
-  // key: (seed, id, proof bytes) -> verdict.
-  mutable std::unordered_map<CacheKey, bool, CacheKeyHash> val_cache_;
+  // Touched about once per (process, committee), so a plain map will do.
+  mutable std::map<std::pair<ProcessId, std::string>, Election> sample_cache_;
+  // key: (id, seed, proof bytes) -> committee-val verdict.
+  mutable crypto::VerdictMemo val_memo_;
 };
 
 }  // namespace coincidence::committee

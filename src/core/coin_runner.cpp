@@ -52,11 +52,7 @@ CoinReport run_coin_trial(const CoinOptions& options) {
         cfg.params = env.params;
         cfg.vrf = env.vrf;
         cfg.registry = env.registry;
-        // Sharded handlers run concurrently: the shared sampler's cache
-        // would race, so every process gets a private lane (same vrf and
-        // registry — verdicts, and thus words/outputs, are identical).
-        cfg.sampler =
-            options.shards == 0 ? env.sampler : env.new_lane().sampler;
+        cfg.sampler = env.sampler;
         return std::make_unique<coin::WhpCoin>(cfg);
       }
       case CoinKind::kDealer: {

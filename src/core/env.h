@@ -24,26 +24,16 @@ struct Env {
   std::shared_ptr<committee::Sampler> sampler;
   std::shared_ptr<crypto::Signer> signer;
   /// Shared batch-verification service (coin/verify_queue.h): memoized,
-  /// folded VRF + election checks for every process of a run. Like the
-  /// sampler's cache it assumes single-threaded use — share it within
-  /// one Simulation, never across concurrently-running ones (each
-  /// run_agreement builds its own Env, so parallel drivers are safe).
+  /// folded VRF + election checks for every process of a run. It and
+  /// the sampler's caches are shared by every process of one Simulation
+  /// on both engines (sharded handlers only read them; their writes wait
+  /// for the superstep barrier, common/write_sink.h). Never share them
+  /// across concurrently running Simulations: each run_agreement builds
+  /// its own Env, so parallel drivers are safe.
   std::shared_ptr<coin::BatchVerifier> batcher;
 
   std::size_t n() const { return params.n; }
   std::size_t f() const { return params.f; }
-
-  /// A fresh sampler cache and BatchVerifier over this Env's keys. The
-  /// sharded engine runs handlers concurrently, so every process of a
-  /// sharded run takes its own lane instead of the shared `sampler` and
-  /// `batcher`. Verdicts are pure functions of their inputs, so
-  /// decisions, sends and words match the shared wiring; only
-  /// cross-process memo hits (and wall-clock) differ.
-  struct CryptoLane {
-    std::shared_ptr<committee::Sampler> sampler;
-    std::shared_ptr<coin::BatchVerifier> batcher;
-  };
-  CryptoLane new_lane() const;
 
   /// Builds an environment with explicit parameters. strict=true enforces
   /// the paper's ε/d windows (§2, §5.1); strict=false waives the

@@ -128,30 +128,6 @@ std::unique_ptr<sim::Adversary> make_adversary(const RunOptions& o,
   return std::make_unique<sim::RandomAdversary>();
 }
 
-/// One-line, copy-pasteable reconstruction of a run: the (seed, config,
-/// schedule) part of the repro triple (the schedule *phase* rides in the
-/// violation description appended by the caller).
-std::string repro_command(const RunOptions& o) {
-  std::ostringstream os;
-  os << "chaos_run --protocol " << protocol_name(o.protocol) << " --n "
-     << o.n << " --seed " << o.seed << " --adversary "
-     << adversary_name(o.adversary);
-  if (o.crash) os << " --crash " << o.crash;
-  if (o.silent) os << " --silent " << o.silent;
-  if (o.junk) os << " --junk " << o.junk;
-  if (o.crash_recover) os << " --crash-recover " << o.crash_recover;
-  if (o.reliable_channel) {
-    os << " --reliable";
-    if (o.transport_retransmits != 24)
-      os << " --retransmits " << o.transport_retransmits;
-  }
-  if (o.adaptive_victims != static_cast<std::size_t>(-1))
-    os << " --adaptive-victims " << o.adaptive_victims;
-  if (!o.defer_verify) os << " --no-defer-verify";
-  if (!o.chaos.empty()) os << " --schedule \"" << o.chaos.spec() << '"';
-  return os.str();
-}
-
 /// Sees through an optional ReliableProcess wrapper to the protocol.
 ba::BaProcess& as_ba(sim::Process& p) {
   if (auto* wrapped = dynamic_cast<net::ReliableProcess*>(&p))
@@ -160,6 +136,47 @@ ba::BaProcess& as_ba(sim::Process& p) {
 }
 
 }  // namespace
+
+std::string repro_command(const RunOptions& o) {
+  const RunOptions defaults;
+  std::ostringstream os;
+  os << "chaos_run --protocol " << protocol_name(o.protocol) << " --n "
+     << o.n << " --seed " << o.seed << " --adversary "
+     << adversary_name(o.adversary);
+  // chaos_run replays inputs as a ones-prefix (--ones k), expecting 0 for
+  // k = 0, 1 for k >= n and nothing in between unless --expected says.
+  const auto zeros = std::find_if(o.inputs.begin(), o.inputs.end(),
+                                  [](ba::Value v) { return v != ba::kOne; });
+  const auto ones = static_cast<std::size_t>(zeros - o.inputs.begin());
+  const bool prefix = std::all_of(zeros, o.inputs.end(),
+                                  [](ba::Value v) { return v == ba::kZero; });
+  if (ones) os << " --ones " << ones;
+  std::optional<int> implied;
+  if (ones == 0) implied = 0;
+  else if (ones >= o.n) implied = 1;
+  if (o.expected_decision && o.expected_decision != implied)
+    os << " --expected " << *o.expected_decision;
+  if (o.max_rounds != defaults.max_rounds)
+    os << " --max-rounds " << o.max_rounds;
+  if (o.crash) os << " --crash " << o.crash;
+  if (o.silent) os << " --silent " << o.silent;
+  if (o.junk) os << " --junk " << o.junk;
+  if (o.crash_recover) os << " --crash-recover " << o.crash_recover;
+  if (o.recover_after != defaults.recover_after)
+    os << " --recover-after " << o.recover_after;
+  if (o.reliable_channel) {
+    os << " --reliable";
+    if (o.transport_retransmits != defaults.transport_retransmits)
+      os << " --retransmits " << o.transport_retransmits;
+  }
+  if (o.adaptive_victims != defaults.adaptive_victims)
+    os << " --adaptive-victims " << o.adaptive_victims;
+  if (!o.defer_verify) os << " --no-defer-verify";
+  if (!o.chaos.empty()) os << " --schedule \"" << o.chaos.spec() << '"';
+  if (!prefix)
+    os << "  # inputs are not a ones-prefix; --ones cannot replay them";
+  return os.str();
+}
 
 RunReport run_agreement(const RunOptions& options) {
   return run_agreement(options, RunInstruments{});
@@ -189,26 +206,7 @@ RunReport run_agreement(const RunOptions& options,
         options.n, f, options.max_rounds, options.seed + 17);
   }
 
-  // Sharded runs execute handlers concurrently, so the Env-shared
-  // mutable crypto state — the sampler's cache and the BatchVerifier's
-  // queues/memos — becomes one private lane per process. Verdicts are
-  // pure functions of the inputs, so decisions/sends/words are identical
-  // to the shared-lane wiring; only cross-process memo-hit counters (and
-  // wall-clock) differ. Lane batchers outlive the Simulation: their
-  // ledgers are aggregated after teardown, like env.batcher's.
-  const bool sharded = options.shards > 0;
-  std::vector<std::shared_ptr<coin::BatchVerifier>> lane_batchers(
-      sharded ? options.n : 0);
-  auto crypto_lane = [&](sim::ProcessId id) -> Env::CryptoLane {
-    if (!sharded) return {env.sampler, env.batcher};
-    Env::CryptoLane lane = env.new_lane();
-    lane_batchers[id] = lane.batcher;
-    return lane;
-  };
-
-  auto make_process =
-      [&](sim::ProcessId id,
-          ba::Value input) -> std::unique_ptr<ba::BaProcess> {
+  auto make_process = [&](ba::Value input) -> std::unique_ptr<ba::BaProcess> {
     switch (options.protocol) {
       case Protocol::kBenOr: {
         ba::BenOr::Config cfg;
@@ -231,7 +229,7 @@ RunReport run_agreement(const RunOptions& options,
         cfg.n = options.n;
         cfg.f = f;
         cfg.max_rounds = options.max_rounds;
-        cfg.make_coin = [env, lane = crypto_lane(id), n = options.n, f,
+        cfg.make_coin = [env, n = options.n, f,
                          defer = options.defer_verify](
                             std::uint64_t round, const std::string& tag) {
           coin::SharedCoin::Config ccfg;
@@ -241,7 +239,7 @@ RunReport run_agreement(const RunOptions& options,
           ccfg.f = f;
           ccfg.vrf = env.vrf;
           ccfg.registry = env.registry;
-          if (defer) ccfg.batcher = lane.batcher;
+          if (defer) ccfg.batcher = env.batcher;
           return std::make_unique<coin::SharedCoin>(ccfg);
         };
         return std::make_unique<ba::Mmr>(cfg, input);
@@ -252,8 +250,7 @@ RunReport run_agreement(const RunOptions& options,
         cfg.n = options.n;
         cfg.f = f;
         cfg.max_rounds = options.max_rounds;
-        cfg.make_coin = [env, lane = crypto_lane(id),
-                         defer = options.defer_verify](
+        cfg.make_coin = [env, defer = options.defer_verify](
                             std::uint64_t round, const std::string& tag) {
           coin::WhpCoin::Config ccfg;
           ccfg.tag = tag;
@@ -261,8 +258,8 @@ RunReport run_agreement(const RunOptions& options,
           ccfg.params = env.params;
           ccfg.vrf = env.vrf;
           ccfg.registry = env.registry;
-          ccfg.sampler = lane.sampler;
-          if (defer) ccfg.batcher = lane.batcher;
+          ccfg.sampler = env.sampler;
+          if (defer) ccfg.batcher = env.batcher;
           return std::make_unique<coin::WhpCoin>(ccfg);
         };
         return std::make_unique<ba::Mmr>(cfg, input);
@@ -284,15 +281,14 @@ RunReport run_agreement(const RunOptions& options,
         return std::make_unique<ba::Mmr>(cfg, input);
       }
       case Protocol::kBaWhp: {
-        auto lane = crypto_lane(id);
         ba::BaWhp::Config cfg;
         cfg.tag = "ba";
         cfg.params = env.params;
         cfg.vrf = env.vrf;
         cfg.registry = env.registry;
-        cfg.sampler = lane.sampler;
+        cfg.sampler = env.sampler;
         cfg.signer = env.signer;
-        if (options.defer_verify) cfg.batcher = lane.batcher;
+        if (options.defer_verify) cfg.batcher = env.batcher;
         cfg.max_rounds = options.max_rounds;
         return std::make_unique<ba::BaWhp>(cfg, input);
       }
@@ -322,7 +318,7 @@ RunReport run_agreement(const RunOptions& options,
   scfg.threads = options.threads;
   // Broadcast-heavy rounds keep O(n) messages per process in flight
   // inside the W-superstep window; presize the calendars for that.
-  if (sharded) scfg.expected_in_flight = options.n * 16;
+  if (options.shards > 0) scfg.expected_in_flight = options.n * 16;
 
   RunReport report;
   report.faulty = faulty;
@@ -346,7 +342,7 @@ RunReport run_agreement(const RunOptions& options,
       sim.add_observer(checker);
     }
     for (sim::ProcessId i = 0; i < options.n; ++i) {
-      std::unique_ptr<sim::Process> p = make_process(i, inputs[i]);
+      std::unique_ptr<sim::Process> p = make_process(inputs[i]);
       if (options.reliable_channel) {
         net::ReliableChannelConfig rcfg;
         rcfg.max_retransmits = options.transport_retransmits;
@@ -429,22 +425,11 @@ RunReport run_agreement(const RunOptions& options,
     if (instruments.metrics_out) instruments.metrics_out(sim.metrics());
   }
 
-  if (sharded) {
-    for (const auto& b : lane_batchers) {
-      if (!b) continue;
-      report.verify_enqueued += b->enqueued();
-      report.verify_batch_flushed += b->flushed();
-      report.verify_discarded += b->discarded();
-      report.sig_checks += b->sig_checks();
-      report.sig_memo_hits += b->sig_memo().hits();
-    }
-  } else if (env.batcher) {
-    report.verify_enqueued = env.batcher->enqueued();
-    report.verify_batch_flushed = env.batcher->flushed();
-    report.verify_discarded = env.batcher->discarded();
-    report.sig_checks = env.batcher->sig_checks();
-    report.sig_memo_hits = env.batcher->sig_memo().hits();
-  }
+  report.verify_enqueued = env.batcher->enqueued();
+  report.verify_batch_flushed = env.batcher->flushed();
+  report.verify_discarded = env.batcher->discarded();
+  report.sig_checks = env.batcher->sig_checks();
+  report.sig_memo_hits = env.batcher->sig_memo().hits();
   return report;
 }
 

@@ -120,8 +120,9 @@ struct RunOptions {
   /// hash-addressed schedule that is bit-identical for every shard and
   /// thread count (DESIGN.md §5g). Scheduling adversaries (`adversary`)
   /// are bypassed in sharded mode; corruption adversaries still act.
-  /// Each process also gets a private sampler cache + BatchVerifier lane
-  /// (instead of the Env-shared ones), since handlers run concurrently.
+  /// Every process shares the Env's sampler and BatchVerifier on both
+  /// engines; concurrent handlers only read their caches, and the writes
+  /// land at each superstep barrier (common/write_sink.h).
   std::size_t shards = 0;
   /// Worker threads for the sharded engine (0 = min(shards, hardware)).
   std::size_t threads = 0;
@@ -214,6 +215,11 @@ RunReport run_agreement(const RunOptions& options);
 /// Same run, with telemetry attached (tools/run_report drives this).
 RunReport run_agreement(const RunOptions& options,
                         const RunInstruments& instruments);
+
+/// The one-line `chaos_run` command that replays the run, printed on every
+/// invariant violation. Options at chaos_run's defaults are left out;
+/// inputs that are not a ones-prefix (`--ones k`) get a trailing `#` note.
+std::string repro_command(const RunOptions& o);
 
 /// Runs every RunOptions to completion on the pool — the fan-out for
 /// chaos sweeps, success-rate estimates and word-scaling curves. Each run

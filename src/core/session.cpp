@@ -66,9 +66,6 @@ SessionReport Session::run_concurrent_slots(
   sim.add_observer(slot_words);
 
   for (sim::ProcessId i = 0; i < n; ++i) {
-    // Sharded handlers run concurrently: one crypto lane per process.
-    Env::CryptoLane lane{env_.sampler, env_.batcher};
-    if (cfg.shards > 0) lane = env_.new_lane();
     auto mux = std::make_unique<ba::InstanceMux>();
     for (std::size_t slot = 0; slot < slots; ++slot) {
       ba::BaWhp::Config bcfg;
@@ -76,9 +73,9 @@ SessionReport Session::run_concurrent_slots(
       bcfg.params = env_.params;
       bcfg.vrf = env_.vrf;
       bcfg.registry = env_.registry;
-      bcfg.sampler = lane.sampler;
+      bcfg.sampler = env_.sampler;
       bcfg.signer = env_.signer;
-      if (defer_verify_) bcfg.batcher = lane.batcher;
+      if (defer_verify_) bcfg.batcher = env_.batcher;
       bcfg.max_rounds = max_rounds;
       bcfg.skip_timeout = options_.skip_timeout;
       mux->add_instance("slot" + std::to_string(slot),

@@ -60,19 +60,20 @@ std::uint64_t VerdictMemo::fingerprint(Fields key) {
   return h;
 }
 
-std::size_t VerdictMemo::probe(std::uint64_t fp, Fields key) const {
+template <typename Same>
+std::size_t VerdictMemo::probe(std::uint64_t fp, Same same) const {
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = home(fp, mask);; i = (i + 1) & mask) {
     const Slot& s = slots_[i];
-    if (s.entry == 0 ||
-        (s.fp == fp && same_key(entries_[s.entry - 1].key, key)))
+    if (s.entry == 0 || (s.fp == fp && same(entries_[s.entry - 1].key)))
       return i;
   }
 }
 
 std::optional<bool> VerdictMemo::lookup(std::uint64_t fp, Fields key) const {
   if (!slots_.empty()) {
-    const Slot& s = slots_[probe(fp, key)];
+    const Slot& s = slots_[probe(
+        fp, [&](const Bytes& stored) { return same_key(stored, key); })];
     if (s.entry != 0) {
       ++hits_;
       return entries_[s.entry - 1].ok;
@@ -83,12 +84,6 @@ std::optional<bool> VerdictMemo::lookup(std::uint64_t fp, Fields key) const {
 }
 
 void VerdictMemo::store(std::uint64_t fp, Fields key, bool ok) {
-  if (2 * (entries_.size() + 1) > slots_.size()) grow();
-  Slot& s = slots_[probe(fp, key)];
-  if (s.entry != 0) {
-    entries_[s.entry - 1].ok = ok;
-    return;
-  }
   Entry e;
   e.key.resize(framed_size(key));
   std::uint8_t* p = e.key.data();
@@ -99,6 +94,19 @@ void VerdictMemo::store(std::uint64_t fp, Fields key, bool ok) {
     p += f.size();
   }
   e.ok = ok;
+  defer_write([this, fp, e = std::move(e)]() mutable {
+    insert(fp, std::move(e));
+  });
+}
+
+void VerdictMemo::insert(std::uint64_t fp, Entry e) {
+  if (2 * (entries_.size() + 1) > slots_.size()) grow();
+  Slot& s = slots_[probe(
+      fp, [&](const Bytes& stored) { return stored == e.key; })];
+  if (s.entry != 0) {
+    entries_[s.entry - 1].ok = e.ok;
+    return;
+  }
   entries_.push_back(std::move(e));
   s = Slot{fp, entries_.size()};
 }

@@ -19,12 +19,14 @@
 //
 // Fields are length-framed in the stored copy, so ("ab", "c") and
 // ("a", "bc") are different keys, and keys with different field counts
-// never match. Single-threaded, like the simulator's handlers: a run
-// that executes handlers on several threads gives each process its own
-// memo (core::Env::new_lane).
+// never match. One memo serves every process of a run on both
+// simulator engines: lookups only read the table and bump atomic
+// counters, and store() goes through defer_write (common/write_sink.h),
+// so on the sharded engine a store waits for the superstep barrier.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/write_sink.h"
 
 namespace coincidence::crypto {
 
@@ -84,14 +87,16 @@ class VerdictMemo {
     bool ok = false;
   };
 
-  /// The slot holding `key`, or the empty slot that ends its probe run.
-  std::size_t probe(std::uint64_t fp, Fields key) const;
+  /// The slot whose key satisfies `same`, or the empty slot ending the run.
+  template <typename Same>
+  std::size_t probe(std::uint64_t fp, Same same) const;
+  void insert(std::uint64_t fp, Entry e);
   void grow();
 
   std::vector<Slot> slots_;  // power-of-two size, at most half full
   std::vector<Entry> entries_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
+  mutable std::atomic<std::uint64_t> hits_ = 0;
+  mutable std::atomic<std::uint64_t> misses_ = 0;
 };
 
 }  // namespace coincidence::crypto

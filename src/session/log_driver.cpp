@@ -49,15 +49,8 @@ LogReport run_replicated_log(const core::Env& env,
                           ? auto_skip_timeout(n, opts.pipeline_depth)
                           : opts.skip_timeout;
 
-  for (std::size_t i = 0; i < n; ++i) {
-    // Sharded handlers run concurrently: one crypto lane per process.
-    if (cfg.shards > 0) {
-      core::Env::CryptoLane lane = env.new_lane();
-      lcfg.sampler = std::move(lane.sampler);
-      lcfg.batcher = std::move(lane.batcher);
-    }
+  for (std::size_t i = 0; i < n; ++i)
     sim.add_process(std::make_unique<LogProcess>(lcfg));
-  }
   sim::ProcessId next = static_cast<sim::ProcessId>(n);
   for (std::size_t i = 0; i < opts.silent_faults; ++i)
     sim.corrupt(--next, sim::FaultPlan::silent());

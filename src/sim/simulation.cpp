@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/errors.h"
+#include "common/write_sink.h"
 
 namespace coincidence::sim {
 
@@ -70,6 +71,7 @@ struct Simulation::CalEntry {
 struct Simulation::ShardState {
   std::vector<std::vector<CalEntry>> ring;
   std::vector<CalEntry> acts;
+  WriteSink writes;  // run-wide cache writes of this shard's handlers
 };
 
 // ---------------------------------------------------------------- Slot --
@@ -870,7 +872,9 @@ bool Simulation::step() {
 //   2. exchange: pull the due calendar slot per shard, sort by rank —
 //      parallel, pure;
 //   3. handlers: each shard runs its activations in rank order, each
-//      recording its effects — parallel, shard-local state only;
+//      recording its effects — parallel, shard-local state only; the
+//      run-wide caches are read-only, and their writes queue on the
+//      shard's WriteSink, drained in shard order after the phase;
 //   4. commit: each delivery's events, then commit_effects, in the
 //      globally merged rank order — serial.
 // Fairness is structural here (nothing waits more than W supersteps), so
@@ -899,6 +903,7 @@ void Simulation::route_message(Message msg) {
 void Simulation::run_shard_handlers(std::size_t shard) {
   ShardState& st = *shard_states_[shard];
   ShardStats& stats = shard_stats_[shard];
+  const WriteSink::Scope deferred(st.writes);
   for (CalEntry& act : st.acts) {
     Slot& receiver = *slots_[act.msg.to];
     if (!(receiver.corrupted && receiver.crash_like())) {
@@ -1001,9 +1006,10 @@ bool Simulation::superstep() {
     ++cursor[best];
   }
 
-  // Phase 3 — handlers, in parallel; every side effect recorded.
+  // Phase 3 — handlers, in parallel; effects recorded, cache writes queued.
   shard_pool_->for_each_index(
       cfg_.shards, [this](std::size_t s) { run_shard_handlers(s); });
+  for (auto& st : shard_states_) st->writes.drain();
 
   // Phase 4 — serial commit in the merged canonical order. The
   // hash-addressed schedule's "choice" is never forced by fairness

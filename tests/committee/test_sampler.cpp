@@ -7,6 +7,7 @@
 #include "common/errors.h"
 
 #include "common/stats.h"
+#include "common/write_sink.h"
 #include "crypto/fast_vrf.h"
 
 namespace coincidence::committee {
@@ -192,6 +193,48 @@ TEST(CachingSampler, DistinguishesProofsUnderOneKey) {
   forged[0] ^= 1;
   EXPECT_FALSE(cached.committee_val("s", 3, forged));
   EXPECT_TRUE(cached.committee_val("s", 3, e.proof));  // still cached true
+}
+
+TEST(CachingSampler, WritesUnderASinkWaitForTheDrain) {
+  // The same calls on two samplers, one under a sink (a sharded handler
+  // phase) and one without (the legacy loop).
+  auto reg = crypto::KeyRegistry::create_for(8, 80);
+  auto vrf = std::make_shared<crypto::FastVrf>(reg);
+  const std::string seed = "s";
+  auto calls = [&](const CachingSampler& s) {
+    std::vector<Sampler::ValCheck> checks;
+    std::vector<Bytes> forged;
+    forged.reserve(8);
+    std::vector<char> verdicts;
+    for (ProcessId i = 0; i < 8; ++i) {
+      const Sampler::Election e = s.sample(i, seed);
+      EXPECT_EQ(s.committee_val(seed, i, e.proof), e.sampled);
+      forged.push_back(e.proof);
+      forged.back()[0] ^= 1;
+      checks.push_back({&seed, i, forged.back()});
+    }
+    s.committee_val_batch(checks, verdicts);
+    for (char v : verdicts) EXPECT_FALSE(v);
+  };
+  CachingSampler serial(vrf, reg, 0.99);
+  calls(serial);
+
+  CachingSampler deferred(vrf, reg, 0.99);
+  WriteSink sink;
+  {
+    const WriteSink::Scope scope(sink);
+    calls(deferred);
+    EXPECT_EQ(deferred.sample_cache_size(), 0u);
+    EXPECT_EQ(deferred.val_cache_size(), 0u);
+  }
+  sink.drain();
+  EXPECT_EQ(deferred.sample_cache_size(), serial.sample_cache_size());
+  EXPECT_EQ(deferred.val_cache_size(), serial.val_cache_size());
+  // Each forged proof cached its own negative verdict beside the honest
+  // one: 8 honest + 8 forged keys.
+  EXPECT_EQ(deferred.val_cache_size(), 16u);
+  calls(deferred);  // all hits now
+  EXPECT_EQ(deferred.val_cache_size(), 16u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "common/errors.h"
 #include "core/coin_runner.h"
 
@@ -213,6 +216,117 @@ TEST(Runner, CodingCountersFollowTheCodeShape) {
                     Counter::kRbcDecodes, Counter::kRbcFragmentsDecoded,
                     Counter::kRbcDecodeFailures})
     EXPECT_EQ(wrapped.counters[k], c[k]);
+}
+
+TEST(Runner, ShardedRunsShareOneCryptoStateAtEveryShardCount) {
+  // The sharded engine shares the Env's memos like the legacy loop does:
+  // every shard/thread count exports the same run, and the VRF-share
+  // memo keeps most of the legacy loop's run-wide hits.
+  RunOptions options;
+  options.protocol = Protocol::kBaWhp;
+  options.n = 64;
+  options.seed = 7;
+  options.d = 0.001;  // perfbench's ba_whp setting; d = 0.02 wedges seed 7
+  options.inputs.assign(64, ba::kOne);
+  const std::uint64_t legacy_hits =
+      run_agreement(options).counters[Counter::kVerifyMemoHits];
+
+  // Everything but the shard telemetry, which names the shard count.
+  auto surface = [](const RunReport& r, const std::string& metrics) {
+    std::ostringstream os;
+    os << r.all_correct_decided << r.agreement << r.decision.value_or(-1)
+       << ' ' << r.max_decided_round << ' ' << r.correct_words << ' '
+       << r.messages << ' ' << r.duration << ' ' << r.faulty << ' '
+       << r.protocol_f << ' ' << r.sig_checks << ' ' << r.sig_memo_hits
+       << ' ' << r.verify_enqueued << ' ' << r.verify_batch_flushed << ' '
+       << r.verify_discarded << ' ' << r.corrupted << ' ' << r.supersteps
+       << ' ' << r.invariant_violations.size() << '\n';
+    for (const auto& [tag, words] : r.words_by_tag)
+      os << tag << '=' << words << '\n';
+    for (std::size_t c = 0; c < sim::kCounterCount; ++c)
+      os << r.counters[static_cast<Counter>(c)] << ' ';
+    return os.str() + '\n' + metrics;
+  };
+
+  std::string reference;
+  std::uint64_t sharded_hits = 0;
+  for (std::size_t shards : {1, 2, 4, 8}) {
+    for (std::size_t threads : {1, 4}) {
+      options.shards = shards;
+      options.threads = threads;
+      RunInstruments instruments;
+      instruments.detailed_metrics = true;
+      std::string metrics;
+      instruments.metrics_out = [&](const sim::Metrics& m) {
+        std::ostringstream os;
+        m.to_json(os);
+        metrics = os.str();
+      };
+      const RunReport r = run_agreement(options, instruments);
+      ASSERT_TRUE(r.all_correct_decided);
+      EXPECT_EQ(r.decision, 1);
+      const std::string got = surface(r, metrics);
+      if (reference.empty()) {
+        reference = got;
+        sharded_hits = r.counters[Counter::kVerifyMemoHits];
+      }
+      EXPECT_EQ(got, reference) << "shards=" << shards
+                                << " threads=" << threads;
+    }
+  }
+  EXPECT_GE(10 * sharded_hits, 9 * legacy_hits)
+      << sharded_hits << " sharded vs " << legacy_hits << " legacy";
+}
+
+TEST(Runner, ReproCommandReplaysAnEvenSeedChurnCell) {
+  // chaos_run's sweep runs even seeds with all-ones inputs expecting 1,
+  // and churn cells with one crash-recover fault down for 64·n
+  // deliveries. The repro line must carry both, or chaos_run replays
+  // all-zero inputs with --recover-after 5000.
+  RunOptions o;
+  o.protocol = Protocol::kBaWhp;
+  o.n = 32;
+  o.seed = 12;
+  o.chaos = sim::ChaosSchedule::preset("churn", o.n);
+  o.check_invariants = true;
+  o.inputs.assign(o.n, ba::kOne);
+  o.expected_decision = 1;
+  o.crash_recover = 1;
+  o.recover_after = 64 * o.n;
+  const std::string line = repro_command(o);
+  EXPECT_NE(line.find(" --ones 32"), std::string::npos) << line;
+  EXPECT_EQ(line.find("--expected"), std::string::npos) << line;
+  EXPECT_NE(line.find(" --crash-recover 1 --recover-after 2048"),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find("--max-rounds"), std::string::npos) << line;
+  EXPECT_EQ(line.find('#'), std::string::npos) << line;
+}
+
+TEST(Runner, ReproCommandSaysWhatItCannotReplay) {
+  RunOptions o;
+  o.protocol = Protocol::kBracha;
+  o.n = 8;
+  o.max_rounds = 9;
+  o.inputs = {ba::kOne, ba::kOne, ba::kOne, ba::kZero,
+              ba::kZero, ba::kZero, ba::kZero, ba::kZero};
+  o.expected_decision = 1;  // --ones 3 implies no expectation
+  std::string line = repro_command(o);
+  EXPECT_NE(line.find(" --ones 3 --expected 1 --max-rounds 9"),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find('#'), std::string::npos) << line;
+
+  o.inputs[5] = ba::kOne;
+  line = repro_command(o);
+  EXPECT_NE(line.find("# inputs are not a ones-prefix"), std::string::npos)
+      << line;
+
+  o.inputs.clear();  // all zero, which chaos_run's default replays
+  o.expected_decision = 0;
+  line = repro_command(o);
+  EXPECT_EQ(line.find("--ones"), std::string::npos) << line;
+  EXPECT_EQ(line.find("--expected"), std::string::npos) << line;
 }
 
 TEST(Runner, InstrumentedRunMatchesBareRun) {

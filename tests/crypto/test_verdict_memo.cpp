@@ -3,12 +3,15 @@
 // fingerprint collisions must still resolve by content; negative
 // verdicts are cached like positive ones; and the memo owns its keys, so
 // a verdict outlives the caller's buffer (ASan builds check the reads).
+// Under a WriteSink stores wait for the drain, then match serial stores.
 #include "crypto/verdict_memo.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+
+#include "common/write_sink.h"
 
 namespace coincidence::crypto {
 namespace {
@@ -77,6 +80,44 @@ TEST(VerdictMemo, VerdictOutlivesTheCallersBuffer) {
   buffer.reset();  // a memo holding views would now read freed memory
   const Bytes copy = bytes_of("a payload that is freed");
   EXPECT_TRUE(memo.lookup(fp, {copy}).value_or(false));
+}
+
+TEST(VerdictMemo, StoresUnderASinkWaitForTheDrain) {
+  // The same calls on two memos, one under a sink (a sharded handler
+  // phase) and one without (the legacy loop).
+  const Bytes honest = bytes_of("honest");
+  const Bytes forged = bytes_of("forged");
+  auto calls = [&](VerdictMemo& memo) {
+    int checks = 0;
+    for (int round = 0; round < 2; ++round) {
+      memo.verdict(1, {honest}, [&] { return ++checks, true; });
+      memo.verdict(1, {forged}, [&] { return ++checks, false; });
+    }
+    return checks;
+  };
+  VerdictMemo serial;
+  EXPECT_EQ(calls(serial), 2);  // the second round hits
+
+  VerdictMemo deferred;
+  WriteSink sink;
+  {
+    const WriteSink::Scope scope(sink);
+    EXPECT_EQ(calls(deferred), 4);  // no store is visible yet
+    EXPECT_EQ(deferred.size(), 0u);
+    EXPECT_EQ(deferred.hits(), 0u);
+  }
+  sink.drain();
+  EXPECT_EQ(deferred.size(), serial.size());  // repeats collapse
+  EXPECT_EQ(deferred.size(), 2u);
+  EXPECT_EQ(deferred.lookup(1, {honest}), std::optional<bool>(true));
+  EXPECT_EQ(deferred.lookup(1, {forged}), std::optional<bool>(false));
+  sink.drain();  // drained writes do not replay
+  EXPECT_EQ(deferred.size(), 2u);
+
+  // Out of the scope the sink is gone and stores apply at once.
+  const Bytes late = bytes_of("late");
+  deferred.store(2, {late}, true);
+  EXPECT_EQ(deferred.lookup(2, {late}), std::optional<bool>(true));
 }
 
 TEST(VerdictMemo, GrowthKeepsEveryVerdict) {

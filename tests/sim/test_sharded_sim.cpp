@@ -21,7 +21,6 @@
 #include "ba/ba_whp.h"
 #include "coin/coin_protocol.h"
 #include "coin/whp_coin.h"
-#include "committee/sampler.h"
 #include "core/env.h"
 #include "sim/chaos.h"
 #include "sim/simulation.h"
@@ -80,14 +79,6 @@ RunSurface surface_of(const sim::Simulation& sim,
   return out;
 }
 
-/// Every process gets a private sampler cache — the sharded engine runs
-/// handlers concurrently, so the Env-shared CachingSampler must not be
-/// used (its cache is unsynchronized).
-std::shared_ptr<committee::Sampler> private_sampler(const core::Env& env) {
-  return std::make_shared<committee::CachingSampler>(
-      env.vrf, env.registry, env.params.sample_prob());
-}
-
 RunSurface run_whp_coin(std::size_t shards, std::size_t threads) {
   const std::size_t n = 40;
   core::Env env = core::Env::make_relaxed(n, /*seed=*/101);
@@ -107,7 +98,7 @@ RunSurface run_whp_coin(std::size_t shards, std::size_t threads) {
     ccfg.params = env.params;
     ccfg.vrf = env.vrf;
     ccfg.registry = env.registry;
-    ccfg.sampler = private_sampler(env);
+    ccfg.sampler = env.sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(std::move(ccfg))));
   }
@@ -144,7 +135,7 @@ RunSurface run_ba_whp(std::size_t shards, std::size_t threads) {
     bcfg.params = env.params;
     bcfg.vrf = env.vrf;
     bcfg.registry = env.registry;
-    bcfg.sampler = private_sampler(env);
+    bcfg.sampler = env.sampler;
     bcfg.signer = env.signer;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
@@ -186,7 +177,7 @@ RunSurface run_chaos(std::size_t shards, std::size_t threads) {
     bcfg.params = env.params;
     bcfg.vrf = env.vrf;
     bcfg.registry = env.registry;
-    bcfg.sampler = private_sampler(env);
+    bcfg.sampler = env.sampler;
     bcfg.signer = env.signer;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
@@ -283,7 +274,7 @@ TEST(ShardedSim, ShardStatsAccountForEveryDelivery) {
     ccfg.params = env.params;
     ccfg.vrf = env.vrf;
     ccfg.registry = env.registry;
-    ccfg.sampler = private_sampler(env);
+    ccfg.sampler = env.sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(std::move(ccfg))));
   }

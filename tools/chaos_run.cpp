@@ -355,7 +355,8 @@ int main(int argc, char** argv) {
   if (r.decision) std::cout << "  decision=" << *r.decision;
   const sim::Counters& c = r.counters;
   std::cout << "  rounds<=" << r.max_decided_round
-            << "\n  corrupted: " << r.corrupted << " (of f=" << r.protocol_f
+            << "\n  words (correct): " << r.correct_words
+            << "  messages: " << r.messages << "\n  corrupted: " << r.corrupted << " (of f=" << r.protocol_f
             << ")  churn crashes: " << c[C::kChurnCrashes]
             << "\n  partition held/dropped/released: "
             << c[C::kPartitionHeld] << '/' << c[C::kPartitionDropped] << '/'
