@@ -287,7 +287,6 @@ RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.shards = g_shards;
   cfg.threads = g_threads;
-  if (g_shards > 0) cfg.expected_in_flight = n * 16;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
     coin::WhpCoin::Config ccfg;
@@ -325,7 +324,6 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.shards = g_shards;
   cfg.threads = g_threads;
-  if (g_shards > 0) cfg.expected_in_flight = n * 16;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
     ba::BaWhp::Config bcfg;
@@ -400,7 +398,6 @@ RunStats run_rbc(std::size_t n, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.shards = g_shards;
   cfg.threads = g_threads;
-  if (g_shards > 0) cfg.expected_in_flight = n * 16;
   crypto::VerdictMemo memo;  // outlives the simulation's processes
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {

@@ -8,7 +8,10 @@
 // command". All slots run *concurrently* over one network and one
 // trusted setup (the paper's §3 point: the PKI is set up once for any
 // number of BA instances). The decided log is identical at every correct
-// replica; a few replicas are Byzantine-silent throughout.
+// replica; a few replicas are Byzantine-silent throughout. Every slot
+// arms the round-skip fallback, so a slot whose round-0 committee draws
+// too few live members re-draws in round 1 instead of stalling (at the
+// defaults, slots 6 and 7 decide that way).
 //
 //   ./replicated_log [--n 64] [--slots 8] [--seed 1] [--loss 0.3]
 #include <iomanip>

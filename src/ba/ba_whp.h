@@ -39,6 +39,7 @@
 // committee-tail event at O(n²) extra words only on wedged rounds.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -75,9 +76,8 @@ class BaWhp final : public BaProcess {
     /// Round-skip liveness fallback (header comment above): broadcast a
     /// <skip-req> after this many delivery events without round progress.
     /// 0 (the default) disables the fallback entirely — no wakeups, no
-    /// extra messages, byte-identical to prior releases. Drivers should
-    /// size it well above one healthy round's delivery count (the
-    /// session layer scales it by n and concurrent slots).
+    /// extra messages, byte-identical to prior releases. Multi-slot
+    /// drivers arm auto_skip_timeout() (below).
     std::uint64_t skip_timeout = 0;
   };
 
@@ -211,5 +211,16 @@ class BaWhp final : public BaProcess {
   std::vector<bool> certed_;          // requesters already answered
   std::vector<bool> cert_rejected_;   // senders of invalid certificates
 };
+
+/// The skip budget every multi-slot driver arms: 192·n delivery events
+/// per concurrent slot. A healthy BA round at n=48 burns a few thousand
+/// deliveries per slot, and concurrent slots multiplex one delivery
+/// clock, so the stall horizon scales with the slots in flight. Far
+/// above one round, far below the run budget: false skips cost fresh
+/// committees (harmless), late skips cost wall-clock.
+inline std::uint64_t auto_skip_timeout(std::size_t n,
+                                       std::size_t concurrent_slots) {
+  return 192ULL * n * std::max<std::size_t>(concurrent_slots, 1);
+}
 
 }  // namespace coincidence::ba

@@ -16,8 +16,6 @@ BatchVerifier::FlushStats BatchVerifier::verify_shares(
   out.assign(entries.size(), 0);
   FlushStats stats;
   if (entries.empty()) return stats;
-  ++batches_;
-  shares_ += entries.size();
 
   // Memo pass (serial): duplicate and replayed tuples — common under
   // lossy links, and guaranteed across the n receivers of one broadcast
@@ -50,7 +48,6 @@ BatchVerifier::FlushStats BatchVerifier::verify_shares(
 
   for (char v : out)
     if (!v) ++stats.rejects;
-  rejects_ += stats.rejects;
   return stats;
 }
 

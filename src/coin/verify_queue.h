@@ -98,12 +98,8 @@ class BatchVerifier {
   /// (Broadcast::Config::memo), shared by every process of the run.
   crypto::VerdictMemo& rbc_memo() { return rbc_memo_; }
 
-  /// Cumulative counters across all flushes (all processes of the run).
-  std::uint64_t batches() const { return batches_; }
-  std::uint64_t shares() const { return shares_; }
-  std::uint64_t rejects() const { return rejects_; }
-
-  /// Signature-path counters (verify_signatures + check_signature).
+  /// Signature-path counters (verify_signatures + check_signature),
+  /// cumulative across all processes of the run.
   std::uint64_t sig_batches() const { return sig_batches_; }
   std::uint64_t sig_checks() const { return sig_checks_; }
   std::uint64_t sig_rejects() const { return sig_rejects_; }
@@ -128,9 +124,6 @@ class BatchVerifier {
   crypto::VerifyMemo memo_;
   crypto::SigMemo sig_memo_;
   crypto::VerdictMemo rbc_memo_;
-  std::atomic<std::uint64_t> batches_ = 0;
-  std::atomic<std::uint64_t> shares_ = 0;
-  std::atomic<std::uint64_t> rejects_ = 0;
   std::atomic<std::uint64_t> sig_batches_ = 0;
   std::atomic<std::uint64_t> sig_checks_ = 0;
   std::atomic<std::uint64_t> sig_rejects_ = 0;

@@ -76,8 +76,6 @@ CoinReport run_coin_trial(const CoinOptions& options) {
                    (options.delay_senders == 0 && !options.content_aware_bias),
                "run_coin_trial: scheduling adversaries need the legacy loop");
   scfg.shards = options.shards;
-  scfg.threads = options.threads;
-  if (options.shards > 0) scfg.expected_in_flight = options.n * 16;
   sim::Simulation sim(scfg);
   for (sim::ProcessId i = 0; i < options.n; ++i)
     sim.add_process(std::make_unique<coin::CoinHost>(make_coin(i)));

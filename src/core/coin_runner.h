@@ -48,10 +48,8 @@ struct CoinOptions {
   /// Sharded superstep engine (SimConfig::shards): 0 = legacy loop.
   /// Incompatible with the scheduling adversaries (delay_senders /
   /// content_aware_bias), whose per-delivery choices the hash-addressed
-  /// schedule replaces.
+  /// schedule replaces. Runs on min(shards, hardware) workers.
   std::size_t shards = 0;
-  /// Worker threads for the sharded engine (0 = min(shards, hardware)).
-  std::size_t threads = 0;
 };
 
 struct CoinReport {

@@ -71,6 +71,15 @@ const char* adversary_name(AdversaryKind a) {
   return "unknown";
 }
 
+std::optional<AdversaryKind> adversary_from_name(const std::string& name) {
+  for (AdversaryKind a :
+       {AdversaryKind::kRandom, AdversaryKind::kFifo,
+        AdversaryKind::kDelaySenders, AdversaryKind::kSplit,
+        AdversaryKind::kHeavyTail, AdversaryKind::kAdaptiveCorruption})
+    if (name == adversary_name(a)) return a;
+  return std::nullopt;
+}
+
 namespace {
 
 std::size_t resilience_f(Protocol p, std::size_t n, const Env& env) {
@@ -316,9 +325,6 @@ RunReport run_agreement(const RunOptions& options,
   scfg.chaos = options.chaos;
   scfg.shards = options.shards;
   scfg.threads = options.threads;
-  // Broadcast-heavy rounds keep O(n) messages per process in flight
-  // inside the W-superstep window; presize the calendars for that.
-  if (options.shards > 0) scfg.expected_in_flight = options.n * 16;
 
   RunReport report;
   report.faulty = faulty;

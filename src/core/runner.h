@@ -59,6 +59,7 @@ enum class AdversaryKind {
 };
 
 const char* adversary_name(AdversaryKind a);
+std::optional<AdversaryKind> adversary_from_name(const std::string& name);
 
 struct RunOptions {
   Protocol protocol = Protocol::kBaWhp;

@@ -59,8 +59,6 @@ SessionReport Session::run_concurrent_slots(
   cfg.n = n;
   cfg.f = silent_faults;
   cfg.seed = seed;
-  cfg.shards = options_.shards;
-  cfg.threads = options_.threads;
   sim::Simulation sim(cfg);
   auto slot_words = std::make_shared<SlotWordObserver>(slots);
   sim.add_observer(slot_words);
@@ -77,7 +75,7 @@ SessionReport Session::run_concurrent_slots(
       bcfg.signer = env_.signer;
       if (defer_verify_) bcfg.batcher = env_.batcher;
       bcfg.max_rounds = max_rounds;
-      bcfg.skip_timeout = options_.skip_timeout;
+      bcfg.skip_timeout = ba::auto_skip_timeout(n, slots);
       mux->add_instance("slot" + std::to_string(slot),
                         std::make_unique<ba::BaWhp>(bcfg, inputs[slot][i]));
     }

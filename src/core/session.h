@@ -34,17 +34,6 @@ struct SlotReport {
   std::uint64_t correct_words = 0;  // attributed by slot tag prefix
 };
 
-/// Session-wide knobs (all default to the legacy behaviour).
-struct SessionOptions {
-  /// BaWhp round-skip liveness fallback (ba_whp.h): silence window in
-  /// delivery events before a wedged round is skipped. 0 = off.
-  std::uint64_t skip_timeout = 0;
-  /// Sharded superstep engine (sim/simulation.h). 0 = legacy loop;
-  /// k >= 1 is bit-identical for every shard/thread count.
-  std::size_t shards = 0;
-  std::size_t threads = 0;
-};
-
 struct SessionReport {
   std::vector<SlotReport> slots;
   std::uint64_t correct_words = 0;   // across all slots
@@ -68,15 +57,13 @@ class Session {
   /// decisions and word counts are bit-identical either way.
   void set_defer_verify(bool on) { defer_verify_ = on; }
 
-  /// Applies to every subsequent run_concurrent_slots call.
-  void set_options(const SessionOptions& options) { options_ = options; }
-  const SessionOptions& options() const { return options_; }
-
   /// Runs `inputs.size()` BA-WHP instances *concurrently* in a single
   /// simulation: every process participates in all slots at once;
   /// inputs[slot][process] is its proposal for that slot. Committee seeds
   /// derive from the slot tag, so each slot gets fresh committees from
-  /// the same keys.
+  /// the same keys. Every slot arms the round-skip fallback at
+  /// ba::auto_skip_timeout(n, slots), so a slot whose committee draws
+  /// fewer than W live members re-draws instead of wedging.
   SessionReport run_concurrent_slots(
       const std::vector<std::vector<ba::Value>>& inputs, std::uint64_t seed,
       std::size_t silent_faults = 0, std::uint64_t max_rounds = 32);
@@ -86,7 +73,6 @@ class Session {
  private:
   Env env_;
   bool defer_verify_ = true;
-  SessionOptions options_;
 };
 
 }  // namespace coincidence::core

@@ -8,15 +8,6 @@
 
 namespace coincidence::session {
 
-std::uint64_t auto_skip_timeout(std::size_t n, std::size_t pipeline_depth) {
-  // A healthy BA round at n=48 burns a few thousand deliveries per slot;
-  // concurrent slots multiplex one delivery clock, so the stall horizon
-  // scales with the in-flight depth. Far above one round, far below the
-  // run budget: false skips cost fresh committees (harmless), late
-  // skips cost wall-clock.
-  return 192ULL * n * std::max<std::size_t>(pipeline_depth, 1);
-}
-
 LogReport run_replicated_log(const core::Env& env,
                              const LogRunOptions& opts) {
   const std::size_t n = env.n();
@@ -45,9 +36,7 @@ LogReport run_replicated_log(const core::Env& env,
   lcfg.max_candidates = opts.max_candidates;
   lcfg.client_seed = opts.client_seed;
   lcfg.rbc = opts.rbc;
-  lcfg.skip_timeout = opts.skip_timeout == LogRunOptions::kAutoSkip
-                          ? auto_skip_timeout(n, opts.pipeline_depth)
-                          : opts.skip_timeout;
+  lcfg.skip_timeout = auto_skip_timeout(n, opts.pipeline_depth);
 
   for (std::size_t i = 0; i < n; ++i)
     sim.add_process(std::make_unique<LogProcess>(lcfg));

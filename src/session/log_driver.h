@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ba/ba_whp.h"
 #include "core/env.h"
 #include "session/replicated_log.h"
 
@@ -21,13 +22,6 @@ struct LogRunOptions {
   std::size_t batch_size = 4;
   std::size_t silent_faults = 0;
   std::uint64_t sim_seed = 1;
-
-  /// Round-skip fallback budget per inner BA (ba_whp.h). kAutoSkip
-  /// scales with n and the pipeline depth — concurrent slots share the
-  /// delivery clock, so a healthy round takes proportionally longer
-  /// when more slots are in flight. 0 disables the fallback.
-  static constexpr std::uint64_t kAutoSkip = ~0ULL;
-  std::uint64_t skip_timeout = kAutoSkip;
 
   /// Sharded superstep engine (sim/simulation.h). 0 = legacy loop.
   std::size_t shards = 0;
@@ -72,9 +66,9 @@ struct LogReport {
   std::string fingerprint;
 };
 
-/// The effective skip budget kAutoSkip resolves to (exposed so benches
-/// and tests can report it).
-std::uint64_t auto_skip_timeout(std::size_t n, std::size_t pipeline_depth);
+/// Every inner BA arms the round-skip fallback at
+/// auto_skip_timeout(n, pipeline_depth) (ba_whp.h).
+using ba::auto_skip_timeout;
 
 LogReport run_replicated_log(const core::Env& env,
                              const LogRunOptions& opts);

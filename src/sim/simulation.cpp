@@ -220,22 +220,21 @@ Simulation::Simulation(SimConfig cfg)
     // the clamp keeps shard_of() total without changing any schedule
     // (the schedule depends on (seed, route order), not the shard map).
     cfg_.shards = std::min(cfg_.shards, cfg_.n);
-    if (cfg_.shard_slack == 0) cfg_.shard_slack = 1;
     shard_seed_ = mix64(cfg_.seed ^ 0x73686172645f7373ULL);  // "shard_ss"
     shard_states_.reserve(cfg_.shards);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       auto st = std::make_unique<ShardState>();
-      st->ring.resize(cfg_.shard_slack);
+      st->ring.resize(kShardSlack);
       shard_states_.push_back(std::move(st));
     }
-    slot_counts_.assign(cfg_.shard_slack, 0);
+    slot_counts_.assign(kShardSlack, 0);
     shard_stats_.assign(cfg_.shards, ShardStats{});
-    if (cfg_.expected_in_flight > 0) {
-      const std::size_t per_slot =
-          cfg_.expected_in_flight / (cfg_.shards * cfg_.shard_slack) + 1;
-      for (auto& st : shard_states_)
-        for (auto& slot : st->ring) slot.reserve(per_slot);
-    }
+    const std::size_t in_flight = cfg_.expected_in_flight > 0
+                                      ? cfg_.expected_in_flight
+                                      : 16 * cfg_.n;
+    const std::size_t per_slot = in_flight / (cfg_.shards * kShardSlack) + 1;
+    for (auto& st : shard_states_)
+      for (auto& slot : st->ring) slot.reserve(per_slot);
     std::size_t threads = cfg_.threads;
     if (threads == 0) threads = std::min(cfg_.shards, default_thread_count());
     shard_pool_ = std::make_unique<ThreadPool>(threads);
@@ -893,8 +892,8 @@ void Simulation::route_message(Message msg) {
   e.enqueue_index = deliveries_;
   e.msg = std::move(msg);
   const auto slot =
-      static_cast<std::size_t>((superstep_ + 1 + h % cfg_.shard_slack) %
-                               cfg_.shard_slack);
+      static_cast<std::size_t>((superstep_ + 1 + h % kShardSlack) %
+                               kShardSlack);
   shard_states_[shard]->ring[slot].push_back(std::move(e));
   ++slot_counts_[slot];
   ++calendar_size_;
@@ -945,9 +944,9 @@ bool Simulation::superstep() {
   do {
     ++superstep_;
   } while (slot_counts_[static_cast<std::size_t>(
-               superstep_ % cfg_.shard_slack)] == 0);
+               superstep_ % kShardSlack)] == 0);
   const auto slot =
-      static_cast<std::size_t>(superstep_ % cfg_.shard_slack);
+      static_cast<std::size_t>(superstep_ % kShardSlack);
 
   // Phase 2 — exchange: move the due slot into each shard's work list
   // and sort by the canonical (okey, route_seq) rank, in parallel. Idle

@@ -76,15 +76,17 @@ struct SimConfig {
   /// Worker threads for the sharded engine, including the calling thread
   /// (0 = min(shards, hardware)). Never affects the schedule.
   std::size_t threads = 0;
-  /// Superstep slack window W: a routed message is delivered 1..W
-  /// supersteps after routing (hash-chosen). Larger W spreads a burst
-  /// over more supersteps (more reordering latitude, smaller batches).
-  std::uint64_t shard_slack = 4;
   /// Capacity hint: expected peak in-flight messages. Presizes the
   /// pending pool (legacy) or the shard calendars (sharded) so large-n
-  /// runs do not rehash/regrow mid-flight. 0 = no reservation.
+  /// runs do not rehash/regrow mid-flight. 0 = no reservation on the
+  /// legacy loop and 16·n on the sharded engine, whose broadcast-heavy
+  /// rounds keep O(n) messages per process inside the W window.
   std::size_t expected_in_flight = 0;
 };
+
+/// Superstep slack window W of the sharded engine: a routed message is
+/// delivered 1..W supersteps after routing (hash-chosen).
+inline constexpr std::uint64_t kShardSlack = 4;
 
 /// Per-shard telemetry of a sharded run (run_report surfaces this; it
 /// never enters Metrics, whose exports must stay byte-identical across

@@ -71,19 +71,8 @@ const char* fault_mode_name(FaultPlan::Mode mode) {
   return "unknown";
 }
 
-TraceRecorder::TraceRecorder(std::string tag_filter)
-    : tag_filter_(std::move(tag_filter)) {}
-
 TraceRecorder::TraceRecorder(TraceOptions opts)
-    : tag_filter_(std::move(opts.tag_filter)), structured_(opts.structured) {}
-
-void TraceRecorder::clear() {
-  events_.clear();
-  records_.clear();
-  clocks_.clear();
-  send_clock_.clear();
-  copy_prov_.clear();
-}
+    : tag_filter_(std::move(opts.tag_filter)) {}
 
 bool TraceRecorder::passes_filter(const Message& msg) const {
   return tag_filter_.empty() ||
@@ -117,9 +106,6 @@ void TraceRecorder::record_message(Rec::Kind kind, const Message& msg,
 
 void TraceRecorder::on_send(const Message& msg, bool sender_correct) {
   if (!passes_filter(msg)) return;
-  events_.push_back({Event::Kind::kSend, msg.id, msg.from, msg.to,
-                     msg.tag.str(), msg.words, sender_correct});
-  if (!structured_) return;
   // Lamport send: bump the sender's own component and snapshot. The
   // snapshot is keyed by send_seq so that link duplicates and replays of
   // this send (fresh msg ids, same send_seq) still resolve to it.
@@ -132,9 +118,6 @@ void TraceRecorder::on_send(const Message& msg, bool sender_correct) {
 
 void TraceRecorder::on_deliver(const Message& msg) {
   if (!passes_filter(msg)) return;
-  events_.push_back({Event::Kind::kDeliver, msg.id, msg.from, msg.to,
-                     msg.tag.str(), msg.words, true});
-  if (!structured_) return;
   // Lamport receive: fold the send snapshot in, then bump the receiver.
   auto& clock = clock_of(msg.to);
   if (const auto* sent = send_clock_.find(msg.send_seq)) {
@@ -152,9 +135,6 @@ void TraceRecorder::on_deliver(const Message& msg) {
 void TraceRecorder::on_corrupt(ProcessId target, const FaultPlan& plan) {
   // Never filtered: the tag field holds a fault-mode name, not a message
   // tag, and fault accounting must survive any tag_filter.
-  events_.push_back({Event::Kind::kCorrupt, 0, target, target,
-                     fault_mode_name(plan.mode), 0, false});
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kCorrupt;
   rec.from = target;
@@ -164,7 +144,6 @@ void TraceRecorder::on_corrupt(ProcessId target, const FaultPlan& plan) {
 }
 
 void TraceRecorder::on_recover(ProcessId target) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kRecover;
   rec.from = target;
@@ -172,13 +151,11 @@ void TraceRecorder::on_recover(ProcessId target) {
 }
 
 void TraceRecorder::on_link_drop(const Message& msg) {
-  if (!structured_) return;
   const auto* vc = send_clock_.find(msg.send_seq);
   record_message(Rec::Kind::kDrop, msg, true, Prov::kFresh, vc);
 }
 
 void TraceRecorder::on_link_duplicate(const Message& msg) {
-  if (!structured_) return;
   copy_prov_.insert_or_assign(msg.id,
                               static_cast<std::uint8_t>(Prov::kDuplicate));
   const auto* vc = send_clock_.find(msg.send_seq);
@@ -186,7 +163,6 @@ void TraceRecorder::on_link_duplicate(const Message& msg) {
 }
 
 void TraceRecorder::on_link_replay(const Message& msg) {
-  if (!structured_) return;
   copy_prov_.insert_or_assign(msg.id,
                               static_cast<std::uint8_t>(Prov::kReplay));
   const auto* vc = send_clock_.find(msg.send_seq);
@@ -195,7 +171,6 @@ void TraceRecorder::on_link_replay(const Message& msg) {
 
 void TraceRecorder::on_dead_letter(ProcessId from, ProcessId to,
                                    const Tag& tag, std::size_t words) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kDeadLetter;
   rec.from = from;
@@ -206,7 +181,6 @@ void TraceRecorder::on_dead_letter(ProcessId from, ProcessId to,
 }
 
 void TraceRecorder::on_decide(const DecideEvent& event) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kDecide;
   rec.from = event.who;
@@ -220,31 +194,11 @@ void TraceRecorder::on_decide(const DecideEvent& event) {
 }
 
 void TraceRecorder::on_round(ProcessId who, std::uint64_t round) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kRound;
   rec.from = who;
   rec.round = round;
   records_.push_back(std::move(rec));
-}
-
-void TraceRecorder::dump(std::ostream& os) const {
-  for (const Event& e : events_) {
-    switch (e.kind) {
-      case Event::Kind::kSend:
-        os << "S " << e.msg_id << ' ' << e.from << "->" << e.to << ' '
-           << e.tag << ' ' << e.words << (e.sender_correct ? "" : " BYZ")
-           << '\n';
-        break;
-      case Event::Kind::kDeliver:
-        os << "D " << e.msg_id << ' ' << e.from << "->" << e.to << ' '
-           << e.tag << '\n';
-        break;
-      case Event::Kind::kCorrupt:
-        os << "C " << e.from << ' ' << e.tag << '\n';
-        break;
-    }
-  }
 }
 
 void TraceRecorder::dump_jsonl(std::ostream& os) const {

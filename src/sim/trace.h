@@ -1,21 +1,13 @@
-// Event-trace recording built on the Observer hooks.
-//
-// Two layers share one recorder:
-//
-//  * The legacy compact trace: one human-greppable line per send /
-//    deliver / corrupt event, unchanged since PR 0 — golden fingerprint
-//    tests hash dump()'s bytes, so its format and event set are frozen.
-//
-//  * The structured trace (opt-in via TraceOptions.structured): one JSON
-//    object per event, covering the full Observer surface — sends,
-//    deliveries, link drops/duplicates/replays, dead letters, decisions,
-//    round transitions, corruptions, recoveries — each stamped with the
-//    message's causal depth and a vector-clock timestamp maintained by
-//    the recorder itself. Deliveries carry provenance: whether the
-//    delivered copy was the fresh send, a retransmission, a link
-//    duplicate, or a stale replay. Tags are resolved to strings
-//    (TagIds never appear in output), so the JSONL stream is
-//    byte-identical across replays regardless of interning order.
+// Event-trace recording built on the Observer hooks: one JSON object per
+// event, covering the full Observer surface — sends, deliveries, link
+// drops/duplicates/replays, dead letters, decisions, round transitions,
+// corruptions, recoveries — each stamped with the message's causal depth
+// and a vector-clock timestamp maintained by the recorder itself.
+// Deliveries carry provenance: whether the delivered copy was the fresh
+// send, a retransmission, a link duplicate, or a stale replay. Tags are
+// resolved to strings (TagIds never appear in output), so the JSONL
+// stream is byte-identical across replays regardless of interning order
+// (golden fingerprint tests hash it).
 //
 // Filter contract: `tag_filter` narrows *message traffic only* — send
 // and deliver events. Fault events (corrupt, drop, dead letter, decide,
@@ -39,30 +31,15 @@ struct TraceOptions {
   /// (empty = all). Never applied to fault/decision events — see the
   /// filter contract above.
   std::string tag_filter;
-  /// Captures the structured JSONL record stream beside the legacy
-  /// compact events. Off by default: the legacy trace stays cheap and
-  /// its golden hashes stay meaningful.
-  bool structured = false;
 };
 
 class TraceRecorder final : public Observer {
  public:
-  struct Event {
-    enum class Kind { kSend, kDeliver, kCorrupt };
-    Kind kind;
-    std::uint64_t msg_id = 0;  // 0 for corruptions
-    ProcessId from = 0;        // corrupted process for kCorrupt
-    ProcessId to = 0;
-    std::string tag;           // fault mode name for kCorrupt
-    std::size_t words = 0;
-    bool sender_correct = true;
-  };
-
   /// How the delivered (or lost) copy of a message came to exist.
   enum class Prov { kFresh, kRetransmit, kDuplicate, kReplay };
 
-  /// One structured record. Field use depends on kind; unused fields
-  /// keep their defaults and are omitted from the JSONL line.
+  /// One trace record. Field use depends on kind; unused fields keep
+  /// their defaults and are omitted from the JSONL line.
   struct Rec {
     enum class Kind {
       kSend,
@@ -91,9 +68,7 @@ class TraceRecorder final : public Observer {
     std::vector<std::uint64_t> vc;  // vector-clock timestamp
   };
 
-  /// Records only events whose tag contains `tag_filter` (empty = all).
-  explicit TraceRecorder(std::string tag_filter = "");
-  explicit TraceRecorder(TraceOptions opts);
+  explicit TraceRecorder(TraceOptions opts = {});
 
   void on_send(const Message& msg, bool sender_correct) override;
   void on_deliver(const Message& msg) override;
@@ -107,20 +82,10 @@ class TraceRecorder final : public Observer {
   void on_decide(const DecideEvent& event) override;
   void on_round(ProcessId who, std::uint64_t round) override;
 
-  const std::vector<Event>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
-  void clear();
-
-  /// Legacy compact dump — format frozen (golden fingerprints hash it).
-  /// One line per event: "S id from->to tag words" / "D id from->to tag"
-  /// / "C target mode".
-  void dump(std::ostream& os) const;
-
-  /// Structured records (empty unless TraceOptions.structured).
   const std::vector<Rec>& records() const { return records_; }
 
-  /// JSONL dump of the structured records: one JSON object per line,
-  /// deterministic byte-for-byte for a fixed (config, seed).
+  /// JSONL dump of the records: one JSON object per line, deterministic
+  /// byte-for-byte for a fixed (config, seed).
   void dump_jsonl(std::ostream& os) const;
 
  private:
@@ -130,13 +95,11 @@ class TraceRecorder final : public Observer {
                       Prov prov, const std::vector<std::uint64_t>* vc);
 
   std::string tag_filter_;
-  bool structured_ = false;
-  std::vector<Event> events_;
   std::vector<Rec> records_;
-  // Vector clocks, maintained only in structured mode. Clocks grow on
-  // demand (index = ProcessId); snapshots are keyed by send_seq, which
-  // — unlike msg id — is shared by link duplicates and replays of the
-  // same send, so a stale copy still resolves to its causal timestamp.
+  // Vector clocks grow on demand (index = ProcessId); snapshots are
+  // keyed by send_seq, which — unlike msg id — is shared by link
+  // duplicates and replays of the same send, so a stale copy still
+  // resolves to its causal timestamp.
   std::vector<std::vector<std::uint64_t>> clocks_;
   FlatMap64<std::vector<std::uint64_t>> send_clock_;  // send_seq -> vc
   FlatMap64<std::uint8_t> copy_prov_;  // msg id -> Prov of link copies

@@ -44,6 +44,19 @@ TEST(ProtocolRegistry, NamesRoundTrip) {
   EXPECT_FALSE(protocol_from_name("nonsense").has_value());
 }
 
+TEST(AdversaryRegistry, NamesRoundTrip) {
+  const auto last = static_cast<int>(AdversaryKind::kAdaptiveCorruption);
+  for (int k = 0; k <= last; ++k) {
+    const auto a = static_cast<AdversaryKind>(k);
+    auto back = adversary_from_name(adversary_name(a));
+    ASSERT_TRUE(back.has_value()) << adversary_name(a);
+    EXPECT_EQ(*back, a);
+  }
+  EXPECT_FALSE(adversary_from_name("nonsense").has_value());
+  EXPECT_FALSE(adversary_from_name("").has_value());
+  EXPECT_FALSE(adversary_from_name("unknown").has_value());
+}
+
 TEST(Runner, EveryProtocolDecidesUnanimousInput) {
   for (Protocol p : all_protocols()) {
     RunOptions o;

@@ -125,7 +125,8 @@ TEST(Invariants, TraceRecorderCapturesAndFilters) {
   cfg.seed = 11;
   sim::Simulation sim(cfg);
   auto all = std::make_shared<sim::TraceRecorder>();
-  auto firsts = std::make_shared<sim::TraceRecorder>("first");
+  auto firsts = std::make_shared<sim::TraceRecorder>(
+      sim::TraceOptions{.tag_filter = "first"});
   sim.add_observer(all);
   sim.add_observer(firsts);
   for (crypto::ProcessId i = 0; i < 40; ++i) {
@@ -143,24 +144,24 @@ TEST(Invariants, TraceRecorderCapturesAndFilters) {
   sim.start();
   sim.run();
 
-  EXPECT_GT(all->size(), firsts->size());
-  EXPECT_GT(firsts->size(), 0u);
-  for (const auto& e : firsts->events())
-    if (e.kind != sim::TraceRecorder::Event::Kind::kCorrupt)
-      EXPECT_NE(e.tag.find("first"), std::string::npos);
+  using Kind = sim::TraceRecorder::Rec::Kind;
+  EXPECT_GT(all->records().size(), firsts->records().size());
+  EXPECT_GT(firsts->records().size(), 0u);
+  for (const auto& r : firsts->records())
+    if (r.kind == Kind::kSend || r.kind == Kind::kDeliver)
+      EXPECT_NE(r.tag.find("first"), std::string::npos);
   // The corruption was recorded (by the unfiltered recorder).
   bool saw_corrupt = false;
-  for (const auto& e : all->events())
-    if (e.kind == sim::TraceRecorder::Event::Kind::kCorrupt) {
+  for (const auto& r : all->records())
+    if (r.kind == Kind::kCorrupt) {
       saw_corrupt = true;
-      EXPECT_EQ(e.from, 39u);
-      EXPECT_EQ(e.tag, "silent");
+      EXPECT_EQ(r.from, 39u);
+      EXPECT_EQ(r.tag, "silent");
     }
   EXPECT_TRUE(saw_corrupt);
 
-  // Deterministic replay: same seeds => identical trace.
   std::ostringstream dump_a;
-  all->dump(dump_a);
+  all->dump_jsonl(dump_a);
   EXPECT_FALSE(dump_a.str().empty());
 }
 
@@ -187,7 +188,7 @@ TEST(Invariants, TraceIsIdenticalAcrossReplays) {
     sim.start();
     sim.run();
     std::ostringstream os;
-    trace->dump(os);
+    trace->dump_jsonl(os);
     return os.str();
   };
   EXPECT_EQ(run_once(7), run_once(7));

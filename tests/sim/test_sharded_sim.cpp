@@ -3,8 +3,8 @@
 // The sharded superstep engine replaces the per-delivery adversary choice
 // with a hash-addressed schedule whose every decision is a pure function
 // of (seed, canonical route order). The contract: the complete observable
-// surface of a run — golden fingerprint, structured JSONL trace, metrics
-// JSON export, and the decide values themselves — is byte-identical for
+// surface of a run — golden fingerprint, JSONL trace, metrics JSON
+// export, and the decide values themselves — is byte-identical for
 // EVERY shard count and EVERY thread count on the same (seed, config).
 // These tests sweep shards {1,2,4,8} x threads {1,8} over a whp_coin
 // flip, a ba_whp agreement across duplicating/replaying links with silent
@@ -33,7 +33,7 @@ using sim::Counter;
 
 struct RunSurface {
   std::string fingerprint;  // decisions + headline metrics + trace hash
-  std::string trace_jsonl;  // full structured trace stream
+  std::string trace_jsonl;  // full JSONL trace stream
   std::string metrics_json; // Metrics::to_json (detail mode)
   std::string decisions;
 };
@@ -51,8 +51,9 @@ RunSurface surface_of(const sim::Simulation& sim,
                       const sim::TraceRecorder& trace,
                       std::string decisions) {
   RunSurface out;
-  std::ostringstream trace_dump;
-  trace.dump(trace_dump);
+  std::ostringstream jsonl;
+  trace.dump_jsonl(jsonl);
+  out.trace_jsonl = jsonl.str();
   const sim::Counters& counters = sim.metrics().counters();
   std::ostringstream fp;
   fp << "decisions=" << decisions << "\n"
@@ -66,12 +67,9 @@ RunSurface surface_of(const sim::Simulation& sim,
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     fp << tag << ":" << words << ";";
   fp << "\n"
-     << "trace_events=" << trace.size() << "\n"
-     << "trace_hash=" << fnv1a(trace_dump.str()) << "\n";
+     << "trace_events=" << trace.records().size() << "\n"
+     << "trace_hash=" << fnv1a(out.trace_jsonl) << "\n";
   out.fingerprint = fp.str();
-  std::ostringstream jsonl;
-  trace.dump_jsonl(jsonl);
-  out.trace_jsonl = jsonl.str();
   std::ostringstream mj;
   sim.metrics().to_json(mj);
   out.metrics_json = mj.str();

@@ -1,7 +1,7 @@
-// Structured JSONL trace (ISSUE 4 tentpole + satellite): byte-identical
-// replays, the filter contract (tag_filter narrows message traffic ONLY
-// — fault and decision events always recorded), delivery provenance for
-// link duplicates/replays, and vector-clock sanity.
+// JSONL trace: byte-identical replays, the filter contract (tag_filter
+// narrows message traffic ONLY — fault and decision events always
+// recorded), delivery provenance for link duplicates/replays, and
+// vector-clock sanity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,10 +52,8 @@ RunOptions small_bracha() {
 }
 
 TEST(TraceJsonl, ByteIdenticalAcrossReplays) {
-  TraceOptions topts;
-  topts.structured = true;
-  auto a = run_traced(small_bracha(), topts);
-  auto b = run_traced(small_bracha(), topts);
+  auto a = run_traced(small_bracha(), {});
+  auto b = run_traced(small_bracha(), {});
   ASSERT_TRUE(a.report.all_correct_decided);
 
   std::ostringstream ja, jb;
@@ -64,19 +62,6 @@ TEST(TraceJsonl, ByteIdenticalAcrossReplays) {
   ASSERT_FALSE(ja.str().empty());
   EXPECT_EQ(ja.str(), jb.str());
   EXPECT_FALSE(a.trace->records().empty());
-}
-
-TEST(TraceJsonl, StructuredModeDoesNotDisturbLegacyDump) {
-  TraceOptions structured;
-  structured.structured = true;
-  auto with = run_traced(small_bracha(), structured);
-  auto without = run_traced(small_bracha(), TraceOptions{});
-
-  std::ostringstream da, db;
-  with.trace->dump(da);
-  without.trace->dump(db);
-  EXPECT_EQ(da.str(), db.str());  // golden-fingerprint format untouched
-  EXPECT_TRUE(without.trace->records().empty());
 }
 
 // Satellite: a tag filter that matches no message traffic must still
@@ -90,10 +75,7 @@ TEST(TraceJsonl, TagFilterKeepsFaultAndDecisionEvents) {
   options.junk = 1;
   options.inputs.assign(5, ba::kOne);
 
-  TraceOptions topts;
-  topts.structured = true;
-  topts.tag_filter = "no-such-tag-anywhere";
-  auto run = run_traced(options, topts);
+  auto run = run_traced(options, {.tag_filter = "no-such-tag-anywhere"});
   ASSERT_TRUE(run.report.all_correct_decided);
 
   std::map<Rec::Kind, std::size_t> kinds;
@@ -103,11 +85,6 @@ TEST(TraceJsonl, TagFilterKeepsFaultAndDecisionEvents) {
   ASSERT_GE(kinds[Rec::Kind::kCorrupt], 1u);  // the junk corruption
   EXPECT_GE(kinds[Rec::Kind::kDecide], 4u);   // every correct process
   EXPECT_GE(kinds[Rec::Kind::kRound], 1u);
-  // The legacy compact stream obeys the same contract.
-  bool legacy_corrupt = false;
-  for (const auto& e : run.trace->events())
-    legacy_corrupt |= e.kind == TraceRecorder::Event::Kind::kCorrupt;
-  EXPECT_TRUE(legacy_corrupt);
 }
 
 TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
@@ -120,9 +97,7 @@ TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
   options.network.default_link.replay_p = 0.2;
   options.network.default_link.replay_window = 8;
 
-  TraceOptions topts;
-  topts.structured = true;
-  auto run = run_traced(options, topts);
+  auto run = run_traced(options, {});
   ASSERT_TRUE(run.report.all_correct_decided);
   ASSERT_GT(run.report.counters[Counter::kLinkDuplicates], 0u);
   ASSERT_GT(run.report.counters[Counter::kLinkReplays], 0u);
@@ -153,9 +128,7 @@ TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
 }
 
 TEST(TraceJsonl, VectorClocksAreMonotoneAndContainSendSnapshots) {
-  TraceOptions topts;
-  topts.structured = true;
-  auto run = run_traced(small_bracha(), topts);
+  auto run = run_traced(small_bracha(), {});
   ASSERT_TRUE(run.report.all_correct_decided);
 
   auto contains = [](const std::vector<std::uint64_t>& big,

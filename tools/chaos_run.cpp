@@ -88,18 +88,6 @@ class PhaseTelemetry final : public sim::Observer {
   std::uint64_t dropped_ = 0;
 };
 
-std::optional<core::AdversaryKind> adversary_from_name(
-    const std::string& name) {
-  if (name == "random") return core::AdversaryKind::kRandom;
-  if (name == "fifo") return core::AdversaryKind::kFifo;
-  if (name == "delay-senders") return core::AdversaryKind::kDelaySenders;
-  if (name == "split") return core::AdversaryKind::kSplit;
-  if (name == "heavy-tail") return core::AdversaryKind::kHeavyTail;
-  if (name == "adaptive-corruption")
-    return core::AdversaryKind::kAdaptiveCorruption;
-  return std::nullopt;
-}
-
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
@@ -318,7 +306,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("adaptive-victims", 0));
 
   const std::string adv = args.get("adversary", "random");
-  auto kind = adversary_from_name(adv);
+  auto kind = core::adversary_from_name(adv);
   if (!kind) return fail("unknown --adversary " + adv);
   o.adversary = *kind;
 

@@ -4,7 +4,8 @@
 //   ./run_report --protocol ba-whp --n 64 --seed 7
 //                [--ones k] [--crash c --silent s --junk j
 //                 --crash-recover r --recover-after 5000]
-//                [--adversary random|fifo|delay-senders|split|heavy-tail]
+//                [--adversary random|fifo|delay-senders|split|heavy-tail|
+//                             adaptive-corruption]
 //                [--rbc bracha|ec]
 //                [--drop p --dup p --replay p] [--reliable-channel]
 //                [--epsilon 0.25 --d 0.02] [--max-rounds 64]
@@ -17,12 +18,12 @@
 //   * per-phase word breakdown — partitions the paper's word-complexity
 //     measure exactly (the totals line cross-checks the sum);
 //   * top-k hot tags by correct-sender words;
-//   * the critical path reconstructed from the structured trace's
+//   * the critical path reconstructed from the JSONL trace's
 //     vector clocks — the longest causal message chain, i.e. the
 //     paper's duration metric made concrete;
 //   * rounds-to-decide, against the paper's per-round success-rate
 //     lower bound when the protocol has one (Lemma 4.8 / B.7);
-//   * optional exports: structured JSONL trace, metrics JSON,
+//   * optional exports: JSONL trace, metrics JSON,
 //     Prometheus text.
 //
 // With --samples S > 1, seeds seed..seed+S-1 run on a thread pool
@@ -74,7 +75,7 @@ struct Hop {
   std::uint64_t depth = 0;
 };
 
-/// Reconstructs the longest causal message chain from the structured
+/// Reconstructs the longest causal message chain from the JSONL
 /// trace: start at the deepest deliver event, then repeatedly step to
 /// the delivery that set the sender's causal depth just before it sent.
 /// Vector clocks guard the chain: a predecessor must be causally
@@ -189,13 +190,9 @@ int main(int argc, char** argv) {
   o.rbc = *rbc;
 
   const std::string adv = args.get("adversary", "random");
-  if (adv == "fifo") o.adversary = core::AdversaryKind::kFifo;
-  else if (adv == "delay-senders")
-    o.adversary = core::AdversaryKind::kDelaySenders;
-  else if (adv == "split") o.adversary = core::AdversaryKind::kSplit;
-  else if (adv == "heavy-tail")
-    o.adversary = core::AdversaryKind::kHeavyTail;
-  else if (adv != "random") return fail("unknown --adversary " + adv);
+  const auto kind = core::adversary_from_name(adv);
+  if (!kind) return fail("unknown --adversary " + adv);
+  o.adversary = *kind;
 
   // Sharded superstep engine (ISSUE 8). The hash-addressed schedule
   // replaces per-delivery adversary choices, so scheduling adversaries
@@ -211,10 +208,8 @@ int main(int argc, char** argv) {
   const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
 
   // --- The instrumented replay of (config, seed). ---------------------
-  sim::TraceOptions topts;
-  topts.structured = true;
-  topts.tag_filter = args.get("tag-filter", "");
-  auto trace = std::make_shared<sim::TraceRecorder>(topts);
+  auto trace = std::make_shared<sim::TraceRecorder>(
+      sim::TraceOptions{.tag_filter = args.get("tag-filter", "")});
 
   std::map<std::string, sim::Metrics::PhaseDetail> phases;
   std::map<std::string, sim::Metrics::TagDetail> tags;
@@ -352,7 +347,7 @@ int main(int argc, char** argv) {
     std::cout << "  " << words << "\t" << tag << '\n';
   std::cout << '\n';
 
-  // --- Critical path from the structured trace. -----------------------
+  // --- Critical path from the JSONL trace. ----------------------------
   print_critical_path(std::cout, critical_path(trace->records()));
   std::cout << '\n';
 
