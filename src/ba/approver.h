@@ -40,31 +40,21 @@
 #include <vector>
 
 #include "ba/value.h"
-#include "coin/verify_queue.h"
-#include "committee/params.h"
-#include "committee/sampler.h"
-#include "crypto/key_registry.h"
-#include "crypto/signer.h"
+#include "coin/setup.h"
 #include "sim/process.h"
 
 namespace coincidence::ba {
 
 class Approver {
  public:
-  struct Config {
-    std::string tag;  // instance routing prefix (and committee seed root)
-    committee::Params params;
-    std::shared_ptr<const crypto::KeyRegistry> registry;
-    std::shared_ptr<const committee::Sampler> sampler;
-    std::shared_ptr<const crypto::Signer> signer;
-    /// When set, the W+1 election proofs inside each <ok> message are
-    /// checked in one committee_val_batch call (folded multi-exp + memo),
-    /// the W HMAC echo signatures are deferred into a pending-ok queue
-    /// flushed through BatchVerifier::verify_signatures (SigMemo-dedup'd
-    /// across ok messages and receivers), and echo signatures answer from
-    /// the same memo. Accept/reject verdicts are identical either way —
-    /// committee_val and HMAC verification are pure.
-    std::shared_ptr<coin::BatchVerifier> batcher;
+  /// Uses the setup's params, sampler, signer and batcher. With a
+  /// batcher, the W+1 election proofs inside each <ok> are checked in one
+  /// committee_val_batch call, the W HMAC echo signatures wait in a
+  /// pending-ok queue flushed through BatchVerifier::verify_signatures
+  /// (SigMemo-dedup'd across ok messages and receivers), and echo
+  /// signatures answer from the same memo.
+  struct Config : coin::Setup {
+    std::string tag{};  // instance routing prefix (and committee seed root)
   };
 
   using DoneFn = std::function<void(const std::set<Value>&)>;

@@ -152,13 +152,8 @@ void BaWhp::begin_round(sim::Context& ctx) {
     fwd_lock_.reset();
     if (!decision_) arm_skip_timer(ctx);
   }
-  Approver::Config acfg;
+  Approver::Config acfg{cfg_};
   acfg.tag = round_tag(round_) + "/a1";
-  acfg.params = cfg_.params;
-  acfg.registry = cfg_.registry;
-  acfg.sampler = cfg_.sampler;
-  acfg.signer = cfg_.signer;
-  acfg.batcher = cfg_.batcher;
   approver_ = std::make_unique<Approver>(
       acfg, est_,
       [this, &ctx](const std::set<Value>& vals) { on_vals(ctx, vals); });
@@ -171,14 +166,9 @@ void BaWhp::on_vals(sim::Context& ctx, const std::set<Value>& vals) {
   propose_ = vals.size() == 1 ? *vals.begin() : kBot;
 
   phase_ = Phase::kCoin;
-  coin::WhpCoin::Config ccfg;
+  coin::WhpCoin::Config ccfg{cfg_};
   ccfg.tag = round_tag(round_) + "/coin";
   ccfg.round = round_;
-  ccfg.params = cfg_.params;
-  ccfg.vrf = cfg_.vrf;
-  ccfg.registry = cfg_.registry;
-  ccfg.sampler = cfg_.sampler;
-  ccfg.batcher = cfg_.batcher;
   coin_ = std::make_unique<coin::WhpCoin>(
       ccfg, [this, &ctx](int c) { on_coin(ctx, c); });
   coin_->start(ctx);
@@ -190,13 +180,8 @@ void BaWhp::on_coin(sim::Context& ctx, int c) {
 
   phase_ = Phase::kApprovePropose;
   if (approver_) retired_approvers_.push_back(std::move(approver_));
-  Approver::Config acfg;
+  Approver::Config acfg{cfg_};
   acfg.tag = round_tag(round_) + "/a2";
-  acfg.params = cfg_.params;
-  acfg.registry = cfg_.registry;
-  acfg.sampler = cfg_.sampler;
-  acfg.signer = cfg_.signer;
-  acfg.batcher = cfg_.batcher;
   approver_ = std::make_unique<Approver>(
       acfg, propose_,
       [this, &ctx](const std::set<Value>& props) { on_props(ctx, props); });

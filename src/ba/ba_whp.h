@@ -54,18 +54,9 @@ namespace coincidence::ba {
 
 class BaWhp final : public BaProcess {
  public:
-  struct Config {
+  /// The setup is handed whole to every round's approvers and coin.
+  struct Config : coin::Setup {
     std::string tag = "ba";
-    committee::Params params;
-    std::shared_ptr<const crypto::Vrf> vrf;
-    std::shared_ptr<const crypto::KeyRegistry> registry;
-    std::shared_ptr<const committee::Sampler> sampler;
-    std::shared_ptr<const crypto::Signer> signer;
-    /// When set, forwarded to every sub-instance: WhpCoin rounds defer
-    /// share verification to batched flushes and Approver <ok> proofs
-    /// verify their W+1 elections in one folded call (verify_queue.h).
-    /// Protocol-visible behaviour is bit-identical either way.
-    std::shared_ptr<coin::BatchVerifier> batcher;
     /// Stop starting new rounds beyond this bound (whp-failure guard; the
     /// expected number of rounds is a small constant).
     std::uint64_t max_rounds = 64;

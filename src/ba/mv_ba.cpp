@@ -75,14 +75,8 @@ void MultiValuedBa::on_wakeup(sim::Context& ctx) {
 
 void MultiValuedBa::activate_next(sim::Context& ctx) {
   const std::size_t k = bas_.size();
-  BaWhp::Config bcfg;
+  BaWhp::Config bcfg{cfg_};
   bcfg.tag = cand_tag(k);
-  bcfg.params = cfg_.params;
-  bcfg.vrf = cfg_.vrf;
-  bcfg.registry = cfg_.registry;
-  bcfg.sampler = cfg_.sampler;
-  bcfg.signer = cfg_.signer;
-  bcfg.batcher = cfg_.batcher;
   bcfg.max_rounds = cfg_.max_rounds;
   bcfg.extra_rounds = cfg_.extra_rounds;
   bcfg.skip_timeout = cfg_.skip_timeout;

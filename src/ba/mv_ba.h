@@ -54,15 +54,10 @@ namespace coincidence::ba {
 
 class MultiValuedBa final : public BaProcess {
  public:
-  struct Config {
+  /// The setup is handed whole to every inner BaWhp; the batcher also
+  /// memoizes the erasure-coded broadcasts' verdicts.
+  struct Config : coin::Setup {
     std::string tag = "mvba";
-    committee::Params params;
-    std::shared_ptr<const crypto::Vrf> vrf;
-    std::shared_ptr<const crypto::KeyRegistry> registry;
-    std::shared_ptr<const committee::Sampler> sampler;
-    std::shared_ptr<const crypto::Signer> signer;
-    /// Forwarded to every inner BaWhp (deferred verification plane).
-    std::shared_ptr<coin::BatchVerifier> batcher;
     /// Per inner binary instance (see BaWhp::Config).
     std::uint64_t max_rounds = 64;
     std::uint64_t extra_rounds = 4;

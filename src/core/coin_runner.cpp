@@ -46,13 +46,10 @@ CoinReport run_coin_trial(const CoinOptions& options) {
         return std::make_unique<coin::SharedCoin>(cfg);
       }
       case CoinKind::kWhp: {
-        coin::WhpCoin::Config cfg;
+        coin::WhpCoin::Config cfg{env};
+        cfg.batcher = nullptr;  // coin trials verify inline
         cfg.tag = "coin";
         cfg.round = options.round;
-        cfg.params = env.params;
-        cfg.vrf = env.vrf;
-        cfg.registry = env.registry;
-        cfg.sampler = env.sampler;
         return std::make_unique<coin::WhpCoin>(cfg);
       }
       case CoinKind::kDealer: {

@@ -1,40 +1,17 @@
-// The cluster environment: everything §2 assumes exists before the
-// protocol starts — the PKI (key registry), the VRF, the committee
-// sampler and the signature scheme — bundled behind one factory so
-// applications can go from (n, ε, d, seed) to a runnable cluster in one
-// call.
+// The cluster environment: the §3 setup (coin/setup.h) — PKI, VRF,
+// committee sampler, signer and the run-wide BatchVerifier — behind
+// factories, so applications go from (n, ε, d, seed) to a runnable
+// cluster in one call. Every protocol config inherits coin::Setup, so
+// drivers hand an Env down with one copy.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "coin/verify_queue.h"
-#include "committee/params.h"
-#include "committee/sampler.h"
-#include "crypto/key_registry.h"
-#include "crypto/signer.h"
-#include "crypto/vrf.h"
+#include "coin/setup.h"
 
 namespace coincidence::core {
 
-struct Env {
-  committee::Params params;
-  std::shared_ptr<crypto::KeyRegistry> registry;
-  std::shared_ptr<crypto::Vrf> vrf;
-  std::shared_ptr<committee::Sampler> sampler;
-  std::shared_ptr<crypto::Signer> signer;
-  /// Shared batch-verification service (coin/verify_queue.h): memoized,
-  /// folded VRF + election checks for every process of a run. It and
-  /// the sampler's caches are shared by every process of one Simulation
-  /// on both engines (sharded handlers only read them; their writes wait
-  /// for the superstep barrier, common/write_sink.h). Never share them
-  /// across concurrently running Simulations: each run_agreement builds
-  /// its own Env, so parallel drivers are safe.
-  std::shared_ptr<coin::BatchVerifier> batcher;
-
-  std::size_t n() const { return params.n; }
-  std::size_t f() const { return params.f; }
-
+struct Env : coin::Setup {
   /// Builds an environment with explicit parameters. strict=true enforces
   /// the paper's ε/d windows (§2, §5.1); strict=false waives the
   /// lower-bound constants for small-n exploration (DESIGN.md §6).

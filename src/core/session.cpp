@@ -63,17 +63,13 @@ SessionReport Session::run_concurrent_slots(
   auto slot_words = std::make_shared<SlotWordObserver>(slots);
   sim.add_observer(slot_words);
 
+  coin::Setup setup = env_;
+  if (!defer_verify_) setup.batcher = nullptr;
   for (sim::ProcessId i = 0; i < n; ++i) {
     auto mux = std::make_unique<ba::InstanceMux>();
     for (std::size_t slot = 0; slot < slots; ++slot) {
-      ba::BaWhp::Config bcfg;
+      ba::BaWhp::Config bcfg{setup};
       bcfg.tag = "slot" + std::to_string(slot);
-      bcfg.params = env_.params;
-      bcfg.vrf = env_.vrf;
-      bcfg.registry = env_.registry;
-      bcfg.sampler = env_.sampler;
-      bcfg.signer = env_.signer;
-      if (defer_verify_) bcfg.batcher = env_.batcher;
       bcfg.max_rounds = max_rounds;
       bcfg.skip_timeout = ba::auto_skip_timeout(n, slots);
       mux->add_instance("slot" + std::to_string(slot),

@@ -22,13 +22,7 @@ LogReport run_replicated_log(const core::Env& env,
   cfg.threads = opts.threads;
   sim::Simulation sim(cfg);
 
-  LogConfig lcfg;
-  lcfg.params = env.params;
-  lcfg.vrf = env.vrf;
-  lcfg.registry = env.registry;
-  lcfg.sampler = env.sampler;
-  lcfg.signer = env.signer;
-  lcfg.batcher = env.batcher;
+  LogConfig lcfg{env};
   lcfg.total_slots = opts.slots;
   lcfg.pipeline_depth = opts.pipeline_depth;
   lcfg.batch_size = opts.batch_size;

@@ -97,14 +97,8 @@ void LogProcess::pump(sim::Context& ctx) {
 
 void LogProcess::activate_slot(sim::Context& ctx) {
   const std::size_t k = slots_.size();
-  ba::MultiValuedBa::Config mcfg;
+  ba::MultiValuedBa::Config mcfg{cfg_};
   mcfg.tag = slot_tag(k);
-  mcfg.params = cfg_.params;
-  mcfg.vrf = cfg_.vrf;
-  mcfg.registry = cfg_.registry;
-  mcfg.sampler = cfg_.sampler;
-  mcfg.signer = cfg_.signer;
-  mcfg.batcher = cfg_.batcher;
   mcfg.max_rounds = cfg_.max_rounds;
   mcfg.extra_rounds = cfg_.extra_rounds;
   mcfg.skip_timeout = cfg_.skip_timeout;

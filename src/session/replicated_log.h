@@ -38,15 +38,10 @@
 
 namespace coincidence::session {
 
-struct LogConfig {
+/// The setup is handed whole to every slot's MultiValuedBa.
+struct LogConfig : coin::Setup {
   /// Slot k's MvBa instance tag is "<slot_prefix><k>".
   std::string slot_prefix = "slot";
-  committee::Params params;
-  std::shared_ptr<const crypto::Vrf> vrf;
-  std::shared_ptr<const crypto::KeyRegistry> registry;
-  std::shared_ptr<const committee::Sampler> sampler;
-  std::shared_ptr<const crypto::Signer> signer;
-  std::shared_ptr<coin::BatchVerifier> batcher;
 
   std::size_t total_slots = 8;
   /// Max locally-undecided slots in flight at once (>= 1).
