@@ -7,10 +7,14 @@
 //               [--preset partition-hold|partition-drop|churn|storm|
 //                         adaptive|combined]
 //               [--adversary random|...|adaptive-corruption]
-//               [--ones k] [--crash c --silent s --junk j
+//               [--ones k] [--expected 0|1] [--crash c --silent s --junk j
 //                --crash-recover r --recover-after 5000]
-//               [--reliable] [--no-defer-verify] [--expected 0|1]
-//               [--quiet]
+//               [--rbc bracha|ec] [--epsilon 0.25 --d 0.02] [--max-rounds 64]
+//               [--drop p --dup p --replay p] [--reliable-channel
+//                --retransmits 24] [--adaptive-victims k]
+//               [--no-defer-verify] [--shards 0 --sim-threads 0] [--quiet]
+//   The run flags are core::parse_run_options's, shared with run_report;
+//   only the default --n (32) is this tool's own.
 //   exit 0: run completed with zero invariant violations
 //   exit 1: at least one violation (repro line printed on stderr)
 //
@@ -282,50 +286,13 @@ int main(int argc, char** argv) {
   if (args.has("sweep")) return run_sweep(args);
 
   core::RunOptions o;
-  const std::string proto_name = args.get("protocol", "ba-whp");
-  auto proto = core::protocol_from_name(proto_name);
-  if (!proto) return fail("unknown --protocol " + proto_name);
-  o.protocol = *proto;
-  o.n = static_cast<std::size_t>(args.get_int("n", 32));
-  o.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  o.max_rounds = static_cast<std::uint64_t>(args.get_int("max-rounds", 64));
-  o.crash = static_cast<std::size_t>(args.get_int("crash", 0));
-  o.silent = static_cast<std::size_t>(args.get_int("silent", 0));
-  o.junk = static_cast<std::size_t>(args.get_int("junk", 0));
-  o.crash_recover =
-      static_cast<std::size_t>(args.get_int("crash-recover", 0));
-  o.recover_after =
-      static_cast<std::uint64_t>(args.get_int("recover-after", 5000));
-  o.reliable_channel = args.get_bool("reliable", false);
-  o.transport_retransmits =
-      static_cast<std::uint32_t>(args.get_int("retransmits", 24));
-  o.defer_verify = !args.get_bool("no-defer-verify", false);
-  o.check_invariants = true;
-  if (args.has("adaptive-victims"))
-    o.adaptive_victims =
-        static_cast<std::size_t>(args.get_int("adaptive-victims", 0));
-
-  const std::string adv = args.get("adversary", "random");
-  auto kind = core::adversary_from_name(adv);
-  if (!kind) return fail("unknown --adversary " + adv);
-  o.adversary = *kind;
-
-  const auto ones = static_cast<std::size_t>(args.get_int("ones", 0));
-  o.inputs.assign(o.n, ba::kZero);
-  for (std::size_t i = 0; i < ones && i < o.n; ++i) o.inputs[i] = ba::kOne;
-  if (ones == 0) o.expected_decision = 0;
-  else if (ones >= o.n) o.expected_decision = 1;
-  if (args.has("expected"))
-    o.expected_decision = static_cast<int>(args.get_int("expected", 0));
-
+  o.n = 32;
   try {
-    if (args.has("preset"))
-      o.chaos = sim::ChaosSchedule::preset(args.get("preset", ""), o.n);
-    else if (args.has("schedule"))
-      o.chaos = sim::ChaosSchedule::parse(args.get("schedule", ""));
+    o = core::parse_run_options(args, std::move(o));
   } catch (const ConfigError& e) {
     return fail(e.what());
   }
+  o.check_invariants = true;
 
   core::RunInstruments instruments;
   const bool quiet = args.get_bool("quiet", false);
@@ -335,7 +302,8 @@ int main(int argc, char** argv) {
   const core::RunReport r = core::run_agreement(o, instruments);
 
   std::cout << "chaos_run — " << core::protocol_name(o.protocol)
-            << "  n=" << o.n << "  seed=" << o.seed << "  adversary=" << adv
+            << "  n=" << o.n << "  seed=" << o.seed
+            << "  adversary=" << core::adversary_name(o.adversary)
             << "\n  schedule: "
             << (o.chaos.empty() ? std::string("(none)") : o.chaos.spec())
             << "\n  decided: "

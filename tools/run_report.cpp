@@ -7,11 +7,18 @@
 //                [--adversary random|fifo|delay-senders|split|heavy-tail|
 //                             adaptive-corruption]
 //                [--rbc bracha|ec]
-//                [--drop p --dup p --replay p] [--reliable-channel]
+//                [--drop p --dup p --replay p] [--reliable-channel
+//                 --retransmits 24]
 //                [--epsilon 0.25 --d 0.02] [--max-rounds 64]
-//                [--top 10] [--samples 1] [--threads 0]
+//                [--adaptive-victims k] [--no-defer-verify]
+//                [--preset NAME | --schedule SPEC]
 //                [--shards 0 --sim-threads 0]
+//                [--top 10] [--samples 1] [--threads 0] [--tag-filter P]
 //                [--trace PATH] [--json PATH] [--prom PATH]   ("-" = stdout)
+//
+// The run flags are core::parse_run_options's, shared with chaos_run, so
+// a CHAOS-VIOLATION repro line replays here too; only the defaults
+// --n 64 and --ones n/2 are this tool's own.
 //
 // Every run is a pure function of (config, seed), so this tool replays
 // the exact run an experiment saw, with telemetry attached:
@@ -41,6 +48,7 @@
 
 #include "committee/params.h"
 #include "common/args.h"
+#include "common/errors.h"
 #include "common/parallel.h"
 #include "core/runner.h"
 #include "sim/trace.h"
@@ -155,53 +163,15 @@ void print_critical_path(std::ostream& os, const std::vector<Hop>& chain) {
 int main(int argc, char** argv) {
   Args args(argc, argv);
 
+  // This tool's own defaults: n = 64, the first n/2 processes propose 1.
   core::RunOptions o;
-  const std::string proto_name = args.get("protocol", "ba-whp");
-  auto proto = core::protocol_from_name(proto_name);
-  if (!proto) return fail("unknown --protocol " + proto_name);
-  o.protocol = *proto;
   o.n = static_cast<std::size_t>(args.get_int("n", 64));
-  o.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  o.epsilon = args.get_double("epsilon", 0.25);
-  o.d = args.get_double("d", 0.02);
-  o.max_rounds = static_cast<std::uint64_t>(args.get_int("max-rounds", 64));
-  o.crash = static_cast<std::size_t>(args.get_int("crash", 0));
-  o.silent = static_cast<std::size_t>(args.get_int("silent", 0));
-  o.junk = static_cast<std::size_t>(args.get_int("junk", 0));
-  o.crash_recover =
-      static_cast<std::size_t>(args.get_int("crash-recover", 0));
-  o.recover_after =
-      static_cast<std::uint64_t>(args.get_int("recover-after", 5000));
-  o.reliable_channel = args.get_bool("reliable-channel", false);
-  o.network.default_link.drop_p = args.get_double("drop", 0.0);
-  o.network.default_link.dup_p = args.get_double("dup", 0.0);
-  o.network.default_link.replay_p = args.get_double("replay", 0.0);
-
-  const auto ones = static_cast<std::size_t>(
-      args.get_int("ones", static_cast<std::int64_t>(o.n / 2)));
-  o.inputs.assign(o.n, ba::kZero);
-  for (std::size_t i = 0; i < ones && i < o.n; ++i) o.inputs[i] = ba::kOne;
-
-  // Reliable-broadcast backend for the RBC-based protocols (kBracha):
-  // Bracha full-value echoes or erasure-coded AVID-M fragments.
-  const std::string rbc_name = args.get("rbc", "bracha");
-  const auto rbc = ba::parse_rbc_backend(rbc_name);
-  if (!rbc) return fail("unknown --rbc " + rbc_name);
-  o.rbc = *rbc;
-
-  const std::string adv = args.get("adversary", "random");
-  const auto kind = core::adversary_from_name(adv);
-  if (!kind) return fail("unknown --adversary " + adv);
-  o.adversary = *kind;
-
-  // Sharded superstep engine (ISSUE 8). The hash-addressed schedule
-  // replaces per-delivery adversary choices, so scheduling adversaries
-  // are refused rather than silently ignored.
-  o.shards = static_cast<std::size_t>(args.get_int("shards", 0));
-  o.threads = static_cast<std::size_t>(args.get_int("sim-threads", 0));
-  if (o.shards > 0 && adv != "random")
-    return fail("--shards needs --adversary random (the superstep "
-                "schedule replaces per-delivery adversary choices)");
+  o.inputs.assign(o.n / 2, ba::kOne);
+  try {
+    o = core::parse_run_options(args, std::move(o));
+  } catch (const ConfigError& e) {
+    return fail(e.what());
+  }
 
   const auto top_k = static_cast<std::size_t>(args.get_int("top", 10));
   const auto samples = static_cast<std::size_t>(args.get_int("samples", 1));
@@ -236,7 +206,8 @@ int main(int argc, char** argv) {
   const core::RunReport r = core::run_agreement(o, instruments);
 
   std::cout << "run_report — " << core::protocol_name(o.protocol)
-            << "  n=" << o.n << "  seed=" << o.seed << "  adversary=" << adv
+            << "  n=" << o.n << "  seed=" << o.seed
+            << "  adversary=" << core::adversary_name(o.adversary)
             << "  rbc=" << ba::to_string(o.rbc)
             << "\n  faults: crash=" << o.crash << " silent=" << o.silent
             << " junk=" << o.junk << " crash-recover=" << o.crash_recover
