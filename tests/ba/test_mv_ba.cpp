@@ -23,14 +23,8 @@ Bytes proposal_of(sim::ProcessId p) {
 
 MultiValuedBa::Config base_config(const core::Env& env,
                                   const std::string& tag = "mvba") {
-  MultiValuedBa::Config cfg;
+  MultiValuedBa::Config cfg{env};
   cfg.tag = tag;
-  cfg.params = env.params;
-  cfg.vrf = env.vrf;
-  cfg.registry = env.registry;
-  cfg.sampler = env.sampler;
-  cfg.signer = env.signer;
-  cfg.batcher = env.batcher;
   return cfg;
 }
 

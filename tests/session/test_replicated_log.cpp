@@ -18,17 +18,6 @@
 namespace coincidence::session {
 namespace {
 
-LogConfig log_config(const core::Env& env) {
-  LogConfig cfg;
-  cfg.params = env.params;
-  cfg.vrf = env.vrf;
-  cfg.registry = env.registry;
-  cfg.sampler = env.sampler;
-  cfg.signer = env.signer;
-  cfg.batcher = env.batcher;
-  return cfg;
-}
-
 TEST(ReplicatedLog, CommitsFullLogWithAgreementAndLatencies) {
   core::Env env = core::Env::make_relaxed(48, 31);
   LogRunOptions opts;
@@ -176,7 +165,7 @@ TEST(ReplicatedLog, ErasureCodedShardCountCannotLeakIntoTheLog) {
 
 TEST(ReplicatedLog, ClientBatchesAreDeterministicAndDistinct) {
   core::Env env = core::Env::make_relaxed(48, 5);
-  LogConfig cfg = log_config(env);
+  LogConfig cfg{env};
   cfg.batch_size = 3;
   LogProcess a(cfg), b(cfg);
 
