@@ -33,6 +33,7 @@ Approver::Approver(Config cfg, Value input, DoneFn on_done)
       tag_ok_(cfg_.tag + "/ok"),
       init_seed_(cfg_.tag + "/init"),
       ok_seed_(cfg_.tag + "/ok"),
+      ok_seed_bytes_(bytes_of(ok_seed_)),
       echo_seeds_{cfg_.tag + "/echo/" + value_name(kZero),
                   cfg_.tag + "/echo/" + value_name(kOne),
                   cfg_.tag + "/echo/" + value_name(kBot)},
@@ -173,78 +174,129 @@ void Approver::maybe_ok(sim::Context& ctx, Value v) {
   ctx.broadcast(tag_ok_, w.take(), ok_words(cfg_.params.W));
 }
 
-bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
-  if (done_) return true;
-  Value v;
-  BytesView election;
-  // Proof entries borrow from the message buffer; nothing is copied. The
-  // scratch is committed to the pending queue only after r.done()
-  // succeeds, so a truncated payload leaves no partial state.
-  parse_scratch_.clear();
+std::optional<Approver::OkHead> Approver::parse_ok_head(BytesView payload,
+                                                       std::size_t W) {
   try {
-    Reader r(msg.payload);
-    v = r.u8();
-    election = r.blob_view();
-    std::uint32_t count = r.u32();
-    if (count != cfg_.params.W) return true;  // wrong proof arity
-    for (std::uint32_t i = 0; i < count; ++i) {
+    Reader r(payload);
+    OkHead h;
+    h.v = r.u8();
+    h.election = r.blob_view();
+    h.head = r.consumed();
+    if (r.u32() != W) return std::nullopt;  // wrong proof arity
+    h.entries = r.rest();
+    if (!is_valid_value(h.v)) return std::nullopt;
+    return h;
+  } catch (const CodecError&) {
+    return std::nullopt;
+  }
+}
+
+bool Approver::parse_ok_entries(BytesView entries, std::size_t W,
+                                std::vector<OkProofEntry>& out,
+                                std::vector<crypto::ProcessId>& ids) {
+  // Entries borrow from the message buffer; nothing is copied.
+  out.clear();
+  try {
+    Reader r(entries);
+    for (std::size_t i = 0; i < W; ++i) {
       OkProofEntry e;
       e.sender = r.u32();
       e.signature = r.blob_view();
       e.election_proof = r.blob_view();
-      parse_scratch_.push_back(e);
+      out.push_back(e);
     }
     r.done();
   } catch (const CodecError&) {
+    return false;
+  }
+  // The embedded echoes must come from W *distinct* senders. Sort a
+  // scratch of ids and scan for an adjacent duplicate.
+  ids.clear();
+  for (const OkProofEntry& e : out) ids.push_back(e.sender);
+  std::sort(ids.begin(), ids.end());
+  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
+}
+
+bool Approver::check_cert(const coin::Setup& setup,
+                          const std::string& echo_seed,
+                          const Bytes& signed_bytes,
+                          const std::vector<OkProofEntry>& entries) {
+  for (const OkProofEntry& e : entries)
+    if (!setup.sampler->committee_val(echo_seed, e.sender, e.election_proof))
+      return false;
+  for (const OkProofEntry& e : entries) {
+    const crypto::SigBatchEntry sig{e.sender, BytesView(signed_bytes),
+                                    e.signature};
+    const bool ok =
+        setup.batcher ? setup.batcher->check_signature(sig)
+                      : setup.signer->verify(e.sender, signed_bytes,
+                                             e.signature);
+    if (!ok) return false;
+  }
+  return true;
+}
+
+std::uint64_t Approver::cert_fingerprint(const OkHead& head,
+                                         std::size_t payload_size) {
+  return crypto::VerdictMemo::fingerprint(
+      {head.head, crypto::VerdictMemo::IntField(payload_size)});
+}
+
+std::optional<bool> Approver::lookup_cert(std::uint64_t fp,
+                                          BytesView payload) const {
+  return cfg_.batcher->ok_memo().lookup(fp,
+                                        {BytesView(ok_seed_bytes_), payload});
+}
+
+bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
+  if (done_) return true;
+  const std::optional<OkHead> head =
+      parse_ok_head(msg.payload, cfg_.params.W);
+  if (!head) return true;
+
+  if (!cfg_.batcher) {
+    // Inline path: the sender's ok election, the W embedded echo
+    // elections, then the W signatures, stopping at the first failure.
+    if (!parse_ok_entries(head->entries, cfg_.params.W, parse_scratch_,
+                          distinct_scratch_))
+      return true;
+    if (!cfg_.sampler->committee_val(ok_seed(), msg.from, head->election))
+      return true;
+    if (!check_cert(cfg_, echo_seed(head->v), echo_sign_bytes(head->v),
+                    parse_scratch_))
+      return true;
+    apply_ok(ctx, msg.from, head->v, msg.payload);
     return true;
   }
-  if (!is_valid_value(v)) return true;
 
-  // The embedded echoes must come from W *distinct* senders. Sort a
-  // scratch of ids and scan for an adjacent duplicate — the only
-  // stateless filter cheaper than a verification, so it runs first in
-  // both paths (the old code built a std::set here, W nodes per message).
-  distinct_scratch_.clear();
-  for (const OkProofEntry& e : parse_scratch_)
-    distinct_scratch_.push_back(e.sender);
-  std::sort(distinct_scratch_.begin(), distinct_scratch_.end());
-  if (std::adjacent_find(distinct_scratch_.begin(), distinct_scratch_.end()) !=
-      distinct_scratch_.end())
-    return true;
-
-  if (cfg_.batcher) {
-    // Deferred path. Senders already counted for the phase drop here
-    // (inline: verify then fail mark_seen, no state change); senders with
-    // only PENDING oks must still enqueue — their queued ok might fail
-    // verification where this one passes.
-    if (msg.from < ok_seen_.size() && ok_seen_[msg.from]) return true;
-    PendingOk ok;
-    ok.buf = msg.payload;  // refcount bump keeps every view alive
-    ok.sender = msg.from;
-    ok.v = v;
-    ok.election = election;
+  // Deferred path. Senders already counted for the phase drop here
+  // (inline: verify then fail mark_seen, no state change); senders with
+  // only PENDING oks must still enqueue — their queued ok might fail
+  // verification where this one passes.
+  if (msg.from < ok_seen_.size() && ok_seen_[msg.from]) return true;
+  PendingOk ok;
+  ok.buf = msg.payload;  // refcount bump keeps every view alive
+  ok.sender = msg.from;
+  ok.v = head->v;
+  ok.election = head->election;
+  ok.cert_fp = cert_fingerprint(*head, msg.payload.size());
+  // The memo holds only certificates that parsed, so a hit (even a
+  // negative one) is an ok the parse below would have enqueued.
+  if (const std::optional<bool> hit = lookup_cert(ok.cert_fp, msg.payload)) {
+    ok.cert = *hit ? Cert::kValid : Cert::kInvalid;
+  } else {
+    // A malformed certificate or a repeated echo sender drops here, the
+    // only stateless filter cheaper than a verification.
+    if (!parse_ok_entries(head->entries, cfg_.params.W, parse_scratch_,
+                          distinct_scratch_))
+      return true;
     ok.first_entry = pending_entries_.size();
     pending_entries_.insert(pending_entries_.end(), parse_scratch_.begin(),
                             parse_scratch_.end());
-    pending_oks_.push_back(std::move(ok));
-    cfg_.batcher->note_enqueued();
-    if (should_flush()) flush_ok_queue(ctx);
-    return true;
   }
-
-  // Inline path: the sender's ok election, the W embedded echo elections,
-  // then the W signatures, stopping at the first failure.
-  if (!cfg_.sampler->committee_val(ok_seed(), msg.from, election))
-    return true;
-  for (const OkProofEntry& e : parse_scratch_)
-    if (!cfg_.sampler->committee_val(echo_seed(v), e.sender,
-                                     e.election_proof))
-      return true;
-  const Bytes& expected = echo_sign_bytes(v);
-  for (const OkProofEntry& e : parse_scratch_)
-    if (!cfg_.signer->verify(e.sender, expected, e.signature)) return true;
-
-  apply_ok(ctx, msg.from, v, msg.payload);
+  pending_oks_.push_back(std::move(ok));
+  cfg_.batcher->note_enqueued();
+  if (should_flush()) flush_ok_queue(ctx);
   return true;
 }
 
@@ -284,45 +336,61 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
   flush_entries_.clear();
   std::swap(flush_oks_, pending_oks_);
   std::swap(flush_entries_, pending_entries_);
-  const std::vector<PendingOk>& oks = flush_oks_;
+  std::vector<PendingOk>& oks = flush_oks_;
   const std::vector<OkProofEntry>& entries = flush_entries_;
   cfg_.batcher->note_flushed(oks.size());
 
   const std::size_t W = cfg_.params.W;
 
-  // One folded election batch over all (W+1)·k proofs: each ok's sender
-  // election plus its W embedded echo elections. Inline would stop at
-  // the first failure; verifying the rest anyway changes no verdict
-  // (committee_val is pure), only cache population.
+  // Look up again: most receivers queue a certificate before any of them
+  // has flushed it, so an arrival miss is often a hit by now.
+  for (PendingOk& ok : oks)
+    if (ok.cert == Cert::kUnknown)
+      if (const std::optional<bool> hit = lookup_cert(ok.cert_fp, ok.buf))
+        ok.cert = *hit ? Cert::kValid : Cert::kInvalid;
+
+  // One folded election batch: each live ok's sender election, plus the
+  // W embedded echo elections of each unknown certificate. Inline would
+  // stop at the first failure; verifying the rest anyway changes no
+  // verdict (committee_val is pure), only cache population.
   check_scratch_.clear();
-  check_scratch_.reserve(oks.size() * (W + 1));
-  for (const PendingOk& ok : oks) {
+  for (PendingOk& ok : oks) {
+    if (ok.cert == Cert::kInvalid) continue;
+    ok.first_check = check_scratch_.size();
     check_scratch_.push_back(
         committee::Sampler::ValCheck{&ok_seed(), ok.sender, ok.election});
+    if (ok.cert == Cert::kValid) continue;
+    ok.checked = true;
     for (std::size_t j = 0; j < W; ++j) {
       const OkProofEntry& e = entries[ok.first_entry + j];
       check_scratch_.push_back(committee::Sampler::ValCheck{
           &echo_seed(ok.v), e.sender, e.election_proof});
     }
   }
-  cfg_.batcher->verify_elections(check_scratch_, election_ok_scratch_);
+  if (!check_scratch_.empty())
+    cfg_.batcher->verify_elections(check_scratch_, election_ok_scratch_);
 
-  // Signatures enter the batch only for oks whose elections all passed,
-  // matching the inline short-circuit (elections before signatures).
-  accept_scratch_.assign(oks.size(), 0);
+  // Signatures enter the batch only for certificates whose echo
+  // elections all passed, matching the inline short-circuit (elections
+  // before signatures).
   sig_scratch_.clear();
   sig_ok_of_scratch_.clear();  // ok index per W-entry sig group
   for (std::size_t i = 0; i < oks.size(); ++i) {
+    PendingOk& ok = oks[i];
+    if (ok.cert != Cert::kUnknown) continue;
     bool elected = true;
-    for (std::size_t j = 0; j <= W; ++j)
-      if (!election_ok_scratch_[i * (W + 1) + j]) {
+    for (std::size_t j = 1; j <= W; ++j)
+      if (!election_ok_scratch_[ok.first_check + j]) {
         elected = false;
         break;
       }
-    if (!elected) continue;
-    const Bytes& expected = echo_sign_bytes(oks[i].v);
+    if (!elected) {
+      ok.cert = Cert::kInvalid;
+      continue;
+    }
+    const Bytes& expected = echo_sign_bytes(ok.v);
     for (std::size_t j = 0; j < W; ++j) {
-      const OkProofEntry& e = entries[oks[i].first_entry + j];
+      const OkProofEntry& e = entries[ok.first_entry + j];
       sig_scratch_.push_back(
           crypto::SigBatchEntry{e.sender, BytesView(expected), e.signature});
     }
@@ -337,65 +405,59 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
         all = false;
         break;
       }
-    accept_scratch_[sig_ok_of_scratch_[k]] = all ? 1 : 0;
+    oks[sig_ok_of_scratch_[k]].cert = all ? Cert::kValid : Cert::kInvalid;
   }
   ctx.count(sim::Counter::kSigVerifyFlushes, 1);
   ctx.count(sim::Counter::kSigVerifySigs, sig_scratch_.size());
   ctx.count(sim::Counter::kSigVerifyRejects, stats.rejects);
   ctx.count(sim::Counter::kSigVerifyMemoHits, stats.memo_hits);
 
+  // Store the verdict of every certificate checked here. The write holds
+  // the payload by refcount and owns its seed bytes: this approver may
+  // retire before a deferred write applies.
+  crypto::VerdictMemo& memo = cfg_.batcher->ok_memo();
+  for (const PendingOk& ok : oks)
+    if (ok.checked)
+      memo.store_retained(ok.cert_fp, ok_seed_bytes_, ok.buf, ok.buf,
+                          ok.cert == Cert::kValid);
+
   // Apply survivors in arrival order with the same guards the inline
   // path uses — bit-identical state evolution.
-  for (std::size_t i = 0; i < oks.size(); ++i) {
-    if (!accept_scratch_[i]) continue;
-    apply_ok(ctx, oks[i].sender, oks[i].v, oks[i].buf);
-  }
+  for (const PendingOk& ok : oks)
+    if (ok.cert == Cert::kValid && election_ok_scratch_[ok.first_check])
+      apply_ok(ctx, ok.sender, ok.v, ok.buf);
 }
 
 std::optional<Value> Approver::verify_ok_payload(
-    const committee::Sampler& sampler, const crypto::Signer& signer,
-    const committee::Params& params, const std::string& approver_tag,
-    crypto::ProcessId sender, BytesView payload) {
-  Value v;
-  BytesView election;
-  std::vector<OkProofEntry> entries;
-  try {
-    Reader r(payload);
-    v = r.u8();
-    election = r.blob_view();
-    std::uint32_t count = r.u32();
-    if (count != params.W) return std::nullopt;
-    entries.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      OkProofEntry e;
-      e.sender = r.u32();
-      e.signature = r.blob_view();
-      e.election_proof = r.blob_view();
-      entries.push_back(e);
-    }
-    r.done();
-  } catch (const CodecError&) {
-    return std::nullopt;
-  }
-  if (!is_valid_value(v)) return std::nullopt;
-
-  std::vector<crypto::ProcessId> ids;
-  ids.reserve(entries.size());
-  for (const OkProofEntry& e : entries) ids.push_back(e.sender);
-  std::sort(ids.begin(), ids.end());
-  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end())
-    return std::nullopt;
-
+    const coin::Setup& setup, const std::string& approver_tag,
+    crypto::ProcessId sender, const SharedBytes& owner, BytesView payload) {
+  const std::optional<OkHead> head = parse_ok_head(payload, setup.params.W);
+  if (!head) return std::nullopt;
   const std::string ok_seed = approver_tag + "/ok";
-  const std::string echo_seed = approver_tag + "/echo/" + value_name(v);
-  if (!sampler.committee_val(ok_seed, sender, election)) return std::nullopt;
-  for (const OkProofEntry& e : entries)
-    if (!sampler.committee_val(echo_seed, e.sender, e.election_proof))
+  if (!setup.sampler->committee_val(ok_seed, sender, head->election))
+    return std::nullopt;
+
+  // A memo hit answers for the whole certificate; the memo holds only
+  // certificates that parsed.
+  const Bytes seed_bytes = bytes_of(ok_seed);
+  const std::uint64_t fp = cert_fingerprint(*head, payload.size());
+  std::optional<bool> valid;
+  if (setup.batcher)
+    valid = setup.batcher->ok_memo().lookup(fp,
+                                            {BytesView(seed_bytes), payload});
+  if (!valid) {
+    std::vector<OkProofEntry> entries;
+    std::vector<crypto::ProcessId> ids;
+    if (!parse_ok_entries(head->entries, setup.params.W, entries, ids))
       return std::nullopt;
-  const Bytes expected = make_echo_sign_bytes(approver_tag, v);
-  for (const OkProofEntry& e : entries)
-    if (!signer.verify(e.sender, expected, e.signature)) return std::nullopt;
-  return v;
+    valid = check_cert(setup, approver_tag + "/echo/" + value_name(head->v),
+                       make_echo_sign_bytes(approver_tag, head->v), entries);
+    if (setup.batcher)
+      setup.batcher->ok_memo().store_retained(fp, seed_bytes, owner, payload,
+                                              *valid);
+  }
+  if (!*valid) return std::nullopt;
+  return head->v;
 }
 
 const std::set<Value>& Approver::output() const {

@@ -19,15 +19,21 @@
 // (Lemmas 6.2–6.4). Word complexity O(nλ²) — the λ² comes from the W
 // signatures inside each ok message.
 //
-// Hot-path notes (the ba_whp throughput tentpole): echo payload fields
-// are retained as SharedBytes aliases of the delivered buffer (never deep
-// copied), the <echo,v> signing strings are hoisted into members, all
-// per-value/per-sender tracking uses flat arrays and bitmaps, and — when
-// a coin::BatchVerifier is configured — the W-signature sweep of each
-// <ok> is deferred into a pending queue flushed at threshold/watermark,
-// where the run-wide SigMemo collapses the n·W redundant HMAC checks to
-// ~W (every ok embeds the SAME signed echoes). Accept/reject sets and
-// all protocol state evolution are bit-identical to inline verification.
+// Hot-path notes: echo payload fields are retained as SharedBytes
+// aliases of the delivered buffer (never deep copied), the <echo,v>
+// signing strings are hoisted into members, and all per-value/per-sender
+// tracking uses flat arrays and bitmaps. With a coin::BatchVerifier, an
+// <ok> certificate (its W signed echoes and their elections) is checked
+// once per run: all n receivers of one broadcast get the same bytes, so
+// its verdict goes into the run-wide BatchVerifier::ok_memo(), keyed by
+// (ok seed, ok payload) and looked up both at arrival and again at the
+// flush of the pending-ok queue. A hit skips the entry parse, the
+// distinct-sender check and the 2W election and signature lookups. A
+// miss runs the W+1 elections in one folded batch and the W signatures
+// through the SigMemo, then stores the verdict, negative ones included.
+// Only the sender's own ok election is checked per delivery, since it
+// depends on the sender. Accept/reject sets and all protocol state
+// evolution are bit-identical to inline verification.
 #pragma once
 
 #include <array>
@@ -48,11 +54,11 @@ namespace coincidence::ba {
 class Approver {
  public:
   /// Uses the setup's params, sampler, signer and batcher. With a
-  /// batcher, the W+1 election proofs inside each <ok> are checked in one
-  /// committee_val_batch call, the W HMAC echo signatures wait in a
-  /// pending-ok queue flushed through BatchVerifier::verify_signatures
-  /// (SigMemo-dedup'd across ok messages and receivers), and echo
-  /// signatures answer from the same memo.
+  /// batcher, each <ok> waits in a pending-ok queue; a flush answers each
+  /// certificate from the ok memo, or checks its W+1 election proofs in
+  /// one committee_val_batch call and its W HMAC echo signatures through
+  /// BatchVerifier::verify_signatures. Echo signatures answer from the
+  /// same SigMemo.
   struct Config : coin::Setup {
     std::string tag{};  // instance routing prefix (and committee seed root)
   };
@@ -82,17 +88,18 @@ class Approver {
   /// The verified oks applied so far, in application order (at most W).
   const std::vector<AppliedOk>& applied_oks() const { return applied_oks_; }
 
-  /// Stateless re-verification of a forwarded <ok> payload, exactly the
-  /// inline path of handle_ok: parse, W distinct embedded senders, the
+  /// Stateless re-verification of a forwarded <ok> payload with the
+  /// checks of handle_ok: parse, W distinct embedded senders, the
   /// sender's ok election, the W echo elections, the W echo signatures.
-  /// `approver_tag` names the instance the ok claims to come from (its
-  /// committee-seed root, e.g. "slot7/0/a2"); `sender` is the claimed ok
-  /// broadcaster, bound by its election proof. Returns the carried value
-  /// on full success.
+  /// With a batcher in `setup` the certificate answers from the ok memo
+  /// and the signatures from the SigMemo. `approver_tag` names the
+  /// instance the ok claims to come from (its committee-seed root, e.g.
+  /// "slot7/0/a2"); `sender` is the claimed ok broadcaster, bound by its
+  /// election proof. `payload` lies inside `owner`, which a memo store
+  /// retains. Returns the carried value on full success.
   static std::optional<Value> verify_ok_payload(
-      const committee::Sampler& sampler, const crypto::Signer& signer,
-      const committee::Params& params, const std::string& approver_tag,
-      crypto::ProcessId sender, BytesView payload);
+      const coin::Setup& setup, const std::string& approver_tag,
+      crypto::ProcessId sender, const SharedBytes& owner, BytesView payload);
 
   /// Whitebox accessors for tests.
   bool in_init_committee() const { return in_init_; }
@@ -117,15 +124,56 @@ class Approver {
     BytesView election_proof;
   };
 
-  /// A decoded <ok> awaiting its deferred verification sweep. Its W
-  /// proof entries live in pending_entries_[first_entry, first_entry+W).
+  /// The head of an <ok> payload: the carried value and the sender's
+  /// election proof. `head` is their encoding (the certificate
+  /// fingerprint's input); `entries` is the encoding of the W entries.
+  struct OkHead {
+    Value v = kZero;
+    BytesView election;
+    BytesView head;
+    BytesView entries;
+  };
+
+  /// A certificate's ok-memo verdict, once known.
+  enum class Cert : std::uint8_t { kUnknown, kValid, kInvalid };
+
+  /// An <ok> awaiting its deferred verification sweep. An unknown
+  /// certificate's W proof entries live in
+  /// pending_entries_[first_entry, first_entry+W).
   struct PendingOk {
     SharedBytes buf;  // keeps every view alive
     crypto::ProcessId sender = 0;
     Value v = kZero;
     BytesView election;
+    std::uint64_t cert_fp = 0;
+    Cert cert = Cert::kUnknown;
+    bool checked = false;  // verified (and stored) by this flush
     std::size_t first_entry = 0;
+    std::size_t first_check = 0;  // its sender election in check_scratch_
   };
+
+  /// Parses the head of an <ok>: nothing on a malformed head, an invalid
+  /// value or an entry count other than W.
+  static std::optional<OkHead> parse_ok_head(BytesView payload,
+                                             std::size_t W);
+  /// Parses the W proof entries into `out`; false when malformed or when
+  /// two entries share a sender. `ids` is scratch.
+  static bool parse_ok_entries(BytesView entries, std::size_t W,
+                               std::vector<OkProofEntry>& out,
+                               std::vector<crypto::ProcessId>& ids);
+  /// The certificate check without the ok memo: the W echo elections,
+  /// then the W echo signatures (from the SigMemo with a batcher),
+  /// stopping at the first failure.
+  static bool check_cert(const coin::Setup& setup,
+                         const std::string& echo_seed,
+                         const Bytes& signed_bytes,
+                         const std::vector<OkProofEntry>& entries);
+  /// The ok-memo fingerprint: the head bits and the payload length. The
+  /// entries are left out because honest oks embed the same echoes.
+  static std::uint64_t cert_fingerprint(const OkHead& head,
+                                        std::size_t payload_size);
+  /// The cached verdict of the certificate in `payload`, if any.
+  std::optional<bool> lookup_cert(std::uint64_t fp, BytesView payload) const;
 
   const std::string& init_seed() const { return init_seed_; }
   const std::string& echo_seed(Value v) const { return echo_seeds_[v]; }
@@ -151,8 +199,9 @@ class Approver {
   void apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                 const SharedBytes& buf);
 
-  /// Deferred path: flush every pending ok through one election batch +
-  /// one memoized signature batch, then apply survivors in arrival order.
+  /// Deferred path: answer each pending certificate from the ok memo,
+  /// check the rest through one election batch + one memoized signature
+  /// batch, store their verdicts, then apply survivors in arrival order.
   void flush_ok_queue(sim::Context& ctx);
   bool should_flush() const;
 
@@ -168,6 +217,7 @@ class Approver {
   sim::Tag tag_ok_;
   std::string init_seed_;
   std::string ok_seed_;
+  Bytes ok_seed_bytes_;  // ok_seed_, the first field of an ok-memo key
   std::array<std::string, 3> echo_seeds_;      // indexed by Value {0, 1, ⊥}
   std::array<Bytes, 3> echo_sign_bytes_;       // <tag|"echo"|v> preimages
 
@@ -209,7 +259,6 @@ class Approver {
   std::vector<crypto::SigBatchEntry> sig_scratch_;
   std::vector<char> election_ok_scratch_;
   std::vector<char> verdict_scratch_;
-  std::vector<char> accept_scratch_;
   std::vector<std::size_t> sig_ok_of_scratch_;
 
   bool done_ = false;

@@ -426,8 +426,7 @@ bool BaWhp::handle_skip_req(sim::Context& ctx, const sim::Message& msg) {
         if (is_binary(v)) {
           ++lock_checks_;
           std::optional<Value> verified = Approver::verify_ok_payload(
-              *cfg_.sampler, *cfg_.signer, cfg_.params, a2_tag(round_),
-              ok_sender, ok_payload);
+              cfg_, a2_tag(round_), ok_sender, msg.payload, ok_payload);
           if (verified && *verified == v)
             fwd_lock_ = Approver::AppliedOk{
                 ok_sender, v, SharedBytes::copy_of(ok_payload)};
@@ -515,8 +514,7 @@ bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
   const std::string tag = a2_tag(r);
   for (std::size_t i = 0; valid && i < entries.size(); ++i) {
     std::optional<Value> verified = Approver::verify_ok_payload(
-        *cfg_.sampler, *cfg_.signer, cfg_.params, tag, entries[i].first,
-        entries[i].second);
+        cfg_, tag, entries[i].first, msg.payload, entries[i].second);
     valid = verified.has_value() && *verified == v;
   }
   if (!valid) {

@@ -38,12 +38,14 @@
 namespace coincidence::coin {
 
 /// Shared, per-Env verification service: memoized + batched VRF share
-/// checks and batched committee-election checks. One instance is shared
+/// checks, batched committee-election checks, memoized signature checks,
+/// and the run-wide verdict memos of erasure-coded echoes (rbc_memo) and
+/// whole approver <ok> certificates (ok_memo). One instance is shared
 /// by every process of a run on both simulator engines, which lets the
-/// memos dedup identical tuples across receivers: a share broadcast to n
-/// processes verifies once, not n times. Concurrent sharded handlers
-/// only read the memos (their stores wait for the superstep barrier,
-/// common/write_sink.h) and bump the atomic counters.
+/// memos dedup identical tuples across receivers: a share or an <ok>
+/// broadcast to n processes verifies once, not n times. Concurrent
+/// sharded handlers only read the memos (their stores wait for the
+/// superstep barrier, common/write_sink.h) and bump the atomic counters.
 class BatchVerifier {
  public:
   struct Config {
@@ -97,6 +99,10 @@ class BatchVerifier {
   /// Branch and re-encode verdicts of the erasure-coded broadcasts
   /// (Broadcast::Config::memo), shared by every process of the run.
   crypto::VerdictMemo& rbc_memo() { return rbc_memo_; }
+  /// Verdicts of whole approver <ok> certificates: the W embedded echo
+  /// elections and signatures, keyed by (approver ok seed, ok payload)
+  /// (ba/approver.h). The ok sender's own election is not part of it.
+  crypto::VerdictMemo& ok_memo() { return ok_memo_; }
 
   /// Signature-path counters (verify_signatures + check_signature),
   /// cumulative across all processes of the run.
@@ -124,6 +130,7 @@ class BatchVerifier {
   crypto::VerifyMemo memo_;
   crypto::SigMemo sig_memo_;
   crypto::VerdictMemo rbc_memo_;
+  crypto::VerdictMemo ok_memo_;
   std::atomic<std::uint64_t> sig_batches_ = 0;
   std::atomic<std::uint64_t> sig_checks_ = 0;
   std::atomic<std::uint64_t> sig_rejects_ = 0;

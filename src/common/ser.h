@@ -50,6 +50,9 @@ class Reader {
   std::string str();
 
   bool empty() const { return pos_ == data_.size(); }
+  /// The input read so far, and the input not yet read.
+  BytesView consumed() const { return data_.first(pos_); }
+  BytesView rest() const { return data_.subspan(pos_); }
   /// Throws CodecError unless the whole input was consumed.
   void done() const;
 

@@ -28,9 +28,14 @@ class SharedBytes {
       : data_(b.empty() ? nullptr
                         : std::make_shared<const Bytes>(std::move(b))) {}
 
-  /// Deep copy of a view (the view's storage is not adopted).
+  /// Deep copy of a view (the view's storage is not adopted). The buffer
+  /// is built inside make_shared: building a temporary Bytes first trips
+  /// a GCC 12 -Wfree-nonheap-object false positive once inlined.
   static SharedBytes copy_of(BytesView v) {
-    return SharedBytes(Bytes(v.begin(), v.end()));
+    SharedBytes out;
+    if (!v.empty())
+      out.data_ = std::make_shared<const Bytes>(v.begin(), v.end());
+    return out;
   }
 
   const Bytes& bytes() const { return data_ ? *data_ : empty_bytes(); }

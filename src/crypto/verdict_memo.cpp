@@ -19,6 +19,18 @@ std::size_t framed_size(VerdictMemo::Fields key) {
   return total;
 }
 
+Bytes framed(VerdictMemo::Fields key) {
+  Bytes out(framed_size(key));
+  std::uint8_t* p = out.data();
+  for (BytesView f : key) {
+    put_u64(p, f.size());
+    p += kLenBytes;
+    if (!f.empty()) std::memcpy(p, f.data(), f.size());
+    p += f.size();
+  }
+  return out;
+}
+
 bool same_key(const Bytes& stored, VerdictMemo::Fields key) {
   if (framed_size(key) != stored.size()) return false;
   const std::uint8_t* p = stored.data();
@@ -31,6 +43,12 @@ bool same_key(const Bytes& stored, VerdictMemo::Fields key) {
     p += f.size();
   }
   return true;
+}
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  h ^= word;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 31);
 }
 
 // Callers may pass raw digest bits as the fingerprint; the finalizer
@@ -47,14 +65,20 @@ std::size_t home(std::uint64_t fp, std::size_t mask) {
 VerdictMemo::IntField::IntField(std::uint64_t v) { put_u64(bytes_.data(), v); }
 
 std::uint64_t VerdictMemo::fingerprint(Fields key) {
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (BytesView f : key) {
-    h ^= f.size();
-    h *= kPrime;
-    for (std::uint8_t byte : f) {
-      h ^= byte;
-      h *= kPrime;
+    h = mix(h, f.size());
+    const std::uint8_t* p = f.data();
+    std::size_t left = f.size();
+    for (; left >= 8; p += 8, left -= 8) {
+      std::uint64_t word;
+      std::memcpy(&word, p, 8);
+      h = mix(h, word);
+    }
+    if (left > 0) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p, left);
+      h = mix(h, word);
     }
   }
   return h;
@@ -68,6 +92,19 @@ std::size_t VerdictMemo::probe(std::uint64_t fp, Same same) const {
     if (s.entry == 0 || (s.fp == fp && same(entries_[s.entry - 1].key)))
       return i;
   }
+}
+
+template <typename Same, typename Framed>
+void VerdictMemo::insert(std::uint64_t fp, bool ok, Same same,
+                         Framed framed_key) {
+  if (2 * (entries_.size() + 1) > slots_.size()) grow();
+  Slot& s = slots_[probe(fp, same)];
+  if (s.entry != 0) {
+    entries_[s.entry - 1].ok = ok;
+    return;
+  }
+  entries_.push_back(Entry{framed_key(), ok});
+  s = Slot{fp, entries_.size()};
 }
 
 std::optional<bool> VerdictMemo::lookup(std::uint64_t fp, Fields key) const {
@@ -84,31 +121,22 @@ std::optional<bool> VerdictMemo::lookup(std::uint64_t fp, Fields key) const {
 }
 
 void VerdictMemo::store(std::uint64_t fp, Fields key, bool ok) {
-  Entry e;
-  e.key.resize(framed_size(key));
-  std::uint8_t* p = e.key.data();
-  for (BytesView f : key) {
-    put_u64(p, f.size());
-    p += kLenBytes;
-    if (!f.empty()) std::memcpy(p, f.data(), f.size());
-    p += f.size();
-  }
-  e.ok = ok;
-  defer_write([this, fp, e = std::move(e)]() mutable {
-    insert(fp, std::move(e));
+  defer_write([this, fp, key = framed(key), ok]() mutable {
+    insert(
+        fp, ok, [&](const Bytes& stored) { return stored == key; },
+        [&] { return std::move(key); });
   });
 }
 
-void VerdictMemo::insert(std::uint64_t fp, Entry e) {
-  if (2 * (entries_.size() + 1) > slots_.size()) grow();
-  Slot& s = slots_[probe(
-      fp, [&](const Bytes& stored) { return stored == e.key; })];
-  if (s.entry != 0) {
-    entries_[s.entry - 1].ok = e.ok;
-    return;
-  }
-  entries_.push_back(std::move(e));
-  s = Slot{fp, entries_.size()};
+void VerdictMemo::store_retained(std::uint64_t fp, Bytes head,
+                                 SharedBytes owner, BytesView tail, bool ok) {
+  defer_write([this, fp, head = std::move(head), owner = std::move(owner),
+               tail, ok] {
+    const Fields key = {BytesView(head), tail};
+    insert(
+        fp, ok, [&](const Bytes& stored) { return same_key(stored, key); },
+        [&] { return framed(key); });
+  });
 }
 
 void VerdictMemo::grow() {

@@ -16,6 +16,10 @@
 // one byte away from an honest key, is a miss and is computed in full.
 // Negative verdicts are cached like positive ones, so a forged input
 // replayed n times is checked once and never poisons the honest key.
+// The users: the sampler's committee-val checks, the VRF-share memo
+// (verify_memo.h), the signature memo (sig_memo.h), and the two memos on
+// coin::BatchVerifier: rbc_memo() for erasure-coded echoes and
+// ok_memo() for whole approver <ok> certificates (ba/approver.h).
 //
 // Fields are length-framed in the stored copy, so ("ab", "c") and
 // ("a", "bc") are different keys, and keys with different field counts
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/shared_bytes.h"
 #include "common/write_sink.h"
 
 namespace coincidence::crypto {
@@ -54,8 +59,9 @@ class VerdictMemo {
     std::array<std::uint8_t, 8> bytes_{};
   };
 
-  /// FNV-1a over the fields with a length marker before each, for keys
-  /// without a cheaper well-spread fingerprint.
+  /// A multiply-xorshift hash over the fields, eight bytes at a time,
+  /// with a length marker before each field, for keys without a cheaper
+  /// well-spread fingerprint.
   static std::uint64_t fingerprint(Fields key);
 
   /// The cached verdict for `key`, if any. Counts a hit or a miss.
@@ -63,6 +69,13 @@ class VerdictMemo {
 
   /// Records the verdict for `key`, overwriting an earlier one.
   void store(std::uint64_t fp, Fields key, bool ok);
+
+  /// store() for the two-field key (`head`, `tail`), where `tail` points
+  /// into `owner`. A deferred write holds `owner` by refcount and copies
+  /// the key only when it applies and finds the key absent, so the
+  /// concurrent misses of one large key do not each queue a copy.
+  void store_retained(std::uint64_t fp, Bytes head, SharedBytes owner,
+                      BytesView tail, bool ok);
 
   /// The cached verdict for `key`, or `check()` run and recorded.
   template <typename Check>
@@ -90,7 +103,10 @@ class VerdictMemo {
   /// The slot whose key satisfies `same`, or the empty slot ending the run.
   template <typename Same>
   std::size_t probe(std::uint64_t fp, Same same) const;
-  void insert(std::uint64_t fp, Entry e);
+  /// Sets the verdict of the key `same` matches, or adds an entry whose
+  /// key is `framed()`.
+  template <typename Same, typename Framed>
+  void insert(std::uint64_t fp, bool ok, Same same, Framed framed);
   void grow();
 
   std::vector<Slot> slots_;  // power-of-two size, at most half full
