@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "coin/verify_queue.h"
+#include "committee/params.h"
+#include "committee/sampler.h"
 #include "core/env.h"
 #include "session/log_driver.h"
 #include "session/replicated_log.h"
@@ -161,6 +164,53 @@ TEST(ReplicatedLog, ErasureCodedShardCountCannotLeakIntoTheLog) {
     EXPECT_EQ(r.decide_latency_p50, base->decide_latency_p50);
     EXPECT_EQ(r.rounds_skipped, base->rounds_skipped);
   }
+}
+
+// Runs a 2-slot replicated log (one silent fault) on `env`.
+LogReport ddh_golden_run(const core::Env& env) {
+  LogRunOptions opts;
+  opts.slots = 2;
+  opts.pipeline_depth = 2;
+  opts.batch_size = 2;
+  opts.silent_faults = 1;
+  opts.sim_seed = 9;
+  return run_replicated_log(env, opts);
+}
+
+TEST(ReplicatedLog, DdhGoldenN16) {
+  // The replicated log over the real DDH VRF (64-bit group), pinned: the
+  // committed log's fingerprint, the words and the deliveries. At n = 16
+  // the relaxed d = 0.02 puts W = 17 above n, so the test re-derives the
+  // committee parameters at d = 0.001 (W = 15) over the same DDH keys.
+  // λ = 8 ln 16 > n puts every process on every committee, so this run
+  // pins the shape of a DDH run; DdhGoldenN32 is the one whose words and
+  // deliveries move with the VRF bytes.
+  core::Env env = core::Env::make_relaxed_ddh(16, 5, 64);
+  env.params = committee::Params::derive(16, 0.25, 0.001, /*strict=*/false);
+  env.sampler = std::make_shared<committee::CachingSampler>(
+      env.vrf, env.registry, env.params.sample_prob());
+  env.batcher = std::make_shared<coin::BatchVerifier>(
+      coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
+  const LogReport r = ddh_golden_run(env);
+  ASSERT_TRUE(r.all_committed);
+  EXPECT_TRUE(r.agreement);
+  EXPECT_EQ(r.fingerprint,
+            "06bd642b099cf63d9e00aab9f71ba2159d0100adfb0809a93844320b88558afe");
+  EXPECT_EQ(r.correct_words, 194400u);
+  EXPECT_EQ(r.deliveries, 22949u);
+}
+
+TEST(ReplicatedLog, DdhGoldenN32) {
+  // n = 32 samples committees by VRF value (p = λ/n < 1), so every
+  // election output steers who speaks: a change to the DDH arithmetic
+  // that moves any VRF byte moves the words and the deliveries.
+  const LogReport r = ddh_golden_run(core::Env::make_relaxed_ddh(32, 5, 64));
+  ASSERT_TRUE(r.all_committed);
+  EXPECT_TRUE(r.agreement);
+  EXPECT_EQ(r.fingerprint,
+            "53fc270f08c65d9c40c89a703d6ee99255e7d467f192f51b7ae7736b44dabf85");
+  EXPECT_EQ(r.correct_words, 1010720u);
+  EXPECT_EQ(r.deliveries, 141514u);
 }
 
 TEST(ReplicatedLog, ClientBatchesAreDeterministicAndDistinct) {
