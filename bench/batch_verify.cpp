@@ -4,7 +4,8 @@
 // verifying k coin shares as ONE Bellare–Garay–Rabin random linear
 // combination (DdhVrf::batch_verify — two short-exponent Pippenger
 // multi-exps + one comb + one exponentiation per distinct input) versus
-// k independent verify() calls (2k full-width Straus dual ladders).
+// k independent verify() calls (per proof two comb powers and two
+// 128-bit ladders).
 //
 //   BM_SeqVerify/<bits>/<k>    — the inline-verification baseline
 //   BM_BatchVerify/<bits>/<k>  — one folded batch of the same k entries

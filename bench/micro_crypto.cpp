@@ -152,6 +152,25 @@ void BM_DdhVrfEval(benchmark::State& state) {
 BENCHMARK(BM_DdhVrfEval)->Arg(128)->Arg(256)->Arg(1536)
     ->Unit(benchmark::kMicrosecond);
 
+// Committee sampling's shape: 32 keys evaluate one input, so after the
+// first eval the input's h and its comb table come from the instance's
+// cache. BM_DdhVrfEval above is the other extreme, a fresh input per
+// eval (hash-to-group and a table build every time).
+void BM_DdhVrfEvalSameInput(benchmark::State& state) {
+  DdhVrf vrf(group_of_bits(static_cast<std::size_t>(state.range(0))));
+  Rng rng(6);
+  std::vector<VrfKeyPair> keys;
+  for (int i = 0; i < 32; ++i) keys.push_back(vrf.keygen(rng));
+  const Bytes input = bytes_of("slot-3/round-1");
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vrf.eval(keys[next].sk, input));
+    next = (next + 1) % keys.size();
+  }
+}
+BENCHMARK(BM_DdhVrfEvalSameInput)->Arg(128)->Arg(256)->Arg(1536)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_DdhVrfVerify(benchmark::State& state) {
   DdhVrf vrf(group_of_bits(static_cast<std::size_t>(state.range(0))));
   Rng rng(5);
@@ -165,8 +184,8 @@ BENCHMARK(BM_DdhVrfVerify)->Arg(128)->Arg(256)->Arg(1536)
     ->Unit(benchmark::kMicrosecond);
 
 // The Montgomery substrate behind the 1536-bit numbers above: one REDC
-// multiply/square, the reference divmod multiply for contrast, and the
-// two ladders DdhVrf::verify actually runs.
+// multiply/square, the reference divmod multiply for contrast, the
+// Straus dual ladder and the generator's comb.
 void BM_MontMul(benchmark::State& state) {
   PrimeGroup group = PrimeGroup::rfc3526_1536();
   const MontgomeryCtx& ctx = group.mont();

@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   // The simulator's causal metrics are bit-identical with deferral on or
   // off (the protocol sends the same words either way); the win is CPU
   // time spent in DDH proof verification. Measured on the real backend,
-  // where a share costs two Straus ladders inline but amortizes into a
+  // where a share costs two exact DLEQ checks inline but amortizes into a
   // folded multi-exp — and shares of retired rounds are discarded
   // unverified — when routed through the Env's BatchVerifier.
   const auto n_ddh = static_cast<std::size_t>(args.get_int("n-ddh", 32));

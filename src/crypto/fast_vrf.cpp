@@ -37,8 +37,8 @@ bool FastVrf::verify(BytesView pk, BytesView input,
 
 bool FastVrf::verify(BytesView pk, BytesView input, BytesView value,
                      BytesView proof) const {
-  auto sk = registry_->sk_for_pk(Bytes(pk.begin(), pk.end()));
-  if (!sk) return false;  // not a registered participant
+  const Bytes* sk = registry_->sk_for_pk(pk);
+  if (sk == nullptr) return false;  // not a registered participant
   return ct_equal(value, tagged_mac(*sk, 0x01, input)) &&
          ct_equal(proof, tagged_mac(*sk, 0x02, input));
 }

@@ -1,5 +1,8 @@
 #include "crypto/key_registry.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/errors.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -25,10 +28,16 @@ const Bytes& KeyRegistry::pk_of(ProcessId id) const {
   return it->second.pk;
 }
 
-std::optional<Bytes> KeyRegistry::sk_for_pk(const Bytes& pk) const {
+bool KeyRegistry::BytesLess::operator()(BytesView a, BytesView b) const {
+  const std::size_t n = std::min(a.size(), b.size());
+  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+  return c != 0 ? c < 0 : a.size() < b.size();
+}
+
+const Bytes* KeyRegistry::sk_for_pk(BytesView pk) const {
   auto it = by_pk_.find(pk);
-  if (it == by_pk_.end()) return std::nullopt;
-  return by_id_.at(it->second).sk;
+  if (it == by_pk_.end()) return nullptr;
+  return &by_id_.at(it->second).sk;
 }
 
 std::shared_ptr<KeyRegistry> KeyRegistry::create_for(std::size_t n,

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/bytes.h"
@@ -39,8 +38,9 @@ class KeyRegistry {
   const Bytes& pk_of(ProcessId id) const;
 
   /// Reverse lookup: secret key for a public key (what FastVrf::verify
-  /// uses to recompute the MAC). Empty optional for unknown keys.
-  std::optional<Bytes> sk_for_pk(const Bytes& pk) const;
+  /// uses to recompute the MAC), or nullptr for an unknown key. Copies
+  /// nothing; the pointer lives as long as the registry.
+  const Bytes* sk_for_pk(BytesView pk) const;
 
   /// Convenience: derives n deterministic keypairs (sk = DRBG(seed, i),
   /// pk = SHA-256(sk)) — the standard setup for simulation processes.
@@ -48,8 +48,14 @@ class KeyRegistry {
                                                  std::uint64_t seed);
 
  private:
+  /// Byte-string order that compares a Bytes key with a BytesView probe.
+  struct BytesLess {
+    using is_transparent = void;
+    bool operator()(BytesView a, BytesView b) const;
+  };
+
   std::map<ProcessId, Entry> by_id_;
-  std::map<Bytes, ProcessId> by_pk_;
+  std::map<Bytes, ProcessId, BytesLess> by_pk_;
 };
 
 }  // namespace coincidence::crypto

@@ -1,5 +1,6 @@
 #include "crypto/prime.h"
 
+#include <optional>
 #include <vector>
 
 #include "common/errors.h"
@@ -34,47 +35,54 @@ std::uint64_t mod_small(const Bignum& n, std::uint64_t m) {
   return static_cast<std::uint64_t>(rem);
 }
 
-/// One Miller–Rabin round: returns true if n passes for base a.
-bool mr_round(const Bignum& n, const Bignum& n_minus_1, const Bignum& d,
-              std::size_t r, const Bignum& a) {
-  Bignum x = Bignum::mod_exp(a, d, n);
-  if (x == Bignum(1) || x == n_minus_1) return true;
-  for (std::size_t i = 1; i < r; ++i) {
-    x = Bignum::mul_mod(x, x, n);
-    if (x == n_minus_1) return true;
-    if (x == Bignum(1)) return false;  // nontrivial sqrt of 1 => composite
-  }
-  return false;
+// n == v, without building a Bignum for v.
+bool equals_u64(const Bignum& n, std::uint64_t v) {
+  return n.limbs().size() <= 1 && n.low_u64() == v;
 }
 
 }  // namespace
 
 bool is_probable_prime(const Bignum& n, int rounds) {
-  if (n < Bignum(2)) return false;
+  if (n.limbs().size() <= 1 && n.low_u64() < 2) return false;
   for (std::uint32_t p : small_primes()) {
-    if (n == Bignum(p)) return true;
+    if (equals_u64(n, p)) return true;
     if (mod_small(n, p) == 0) return false;
   }
 
-  // n - 1 = d * 2^r with d odd.
-  Bignum n_minus_1 = n - Bignum(1);
+  // n − 1 = d·2^r with d odd. One Montgomery context (when n fits a
+  // kernel) serves every round.
+  const Bignum n_minus_1 = n - Bignum(1);
   Bignum d = n_minus_1;
   std::size_t r = 0;
   while (!d.is_odd()) {
     d = d >> 1;
     ++r;
   }
+  std::optional<MontgomeryCtx> ctx;
+  if (n.limbs().size() <= MontgomeryCtx::kMaxLimbs) ctx.emplace(n);
+  // One Miller–Rabin round: true if n passes for base a.
+  auto passes = [&](const Bignum& a) {
+    Bignum x = ctx ? ctx->mod_exp(a, d) : Bignum::mod_exp(a, d, n);
+    if (equals_u64(x, 1) || x == n_minus_1) return true;
+    for (std::size_t i = 1; i < r; ++i) {
+      x = ctx ? ctx->mul(x, x) : Bignum::mul_mod(x, x, n);
+      if (x == n_minus_1) return true;
+      if (equals_u64(x, 1)) return false;  // nontrivial sqrt of 1: composite
+    }
+    return false;
+  };
 
   // Fixed bases first (cheap early rejection), then DRBG-derived bases.
-  if (!mr_round(n, n_minus_1, d, r, Bignum(2))) return false;
-  if (!mr_round(n, n_minus_1, d, r, Bignum(3))) return false;
+  if (!passes(Bignum(2))) return false;
+  if (!passes(Bignum(3))) return false;
 
   HmacDrbg drbg(n.to_bytes_be());
-  std::size_t byte_len = (n.bit_length() + 7) / 8;
+  const std::size_t byte_len = (n.bit_length() + 7) / 8;
+  const Bignum n_minus_3 = n - Bignum(3);
   for (int i = 0; i < rounds; ++i) {
-    Bignum a = Bignum::from_bytes_be(drbg.generate(byte_len)) % (n - Bignum(3));
+    Bignum a = Bignum::from_bytes_be(drbg.generate(byte_len)) % n_minus_3;
     a = a + Bignum(2);  // a in [2, n-2]
-    if (!mr_round(n, n_minus_1, d, r, a)) return false;
+    if (!passes(a)) return false;
   }
   return true;
 }
@@ -99,7 +107,7 @@ SafePrime generate_safe_prime(std::size_t bits, std::uint64_t seed) {
       for (std::uint32_t sp : small_primes()) {
         std::uint64_t qm = mod_small(q, sp);
         if (qm == 0 || (2 * qm + 1) % sp == 0) {
-          if (q != Bignum(sp)) {
+          if (!equals_u64(q, sp)) {
             sieved_out = true;
             break;
           }

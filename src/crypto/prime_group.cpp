@@ -51,13 +51,17 @@ Bignum PrimeGroup::exp(const Bignum& base, const Bignum& e) const {
   return ctx_->mod_exp(base, e);
 }
 
+CombTable PrimeGroup::comb(const Bignum& base) const {
+  return CombTable(ctx_, base, p_.bit_length());
+}
+
 Bignum PrimeGroup::dual_exp(const Bignum& a, const Bignum& ea,
                             const Bignum& b, const Bignum& eb) const {
   return ctx_->dual_exp(a, ea, b, eb);
 }
 
 Bignum PrimeGroup::mul(const Bignum& a, const Bignum& b) const {
-  return Bignum::mul_mod(a, b, p_);
+  return ctx_->mul(a, b);
 }
 
 Bignum PrimeGroup::inv(const Bignum& a) const {

@@ -8,9 +8,9 @@
 // proof used by the VRF.
 //
 // Every modular operation rides the Montgomery fast path: the group owns
-// one immutable MontgomeryCtx for p (shared by copies), a fixed-base comb
-// table for the generator g, and a Straus/Shamir dual_exp for the paired
-// exponentiations of DLEQ verification. Membership testing uses the
+// one immutable MontgomeryCtx for p (shared by copies) and a fixed-base
+// comb table for the generator g, and builds comb tables for any other
+// base a caller exponentiates often (comb()). Membership testing uses the
 // Jacobi symbol (exact for the QR subgroup of a safe prime) instead of a
 // full x^q ladder.
 #pragma once
@@ -48,8 +48,11 @@ class PrimeGroup {
   Bignum exp_g(const Bignum& e) const;
   /// b^e mod p.
   Bignum exp(const Bignum& base, const Bignum& e) const;
-  /// a^ea · b^eb mod p in a single shared-squaring ladder (Straus/Shamir).
-  /// The workhorse of DLEQ verification: g^s·pk^c and h^s·Γ^c each cost
+  /// A fixed-base comb table for `base`, for exponents below p: each
+  /// exponentiation then costs about a third of exp(base, ·), and the
+  /// build costs about one exp.
+  CombTable comb(const Bignum& base) const;
+  /// a^ea · b^eb mod p in a single shared-squaring ladder (Straus/Shamir):
   /// barely more than ONE exponentiation instead of two.
   Bignum dual_exp(const Bignum& a, const Bignum& ea, const Bignum& b,
                   const Bignum& eb) const;

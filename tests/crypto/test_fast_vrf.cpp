@@ -94,10 +94,16 @@ TEST(KeyRegistry, SeedChangesKeys) {
 
 TEST(KeyRegistry, ReverseLookup) {
   auto reg = KeyRegistry::create_for(4, 9);
-  auto sk = reg->sk_for_pk(reg->pk_of(2));
-  ASSERT_TRUE(sk.has_value());
+  const Bytes* sk = reg->sk_for_pk(reg->pk_of(2));
+  ASSERT_NE(sk, nullptr);
   EXPECT_EQ(*sk, reg->sk_of(2));
-  EXPECT_FALSE(reg->sk_for_pk(Bytes{1, 2, 3}).has_value());
+  EXPECT_EQ(reg->sk_for_pk(Bytes{1, 2, 3}), nullptr);
+  // A prefix or an extension of a registered key is a different key.
+  const Bytes& pk = reg->pk_of(2);
+  EXPECT_EQ(reg->sk_for_pk(BytesView(pk).first(pk.size() - 1)), nullptr);
+  Bytes longer = pk;
+  longer.push_back(0);
+  EXPECT_EQ(reg->sk_for_pk(longer), nullptr);
 }
 
 TEST(KeyRegistry, DuplicateIdThrows) {

@@ -7,7 +7,9 @@
 // (0, 1, m−1, values ≥ m) where reduction bugs hide.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/errors.h"
@@ -253,6 +255,81 @@ TEST(Montgomery, MultiExpEdgeExponents) {
     EXPECT_EQ(ctx.multi_exp(unreduced),
               Bignum::mod_exp_ref(a, Bignum(18), m));
   }
+}
+
+TEST(MontgomeryKernels, EveryWidthMatchesReference) {
+  // One random odd modulus of every limb count 1..kMaxLimbs, so every
+  // instantiated kernel runs both on an exact fit and on the rounded-up
+  // widths, against mod_exp_ref on the edge operands: 0, 1, m−1, m,
+  // values above m and wider than m, and a zero exponent.
+  Rng rng(412);
+  const auto widths = MontgomeryCtx::kernel_widths();
+  EXPECT_EQ(widths.back(), MontgomeryCtx::kMaxLimbs);
+  for (std::size_t k = 1; k <= MontgomeryCtx::kMaxLimbs; ++k) {
+    Bytes mb = rng.next_bytes(8 * k);
+    mb[0] |= 0x80;     // exactly k limbs
+    mb.back() |= 0x01;  // odd
+    const Bignum m = Bignum::from_bytes_be(mb);
+    ASSERT_EQ(m.limbs().size(), k);
+    const MontgomeryCtx ctx(m);
+    EXPECT_EQ(ctx.kernel_width(),
+              *std::lower_bound(widths.begin(), widths.end(), k));
+
+    const Bignum m1 = m - Bignum(1);
+    const Bignum wide = (m << 70) + Bignum(12345);  // wider than m
+    const Bignum bases[] = {Bignum(0), Bignum(1), Bignum(2), m1, m,
+                            m + Bignum(1), m + m + Bignum(5), wide,
+                            random_below(rng, m)};
+    const Bignum e128 = Bignum::from_bytes_be(rng.next_bytes(16));
+    for (const Bignum& b : bases) {
+      const std::string at = "k=" + std::to_string(k) + " b=" + b.to_hex();
+      EXPECT_EQ(ctx.mod_exp(b, Bignum(0)), Bignum(1)) << at;
+      EXPECT_EQ(ctx.mod_exp(b, e128), Bignum::mod_exp_ref(b, e128, m)) << at;
+      EXPECT_EQ(ctx.mod_exp(b, Bignum(3)), Bignum::mod_exp_ref(b, Bignum(3), m))
+          << at;
+      EXPECT_EQ(ctx.mul(b, m1), Bignum::mul_mod(b, m1, m)) << at;
+      EXPECT_EQ(ctx.from_mont(ctx.mont_sqr(ctx.to_mont(b))),
+                Bignum::mul_mod(b % m, b % m, m))
+          << at;
+    }
+    // (m−1)² = 1: the largest reduced operands, worst-case carries.
+    EXPECT_EQ(ctx.from_mont(ctx.mont_mul(ctx.to_mont(m1), ctx.to_mont(m1))),
+              Bignum(1));
+    // One full-width exponent per width, and the other ladders.
+    const Bignum a = random_below(rng, m), b = random_below(rng, m);
+    const Bignum ea = random_below(rng, m), eb = e128;
+    const Bignum want_a = Bignum::mod_exp_ref(a, ea, m);
+    const Bignum want_b = Bignum::mod_exp_ref(b, eb, m);
+    EXPECT_EQ(ctx.mod_exp(a, ea), want_a) << "k=" << k;
+    EXPECT_EQ(ctx.dual_exp(a, ea, b, eb), Bignum::mul_mod(want_a, want_b, m))
+        << "k=" << k;
+    EXPECT_EQ(ctx.dual_exp(a + m, Bignum(0), b, Bignum(0)), Bignum(1));
+    auto shared = std::make_shared<const MontgomeryCtx>(m);
+    const CombTable comb(shared, a, m.bit_length());
+    EXPECT_EQ(comb.exp(ea), want_a) << "k=" << k;
+    EXPECT_EQ(comb.exp(m1), Bignum::mod_exp_ref(a, m1, m)) << "k=" << k;
+    std::vector<MultiExpTerm> terms;
+    Bignum want(1);
+    for (int i = 0; i < 9; ++i) {  // the Pippenger path (>= 8 terms)
+      const Bignum base = i == 0 ? m1 : random_below(rng, m);
+      const Bignum exp = i == 1 ? Bignum(0) : Bignum(rng.next_u64());
+      want = Bignum::mul_mod(want, Bignum::mod_exp_ref(base, exp, m), m);
+      terms.push_back({base, exp});
+    }
+    EXPECT_EQ(ctx.multi_exp(terms), want) << "k=" << k;
+  }
+}
+
+TEST(MontgomeryKernels, WiderModuliGoToTheReferenceLadder) {
+  Rng rng(413);
+  Bytes mb = rng.next_bytes(8 * (MontgomeryCtx::kMaxLimbs + 1));
+  mb[0] |= 0x80;
+  mb.back() |= 0x01;
+  const Bignum m = Bignum::from_bytes_be(mb);
+  EXPECT_THROW(MontgomeryCtx{m}, PreconditionError);
+  const Bignum base = random_below(rng, m);
+  const Bignum e = Bignum::from_bytes_be(rng.next_bytes(12));  // > 64 bits
+  EXPECT_EQ(Bignum::mod_exp(base, e, m), Bignum::mod_exp_ref(base, e, m));
 }
 
 TEST(Montgomery, JacobiMatchesEulerCriterion) {
