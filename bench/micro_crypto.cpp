@@ -5,7 +5,8 @@
 // dispatched compression and GF(2^8) kernels, with a Reed–Solomon
 // encode at the log's shape), bignum modular
 // exponentiation at several group sizes, the real DDH-VRF (eval+verify)
-// vs the simulation-grade FastVrf, committee sampling, and Shamir
+// and its Jacobi subgroup test vs the simulation-grade FastVrf,
+// committee sampling, and Shamir
 // share/reconstruct for the dealer-coin baseline.
 #include <benchmark/benchmark.h>
 
@@ -182,6 +183,45 @@ void BM_DdhVrfVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_DdhVrfVerify)->Arg(128)->Arg(256)->Arg(1536)
     ->Unit(benchmark::kMicrosecond);
+
+// Committee-val's shape: 32 members' proofs over one input, checked
+// round-robin, so after the first pass every key's state (membership,
+// pk^c table) and the input's table come from the instance's caches.
+void BM_DdhVrfVerifyManyKeys(benchmark::State& state) {
+  DdhVrf vrf(group_of_bits(static_cast<std::size_t>(state.range(0))));
+  Rng rng(7);
+  const Bytes input = bytes_of("slot-3/round-1");
+  std::vector<Bytes> pks;
+  std::vector<VrfOutput> outs;
+  for (int i = 0; i < 32; ++i) {
+    VrfKeyPair kp = vrf.keygen(rng);
+    outs.push_back(vrf.eval(kp.sk, input));
+    pks.push_back(std::move(kp.pk));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vrf.verify(pks[next], input, outs[next]));
+    next = (next + 1) % pks.size();
+  }
+}
+BENCHMARK(BM_DdhVrfVerifyManyKeys)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+// The subgroup test a verify runs on Γ, a and b: one Jacobi symbol of a
+// group element modulo p.
+void BM_Jacobi(benchmark::State& state) {
+  const PrimeGroup group =
+      group_of_bits(static_cast<std::size_t>(state.range(0)));
+  Rng rng(8);
+  std::vector<Bignum> xs;
+  for (int i = 0; i < 64; ++i)
+    xs.push_back(group.hash_to_group(rng.next_bytes(32)));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Bignum::jacobi(xs[next], group.p()));
+    next = (next + 1) % xs.size();
+  }
+}
+BENCHMARK(BM_Jacobi)->Arg(256)->Arg(1536);
 
 // The Montgomery substrate behind the 1536-bit numbers above: one REDC
 // multiply/square, the reference divmod multiply for contrast, the

@@ -101,6 +101,15 @@ std::string Params::describe() const {
   return os.str();
 }
 
+void Params::require_reachable_quorum(std::size_t silent) const {
+  if (W + silent <= n) return;
+  std::ostringstream os;
+  os << "Params: no committee can reach its quorum: W=" << W
+     << " exceeds n - silent = " << n << " - " << silent << " (d=" << d
+     << ")";
+  throw ConfigError(os.str());
+}
+
 double coin_success_lower_bound(double epsilon) {
   return (18.0 * epsilon * epsilon + 24.0 * epsilon - 1.0) /
          (6.0 * (1.0 + 6.0 * epsilon));

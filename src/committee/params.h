@@ -60,6 +60,11 @@ struct Params {
   static Params derive_auto(std::size_t n);
 
   std::string describe() const;
+
+  /// Throws ConfigError when W > n − silent: with `silent` processes
+  /// never speaking, no committee gathers W live members, so no quorum
+  /// forms and a run could only spin until its delivery budget ran out.
+  void require_reachable_quorum(std::size_t silent) const;
 };
 
 /// Lemma 4.8: lower bound on the full-participation coin's success rate.

@@ -54,6 +54,7 @@ SessionReport Session::run_concurrent_slots(
     COIN_REQUIRE(slot_inputs.size() == n, "Session: inputs size != n");
   COIN_REQUIRE(silent_faults <= std::max<std::size_t>(env_.f(), 0),
                "Session: faults exceed f");
+  env_.params.require_reachable_quorum(silent_faults);
 
   sim::SimConfig cfg;
   cfg.n = n;

@@ -63,7 +63,8 @@ class Session {
   /// derive from the slot tag, so each slot gets fresh committees from
   /// the same keys. Every slot arms the round-skip fallback at
   /// ba::auto_skip_timeout(n, slots), so a slot whose committee draws
-  /// fewer than W live members re-draws instead of wedging.
+  /// fewer than W live members re-draws instead of wedging. Throws
+  /// ConfigError when W > n − silent_faults: then no draw ever could.
   SessionReport run_concurrent_slots(
       const std::vector<std::vector<ba::Value>>& inputs, std::uint64_t seed,
       std::size_t silent_faults = 0, std::uint64_t max_rounds = 32);

@@ -373,84 +373,157 @@ Bignum Bignum::mod_exp_ref(const Bignum& base, const Bignum& exp,
   return result;
 }
 
-int Bignum::jacobi(const Bignum& a, const Bignum& n) {
-  COIN_REQUIRE(n.is_odd() && !n.is_zero(), "jacobi: modulus must be odd > 0");
-  // Binary algorithm on raw limb vectors: shift/subtract/compare in
-  // place, no division and no allocation inside the loop. The batch
-  // verifier pays four subgroup checks per entry, so this sits on the
-  // amortized path's constant factor; the Euclid-with-divmod version it
-  // replaces was several times slower at 1536 bits.
-  using Limbs = std::vector<std::uint64_t>;
-  auto norm = [](Limbs& v) {
-    while (!v.empty() && v.back() == 0) v.pop_back();
-  };
-  auto low = [](const Limbs& v) -> std::uint64_t {
-    return v.empty() ? 0 : v[0];
-  };
-  // u and v normalized; <0, 0, >0 like memcmp.
-  auto cmp = [](const Limbs& u, const Limbs& v) -> int {
-    if (u.size() != v.size()) return u.size() < v.size() ? -1 : 1;
-    for (std::size_t i = u.size(); i-- > 0;)
-      if (u[i] != v[i]) return u[i] < v[i] ? -1 : 1;
-    return 0;
-  };
-  auto sub_in_place = [&norm](Limbs& u, const Limbs& v) {  // u -= v, u >= v
-    std::uint64_t borrow = 0;
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      const std::uint64_t vi = i < v.size() ? v[i] : 0;
-      const std::uint64_t d = u[i] - vi;
-      const std::uint64_t b = (u[i] < vi) | (d < borrow);
-      u[i] = d - borrow;
-      borrow = b;
-    }
-    norm(u);
-  };
-  auto shift_right = [&norm](Limbs& u, std::size_t k) {
-    const std::size_t limbs = k / 64, bits = k % 64;
-    if (limbs)
-      u.erase(u.begin(),
-              u.begin() + static_cast<std::ptrdiff_t>(std::min(limbs, u.size())));
-    if (bits && !u.empty()) {
-      for (std::size_t i = 0; i + 1 < u.size(); ++i)
-        u[i] = (u[i] >> bits) | (u[i + 1] << (64 - bits));
-      u.back() >>= bits;
-    }
-    norm(u);
-  };
-  auto trailing_zeros = [](const Limbs& u) {
-    std::size_t tz = 0, i = 0;
-    while (i < u.size() && u[i] == 0) {
-      tz += 64;
-      ++i;
-    }
-    if (i < u.size())
-      tz += static_cast<std::size_t>(__builtin_ctzll(u[i]));
-    return tz;
-  };
+namespace {
 
-  Limbs x = (a % n).limbs_;
-  Limbs y = n.limbs_;
-  norm(x);
-  norm(y);
-  int result = 1;
-  while (!x.empty()) {
-    // Pull out the even part of x; each factor of 2 flips the sign when
-    // y ≡ ±3 (mod 8).
-    const std::size_t twos = trailing_zeros(x);
-    if (twos != 0) {
-      const std::uint64_t y_mod8 = low(y) & 7;
-      if ((twos & 1) && (y_mod8 == 3 || y_mod8 == 5)) result = -result;
-      shift_right(x, twos);
-    }
-    // Both odd: swap so x >= y, applying quadratic reciprocity, then one
-    // subtraction makes x even again for the next round of shifts.
-    if (cmp(x, y) < 0) {
-      x.swap(y);
-      if ((low(x) & 3) == 3 && (low(y) & 3) == 3) result = -result;
-    }
-    sub_in_place(x, y);
+// The Jacobi symbol as a binary GCD (Pornin, "Optimized Binary GCD for
+// Modular Inversion", IACR ePrint 2020/972), on limb arrays the caller
+// owns. The state is (a, b) with b odd and the symbol sought equal to
+// (−1)^flip · (a | b). A binary step, when a is odd, swaps a and b if
+// a < b and subtracts b from a; then it halves a. The symbol follows
+// from low bits alone:
+//   halving a multiplies by (2 | b), −1 iff b ≡ ±3 (mod 8);
+//   swapping two odd values multiplies by −1 iff both are ≡ 3 (mod 4);
+//   subtracting b from a changes nothing.
+// Steps run in batches of kJacobiSteps on 64-bit approximations of a and
+// b: their top 32 bits and their low 32 bits. Parities and residues mod
+// 8 are exact for the whole batch, since step i only needs bits below
+// 32 − i. The a < b tests are not: a wrong one leaves a negative value,
+// in a or in b but never in both. The batch records its steps as a 2×2
+// matrix, and applying it to the full values yields them exactly, with
+// their signs. With (x | y) read as (x | |y|) for negative y, the three
+// rules above hold unchanged on two's-complement low bits as long as a
+// and b are not both negative, so the symbol stays exact; after the
+// batch, −a costs the factor (−1 | b) and −b none. Each batch removes at
+// least kJacobiSteps − 1 bits from len(a) + len(b) (the paper's bound
+// for 32 top bits), and once both fit in one word the exact word loop
+// finishes.
+constexpr int kJacobiSteps = 30;
+
+// Finishes (−1)^flip · (a | b) for odd b on exact words.
+int jacobi_word(u64 a, u64 b, u64 flip) {
+  while (a != 0) {
+    const int twos = __builtin_ctzll(a);
+    a >>= twos;
+    flip ^= static_cast<u64>(twos) & ((b >> 1) ^ (b >> 2));
+    // Both odd: b ← min(a, b) and a ← |a − b|, reciprocity on a swap.
+    const u64 lt = u64{0} - static_cast<u64>(a < b);
+    flip ^= lt & (a & b) >> 1;
+    const u64 d = a - b;
+    b ^= (a ^ b) & lt;
+    a = (d ^ lt) - lt;
   }
-  return y.size() == 1 && y[0] == 1 ? result : 0;
+  return b != 1 ? 0 : (flip & 1) != 0 ? -1 : 1;
+}
+
+// out = (f·x + g·y) / 2^kJacobiSteps over len limbs, in two's complement;
+// true iff the result is negative. The division is exact, and
+// |f| + |g| ≤ 2^kJacobiSteps keeps |out| below max(x, y).
+bool jacobi_combine(const u64* x, const u64* y, std::int64_t f,
+                    std::int64_t g, u64* out, std::size_t len) {
+  using i128 = __int128;
+  i128 acc = 0;
+  u64 prev = 0;
+  for (std::size_t j = 0; j < len; ++j) {
+    acc += static_cast<i128>(f) * static_cast<i128>(x[j]) +
+           static_cast<i128>(g) * static_cast<i128>(y[j]);
+    const auto lo = static_cast<u64>(acc);
+    acc >>= 64;  // arithmetic: the signed carry into the next limb
+    if (j != 0)
+      out[j - 1] = (prev >> kJacobiSteps) | (lo << (64 - kJacobiSteps));
+    prev = lo;
+  }
+  out[len - 1] = (prev >> kJacobiSteps) |
+                 (static_cast<u64>(acc) << (64 - kJacobiSteps));
+  return acc < 0;
+}
+
+// (a | b) for a < b, b odd, both len limbs. `spare` holds 2·len limbs.
+int jacobi_limbs(u64* a, u64* b, u64* spare, std::size_t len) {
+  u64* na = spare;
+  u64* nb = spare + len;
+  u64 flip = 0;
+  // Each batch shortens len(a) + len(b) ≤ 128·len by at least
+  // kJacobiSteps − 1 bits; running past that bound twice over means the
+  // arithmetic is broken, which must not become an endless loop.
+  std::size_t batches_left = 2 * (128 * len / (kJacobiSteps - 1) + 1);
+  for (;;) {
+    COIN_REQUIRE(batches_left-- > 0, "jacobi: batches do not converge");
+    while (len > 1 && (a[len - 1] | b[len - 1]) == 0) --len;
+    if (len == 1) return jacobi_word(a[0], b[0], flip);
+    // Top 32 bits from the same position in both, above the low 32.
+    const int lz = __builtin_clzll(a[len - 1] | b[len - 1]);
+    auto approx = [&](const u64* x) {
+      const u64 top = lz == 0 ? x[len - 1]
+                              : (x[len - 1] << lz) | (x[len - 2] >> (64 - lz));
+      return (top & ~u64{0xffffffff}) | (x[0] & 0xffffffff);
+    };
+    u64 xa = approx(a), xb = approx(b);
+    if (xa == 0 && std::all_of(a, a + len, [](u64 w) { return w == 0; }))
+      return 0;  // (0 | b) for b > 1
+    // The rows of the batch matrix, each (f, g) packed as f + 2^32·g:
+    // a_batch·2^i = fa·a + ga·b, b_batch·2^i = fb·a + gb·b.
+    u64 ra = 1, rb = u64{1} << 32;
+    // Sign flips collect in bit 1 of `signs`.
+    u64 signs = 0;
+    for (int i = 0; i < kJacobiSteps; ++i) {
+      const u64 odd = u64{0} - (xa & 1);
+      const u64 swap = odd & (u64{0} - static_cast<u64>(xa < xb));
+      signs ^= swap & xa & xb;  // both ≡ 3 (mod 4)
+      const u64 tx = (xa ^ xb) & swap;
+      const u64 tr = (ra ^ rb) & swap;
+      xa ^= tx;
+      xb ^= tx;
+      ra ^= tr;
+      rb ^= tr;
+      xa = (xa - (xb & odd)) >> 1;
+      ra -= rb & odd;
+      rb <<= 1;
+      signs ^= xb ^ (xb >> 1);  // b ≡ ±3 (mod 8)
+    }
+    flip ^= signs >> 1;
+    auto unpack = [](u64 r, std::int64_t& f, std::int64_t& g) {
+      g = (static_cast<std::int64_t>(r) + (std::int64_t{1} << 31)) >> 32;
+      f = static_cast<std::int64_t>(r - (static_cast<u64>(g) << 32));
+    };
+    std::int64_t fa, ga, fb, gb;
+    unpack(ra, fa, ga);
+    unpack(rb, fb, gb);
+    // A negative row is recombined with its coefficients negated.
+    if (jacobi_combine(a, b, fb, gb, nb, len))
+      jacobi_combine(a, b, -fb, -gb, nb, len);
+    if (jacobi_combine(a, b, fa, ga, na, len)) {
+      jacobi_combine(a, b, -fa, -ga, na, len);
+      flip ^= nb[0] >> 1;  // (−1 | b) = −1 iff b ≡ 3 (mod 4)
+    }
+    std::swap(a, na);
+    std::swap(b, nb);
+  }
+}
+
+}  // namespace
+
+int Bignum::jacobi(const Bignum& a, const Bignum& n) {
+  COIN_REQUIRE(n.is_odd(), "jacobi: modulus must be odd > 0");
+  // (a | n) depends only on a mod n; only a ≥ n pays for the division.
+  Bignum reduced;
+  const Bignum* x = &a;
+  if (compare(a, n) >= 0) {
+    reduced = a % n;
+    x = &reduced;
+  }
+  const std::size_t len = n.limbs_.size();
+  auto run = [&](u64* buf) {
+    std::copy(x->limbs_.begin(), x->limbs_.end(), buf);
+    std::fill(buf + x->limbs_.size(), buf + len, 0);
+    std::copy(n.limbs_.begin(), n.limbs_.end(), buf + len);
+    return jacobi_limbs(buf, buf + len, buf + 2 * len, len);
+  };
+  if (len <= MontgomeryCtx::kMaxLimbs) {
+    std::array<u64, 4 * MontgomeryCtx::kMaxLimbs> buf;
+    return run(buf.data());
+  }
+  std::vector<u64> buf(4 * len);
+  return run(buf.data());
 }
 
 Bignum Bignum::gcd(Bignum a, Bignum b) {
@@ -526,6 +599,25 @@ std::size_t pippenger_window(std::size_t terms) {
   return 7;
 }
 
+// Column c of a comb walk multiplies in the table entry whose bit t is
+// bit t·span + c of the exponent.
+constexpr std::size_t kMaxCombSpan =
+    64 * MontgomeryCtx::kMaxLimbs / CombTable::kTeeth;
+using ColumnDigits = std::array<std::uint8_t, kMaxCombSpan>;
+static_assert(CombTable::kTeeth <= 8, "a column digit is one byte");
+
+void comb_digits(const Bignum& e, std::size_t span, ColumnDigits& out) {
+  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(span), 0);
+  const std::vector<u64>& el = e.limbs();
+  const std::size_t bits = 64 * el.size();
+  for (std::size_t t = 0; t < CombTable::kTeeth; ++t) {
+    const std::size_t end = std::min(bits, (t + 1) * span);
+    for (std::size_t pos = t * span; pos < end; ++pos)
+      out[pos - t * span] |=
+          static_cast<std::uint8_t>(((el[pos / 64] >> (pos % 64)) & 1) << t);
+  }
+}
+
 // The instantiated widths. A modulus of k limbs runs on the first width
 // >= k, its top limbs zero: REDC is exact for any R = 2^(64·W) > m, so
 // values never depend on the width, only the cost does. The production
@@ -556,12 +648,18 @@ class MontKernel {
   virtual Bignum dual_exp(const Bignum& a, const Bignum& ea, const Bignum& b,
                           const Bignum& eb) const = 0;
   virtual Bignum multi_exp(std::span<const MultiExpTerm> terms) const = 0;
-  // The 2^teeth comb entries for `base` at tooth spacing `span`.
-  virtual std::vector<u64> comb_table(const Bignum& base, std::size_t teeth,
+  // The 2^CombTable::kTeeth comb entries for `base` at tooth spacing
+  // `span`.
+  virtual std::vector<u64> comb_table(const Bignum& base,
                                       std::size_t span) const = 0;
-  // base^e from a comb_table() (0 < e < 2^(teeth·span)).
-  virtual Bignum comb_exp(const std::vector<u64>& table, std::size_t teeth,
-                          std::size_t span, const Bignum& e) const = 0;
+  // base^e from a comb_table() (e < 2^(kTeeth·span)).
+  virtual Bignum comb_exp(const std::vector<u64>& table, std::size_t span,
+                          const Bignum& e) const = 0;
+  // {base^e1, base^e2} from one walk over a comb_table().
+  virtual std::pair<Bignum, Bignum> comb_exp2(const std::vector<u64>& table,
+                                              std::size_t span,
+                                              const Bignum& e1,
+                                              const Bignum& e2) const = 0;
 };
 
 }  // namespace detail
@@ -636,40 +734,58 @@ class FixedKernel final : public detail::MontKernel {
     return store(leave(pippenger(terms)));
   }
 
-  std::vector<u64> comb_table(const Bignum& base, std::size_t teeth,
+  std::vector<u64> comb_table(const Bignum& base,
                               std::size_t span) const override {
-    const std::size_t entries = std::size_t{1} << teeth;
-    std::vector<u64> table(entries * N);
+    constexpr std::size_t kTeeth = CombTable::kTeeth;
+    constexpr std::size_t kEntries = std::size_t{1} << kTeeth;
+    std::vector<u64> table(kEntries * N);
     auto entry = [&](std::size_t s) { return table.data() + s * N; };
     std::copy(one_.begin(), one_.end(), entry(0));
     // Entry 2^i is tooth i = base^(2^(i·span)): `span` squarings of the
     // previous tooth.
     Vec tooth = enter(base);
-    for (std::size_t i = 0; i < teeth; ++i) {
+    for (std::size_t i = 0; i < kTeeth; ++i) {
       if (i != 0)
         for (std::size_t s = 0; s < span; ++s) sqr(tooth, tooth);
       std::copy(tooth.begin(), tooth.end(), entry(std::size_t{1} << i));
     }
     // Every other entry extends the entry without its lowest set bit.
-    for (std::size_t s = 1; s < entries; ++s) {
+    for (std::size_t s = 1; s < kEntries; ++s) {
       const std::size_t low = s & (~s + 1);
       if (s != low) mul(entry(s - low), entry(low), entry(s));
     }
     return table;
   }
 
-  Bignum comb_exp(const std::vector<u64>& table, std::size_t teeth,
-                  std::size_t span, const Bignum& e) const override {
-    const std::vector<u64>& el = e.limbs();
+  Bignum comb_exp(const std::vector<u64>& table, std::size_t span,
+                  const Bignum& e) const override {
+    ColumnDigits digits;
+    comb_digits(e, span, digits);
     Vec r = one_;
     for (std::size_t col = span; col-- > 0;) {
       sqr(r, r);
-      std::size_t idx = 0;
-      for (std::size_t t = 0; t < teeth; ++t)
-        idx |= static_cast<std::size_t>(bits_at(el, t * span + col, 1)) << t;
-      if (idx != 0) mul(r.data(), table.data() + idx * N, r.data());
+      if (digits[col] != 0)
+        mul(r.data(), table.data() + digits[col] * N, r.data());
     }
     return store(leave(r));
+  }
+
+  std::pair<Bignum, Bignum> comb_exp2(const std::vector<u64>& table,
+                                      std::size_t span, const Bignum& e1,
+                                      const Bignum& e2) const override {
+    ColumnDigits d1, d2;
+    comb_digits(e1, span, d1);
+    comb_digits(e2, span, d2);
+    // Two independent chains in one loop: each multiply of one overlaps
+    // the other's in the pipeline.
+    Vec r1 = one_, r2 = one_;
+    for (std::size_t col = span; col-- > 0;) {
+      sqr(r1, r1);
+      sqr(r2, r2);
+      if (d1[col] != 0) mul(r1.data(), table.data() + d1[col] * N, r1.data());
+      if (d2[col] != 0) mul(r2.data(), table.data() + d2[col] * N, r2.data());
+    }
+    return {store(leave(r1)), store(leave(r2))};
   }
 
  private:
@@ -961,15 +1077,23 @@ CombTable::CombTable(std::shared_ptr<const MontgomeryCtx> ctx,
                      const Bignum& base, std::size_t max_exp_bits)
     : ctx_(std::move(ctx)), base_(base) {
   COIN_REQUIRE(ctx_ != nullptr, "CombTable: null context");
+  COIN_REQUIRE(max_exp_bits <= kTeeth * kMaxCombSpan,
+               "CombTable: exponent width past 64·kMaxLimbs bits");
   max_bits_ = std::max<std::size_t>(max_exp_bits, kTeeth);
   span_ = (max_bits_ + kTeeth - 1) / kTeeth;
-  table_ = ctx_->kernel_->comb_table(base_, kTeeth, span_);
+  table_ = ctx_->kernel_->comb_table(base_, span_);
 }
 
 Bignum CombTable::exp(const Bignum& e) const {
   if (e.bit_length() > max_bits_) return ctx_->mod_exp(base_, e);
-  if (e.is_zero()) return Bignum(1) % ctx_->m_;
-  return ctx_->kernel_->comb_exp(table_, kTeeth, span_, e);
+  return ctx_->kernel_->comb_exp(table_, span_, e);
+}
+
+std::pair<Bignum, Bignum> CombTable::exp2(const Bignum& e1,
+                                          const Bignum& e2) const {
+  if (e1.bit_length() > max_bits_ || e2.bit_length() > max_bits_)
+    return {exp(e1), exp(e2)};
+  return ctx_->kernel_->comb_exp2(table_, span_, e1, e2);
 }
 
 }  // namespace coincidence::crypto

@@ -52,7 +52,12 @@ Bignum PrimeGroup::exp(const Bignum& base, const Bignum& e) const {
 }
 
 CombTable PrimeGroup::comb(const Bignum& base) const {
-  return CombTable(ctx_, base, p_.bit_length());
+  return comb(base, p_.bit_length());
+}
+
+CombTable PrimeGroup::comb(const Bignum& base,
+                           std::size_t max_exp_bits) const {
+  return CombTable(ctx_, base, max_exp_bits);
 }
 
 Bignum PrimeGroup::dual_exp(const Bignum& a, const Bignum& ea,

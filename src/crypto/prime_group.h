@@ -49,9 +49,11 @@ class PrimeGroup {
   /// b^e mod p.
   Bignum exp(const Bignum& base, const Bignum& e) const;
   /// A fixed-base comb table for `base`, for exponents below p: each
-  /// exponentiation then costs about a third of exp(base, ·), and the
-  /// build costs about one exp.
+  /// exponentiation then costs about a fifth of exp(base, ·), and the
+  /// build about 1.4 exps.
   CombTable comb(const Bignum& base) const;
+  /// The same for exponents of at most `max_exp_bits` bits.
+  CombTable comb(const Bignum& base, std::size_t max_exp_bits) const;
   /// a^ea · b^eb mod p in a single shared-squaring ladder (Straus/Shamir):
   /// barely more than ONE exponentiation instead of two.
   Bignum dual_exp(const Bignum& a, const Bignum& ea, const Bignum& b,

@@ -13,6 +13,7 @@ LogReport run_replicated_log(const core::Env& env,
   const std::size_t n = env.n();
   COIN_REQUIRE(opts.silent_faults <= env.f(),
                "run_replicated_log: faults exceed f");
+  env.params.require_reachable_quorum(opts.silent_faults);
 
   sim::SimConfig cfg;
   cfg.n = n;

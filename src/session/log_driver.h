@@ -70,6 +70,8 @@ struct LogReport {
 /// auto_skip_timeout(n, pipeline_depth) (ba_whp.h).
 using ba::auto_skip_timeout;
 
+/// Throws ConfigError when W > n − opts.silent_faults: no committee
+/// could then gather a quorum, and no slot would ever commit.
 LogReport run_replicated_log(const core::Env& env,
                              const LogRunOptions& opts);
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/errors.h"
@@ -197,6 +198,14 @@ TEST(Montgomery, CombTableMatchesReference) {
     // Exponents beyond the table's max_exp_bits fall back to ctx mod_exp.
     Bignum huge = (Bignum(1) << (m.bit_length() + 13)) + Bignum(77);
     EXPECT_EQ(comb.exp(huge), Bignum::mod_exp_ref(Bignum(4), huge, m));
+    // Two exponents in one walk, including a zero and an oversized one.
+    const Bignum e1 = random_below(rng, m), e2 = random_below(rng, m);
+    const auto [p1, p2] = comb.exp2(e1, e2);
+    EXPECT_EQ(p1, Bignum::mod_exp_ref(Bignum(4), e1, m));
+    EXPECT_EQ(p2, Bignum::mod_exp_ref(Bignum(4), e2, m));
+    EXPECT_EQ(comb.exp2(Bignum(0), e2), std::make_pair(Bignum(1), p2));
+    EXPECT_EQ(comb.exp2(huge, e1),
+              std::make_pair(Bignum::mod_exp_ref(Bignum(4), huge, m), p1));
   }
 }
 
@@ -307,6 +316,12 @@ TEST(MontgomeryKernels, EveryWidthMatchesReference) {
     auto shared = std::make_shared<const MontgomeryCtx>(m);
     const CombTable comb(shared, a, m.bit_length());
     EXPECT_EQ(comb.exp(ea), want_a) << "k=" << k;
+    EXPECT_EQ(comb.exp2(m1, ea),
+              std::make_pair(Bignum::mod_exp_ref(a, m1, m), want_a))
+        << "k=" << k;
+    // A 128-bit table (the per-key pk^c shape): span 16 at every width.
+    const CombTable short_comb(shared, b, 128);
+    EXPECT_EQ(short_comb.exp(eb), want_b) << "k=" << k;
     EXPECT_EQ(comb.exp(m1), Bignum::mod_exp_ref(a, m1, m)) << "k=" << k;
     std::vector<MultiExpTerm> terms;
     Bignum want(1);

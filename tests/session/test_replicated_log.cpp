@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "coin/verify_queue.h"
+#include "common/errors.h"
 #include "committee/params.h"
 #include "committee/sampler.h"
 #include "core/env.h"
+#include "core/session.h"
 #include "session/log_driver.h"
 #include "session/replicated_log.h"
 
@@ -211,6 +213,38 @@ TEST(ReplicatedLog, DdhGoldenN32) {
             "53fc270f08c65d9c40c89a703d6ee99255e7d467f192f51b7ae7736b44dabf85");
   EXPECT_EQ(r.correct_words, 1010720u);
   EXPECT_EQ(r.deliveries, 141514u);
+}
+
+TEST(ReplicatedLog, RefusesAQuorumNoCommitteeCanReach) {
+  // n = 16 at the relaxed d = 0.02 derives W = 17 > n: no committee can
+  // ever gather W members, so both entry points refuse before the first
+  // delivery instead of spinning to the delivery budget, on either VRF.
+  for (const core::Env& env : {core::Env::make_relaxed(16, 5),
+                               core::Env::make_relaxed_ddh(16, 5, 64)}) {
+    ASSERT_GT(env.params.W, env.n());
+    for (std::size_t silent : {0, 1}) {
+      LogRunOptions opts;
+      opts.slots = 2;
+      opts.silent_faults = silent;
+      try {
+        run_replicated_log(env, opts);
+        ADD_FAILURE() << "no ConfigError at silent=" << silent;
+      } catch (const ConfigError& e) {
+        const std::string what = e.what();
+        for (const std::string& part : std::vector<std::string>{
+                 "W=17", "16 - " + std::to_string(silent), "d=0.02"})
+          EXPECT_NE(what.find(part), std::string::npos) << what;
+      }
+      core::Session session(env);
+      EXPECT_THROW(session.run_concurrent_slots(
+                       {std::vector<ba::Value>(16, 1)}, 3, silent),
+                   ConfigError);
+    }
+  }
+  // W = n − silent is reachable: the d = 0.001 parameters of DdhGoldenN16
+  // (W = 15) with one silent process pass the check.
+  committee::Params::derive(16, 0.25, 0.001, /*strict=*/false)
+      .require_reachable_quorum(1);
 }
 
 TEST(ReplicatedLog, ClientBatchesAreDeterministicAndDistinct) {
