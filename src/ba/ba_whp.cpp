@@ -26,7 +26,10 @@ std::size_t ok_entry_words(std::size_t W) { return 1 + 2 + 2 * W; }
 }  // namespace
 
 BaWhp::BaWhp(Config cfg, Value initial)
-    : cfg_(std::move(cfg)), initial_(initial), est_(initial) {
+    : cfg_(std::move(cfg)),
+      round_prefix_(cfg_.tag + "/"),
+      initial_(initial),
+      est_(initial) {
   COIN_REQUIRE(is_binary(initial), "BaWhp: initial value must be 0 or 1");
   COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler && cfg_.signer,
                "BaWhp: missing crypto environment");
@@ -241,23 +244,9 @@ void BaWhp::replay_backlog(sim::Context& ctx) {
 }
 
 std::uint64_t BaWhp::tag_round(sim::Tag t) const {
-  // Tags look like "<cfg_.tag>/<round>/..."; unparseable tags map to the
-  // current round so they are never pruned prematurely. str() is a
-  // reference into the interner — no allocation on the message path.
-  const std::string& tag = t.str();
-  std::size_t base = cfg_.tag.size();
-  if (tag.size() <= base + 1 || tag.compare(0, base, cfg_.tag) != 0 ||
-      tag[base] != '/')
-    return round_;
-  std::uint64_t r = 0;
-  std::size_t i = base + 1;
-  bool any = false;
-  while (i < tag.size() && tag[i] >= '0' && tag[i] <= '9') {
-    r = r * 10 + static_cast<std::uint64_t>(tag[i] - '0');
-    ++i;
-    any = true;
-  }
-  return any ? r : round_;
+  // Tags look like "<cfg_.tag>/<round>/..."; a tag naming no round maps
+  // to the current round so it is never pruned prematurely.
+  return sim::tag_index(t.str(), round_prefix_).value_or(round_);
 }
 
 bool BaWhp::offer(sim::Context& ctx, const sim::Message& msg) {
@@ -270,12 +259,12 @@ bool BaWhp::offer(sim::Context& ctx, const sim::Message& msg) {
   }
   // Byzantine senders must not grow the backlog without bound: tags
   // naming rounds beyond the protocol horizon are dropped outright.
-  if (tag_round(msg.tag) >= cfg_.max_rounds) return false;
   // Retired rounds are gone for good — their sub-instances (and deferred
   // verify queues) were destroyed, and a share re-delivered after a
   // crash-recovery must not re-enter a fresh PendingVerifyQueue for a
   // round this process already finished.
-  if (tag_round(msg.tag) < round_) return false;
+  const std::uint64_t r = tag_round(msg.tag);
+  if (r >= cfg_.max_rounds || r < round_) return false;
   // Try the live sub-instances for the *current* phase; stash otherwise.
   // Every consumed message is progress: the round is demonstrably alive,
   // so the skip deadline slides instead of firing mid-round under load
@@ -325,13 +314,8 @@ void BaWhp::on_message(sim::Context& ctx, const sim::Message& msg) {
 
 bool BaWhp::is_skip_tag(sim::Tag tag) const {
   if (tag == tag_skip_) return true;  // current round, one id compare
-  constexpr std::string_view kSuffix = "/skip";
-  const std::string& t = tag.str();
-  if (t.size() <= cfg_.tag.size() + kSuffix.size()) return false;
-  if (t.compare(0, cfg_.tag.size(), cfg_.tag) != 0 ||
-      t[cfg_.tag.size()] != '/')
-    return false;
-  return t.compare(t.size() - kSuffix.size(), kSuffix.size(), kSuffix) == 0;
+  std::string_view rest;
+  return sim::tag_index(tag.str(), round_prefix_, &rest) && rest == "skip";
 }
 
 void BaWhp::arm_skip_timer(sim::Context& ctx) {

@@ -125,12 +125,15 @@ class BaWhp final : public BaProcess {
   void advance_round(sim::Context& ctx);
   void replay_backlog(sim::Context& ctx);
   bool offer(sim::Context& ctx, const sim::Message& msg);
+  /// The round a "<tag>/<r>/..." tag names (sim::tag_index); a tag that
+  /// names none maps to the current round.
   std::uint64_t tag_round(sim::Tag tag) const;
   /// Writes the round-boundary snapshot to stable storage.
   void persist_now(sim::Context& ctx);
 
   // Round-skip fallback (no-ops unless cfg_.skip_timeout > 0).
   bool skip_enabled() const { return cfg_.skip_timeout > 0; }
+  /// True for "<tag>/<r>/skip" with a canonical round r.
   bool is_skip_tag(sim::Tag tag) const;
   void arm_skip_timer(sim::Context& ctx);
   /// A current-round sub-instance consumed a message: the round is
@@ -153,6 +156,7 @@ class BaWhp final : public BaProcess {
   static bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
 
   Config cfg_;
+  std::string round_prefix_;  // "<tag>/", the round tags' prefix
   Value initial_;  // recovery fallback when no snapshot survives
   Value est_;
   std::optional<int> decision_;
@@ -186,9 +190,9 @@ class BaWhp final : public BaProcess {
   std::uint32_t skip_attempts_ = 0;
   std::uint64_t armed_round_ = 0;     // round the pending wakeup watches
   std::uint64_t skip_deadline_ = 0;   // now() at which the timer is due:
-                                      // hosts (InstanceMux) fan wakeups to
-                                      // every instance, so each filters
-                                      // ticks meant for a sibling
+                                      // hosts (Session, MultiValuedBa) fan
+                                      // wakeups to every instance, so each
+                                      // filters ticks meant for a sibling
   std::uint64_t next_wakeup_at_ = 0;  // tick of this instance's own live
                                       // wakeup chain (one per instance)
   std::uint32_t lock_checks_ = 0;     // forwarded-lock verifications, per round

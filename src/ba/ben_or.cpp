@@ -9,7 +9,8 @@ namespace {
 constexpr std::size_t kWordsPerMessage = 1;  // one finite-domain value
 }  // namespace
 
-BenOr::BenOr(Config cfg, Value initial) : cfg_(std::move(cfg)), x_(initial) {
+BenOr::BenOr(Config cfg, Value initial)
+    : cfg_(std::move(cfg)), round_prefix_(cfg_.tag + "/"), x_(initial) {
   COIN_REQUIRE(is_binary(initial), "BenOr: initial value must be 0 or 1");
   COIN_REQUIRE(cfg_.n > 5 * cfg_.f, "BenOr: requires n > 5f");
 }
@@ -51,19 +52,10 @@ void BenOr::on_message(sim::Context& ctx, const sim::Message& msg) {
   if (halted_) return;
   // Tags: "<tag>/<r>/R" or "<tag>/<r>/P". Parsed off the interner's
   // resolved string — no allocation on the message path.
-  const std::string& t = msg.tag.str();
-  if (t.size() < cfg_.tag.size() + 4 ||
-      t.compare(0, cfg_.tag.size(), cfg_.tag) != 0)
-    return;
-  std::size_t round_begin = cfg_.tag.size() + 1;
-  std::size_t slash = t.find('/', round_begin);
-  if (slash == std::string::npos || slash + 2 != t.size()) return;
-  std::uint64_t r = 0;
-  for (std::size_t i = round_begin; i < slash; ++i) {
-    if (t[i] < '0' || t[i] > '9') return;
-    r = r * 10 + static_cast<std::uint64_t>(t[i] - '0');
-  }
-  const char kind = t[slash + 1];
+  std::string_view kind;
+  const auto round = sim::tag_index(msg.tag.str(), round_prefix_, &kind);
+  if (!round || (kind != "R" && kind != "P")) return;
+  const std::uint64_t r = *round;
   if (r >= cfg_.max_rounds) return;  // Byzantine round-flood guard
 
   Value v;
@@ -76,16 +68,14 @@ void BenOr::on_message(sim::Context& ctx, const sim::Message& msg) {
   }
 
   RoundState& rs = state(r);
-  if (kind == 'R') {
+  if (kind == "R") {
     if (!is_binary(v)) return;  // reports carry 0/1 only
     if (!rs.report_senders.insert(msg.from).second) return;
     rs.reports[v].insert(msg.from);
-  } else if (kind == 'P') {
+  } else {
     if (!is_binary(v) && v != kQuestion) return;
     if (!rs.proposal_senders.insert(msg.from).second) return;
     rs.proposals[v].insert(msg.from);
-  } else {
-    return;
   }
   check_progress(ctx);
 }

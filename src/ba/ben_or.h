@@ -67,6 +67,7 @@ class BenOr final : public BaProcess {
   sim::Tag round_tag(std::uint64_t r, char kind);
 
   Config cfg_;
+  std::string round_prefix_;  // "<tag>/", the round tags' prefix
   Value x_;
   std::optional<int> decision_;
   std::uint64_t decision_round_ = 0;

@@ -5,7 +5,8 @@
 
 namespace coincidence::ba {
 
-Bracha::Bracha(Config cfg, Value initial) : cfg_(std::move(cfg)), x_(initial) {
+Bracha::Bracha(Config cfg, Value initial)
+    : cfg_(std::move(cfg)), round_prefix_(cfg_.tag + "/"), x_(initial) {
   COIN_REQUIRE(is_binary(initial), "Bracha: initial value must be 0 or 1");
   COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "Bracha: requires n > 3f");
 }
@@ -72,24 +73,12 @@ void Bracha::on_message(sim::Context& ctx, const sim::Message& msg) {
   if (halted_) return;
   // Route to the RBC instance named in the tag: "<tag>/<r>/<step>/...".
   // Parsed off the interner's resolved string — no allocation here.
-  const std::string& t = msg.tag.str();
-  if (t.compare(0, cfg_.tag.size(), cfg_.tag) != 0) return;
-  std::size_t p = cfg_.tag.size() + 1;
-  if (p >= t.size()) return;
-  std::uint64_t r = 0;
-  bool any = false;
-  while (p < t.size() && t[p] >= '0' && t[p] <= '9') {
-    r = r * 10 + static_cast<std::uint64_t>(t[p] - '0');
-    ++p;
-    any = true;
-  }
-  if (!any || p >= t.size() || t[p] != '/') return;
-  ++p;
-  if (p >= t.size() || t[p] < '1' || t[p] > '3') return;
-  int step = t[p] - '0';
-  if (r >= cfg_.max_rounds) return;  // don't let Byzantine tags OOM us
+  std::string_view rest;
+  const auto r = sim::tag_index(msg.tag.str(), round_prefix_, &rest);
+  if (!r || rest.empty() || rest[0] < '1' || rest[0] > '3') return;
+  if (*r >= cfg_.max_rounds) return;  // don't let Byzantine tags OOM us
 
-  step_state(ctx, r, step).rbc->handle(ctx, msg);
+  step_state(ctx, *r, rest[0] - '0').rbc->handle(ctx, msg);
   check_progress(ctx);
 }
 

@@ -72,6 +72,7 @@ class Bracha final : public BaProcess {
   void check_progress(sim::Context& ctx);
 
   Config cfg_;
+  std::string round_prefix_;  // "<tag>/", the round tags' prefix
   std::uint8_t x_;  // current value, possibly D-marked between steps 2-3
   std::optional<int> decision_;
   std::uint64_t decision_round_ = 0;

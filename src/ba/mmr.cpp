@@ -9,7 +9,8 @@ namespace {
 constexpr std::size_t kWordsPerMessage = 1;  // one finite-domain value
 }  // namespace
 
-Mmr::Mmr(Config cfg, Value initial) : cfg_(std::move(cfg)), est_(initial) {
+Mmr::Mmr(Config cfg, Value initial)
+    : cfg_(std::move(cfg)), round_prefix_(cfg_.tag + "/"), est_(initial) {
   COIN_REQUIRE(is_binary(initial), "Mmr: initial value must be 0 or 1");
   COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "Mmr: requires n > 3f");
   COIN_REQUIRE(cfg_.make_coin != nullptr, "Mmr: missing coin factory");
@@ -56,33 +57,14 @@ void Mmr::broadcast_bval(sim::Context& ctx, std::uint64_t r, Value v) {
   ctx.broadcast(round_tags(r).bval, w.take(), kWordsPerMessage);
 }
 
-std::optional<std::uint64_t> Mmr::parse_round(sim::Tag t,
-                                              std::string_view& rest) const {
-  // Parsed off the interner's resolved string; `rest` views into it, so
-  // the message path allocates nothing.
-  const std::string& tag = t.str();
-  if (tag.compare(0, cfg_.tag.size(), cfg_.tag) != 0) return std::nullopt;
-  std::size_t p = cfg_.tag.size();
-  if (p >= tag.size() || tag[p] != '/') return std::nullopt;
-  ++p;
-  std::uint64_t r = 0;
-  bool any = false;
-  while (p < tag.size() && tag[p] >= '0' && tag[p] <= '9') {
-    r = r * 10 + static_cast<std::uint64_t>(tag[p] - '0');
-    ++p;
-    any = true;
-  }
-  if (!any || p >= tag.size() || tag[p] != '/') return std::nullopt;
-  rest = std::string_view(tag).substr(p + 1);
-  return r;
-}
-
 void Mmr::on_message(sim::Context& ctx, const sim::Message& msg) {
   retired_coins_.clear();  // safe point, no coin handle() frame active
   if (halted_) return;
 
+  // Parsed off the interner's resolved string; `rest` views into it, so
+  // the message path allocates nothing.
   std::string_view rest;
-  auto r = parse_round(msg.tag, rest);
+  const auto r = sim::tag_index(msg.tag.str(), round_prefix_, &rest);
   if (!r || *r >= cfg_.max_rounds) return;
 
   if (rest == "bval" || rest == "aux") {
@@ -158,8 +140,7 @@ void Mmr::check_progress(sim::Context& ctx) {
   std::vector<sim::Message> backlog;
   backlog.swap(coin_backlog_);
   for (auto& m : backlog) {
-    std::string_view rest;
-    auto r = parse_round(m.tag, rest);
+    const auto r = sim::tag_index(m.tag.str(), round_prefix_);
     if (!r || *r < round_) continue;  // stale
     if (waiting_for_coin_ && coin_ && *r == round_ && coin_->handle(ctx, m))
       continue;

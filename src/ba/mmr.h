@@ -89,10 +89,9 @@ class Mmr final : public BaProcess {
   void broadcast_bval(sim::Context& ctx, std::uint64_t r, Value v);
   void check_progress(sim::Context& ctx);
   void on_coin(sim::Context& ctx, int c);
-  std::optional<std::uint64_t> parse_round(sim::Tag tag,
-                                           std::string_view& rest) const;
 
   Config cfg_;
+  std::string round_prefix_;  // "<tag>/", the round tags' prefix
   Value est_;
   std::optional<int> decision_;
   std::uint64_t decision_round_ = 0;

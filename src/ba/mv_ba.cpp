@@ -18,7 +18,8 @@ MultiValuedBa::MultiValuedBa(Config cfg, Bytes proposal)
                           [this](sim::ProcessId src, const Bytes& payload) {
                             on_rbc_deliver(src, payload);
                           })),
-      delivered_(cfg_.params.n) {
+      delivered_(cfg_.params.n),
+      bas_(cfg_.tag + "/c", effective_max()) {
   COIN_REQUIRE(cfg_.params.n > 0, "MultiValuedBa: params not initialised");
   const std::size_t n = cfg_.params.n;
   std::vector<std::pair<std::uint64_t, sim::ProcessId>> keyed;
@@ -57,45 +58,25 @@ void MultiValuedBa::on_message(sim::Context& ctx, const sim::Message& msg) {
     pump(ctx);
     return;
   }
-  const auto k = candidate_of_tag(msg.tag);
-  if (!k) return;  // foreign tag — only Byzantine senders produce these
-  if (*k < bas_.size()) {
-    bas_[*k]->on_message(ctx, msg);
-    pump(ctx);
-  } else if (*k < effective_max()) {
-    backlog_.push_back(msg);
-  }
+  if (bas_.deliver(ctx, msg)) pump(ctx);
 }
 
 void MultiValuedBa::on_wakeup(sim::Context& ctx) {
   ctx_ = &ctx;
-  for (auto& ba : bas_) ba->on_wakeup(ctx);
+  for (const auto& ba : bas_.children()) ba->on_wakeup(ctx);
   pump(ctx);
 }
 
 void MultiValuedBa::activate_next(sim::Context& ctx) {
   const std::size_t k = bas_.size();
   BaWhp::Config bcfg{cfg_};
-  bcfg.tag = cand_tag(k);
+  bcfg.tag = cfg_.tag + "/c" + std::to_string(k);
   bcfg.max_rounds = cfg_.max_rounds;
   bcfg.extra_rounds = cfg_.extra_rounds;
   bcfg.skip_timeout = cfg_.skip_timeout;
   const Value input = delivered_[rank_[k]].has_value() ? kOne : kZero;
-  bas_.push_back(std::make_unique<BaWhp>(std::move(bcfg), input));
   ba_done_.push_back(false);
-  bas_.back()->on_start(ctx);
-  // Replay traffic that arrived ahead of the activation. The replay can
-  // itself grow the backlog (messages for candidate k+1 stay queued), so
-  // swap the queue out first.
-  std::vector<sim::Message> pending;
-  pending.swap(backlog_);
-  for (auto& m : pending) {
-    const auto c = candidate_of_tag(m.tag);
-    if (c && *c == k)
-      bas_[k]->on_message(ctx, m);
-    else
-      backlog_.push_back(std::move(m));
-  }
+  bas_.activate(ctx, std::make_unique<BaWhp>(std::move(bcfg), input));
 }
 
 void MultiValuedBa::pump(sim::Context& ctx) {
@@ -103,10 +84,10 @@ void MultiValuedBa::pump(sim::Context& ctx) {
   while (progress && !decided_) {
     progress = false;
     for (std::size_t k = 0; k < bas_.size(); ++k) {
-      if (ba_done_[k] || !bas_[k]->decided()) continue;
+      if (ba_done_[k] || !bas_[k].decided()) continue;
       ba_done_[k] = true;
       progress = true;
-      if (bas_[k]->decision() == 1) {
+      if (bas_[k].decision() == 1) {
         // Sequential activation makes this the unique adopted candidate:
         // every earlier instance already latched a 0 decision (decisions
         // are irrevocable), and no later one gets activated.
@@ -145,7 +126,7 @@ void MultiValuedBa::finish(sim::Context& ctx) {
   awaiting_proposer_.reset();
   if (adopted_ >= 0) {
     value_ = *delivered_[rank_[static_cast<std::size_t>(adopted_)]];
-    decided_round_ = bas_[static_cast<std::size_t>(adopted_)]->decided_round();
+    decided_round_ = bas_[static_cast<std::size_t>(adopted_)].decided_round();
   } else {
     value_.clear();
     decided_round_ = 0;
@@ -158,31 +139,6 @@ void MultiValuedBa::on_rbc_deliver(sim::ProcessId source,
   if (source < delivered_.size() && !delivered_[source].has_value())
     delivered_[source] = payload;
   if (awaiting_proposer_ && *awaiting_proposer_ == source) finish(*ctx_);
-}
-
-std::optional<std::size_t> MultiValuedBa::candidate_of_tag(
-    const sim::Tag& tag) {
-  if (const std::uint32_t* cached = cand_cache_.find(tag.id()))
-    return *cached == 0 ? std::nullopt
-                        : std::optional<std::size_t>(*cached - 1);
-  const std::string& t = tag.str();
-  const std::size_t base = cfg_.tag.size();
-  std::optional<std::size_t> result;
-  if (t.size() > base + 2 && t.compare(0, base, cfg_.tag) == 0 &&
-      t[base] == '/' && t[base + 1] == 'c') {
-    std::size_t k = 0;
-    std::size_t i = base + 2;
-    bool any = false;
-    while (i < t.size() && t[i] >= '0' && t[i] <= '9') {
-      k = k * 10 + static_cast<std::size_t>(t[i] - '0');
-      ++i;
-      any = true;
-    }
-    if (any && (i == t.size() || t[i] == '/')) result = k;
-  }
-  cand_cache_[tag.id()] =
-      result ? static_cast<std::uint32_t>(*result) + 1 : 0;
-  return result;
 }
 
 int MultiValuedBa::decision() const {
@@ -208,13 +164,13 @@ sim::ProcessId MultiValuedBa::decided_proposer() const {
 
 std::uint64_t MultiValuedBa::rounds_skipped() const {
   std::uint64_t total = 0;
-  for (const auto& ba : bas_) total += ba->rounds_skipped();
+  for (const auto& ba : bas_.children()) total += ba->rounds_skipped();
   return total;
 }
 
 std::uint64_t MultiValuedBa::max_inner_round() const {
   std::uint64_t max_round = 0;
-  for (const auto& ba : bas_)
+  for (const auto& ba : bas_.children())
     max_round = std::max(max_round, ba->current_round());
   return max_round;
 }

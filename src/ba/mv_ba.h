@@ -27,7 +27,10 @@
 // see the same per-candidate bits, in the same order) plus RBC agreement
 // (the adopted index maps to one payload). Candidate BAs are activated
 // strictly sequentially — BA k+1 exists only after BA k decided 0 — so
-// at most one candidate is ever adopted.
+// at most one candidate is ever adopted. They route through
+// ba::InstanceRouter under "<tag>/c<k>": traffic for a candidate not
+// activated yet is held and replayed on activation, and a tag naming no
+// candidate below the examination limit is dropped on every sighting.
 //
 // The skip_timeout liveness fallback of BaWhp (see ba_whp.h) forwards
 // into every inner instance; sessions that pipeline many MvBa slots
@@ -47,8 +50,8 @@
 #include "ba/ba_process.h"
 #include "ba/ba_whp.h"
 #include "ba/broadcast.h"
+#include "ba/instance_router.h"
 #include "common/bytes.h"
-#include "sim/flat_map64.h"
 
 namespace coincidence::ba {
 
@@ -105,13 +108,10 @@ class MultiValuedBa final : public BaProcess {
   std::uint64_t rounds_skipped() const;
   std::uint64_t max_inner_round() const;
   const BaWhp* inner(std::size_t k) const {
-    return k < bas_.size() ? bas_[k].get() : nullptr;
+    return k < bas_.size() ? &bas_[k] : nullptr;
   }
 
  private:
-  std::string cand_tag(std::size_t k) const {
-    return cfg_.tag + "/c" + std::to_string(k);
-  }
   std::size_t effective_max() const;
   void activate_next(sim::Context& ctx);
   /// The single state-machine driver: latches fresh inner decisions
@@ -123,9 +123,6 @@ class MultiValuedBa final : public BaProcess {
   void adopt(sim::Context& ctx, std::size_t k);
   void finish(sim::Context& ctx);
   void on_rbc_deliver(sim::ProcessId source, const Bytes& payload);
-  /// Candidate index encoded in a "<tag>/c<k>/..." tag, or nullopt for
-  /// foreign / malformed tags. Memoized per TagId.
-  std::optional<std::size_t> candidate_of_tag(const sim::Tag& tag);
 
   Config cfg_;
   Bytes proposal_;
@@ -136,16 +133,12 @@ class MultiValuedBa final : public BaProcess {
   // Delivered RBC payloads, indexed by *proposer id* (not rank).
   std::vector<std::optional<Bytes>> delivered_;
 
-  // Inner binary instances, indexed by rank; strictly append-only and
-  // activated sequentially. Done flags latch the decided() transition
-  // so each inner decision is acted on exactly once.
-  std::vector<std::unique_ptr<BaWhp>> bas_;
+  // Inner binary instances, indexed by rank and tagged "<tag>/c<k>":
+  // activated sequentially, with traffic for a candidate not activated
+  // yet held and replayed on activation. Done flags latch the decided()
+  // transition so each inner decision is acted on exactly once.
+  InstanceRouter<BaWhp> bas_;
   std::vector<bool> ba_done_;
-  // Messages for candidates not yet activated, replayed on activation.
-  std::vector<sim::Message> backlog_;
-  // TagId -> candidate index + 1 (0 = not an inner-BA tag). Mirrors
-  // InstanceMux's memoized routing.
-  sim::FlatMap64<std::uint32_t> cand_cache_;
 
   // Candidate bas_.size() is due for activation (start, or the previous
   // candidate decided 0) but waits for its gate: the candidate's own RBC

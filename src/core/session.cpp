@@ -1,7 +1,11 @@
 #include "core/session.h"
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+
 #include "ba/ba_whp.h"
-#include "ba/instance_mux.h"
+#include "ba/instance_router.h"
 #include "common/errors.h"
 #include "sim/observer.h"
 #include "sim/simulation.h"
@@ -18,26 +22,49 @@ class SlotWordObserver final : public sim::Observer {
 
   void on_send(const sim::Message& msg, bool sender_correct) override {
     if (!sender_correct) return;
-    // Tags look like "slot<k>/..."; parse k off the resolved string.
-    const std::string& tag = msg.tag.str();
-    constexpr std::size_t kPrefixLen = 4;  // "slot"
-    if (tag.size() <= kPrefixLen || tag.compare(0, kPrefixLen, "slot") != 0)
-      return;
-    std::size_t k = 0;
-    std::size_t i = kPrefixLen;
-    bool any = false;
-    while (i < tag.size() && tag[i] >= '0' && tag[i] <= '9') {
-      k = k * 10 + static_cast<std::size_t>(tag[i] - '0');
-      ++i;
-      any = true;
-    }
-    if (any && k < words_.size()) words_[k] += msg.words;
+    const auto k = sim::tag_index(msg.tag.str(), "slot");
+    if (k && *k < words_.size()) words_[*k] += msg.words;
   }
 
   std::uint64_t words_of(std::size_t slot) const { return words_.at(slot); }
 
  private:
   std::vector<std::uint64_t> words_;
+};
+
+/// One process's share of a session: a BaWhp per slot, tagged
+/// "slot<k>". Slots start and take wakeups in ascending tag-string order
+/// (slot0, slot1, slot10, ...), the order every recorded Session run was
+/// made in, so runs stay byte-identical at every slot count.
+class SlotHost final : public sim::Process {
+ public:
+  explicit SlotHost(std::size_t slots) : slots_("slot", slots), order_(slots) {
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(), [](std::size_t a, std::size_t b) {
+      return std::to_string(a) < std::to_string(b);
+    });
+  }
+
+  ba::InstanceRouter<ba::BaWhp>& slots() { return slots_; }
+
+  void on_start(sim::Context& ctx) override {
+    for (std::size_t k : order_) slots_[k].on_start(ctx);
+  }
+  void on_message(sim::Context& ctx, const sim::Message& msg) override {
+    slots_.deliver(ctx, msg);
+  }
+  void on_wakeup(sim::Context& ctx) override {
+    for (std::size_t k : order_) slots_[k].on_wakeup(ctx);
+  }
+
+  bool all_decided() const {
+    return std::all_of(slots_.children().begin(), slots_.children().end(),
+                       [](const auto& slot) { return slot->decided(); });
+  }
+
+ private:
+  ba::InstanceRouter<ba::BaWhp> slots_;
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace
@@ -67,16 +94,15 @@ SessionReport Session::run_concurrent_slots(
   coin::Setup setup = env_;
   if (!defer_verify_) setup.batcher = nullptr;
   for (sim::ProcessId i = 0; i < n; ++i) {
-    auto mux = std::make_unique<ba::InstanceMux>();
+    auto host = std::make_unique<SlotHost>(slots);
     for (std::size_t slot = 0; slot < slots; ++slot) {
       ba::BaWhp::Config bcfg{setup};
       bcfg.tag = "slot" + std::to_string(slot);
       bcfg.max_rounds = max_rounds;
       bcfg.skip_timeout = ba::auto_skip_timeout(n, slots);
-      mux->add_instance("slot" + std::to_string(slot),
-                        std::make_unique<ba::BaWhp>(bcfg, inputs[slot][i]));
+      host->slots().add(std::make_unique<ba::BaWhp>(bcfg, inputs[slot][i]));
     }
-    sim.add_process(std::move(mux));
+    sim.add_process(std::move(host));
   }
   sim::ProcessId next = static_cast<sim::ProcessId>(n);
   for (std::size_t i = 0; i < silent_faults; ++i)
@@ -86,7 +112,7 @@ SessionReport Session::run_concurrent_slots(
   sim.run_until([&] {
     for (sim::ProcessId i = 0; i < n; ++i) {
       if (sim.is_corrupted(i)) continue;
-      if (!dynamic_cast<ba::InstanceMux&>(sim.process(i)).all_decided())
+      if (!dynamic_cast<SlotHost&>(sim.process(i)).all_decided())
         return false;
     }
     return true;
@@ -99,14 +125,12 @@ SessionReport Session::run_concurrent_slots(
     sr.all_correct_decided = true;
     for (sim::ProcessId i = 0; i < n; ++i) {
       if (sim.is_corrupted(i)) continue;
-      auto& mux = dynamic_cast<ba::InstanceMux&>(sim.process(i));
-      auto& ba = mux.instance("slot" + std::to_string(slot));
-      if (const auto* whp = dynamic_cast<const ba::BaWhp*>(&ba)) {
-        sr.max_round_reached =
-            std::max(sr.max_round_reached, whp->current_round());
-        sr.rounds_skipped += whp->rounds_skipped();
-        sr.cert_decisions += whp->decided_by_certificate() ? 1 : 0;
-      }
+      const ba::BaWhp& ba =
+          dynamic_cast<SlotHost&>(sim.process(i)).slots()[slot];
+      sr.max_round_reached =
+          std::max(sr.max_round_reached, ba.current_round());
+      sr.rounds_skipped += ba.rounds_skipped();
+      sr.cert_decisions += ba.decided_by_certificate() ? 1 : 0;
       if (!ba.decided()) {
         sr.all_correct_decided = false;
         continue;

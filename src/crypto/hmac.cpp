@@ -1,20 +1,23 @@
 #include "crypto/hmac.h"
 
+#include <array>
+
 namespace coincidence::crypto {
 
 Digest hmac_sha256(BytesView key, BytesView message) {
-  Bytes block_key(kSha256BlockSize, 0);
+  // Stack pads: every Signer check and VRF eval lands here, so the
+  // padded key costs no allocation.
+  Digest kd;
   if (key.size() > kSha256BlockSize) {
-    Digest kd = sha256(key);
-    std::copy(kd.begin(), kd.end(), block_key.begin());
-  } else {
-    std::copy(key.begin(), key.end(), block_key.begin());
+    kd = sha256(key);
+    key = kd;
   }
-
-  Bytes ipad(kSha256BlockSize), opad(kSha256BlockSize);
-  for (std::size_t i = 0; i < kSha256BlockSize; ++i) {
-    ipad[i] = block_key[i] ^ 0x36;
-    opad[i] = block_key[i] ^ 0x5c;
+  std::array<std::uint8_t, kSha256BlockSize> ipad, opad;
+  ipad.fill(0x36);
+  opad.fill(0x5c);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    ipad[i] ^= key[i];
+    opad[i] ^= key[i];
   }
 
   Sha256 inner;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <utility>
 
 #include "common/errors.h"
@@ -9,11 +10,11 @@
 
 namespace coincidence::session {
 
-LogProcess::LogProcess(LogConfig cfg) : cfg_(std::move(cfg)) {
+LogProcess::LogProcess(LogConfig cfg)
+    : cfg_(std::move(cfg)), slots_(cfg_.slot_prefix, cfg_.total_slots) {
   COIN_REQUIRE(cfg_.total_slots > 0, "LogProcess: need at least one slot");
   COIN_REQUIRE(cfg_.pipeline_depth > 0, "LogProcess: depth must be >= 1");
   COIN_REQUIRE(cfg_.batch_size > 0, "LogProcess: batch must be >= 1");
-  slots_.reserve(cfg_.total_slots);
 }
 
 Bytes LogProcess::batch_for(sim::ProcessId proposer,
@@ -45,18 +46,11 @@ void LogProcess::on_start(sim::Context& ctx) {
 }
 
 void LogProcess::on_message(sim::Context& ctx, const sim::Message& msg) {
-  const auto k = slot_of_tag(msg.tag);
-  if (!k) return;  // foreign tag
-  if (*k < slots_.size()) {
-    slots_[*k]->on_message(ctx, msg);
-    pump(ctx);
-  } else if (*k < cfg_.total_slots) {
-    backlog_.push_back(msg);
-  }
+  if (slots_.deliver(ctx, msg)) pump(ctx);
 }
 
 void LogProcess::on_wakeup(sim::Context& ctx) {
-  for (auto& slot : slots_) slot->on_wakeup(ctx);
+  for (const auto& slot : slots_.children()) slot->on_wakeup(ctx);
   pump(ctx);
 }
 
@@ -66,7 +60,7 @@ void LogProcess::pump(sim::Context& ctx) {
     progress = false;
     // Latch fresh local decisions (any order across the pipeline).
     for (std::size_t k = 0; k < slots_.size(); ++k) {
-      if (slot_done_[k] || !slots_[k]->decided()) continue;
+      if (slot_done_[k] || !slots_[k].decided()) continue;
       slot_done_[k] = true;
       ++decided_count_;
       decided_at_[k] = ctx.now();
@@ -81,7 +75,7 @@ void LogProcess::pump(sim::Context& ctx) {
     // Extend the contiguous committed prefix.
     while (log_.size() < slots_.size() && slot_done_[log_.size()]) {
       const std::size_t s = log_.size();
-      const Bytes& value = slots_[s]->decided_value();
+      const Bytes& value = slots_[s].decided_value();
       log_.push_back(value);
       committed_at_[s] = ctx.now();
       if (!value.empty()) {
@@ -98,53 +92,18 @@ void LogProcess::pump(sim::Context& ctx) {
 void LogProcess::activate_slot(sim::Context& ctx) {
   const std::size_t k = slots_.size();
   ba::MultiValuedBa::Config mcfg{cfg_};
-  mcfg.tag = slot_tag(k);
+  mcfg.tag = cfg_.slot_prefix + std::to_string(k);
   mcfg.max_rounds = cfg_.max_rounds;
   mcfg.extra_rounds = cfg_.extra_rounds;
   mcfg.skip_timeout = cfg_.skip_timeout;
   mcfg.max_candidates = cfg_.max_candidates;
   mcfg.rbc = cfg_.rbc;
-  slots_.push_back(std::make_unique<ba::MultiValuedBa>(
-      std::move(mcfg), batch_for(self_, k)));
   slot_done_.push_back(false);
   activated_at_.push_back(ctx.now());
   decided_at_.push_back(0);
   committed_at_.push_back(0);
-  slots_.back()->on_start(ctx);
-  // Replay traffic that outran the local activation; messages for still-
-  // closed slots go back to the queue (the replay can grow it).
-  std::vector<sim::Message> pending;
-  pending.swap(backlog_);
-  for (auto& m : pending) {
-    const auto s = slot_of_tag(m.tag);
-    if (s && *s == k)
-      slots_[k]->on_message(ctx, m);
-    else
-      backlog_.push_back(std::move(m));
-  }
-}
-
-std::optional<std::size_t> LogProcess::slot_of_tag(const sim::Tag& tag) {
-  if (const std::uint32_t* cached = slot_cache_.find(tag.id()))
-    return *cached == 0 ? std::nullopt
-                        : std::optional<std::size_t>(*cached - 1);
-  const std::string& t = tag.str();
-  const std::size_t base = cfg_.slot_prefix.size();
-  std::optional<std::size_t> result;
-  if (t.size() > base && t.compare(0, base, cfg_.slot_prefix) == 0) {
-    std::size_t k = 0;
-    std::size_t i = base;
-    bool any = false;
-    while (i < t.size() && t[i] >= '0' && t[i] <= '9') {
-      k = k * 10 + static_cast<std::size_t>(t[i] - '0');
-      ++i;
-      any = true;
-    }
-    if (any && (i == t.size() || t[i] == '/')) result = k;
-  }
-  slot_cache_[tag.id()] =
-      result ? static_cast<std::uint32_t>(*result) + 1 : 0;
-  return result;
+  slots_.activate(ctx, std::make_unique<ba::MultiValuedBa>(
+                           std::move(mcfg), batch_for(self_, k)));
 }
 
 crypto::Digest LogProcess::log_fingerprint() const {
@@ -169,7 +128,7 @@ std::uint64_t LogProcess::commit_latency(std::size_t slot) const {
 
 std::uint64_t LogProcess::rounds_skipped() const {
   std::uint64_t total = 0;
-  for (const auto& slot : slots_) total += slot->rounds_skipped();
+  for (const auto& slot : slots_.children()) total += slot->rounds_skipped();
   return total;
 }
 
@@ -177,7 +136,7 @@ std::uint64_t LogProcess::max_decided_round() const {
   std::uint64_t max_round = 0;
   for (std::size_t k = 0; k < slots_.size(); ++k)
     if (slot_done_[k])
-      max_round = std::max(max_round, slots_[k]->decided_round());
+      max_round = std::max(max_round, slots_[k].decided_round());
   return max_round;
 }
 

@@ -15,9 +15,11 @@
 // at once. Slot k activates locally as soon as fewer than depth earlier
 // slots are still undecided, so independent slots overlap instead of
 // running lock-step; decisions may land out of order, and the log
-// commits its contiguous decided prefix. Messages for slots a peer has
-// not activated yet are backlogged and replayed on activation, exactly
-// like BaWhp's round backlog.
+// commits its contiguous decided prefix. Slots route through
+// ba::InstanceRouter, the one router of nested instances: messages for
+// slots a peer has not activated yet are held and replayed on
+// activation in arrival order, and tags naming no slot below
+// total_slots are dropped on every sighting.
 //
 // Exactly-once request semantics are out of scope here (a real system
 // would dedup against the committed prefix); the layer reports honest
@@ -25,15 +27,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "ba/instance_router.h"
 #include "ba/mv_ba.h"
 #include "common/bytes.h"
 #include "crypto/sha256.h"
-#include "sim/flat_map64.h"
 #include "sim/process.h"
 
 namespace coincidence::session {
@@ -94,33 +94,28 @@ class LogProcess final : public sim::Process {
   /// Whitebox: the MvBa instance of an activated slot (tests, stall
   /// diagnostics).
   const ba::MultiValuedBa& slot_instance(std::size_t k) const {
-    return *slots_.at(k);
+    return *slots_.children().at(k);
   }
   /// The proposal this process would make for `slot` (exposed so tests
   /// can check validity: every committed batch is some process's batch).
   Bytes batch_for(sim::ProcessId proposer, std::size_t slot) const;
 
  private:
-  std::string slot_tag(std::size_t k) const {
-    return cfg_.slot_prefix + std::to_string(k);
-  }
   /// The driver loop: latch local slot decisions, open new slots while
   /// the pipeline has room, extend the contiguous committed prefix.
   void pump(sim::Context& ctx);
   void activate_slot(sim::Context& ctx);
-  std::optional<std::size_t> slot_of_tag(const sim::Tag& tag);
 
   LogConfig cfg_;
   sim::ProcessId self_ = 0;  // bound in on_start
 
-  // Slot k's instance lives at slots_[k]; activation is strictly
-  // sequential. Done flags latch decided() transitions.
-  std::vector<std::unique_ptr<ba::MultiValuedBa>> slots_;
+  // Slot k's instance lives at slots_[k], tagged "<slot_prefix><k>";
+  // activation is strictly sequential, and traffic for a slot not
+  // activated yet is held and replayed on activation. Done flags latch
+  // decided() transitions.
+  ba::InstanceRouter<ba::MultiValuedBa> slots_;
   std::vector<bool> slot_done_;
   std::size_t decided_count_ = 0;
-  std::vector<sim::Message> backlog_;  // for slots not yet activated
-  // TagId -> slot index + 1 (0 = foreign tag), as in InstanceMux.
-  sim::FlatMap64<std::uint32_t> slot_cache_;
 
   std::vector<Bytes> log_;  // committed contiguous prefix
   std::uint64_t requests_committed_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/tag_table.h"
 
+#include <charconv>
 #include <mutex>
 #include <ostream>
 
@@ -58,6 +59,25 @@ const std::string& TagTable::str(TagId id) const {
 
 std::ostream& operator<<(std::ostream& os, const Tag& tag) {
   return os << tag.str();
+}
+
+std::optional<std::uint64_t> tag_index(std::string_view tag,
+                                       std::string_view prefix,
+                                       std::string_view* rest) {
+  if (!tag.starts_with(prefix)) return std::nullopt;
+  const char* first = tag.data() + prefix.size();
+  const char* last = tag.data() + tag.size();
+  std::uint64_t k = 0;
+  // from_chars takes no sign and fails on overflow; a leading zero is
+  // the one non-canonical form it would accept.
+  const auto [end, ec] = std::from_chars(first, last, k);
+  if (ec != std::errc{} || (*first == '0' && end - first > 1))
+    return std::nullopt;
+  if (end != last && *end != '/') return std::nullopt;
+  if (rest != nullptr)
+    *rest = end == last ? std::string_view{}
+                        : std::string_view(end + 1, last - end - 1);
+  return k;
 }
 
 }  // namespace coincidence::sim

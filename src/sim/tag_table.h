@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -104,5 +105,17 @@ class Tag {
 };
 
 std::ostream& operator<<(std::ostream& os, const Tag& tag);
+
+/// The one tag grammar of nested instances: reads `k` out of
+/// "<prefix><k>" or "<prefix><k>/<rest>" — a BA's round under
+/// "<tag>/", a multivalued BA's candidate under "<tag>/c", a log's slot
+/// under "slot". `k` must be a canonical decimal (no sign, no leading
+/// zero, no u64 overflow) ending the tag or followed by '/'. On success
+/// `*rest` (if given) views what follows that '/', empty at the tag's
+/// end; anything else is nullopt, and each caller applies its own
+/// policy for a tag naming no index.
+std::optional<std::uint64_t> tag_index(std::string_view tag,
+                                       std::string_view prefix,
+                                       std::string_view* rest = nullptr);
 
 }  // namespace coincidence::sim

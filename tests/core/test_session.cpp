@@ -2,7 +2,6 @@
 // setup (§3's "setup occurs once" property), interleaved on one network.
 #include <gtest/gtest.h>
 
-#include "ba/instance_mux.h"
 #include "common/errors.h"
 #include "core/session.h"
 
@@ -110,14 +109,6 @@ TEST(Session, RejectsBadShapes) {
   std::vector<std::vector<ba::Value>> wrong_n(1,
                                               std::vector<ba::Value>(10, 0));
   EXPECT_THROW(session.run_concurrent_slots(wrong_n, 1), PreconditionError);
-}
-
-TEST(InstanceMux, RoutesByPrefixAndRejectsDuplicates) {
-  ba::InstanceMux mux;
-  EXPECT_THROW(mux.add_instance("", nullptr), PreconditionError);
-  EXPECT_THROW(mux.instance("nope"), PreconditionError);
-  EXPECT_THROW(mux.add_instance("a/b", nullptr), PreconditionError);
-  EXPECT_EQ(mux.instance_count(), 0u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "core/session.h"
 #include "session/log_driver.h"
 #include "session/replicated_log.h"
+#include "sim/simulation.h"
 
 namespace coincidence::session {
 namespace {
@@ -245,6 +246,87 @@ TEST(ReplicatedLog, RefusesAQuorumNoCommitteeCanReach) {
   // (W = 15) with one silent process pass the check.
   committee::Params::derive(16, 0.25, 0.001, /*strict=*/false)
       .require_reachable_quorum(1);
+}
+
+TEST(ReplicatedLog, CraftedTagsTwiceCannotStallOrSplitTheLog) {
+  // One Byzantine process injects tags that the hand-rolled slot,
+  // candidate and round parsers once read differently on the first and
+  // the second sighting (a 32-bit memo aliased 2^32 to candidate 0): a
+  // leading zero, a 20-digit overflow, 2^32 aliases, bad separators,
+  // empty indices, bare prefixes and out-of-limit indices. Each reaches
+  // every correct process twice — once at the start, once after every
+  // correct process activated slot 0's first candidate — and the log
+  // must still commit in full, identically everywhere.
+  constexpr std::size_t n = 32;
+  constexpr sim::ProcessId byz = n - 1;
+  const core::Env env = core::Env::make_relaxed(n, 17);
+  env.params.require_reachable_quorum(1);
+  LogConfig lcfg{env};
+  lcfg.total_slots = 2;
+  lcfg.pipeline_depth = 2;
+  lcfg.batch_size = 2;
+  lcfg.skip_timeout = auto_skip_timeout(n, lcfg.pipeline_depth);
+
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.f = 1;
+  cfg.seed = 11;
+  sim::Simulation sim(cfg);
+  for (std::size_t i = 0; i < n; ++i)
+    sim.add_process(std::make_unique<LogProcess>(lcfg));
+  sim.corrupt(byz, sim::FaultPlan::silent());
+  auto log_of = [&](sim::ProcessId i) -> LogProcess& {
+    return dynamic_cast<LogProcess&>(sim.process(i));
+  };
+
+  const std::vector<std::string> crafted = {
+      "slot01/c0/0/a1/init",
+      "slot18446744073709551616/c0/0/a1/init",
+      "slot4294967296/c0/0/a1/init",
+      "slot0/c4294967296/0/a1/init",
+      "slot0/c18446744073709551616/0/a1/init",
+      "slot0/c01/0/a1/init",
+      "slot0/c0/01/a1/init",
+      "slot0/c0/4294967296/skip",
+      "slot0X/c0/0/a1/init",
+      "slot0/c0X/0/a1/init",
+      "slot0/c0/0X/skip",
+      "slot/c0/0/a1/init",
+      "slot0/c/0/a1/init",
+      "slot0/c0//skip",
+      "slot",
+      "slot0/c",
+      "slot0/c0/",
+      "slot2/c0/0/a1/init",
+      "slot0/c8/0/a1/init",
+  };
+  auto inject_all = [&] {
+    for (const std::string& tag : crafted)
+      for (sim::ProcessId to = 0; to < byz; ++to)
+        sim.inject(byz, to, tag, bytes_of("junk"), 1);
+  };
+
+  sim.start();
+  inject_all();
+  ASSERT_TRUE(sim.run_until([&] {
+    for (sim::ProcessId i = 0; i < byz; ++i)
+      if (log_of(i).slots_activated() == 0 ||
+          log_of(i).slot_instance(0).candidates_activated() == 0)
+        return false;
+    return true;
+  }));
+  inject_all();
+  sim.run_until([&] {
+    for (sim::ProcessId i = 0; i < byz; ++i)
+      if (!log_of(i).all_committed()) return false;
+    return true;
+  });
+
+  for (sim::ProcessId i = 0; i < byz; ++i) {
+    ASSERT_TRUE(log_of(i).all_committed()) << "process " << i;
+    EXPECT_EQ(log_of(i).log_fingerprint(), log_of(0).log_fingerprint())
+        << "process " << i;
+  }
 }
 
 TEST(ReplicatedLog, ClientBatchesAreDeterministicAndDistinct) {
