@@ -92,6 +92,7 @@ int main(int argc, char** argv) {
         ccfg.f = f;
         ccfg.vrf = env.vrf;
         ccfg.registry = env.registry;
+        ccfg.batcher = env.batcher;
         sim.add_process(std::make_unique<coin::CoinHost>(
             std::make_unique<coin::SharedCoin>(ccfg)));
       }
@@ -159,13 +160,10 @@ int main(int argc, char** argv) {
       cfg.seed = seed * 77 + run;
       sim::Simulation sim(cfg);
       for (crypto::ProcessId i = 0; i < n; ++i) {
-        coin::WhpCoin::Config ccfg;
+        coin::WhpCoin::Config ccfg{env};
         ccfg.tag = "coin";
         ccfg.round = static_cast<std::uint64_t>(run);
         ccfg.params = p;
-        ccfg.vrf = env.vrf;
-        ccfg.registry = env.registry;
-        ccfg.sampler = env.sampler;
         sim.add_process(std::make_unique<coin::CoinHost>(
             std::make_unique<coin::WhpCoin>(ccfg)));
       }

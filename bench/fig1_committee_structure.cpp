@@ -34,12 +34,8 @@ int main(int argc, char** argv) {
     scfg.seed = seed * 31 + n;
     sim::Simulation sim(scfg);
     for (sim::ProcessId i = 0; i < n; ++i) {
-      ba::Approver::Config cfg;
+      ba::Approver::Config cfg{env};
       cfg.tag = "apv";
-      cfg.params = env.params;
-      cfg.registry = env.registry;
-      cfg.sampler = env.sampler;
-      cfg.signer = env.signer;
       ba::Value input = i < n / 2 ? ba::kOne : ba::kZero;
       sim.add_process(std::make_unique<ba::ApproverHost>(cfg, input));
     }

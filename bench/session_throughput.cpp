@@ -7,7 +7,6 @@
 // independent — committees are re-sampled per slot from the same keys),
 // so total cost is linear in K with zero marginal setup.
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -248,56 +247,6 @@ int main(int argc, char** argv) {
     }
   }
   et.print(std::cout);
-  // --- Deferred batch verification: wall-clock on the real VRF. -------
-  // The simulator's causal metrics are bit-identical with deferral on or
-  // off (the protocol sends the same words either way); the win is CPU
-  // time spent in DDH proof verification. Measured on the real backend,
-  // where a share costs two exact DLEQ checks inline but amortizes into a
-  // folded multi-exp — and shares of retired rounds are discarded
-  // unverified — when routed through the Env's BatchVerifier.
-  const auto n_ddh = static_cast<std::size_t>(args.get_int("n-ddh", 32));
-  const auto ddh_bits =
-      static_cast<std::size_t>(args.get_int("ddh-bits", 256));
-  const std::size_t ddh_slots = 4;
-  std::cout << "\n== deferred verification wall-clock, ddh-vrf n=" << n_ddh
-            << " bits=" << ddh_bits << " slots=" << ddh_slots << " ==\n\n";
-  Table dt({"defer", "wall ms", "decided", "total words"});
-  std::uint64_t words_by_mode[2] = {0, 0};
-  for (int defer = 0; defer < 2; ++defer) {
-    core::Session session(core::Env::make_relaxed_ddh(n_ddh, seed, ddh_bits));
-    session.set_defer_verify(defer != 0);
-    std::vector<std::vector<ba::Value>> dinputs(
-        ddh_slots, std::vector<ba::Value>(n_ddh, 0));
-    for (std::size_t s = 0; s < ddh_slots; ++s)
-      for (std::size_t i = 0; i < n_ddh; ++i)
-        dinputs[s][i] = static_cast<ba::Value>((s + i) % 2);
-    const auto t0 = std::chrono::steady_clock::now();
-    core::SessionReport r =
-        session.run_concurrent_slots(dinputs, seed + 1, /*silent=*/2);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    std::size_t decided = 0;
-    for (const auto& slot : r.slots) decided += slot.all_correct_decided;
-    words_by_mode[defer] = r.correct_words;
-    bench::BenchJson::Row& row =
-        json.row(std::string("defer/") + (defer ? "on" : "off"));
-    bench::BenchJson::field(row, "wall_ms", wall_ms);
-    bench::BenchJson::field(row, "decided", static_cast<double>(decided));
-    bench::BenchJson::field(row, "total_words",
-                            static_cast<double>(r.correct_words));
-    dt.add_row({defer ? "on" : "off", Table::count(
-                    static_cast<std::uint64_t>(wall_ms)),
-                std::to_string(decided) + "/" + std::to_string(ddh_slots),
-                Table::count(r.correct_words)});
-  }
-  dt.print(std::cout);
-  std::cout << (words_by_mode[0] == words_by_mode[1]
-                    ? "\nword counts identical across modes — deferral "
-                      "changed CPU time only, not the protocol\n"
-                    : "\nWARNING: word counts diverged across modes — "
-                      "deferral must be bit-neutral\n");
-
   if (!json_path.empty()) {
     if (!json.write(json_path)) {
       std::cerr << "failed to write " << json_path << "\n";

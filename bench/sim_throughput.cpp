@@ -22,6 +22,7 @@
 #include "ba/broadcast.h"
 #include "bench_json.h"
 #include "coin/coin_protocol.h"
+#include "coin/setup.h"
 #include "coin/verify_queue.h"
 #include "coin/whp_coin.h"
 #include "committee/params.h"
@@ -213,29 +214,21 @@ class NullSampler final : public committee::Sampler {
 // Workloads.
 // ---------------------------------------------------------------------------
 
-struct NullEnv {
-  committee::Params params;
-  std::shared_ptr<crypto::KeyRegistry> registry;
-  std::shared_ptr<NullVrf> vrf;
-  std::shared_ptr<NullSampler> sampler;
-  std::shared_ptr<crypto::Signer> signer;
-};
-
-NullEnv make_null_env(std::size_t n, std::uint64_t seed) {
-  NullEnv env;
+/// The §3 setup over the null stubs, with one run-wide BatchVerifier
+/// shared by every process on both engines, as core::Env has.
+coin::Setup make_null_env(std::size_t n, std::uint64_t seed) {
+  coin::Setup env;
   env.params = committee::Params::derive(n, 0.25, 0.02, /*strict=*/false);
   env.registry = crypto::KeyRegistry::create_for(n, seed);
-  env.vrf = std::make_shared<NullVrf>();
-  env.sampler = std::make_shared<NullSampler>(env.vrf, env.registry,
+  auto vrf = std::make_shared<NullVrf>();
+  env.vrf = vrf;
+  env.sampler = std::make_shared<NullSampler>(vrf, env.registry,
                                               env.params.sample_prob());
   env.signer = std::make_shared<crypto::Signer>(env.registry);
+  env.batcher = std::make_shared<coin::BatchVerifier>(
+      coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
   return env;
 }
-
-/// Mirrors core::RunOptions::defer_verify for the bench workloads:
-/// deliveries and decisions are bit-identical either way (the deferred
-/// path's contract), so `--no-defer` isolates the batching/memo win.
-bool g_defer_verify = true;
 
 /// Sharded superstep engine (ISSUE 8): 0 = legacy loop. The sharded
 /// schedule is deterministic per (seed, n) but is a *different* valid
@@ -280,7 +273,7 @@ RunStats measure(Run&& run) {
 
 /// One standalone whp_coin flip across n CoinHosts, reliable network.
 RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
-  NullEnv env = make_null_env(n, seed);
+  const coin::Setup env = make_null_env(n, seed);
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.f = 0;
@@ -289,13 +282,9 @@ RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
   cfg.threads = g_threads;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
-    coin::WhpCoin::Config ccfg;
+    coin::WhpCoin::Config ccfg{env};
     ccfg.tag = "coin";
     ccfg.round = 1;
-    ccfg.params = env.params;
-    ccfg.vrf = env.vrf;
-    ccfg.registry = env.registry;
-    ccfg.sampler = env.sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(std::move(ccfg))));
   }
@@ -311,13 +300,7 @@ RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
 /// ok-proof sweep dominates — exactly the hot path the shared
 /// BatchVerifier's SigMemo is built to collapse.
 RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
-  NullEnv env = make_null_env(n, seed);
-  // One batcher for every process, on both engines, so the SigMemo
-  // collapses the W-sig sweep across processes.
-  std::shared_ptr<coin::BatchVerifier> batcher;
-  if (g_defer_verify)
-    batcher = std::make_shared<coin::BatchVerifier>(
-        coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
+  const coin::Setup env = make_null_env(n, seed);
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.f = 0;
@@ -326,14 +309,8 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
   cfg.threads = g_threads;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
-    ba::BaWhp::Config bcfg;
+    ba::BaWhp::Config bcfg{env};
     bcfg.tag = "ba";
-    bcfg.params = env.params;
-    bcfg.vrf = env.vrf;
-    bcfg.registry = env.registry;
-    bcfg.sampler = env.sampler;
-    bcfg.signer = env.signer;
-    bcfg.batcher = batcher;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
         std::move(bcfg), static_cast<ba::Value>(i % 2)));
@@ -347,10 +324,8 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
     });
     return sim.metrics().deliveries();
   });
-  if (batcher) {
-    s.sig_checks = batcher->sig_checks();
-    s.sig_memo_hits = batcher->sig_memo().hits();
-  }
+  s.sig_checks = env.batcher->sig_checks();
+  s.sig_memo_hits = env.batcher->sig_memo().hits();
   return s;
 }
 
@@ -436,7 +411,6 @@ int main(int argc, char** argv) {
   const std::size_t reps =
       static_cast<std::size_t>(args.get_int("reps", quick ? 1 : 5));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  g_defer_verify = !args.get_bool("no-defer", false);
   g_shards = static_cast<std::size_t>(args.get_int("shards", 0));
   g_threads = static_cast<std::size_t>(args.get_int("threads", 0));
   // Large-n rows (ISSUE 8): the default grid stops at 128 so the frozen
@@ -464,7 +438,6 @@ int main(int argc, char** argv) {
   json.context("crypto", "null");
   json.context("reps", static_cast<double>(reps));
   json.context("seed", static_cast<double>(seed));
-  json.context("defer_verify", g_defer_verify ? 1.0 : 0.0);
   json.context("shards", static_cast<double>(g_shards));
   json.context("threads", static_cast<double>(g_threads));
   json.machine_context();

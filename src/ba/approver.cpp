@@ -41,7 +41,7 @@ Approver::Approver(Config cfg, Value input, DoneFn on_done)
                        make_echo_sign_bytes(cfg_.tag, kOne),
                        make_echo_sign_bytes(cfg_.tag, kBot)} {
   COIN_REQUIRE(is_valid_value(input), "Approver: input must be 0, 1 or bot");
-  COIN_REQUIRE(cfg_.registry && cfg_.sampler && cfg_.signer,
+  COIN_REQUIRE(cfg_.registry && cfg_.sampler && cfg_.signer && cfg_.batcher,
                "Approver: missing crypto environment");
   COIN_REQUIRE(cfg_.params.W > cfg_.params.B,
                "Approver: W must exceed B (S5/S6 need the gap)");
@@ -61,7 +61,7 @@ Approver::~Approver() {
   // Round end / teardown: a retired approver drops its pending oks
   // unverified — its host already moved on. The ledger (enqueued ==
   // flushed + discarded) must still balance.
-  if (cfg_.batcher && !pending_oks_.empty())
+  if (!pending_oks_.empty())
     cfg_.batcher->note_discarded(pending_oks_.size());
 }
 
@@ -143,15 +143,12 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   if (!is_valid_value(v)) return true;
   if (!cfg_.sampler->committee_val(echo_seed(v), msg.from, election))
     return true;
-  // The signature check answers from the run-wide SigMemo when a batcher
-  // is shared: a broadcast ⟨echo,v⟩ reaches n receivers but its HMAC is
-  // recomputed once. Verdicts are identical to Signer::verify.
-  const crypto::SigBatchEntry entry{msg.from, BytesView(echo_sign_bytes(v)),
-                                    sig};
-  const bool sig_ok =
-      cfg_.batcher ? cfg_.batcher->check_signature(entry)
-                   : cfg_.signer->verify(msg.from, entry.message, sig);
-  if (!sig_ok) return true;
+  // The signature check answers from the run-wide SigMemo: a broadcast
+  // ⟨echo,v⟩ reaches n receivers but its HMAC is recomputed once.
+  // Verdicts are identical to Signer::verify.
+  if (!cfg_.batcher->check_signature(
+          {msg.from, BytesView(echo_sign_bytes(v)), sig}))
+    return true;
   if (!mark_seen(echo_seen_[v], msg.from)) return true;
   // Retain the delivered buffer by refcount; signature and election stay
   // views into it — no deep copy (the old code copied both blobs).
@@ -224,15 +221,10 @@ bool Approver::check_cert(const coin::Setup& setup,
   for (const OkProofEntry& e : entries)
     if (!setup.sampler->committee_val(echo_seed, e.sender, e.election_proof))
       return false;
-  for (const OkProofEntry& e : entries) {
-    const crypto::SigBatchEntry sig{e.sender, BytesView(signed_bytes),
-                                    e.signature};
-    const bool ok =
-        setup.batcher ? setup.batcher->check_signature(sig)
-                      : setup.signer->verify(e.sender, signed_bytes,
-                                             e.signature);
-    if (!ok) return false;
-  }
+  for (const OkProofEntry& e : entries)
+    if (!setup.batcher->check_signature(
+            {e.sender, BytesView(signed_bytes), e.signature}))
+      return false;
   return true;
 }
 
@@ -254,24 +246,9 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
       parse_ok_head(msg.payload, cfg_.params.W);
   if (!head) return true;
 
-  if (!cfg_.batcher) {
-    // Inline path: the sender's ok election, the W embedded echo
-    // elections, then the W signatures, stopping at the first failure.
-    if (!parse_ok_entries(head->entries, cfg_.params.W, parse_scratch_,
-                          distinct_scratch_))
-      return true;
-    if (!cfg_.sampler->committee_val(ok_seed(), msg.from, head->election))
-      return true;
-    if (!check_cert(cfg_, echo_seed(head->v), echo_sign_bytes(head->v),
-                    parse_scratch_))
-      return true;
-    apply_ok(ctx, msg.from, head->v, msg.payload);
-    return true;
-  }
-
-  // Deferred path. Senders already counted for the phase drop here
-  // (inline: verify then fail mark_seen, no state change); senders with
-  // only PENDING oks must still enqueue — their queued ok might fail
+  // Senders already counted for the phase drop here: a verified ok from
+  // them would fail mark_seen with no state change. Senders with only
+  // PENDING oks must still enqueue — their queued ok might fail
   // verification where this one passes.
   if (msg.from < ok_seen_.size() && ok_seen_[msg.from]) return true;
   PendingOk ok;
@@ -302,7 +279,7 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
 
 void Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                         const SharedBytes& buf) {
-  if (done_) return;  // state no-op (deferred flush past the threshold)
+  if (done_) return;  // state no-op (a flush past the threshold)
   if (!mark_seen(ok_seen_, sender)) return;
   applied_oks_.push_back({sender, v, buf});
   ++ok_count_;
@@ -324,7 +301,7 @@ void Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
 bool Approver::should_flush() const {
   // Candidate threshold (see verify_queue.h): if the pending oks could
   // carry the count across W, flush now so done fires in this delivery
-  // frame, like inline verification.
+  // frame.
   if (!done_ && ok_count_ + pending_oks_.size() >= cfg_.params.W) return true;
   return pending_oks_.size() >= coin::BatchVerifier::kWatermark;
 }
@@ -350,9 +327,9 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
         ok.cert = *hit ? Cert::kValid : Cert::kInvalid;
 
   // One folded election batch: each live ok's sender election, plus the
-  // W embedded echo elections of each unknown certificate. Inline would
-  // stop at the first failure; verifying the rest anyway changes no
-  // verdict (committee_val is pure), only cache population.
+  // W embedded echo elections of each unknown certificate. Checking past
+  // a certificate's first failure changes no verdict (committee_val is
+  // pure), only cache population.
   check_scratch_.clear();
   for (PendingOk& ok : oks) {
     if (ok.cert == Cert::kInvalid) continue;
@@ -371,8 +348,7 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
     cfg_.batcher->verify_elections(check_scratch_, election_ok_scratch_);
 
   // Signatures enter the batch only for certificates whose echo
-  // elections all passed, matching the inline short-circuit (elections
-  // before signatures).
+  // elections all passed (elections before signatures, as check_cert).
   sig_scratch_.clear();
   sig_ok_of_scratch_.clear();  // ok index per W-entry sig group
   for (std::size_t i = 0; i < oks.size(); ++i) {
@@ -421,8 +397,7 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
       memo.store_retained(ok.cert_fp, ok_seed_bytes_, ok.buf, ok.buf,
                           ok.cert == Cert::kValid);
 
-  // Apply survivors in arrival order with the same guards the inline
-  // path uses — bit-identical state evolution.
+  // Apply survivors in arrival order, each through apply_ok's guards.
   for (const PendingOk& ok : oks)
     if (ok.cert == Cert::kValid && election_ok_scratch_[ok.first_check])
       apply_ok(ctx, ok.sender, ok.v, ok.buf);
@@ -441,10 +416,8 @@ std::optional<Value> Approver::verify_ok_payload(
   // certificates that parsed.
   const Bytes seed_bytes = bytes_of(ok_seed);
   const std::uint64_t fp = cert_fingerprint(*head, payload.size());
-  std::optional<bool> valid;
-  if (setup.batcher)
-    valid = setup.batcher->ok_memo().lookup(fp,
-                                            {BytesView(seed_bytes), payload});
+  std::optional<bool> valid =
+      setup.batcher->ok_memo().lookup(fp, {BytesView(seed_bytes), payload});
   if (!valid) {
     std::vector<OkProofEntry> entries;
     std::vector<crypto::ProcessId> ids;
@@ -452,9 +425,8 @@ std::optional<Value> Approver::verify_ok_payload(
       return std::nullopt;
     valid = check_cert(setup, approver_tag + "/echo/" + value_name(head->v),
                        make_echo_sign_bytes(approver_tag, head->v), entries);
-    if (setup.batcher)
-      setup.batcher->ok_memo().store_retained(fp, seed_bytes, owner, payload,
-                                              *valid);
+    setup.batcher->ok_memo().store_retained(fp, seed_bytes, owner, payload,
+                                            *valid);
   }
   if (!*valid) return std::nullopt;
   return head->v;

@@ -22,9 +22,9 @@
 // Hot-path notes: echo payload fields are retained as SharedBytes
 // aliases of the delivered buffer (never deep copied), the <echo,v>
 // signing strings are hoisted into members, and all per-value/per-sender
-// tracking uses flat arrays and bitmaps. With a coin::BatchVerifier, an
-// <ok> certificate (its W signed echoes and their elections) is checked
-// once per run: all n receivers of one broadcast get the same bytes, so
+// tracking uses flat arrays and bitmaps. Through the run's
+// coin::BatchVerifier, an <ok> certificate (its W signed echoes and
+// their elections) is checked once per run: all n receivers of one broadcast get the same bytes, so
 // its verdict goes into the run-wide BatchVerifier::ok_memo(), keyed by
 // (ok seed, ok payload) and looked up both at arrival and again at the
 // flush of the pending-ok queue. A hit skips the entry parse, the
@@ -32,8 +32,8 @@
 // miss runs the W+1 elections in one folded batch and the W signatures
 // through the SigMemo, then stores the verdict, negative ones included.
 // Only the sender's own ok election is checked per delivery, since it
-// depends on the sender. Accept/reject sets and all protocol state
-// evolution are bit-identical to inline verification.
+// depends on the sender. Accept/reject sets are those of checking every
+// election and signature of every message.
 #pragma once
 
 #include <array>
@@ -53,8 +53,8 @@ namespace coincidence::ba {
 
 class Approver {
  public:
-  /// Uses the setup's params, sampler, signer and batcher. With a
-  /// batcher, each <ok> waits in a pending-ok queue; a flush answers each
+  /// Uses the setup's params, sampler, signer and batcher (all
+  /// required). Each <ok> waits in a pending-ok queue; a flush answers each
   /// certificate from the ok memo, or checks its W+1 election proofs in
   /// one committee_val_batch call and its W HMAC echo signatures through
   /// BatchVerifier::verify_signatures. Echo signatures answer from the
@@ -91,8 +91,8 @@ class Approver {
   /// Stateless re-verification of a forwarded <ok> payload with the
   /// checks of handle_ok: parse, W distinct embedded senders, the
   /// sender's ok election, the W echo elections, the W echo signatures.
-  /// With a batcher in `setup` the certificate answers from the ok memo
-  /// and the signatures from the SigMemo. `approver_tag` names the
+  /// The certificate answers from the setup batcher's ok memo and the
+  /// signatures from its SigMemo. `approver_tag` names the
   /// instance the ok claims to come from (its committee-seed root, e.g.
   /// "slot7/0/a2"); `sender` is the claimed ok broadcaster, bound by its
   /// election proof. `payload` lies inside `owner`, which a memo store
@@ -162,7 +162,7 @@ class Approver {
                                std::vector<OkProofEntry>& out,
                                std::vector<crypto::ProcessId>& ids);
   /// The certificate check without the ok memo: the W echo elections,
-  /// then the W echo signatures (from the SigMemo with a batcher),
+  /// then the W echo signatures (from the batcher's SigMemo),
   /// stopping at the first failure.
   static bool check_cert(const coin::Setup& setup,
                          const std::string& echo_seed,
@@ -192,16 +192,15 @@ class Approver {
   bool handle_echo(sim::Context& ctx, const sim::Message& msg);
   bool handle_ok(sim::Context& ctx, const sim::Message& msg);
 
-  /// The state transition of one verified <ok,v> from `sender` — shared
-  /// verbatim by the inline and deferred paths (arrival order + the same
-  /// guards = bit-identical evolution). `buf` is the raw ok payload,
-  /// retained in applied_oks_ for lock/certificate forwarding.
+  /// The state transition of one verified <ok,v> from `sender`, applied
+  /// in arrival order. `buf` is the raw ok payload, retained in
+  /// applied_oks_ for lock/certificate forwarding.
   void apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                 const SharedBytes& buf);
 
-  /// Deferred path: answer each pending certificate from the ok memo,
-  /// check the rest through one election batch + one memoized signature
-  /// batch, store their verdicts, then apply survivors in arrival order.
+  /// Answers each pending certificate from the ok memo, checks the rest
+  /// through one election batch + one memoized signature batch, stores
+  /// their verdicts, then applies survivors in arrival order.
   void flush_ok_queue(sim::Context& ctx);
   bool should_flush() const;
 
@@ -243,8 +242,8 @@ class Approver {
   std::uint8_t ok_mask_ = 0;       // bit v set ⟺ v carried by a valid ok
   std::set<Value> ok_values_;      // materialized from ok_mask_ at done
 
-  // Deferred-verification queue (batcher only). pending_entries_ is the
-  // flat arena of proof entries, W per pending ok.
+  // Deferred-verification queue. pending_entries_ is the flat arena of
+  // proof entries, W per pending ok.
   std::vector<PendingOk> pending_oks_;
   std::vector<OkProofEntry> pending_entries_;
 

@@ -31,7 +31,8 @@ BaWhp::BaWhp(Config cfg, Value initial)
       initial_(initial),
       est_(initial) {
   COIN_REQUIRE(is_binary(initial), "BaWhp: initial value must be 0 or 1");
-  COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler && cfg_.signer,
+  COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler && cfg_.signer &&
+                   cfg_.batcher,
                "BaWhp: missing crypto environment");
   if (skip_enabled()) {
     tag_decided_ = sim::Tag(cfg_.tag + "/decided");
@@ -131,10 +132,10 @@ void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
 }
 
 void BaWhp::begin_round(sim::Context& ctx) {
-  // Halting rule: participate through round decided+extra_rounds, then
+  // Halting rule: participate through round decided+kExtraRounds, then
   // stop — one extra round is what Lemma 6.16 needs whp; the rest is
   // slack for the whp-failure tail.
-  if ((decision_ && round_ > decision_round_ + cfg_.extra_rounds) ||
+  if ((decision_ && round_ > decision_round_ + kExtraRounds) ||
       round_ >= cfg_.max_rounds) {
     phase_ = Phase::kHalted;
     if (approver_) retired_approvers_.push_back(std::move(approver_));
@@ -238,15 +239,13 @@ void BaWhp::replay_backlog(sim::Context& ctx) {
   pending.swap(backlog_);
   for (auto& msg : pending) {
     if (phase_ == Phase::kHalted) break;
-    if (tag_round(msg.tag) < round_) continue;  // stale round
+    if (*tag_round(msg.tag) < round_) continue;  // stale round
     offer(ctx, msg);
   }
 }
 
-std::uint64_t BaWhp::tag_round(sim::Tag t) const {
-  // Tags look like "<cfg_.tag>/<round>/..."; a tag naming no round maps
-  // to the current round so it is never pruned prematurely.
-  return sim::tag_index(t.str(), round_prefix_).value_or(round_);
+std::optional<std::uint64_t> BaWhp::tag_round(sim::Tag t) const {
+  return sim::tag_index(t.str(), round_prefix_);
 }
 
 bool BaWhp::offer(sim::Context& ctx, const sim::Message& msg) {
@@ -258,13 +257,14 @@ bool BaWhp::offer(sim::Context& ctx, const sim::Message& msg) {
     if (is_skip_tag(msg.tag)) return handle_skip_req(ctx, msg);
   }
   // Byzantine senders must not grow the backlog without bound: tags
-  // naming rounds beyond the protocol horizon are dropped outright.
+  // naming no round, or a round beyond the protocol horizon, are dropped
+  // outright, and they are not progress.
   // Retired rounds are gone for good — their sub-instances (and deferred
   // verify queues) were destroyed, and a share re-delivered after a
   // crash-recovery must not re-enter a fresh PendingVerifyQueue for a
   // round this process already finished.
-  const std::uint64_t r = tag_round(msg.tag);
-  if (r >= cfg_.max_rounds || r < round_) return false;
+  const std::optional<std::uint64_t> r = tag_round(msg.tag);
+  if (!r || *r >= cfg_.max_rounds || *r < round_) return false;
   // Try the live sub-instances for the *current* phase; stash otherwise.
   // Every consumed message is progress: the round is demonstrably alive,
   // so the skip deadline slides instead of firing mid-round under load
@@ -382,7 +382,7 @@ void BaWhp::send_skip_req(sim::Context& ctx) {
 }
 
 bool BaWhp::handle_skip_req(sim::Context& ctx, const sim::Message& msg) {
-  const std::uint64_t r = tag_round(msg.tag);
+  const std::uint64_t r = *tag_round(msg.tag);  // a skip tag names one
   if (r >= cfg_.max_rounds) return true;  // horizon guard, as in offer()
   // A decided process answers every skip-req — whatever its round — with
   // its certificate: the requester is stuck and the certificate ends its

@@ -60,10 +60,6 @@ class BaWhp final : public BaProcess {
     /// Stop starting new rounds beyond this bound (whp-failure guard; the
     /// expected number of rounds is a small constant).
     std::uint64_t max_rounds = 64;
-    /// Rounds to keep participating after deciding. Lemma 6.16 says one
-    /// extra round suffices whp; the default adds slack for the rare
-    /// whp-failure so stragglers are not stranded by halted deciders.
-    std::uint64_t extra_rounds = 4;
     /// Round-skip liveness fallback (header comment above): broadcast a
     /// <skip-req> after this many delivery events without round progress.
     /// 0 (the default) disables the fallback entirely — no wakeups, no
@@ -71,6 +67,11 @@ class BaWhp final : public BaProcess {
     /// drivers arm auto_skip_timeout() (below).
     std::uint64_t skip_timeout = 0;
   };
+
+  /// Rounds to keep participating after deciding. Lemma 6.16 says one
+  /// extra round suffices whp; the rest is slack for the rare whp-failure
+  /// so stragglers are not stranded by halted deciders.
+  static constexpr std::uint64_t kExtraRounds = 4;
 
   BaWhp(Config cfg, Value initial);
 
@@ -125,9 +126,10 @@ class BaWhp final : public BaProcess {
   void advance_round(sim::Context& ctx);
   void replay_backlog(sim::Context& ctx);
   bool offer(sim::Context& ctx, const sim::Message& msg);
-  /// The round a "<tag>/<r>/..." tag names (sim::tag_index); a tag that
-  /// names none maps to the current round.
-  std::uint64_t tag_round(sim::Tag tag) const;
+  /// The round a "<tag>/<r>/..." tag names (sim::tag_index), if any.
+  /// offer() drops a tag that names none, so the backlog holds only
+  /// round tags.
+  std::optional<std::uint64_t> tag_round(sim::Tag tag) const;
   /// Writes the round-boundary snapshot to stable storage.
   void persist_now(sim::Context& ctx);
 

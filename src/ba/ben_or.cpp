@@ -28,7 +28,7 @@ std::uint64_t BenOr::decided_round() const {
 void BenOr::on_start(sim::Context& ctx) { begin_round(ctx); }
 
 void BenOr::begin_round(sim::Context& ctx) {
-  if ((decision_ && round_ > decision_round_ + cfg_.extra_rounds) ||
+  if ((decision_ && round_ > decision_round_ + kExtraRounds) ||
       round_ >= cfg_.max_rounds) {
     halted_ = true;
     return;
@@ -127,7 +127,7 @@ void BenOr::check_progress(sim::Context& ctx) {
 
     ++round_;
     ctx.note_round(round_);
-    if ((decision_ && round_ > decision_round_ + cfg_.extra_rounds) ||
+    if ((decision_ && round_ > decision_round_ + kExtraRounds) ||
         round_ >= cfg_.max_rounds) {
       halted_ = true;
       return;

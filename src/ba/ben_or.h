@@ -33,10 +33,11 @@ class BenOr final : public BaProcess {
     std::size_t n = 0;
     std::size_t f = 0;
     std::uint64_t max_rounds = 4096;  // exponential-expected-time guard
-    /// Grace rounds after deciding (one suffices deterministically: a
-    /// decision quorum forces every correct x to the decided value).
-    std::uint64_t extra_rounds = 2;
   };
+
+  /// Grace rounds after deciding (one suffices deterministically: a
+  /// decision quorum forces every correct x to the decided value).
+  static constexpr std::uint64_t kExtraRounds = 2;
 
   BenOr(Config cfg, Value initial);
 

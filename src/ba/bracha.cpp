@@ -54,7 +54,7 @@ Bracha::StepState& Bracha::step_state(sim::Context& /*ctx*/, std::uint64_t r,
 void Bracha::on_start(sim::Context& ctx) { enter_step(ctx); }
 
 void Bracha::enter_step(sim::Context& ctx) {
-  if ((decision_ && round_ > decision_round_ + cfg_.extra_rounds) ||
+  if ((decision_ && round_ > decision_round_ + kExtraRounds) ||
       round_ >= cfg_.max_rounds) {
     halted_ = true;
     return;
@@ -129,7 +129,7 @@ void Bracha::check_progress(sim::Context& ctx) {
       ctx.note_round(round_);
     }
 
-    if ((decision_ && round_ > decision_round_ + cfg_.extra_rounds) ||
+    if ((decision_ && round_ > decision_round_ + kExtraRounds) ||
         round_ >= cfg_.max_rounds) {
       halted_ = true;
       return;

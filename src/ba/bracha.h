@@ -37,11 +37,12 @@ class Bracha final : public BaProcess {
     std::size_t n = 0;
     std::size_t f = 0;
     std::uint64_t max_rounds = 4096;
-    /// Grace rounds after deciding (see ben_or.h).
-    std::uint64_t extra_rounds = 2;
     /// Dissemination backend for every step's broadcast (broadcast.h).
     RbcBackend rbc = RbcBackend::kBracha;
   };
+
+  /// Grace rounds after deciding (see ben_or.h).
+  static constexpr std::uint64_t kExtraRounds = 2;
 
   Bracha(Config cfg, Value initial);
 

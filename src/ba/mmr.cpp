@@ -29,7 +29,7 @@ std::uint64_t Mmr::decided_round() const {
 void Mmr::on_start(sim::Context& ctx) { begin_round(ctx); }
 
 void Mmr::begin_round(sim::Context& ctx) {
-  if ((decision_ && round_ > decision_round_ + cfg_.extra_rounds) ||
+  if ((decision_ && round_ > decision_round_ + kExtraRounds) ||
       round_ >= cfg_.max_rounds) {
     halted_ = true;
     if (coin_) retired_coins_.push_back(std::move(coin_));

@@ -45,14 +45,15 @@ class Mmr final : public BaProcess {
     std::size_t n = 0;
     std::size_t f = 0;
     std::uint64_t max_rounds = 256;
-    /// Rounds to keep participating after deciding. MMR with an imperfect
-    /// coin has no bound on how much later stragglers decide (a decider's
-    /// singleton does not force est adoption the way Algorithm 4's graded
-    /// agreement does), so this is a probabilistic grace window: each
-    /// extra round halves the chance a straggler is left stranded.
-    std::uint64_t extra_rounds = 8;
     CoinFactory make_coin;
   };
+
+  /// Rounds to keep participating after deciding. MMR with an imperfect
+  /// coin has no bound on how much later stragglers decide (a decider's
+  /// singleton does not force est adoption the way Algorithm 4's graded
+  /// agreement does), so this is a probabilistic grace window: each
+  /// extra round halves the chance a straggler is left stranded.
+  static constexpr std::uint64_t kExtraRounds = 8;
 
   Mmr(Config cfg, Value initial);
 

@@ -12,15 +12,16 @@ namespace coincidence::ba {
 MultiValuedBa::MultiValuedBa(Config cfg, Bytes proposal)
     : cfg_(std::move(cfg)),
       proposal_(std::move(proposal)),
-      rbc_(make_broadcast(cfg_.rbc,
-                          {cfg_.tag + "/rbc", cfg_.params.n, cfg_.params.f,
-                           cfg_.batcher ? &cfg_.batcher->rbc_memo() : nullptr},
-                          [this](sim::ProcessId src, const Bytes& payload) {
-                            on_rbc_deliver(src, payload);
-                          })),
       delivered_(cfg_.params.n),
       bas_(cfg_.tag + "/c", effective_max()) {
   COIN_REQUIRE(cfg_.params.n > 0, "MultiValuedBa: params not initialised");
+  COIN_REQUIRE(cfg_.batcher != nullptr, "MultiValuedBa: missing batcher");
+  rbc_ = make_broadcast(cfg_.rbc,
+                        {cfg_.tag + "/rbc", cfg_.params.n, cfg_.params.f,
+                         &cfg_.batcher->rbc_memo()},
+                        [this](sim::ProcessId src, const Bytes& payload) {
+                          on_rbc_deliver(src, payload);
+                        });
   const std::size_t n = cfg_.params.n;
   std::vector<std::pair<std::uint64_t, sim::ProcessId>> keyed;
   keyed.reserve(n);
@@ -51,7 +52,7 @@ void MultiValuedBa::on_message(sim::Context& ctx, const sim::Message& msg) {
   ctx_ = &ctx;
   // RBC and inner BAs keep running after a local decision: stragglers
   // still need our echoes/readies for totality and our grace-round BA
-  // traffic (BaWhp halts itself after extra_rounds).
+  // traffic (BaWhp halts itself after kExtraRounds).
   if (rbc_->handle(ctx, msg)) {
     // A delivery may have opened the activation gate (or completed an
     // awaited adoption — finish() fires from on_rbc_deliver directly).
@@ -72,7 +73,6 @@ void MultiValuedBa::activate_next(sim::Context& ctx) {
   BaWhp::Config bcfg{cfg_};
   bcfg.tag = cfg_.tag + "/c" + std::to_string(k);
   bcfg.max_rounds = cfg_.max_rounds;
-  bcfg.extra_rounds = cfg_.extra_rounds;
   bcfg.skip_timeout = cfg_.skip_timeout;
   const Value input = delivered_[rank_[k]].has_value() ? kOne : kZero;
   ba_done_.push_back(false);

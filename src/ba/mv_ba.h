@@ -63,7 +63,6 @@ class MultiValuedBa final : public BaProcess {
     std::string tag = "mvba";
     /// Per inner binary instance (see BaWhp::Config).
     std::uint64_t max_rounds = 64;
-    std::uint64_t extra_rounds = 4;
     /// Round-skip liveness fallback, forwarded to inner instances.
     std::uint64_t skip_timeout = 0;
     /// Stop examining candidates after this many rejections and close

@@ -25,16 +25,16 @@ struct Setup {
   std::shared_ptr<const crypto::KeyRegistry> registry;
   std::shared_ptr<const committee::Sampler> sampler;
   std::shared_ptr<const crypto::Signer> signer;
-  /// Shared batch-verification service (verify_queue.h). When set, the
-  /// coins queue share and election proofs for folded batch checks, the
-  /// approver defers its <ok> W-signature sweeps, and the erasure-coded
-  /// broadcasts memoize branch and re-encode verdicts; when null every
-  /// check runs inline per message. Sends, decisions and words are
-  /// bit-identical either way; only the verify counters differ. It and
-  /// the sampler's caches are shared by every process of one Simulation
-  /// on both engines (sharded handlers only read them; their writes wait
-  /// for the superstep barrier, common/write_sink.h). Never share them
-  /// across concurrently running Simulations.
+  /// Shared batch-verification service (verify_queue.h), required: every
+  /// proof check of the protocols goes through it. The coins queue share
+  /// and election proofs for folded batch checks, the approver checks
+  /// echo signatures through its SigMemo and defers its <ok>
+  /// certificate sweeps, and the erasure-coded broadcasts memoize branch
+  /// and re-encode verdicts. It and the sampler's caches are shared by
+  /// every process of one Simulation on both engines (sharded handlers
+  /// only read them; their writes wait for the superstep barrier,
+  /// common/write_sink.h). Never share them across concurrently running
+  /// Simulations.
   std::shared_ptr<BatchVerifier> batcher;
 
   std::size_t n() const { return params.n; }

@@ -50,7 +50,7 @@ SharedCoin::SharedCoin(Config cfg, DoneFn on_done)
       tag_second_(cfg_.tag + "/second") {
   COIN_REQUIRE(cfg_.n > 0, "SharedCoin: n must be positive");
   COIN_REQUIRE(cfg_.n > 2 * cfg_.f, "SharedCoin: need n - f > f");
-  COIN_REQUIRE(cfg_.vrf != nullptr && cfg_.registry != nullptr,
+  COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.batcher,
                "SharedCoin: missing crypto environment");
   Writer w;
   w.str("shared-coin").u64(cfg_.round);
@@ -58,8 +58,7 @@ SharedCoin::SharedCoin(Config cfg, DoneFn on_done)
 }
 
 SharedCoin::~SharedCoin() {
-  if (cfg_.batcher && queue_.pending() > 0)
-    cfg_.batcher->note_discarded(queue_.pending());
+  if (queue_.pending() > 0) cfg_.batcher->note_discarded(queue_.pending());
 }
 
 void SharedCoin::fold_min(BytesView value, crypto::ProcessId origin,
@@ -119,8 +118,7 @@ bool SharedCoin::should_flush() const {
   // Candidate threshold: counting every pending (not-yet-verified) share
   // as a potential success, could the phase cross its threshold? If so
   // flush NOW — when the pending shares do verify, the threshold action
-  // fires in this very delivery frame, exactly where the inline verifier
-  // would have fired it.
+  // fires in this very delivery frame.
   if (!sent_second_ &&
       first_set_.size() + queue_.pending_first() >= cfg_.n - cfg_.f)
     return true;
@@ -130,29 +128,32 @@ bool SharedCoin::should_flush() const {
 }
 
 void SharedCoin::flush_queue(sim::Context& ctx) {
-  std::vector<PendingVerifyQueue::Share> shares = queue_.take();
+  // Moved out and back: see FlushScratch.
+  FlushScratch s = std::move(scratch_);
+  queue_.take(s.shares);
+  const std::vector<PendingVerifyQueue::Share>& shares = s.shares;
   cfg_.batcher->note_flushed(shares.size());
-  std::vector<crypto::VrfBatchEntry> entries;
-  entries.reserve(shares.size());
-  for (const PendingVerifyQueue::Share& s : shares)
-    entries.push_back(crypto::VrfBatchEntry{cfg_.registry->pk_of(s.origin),
-                                            vrf_input_, s.value,
-                                            s.origin_proof});
-  std::vector<char> verdicts;
-  BatchVerifier::FlushStats stats =
-      cfg_.batcher->verify_shares(entries, verdicts);
+  s.entries.clear();
+  for (const PendingVerifyQueue::Share& sh : shares)
+    s.entries.push_back(crypto::VrfBatchEntry{cfg_.registry->pk_of(sh.origin),
+                                              vrf_input_, sh.value,
+                                              sh.origin_proof});
+  const BatchVerifier::FlushStats stats =
+      cfg_.batcher->verify_shares(s.entries, s.verdicts);
   ctx.count(sim::Counter::kVerifyFlushes, 1);
   ctx.count(sim::Counter::kVerifyShares, shares.size());
   ctx.count(sim::Counter::kVerifyRejects, stats.rejects);
   ctx.count(sim::Counter::kVerifyMemoHits, stats.memo_hits);
-  // Arrival order + the done_/dedup guards in apply_share reproduce the
-  // inline state evolution exactly; rejected shares are simply skipped
-  // (inline: "forged value/proof: ignore").
+  // Arrival order + the done_/dedup guards in apply_share; rejected
+  // shares are simply skipped (the paper's "would expose it").
   for (std::size_t i = 0; i < shares.size(); ++i) {
-    if (!verdicts[i]) continue;
-    const PendingVerifyQueue::Share& s = shares[i];
-    apply_share(ctx, s.is_first, s.sender, s.value, s.origin, s.origin_proof);
+    if (!s.verdicts[i]) continue;
+    const PendingVerifyQueue::Share& sh = shares[i];
+    apply_share(ctx, sh.is_first, sh.sender, sh.value, sh.origin,
+                sh.origin_proof);
   }
+  s.shares.clear();  // drop the payload references now
+  scratch_ = std::move(s);
 }
 
 bool SharedCoin::handle(sim::Context& ctx, const sim::Message& msg) {
@@ -161,7 +162,7 @@ bool SharedCoin::handle(sim::Context& ctx, const sim::Message& msg) {
   if (!is_first && !is_second) return false;
 
   // Once done, every path below returns true without touching state —
-  // skip the decode and VRF verification outright.
+  // skip the decode outright.
   if (done_) return true;
 
   Wire wire;
@@ -169,33 +170,23 @@ bool SharedCoin::handle(sim::Context& ctx, const sim::Message& msg) {
   if (is_first && wire.origin != msg.from) return true;  // firsts are own values
   if (wire.origin >= cfg_.n) return true;
 
-  if (cfg_.batcher) {
-    // Deferred path. A sender already counted for this phase can be
-    // dropped unqueued — inline would verify then hit the dedup set, with
-    // no state change. (A sender with only a PENDING share must still
-    // enqueue: its queued share might fail verification, and inline
-    // would have accepted this one.)
-    if (is_first ? first_set_.count(msg.from) != 0
-                 : second_set_.count(msg.from) != 0)
-      return true;
-    PendingVerifyQueue::Share share;
-    share.buf = msg.payload;  // refcount bump keeps the views alive
-    share.sender = msg.from;
-    share.origin = wire.origin;
-    share.is_first = is_first;
-    share.value = wire.value;
-    share.origin_proof = wire.origin_proof;
-    queue_.enqueue(std::move(share));
-    cfg_.batcher->note_enqueued();
-    if (should_flush()) flush_queue(ctx);
+  // A sender already counted for this phase is dropped unqueued: a
+  // verified share from it would hit the dedup set with no state change.
+  // (A sender with only a PENDING share must still enqueue: its queued
+  // share might fail verification where this one passes.)
+  if (is_first ? first_set_.count(msg.from) != 0
+               : second_set_.count(msg.from) != 0)
     return true;
-  }
-
-  if (!cfg_.vrf->verify(cfg_.registry->pk_of(wire.origin), vrf_input_,
-                        wire.value, wire.origin_proof))
-    return true;  // forged value/proof: ignore (paper: "would expose it")
-  apply_share(ctx, is_first, msg.from, wire.value, wire.origin,
-              wire.origin_proof);
+  PendingVerifyQueue::Share share;
+  share.buf = msg.payload;  // refcount bump keeps the views alive
+  share.sender = msg.from;
+  share.origin = wire.origin;
+  share.is_first = is_first;
+  share.value = wire.value;
+  share.origin_proof = wire.origin_proof;
+  queue_.enqueue(std::move(share));
+  cfg_.batcher->note_enqueued();
+  if (should_flush()) flush_queue(ctx);
   return true;
 }
 

@@ -35,9 +35,8 @@ class SharedCoin final : public CoinProtocol {
     std::size_t f = 0;
     std::shared_ptr<const crypto::Vrf> vrf;
     std::shared_ptr<const crypto::KeyRegistry> registry;
-    /// When set, share proofs are queued and batch-verified on the
-    /// thresholds described in verify_queue.h instead of inline per
-    /// message; sends/decides/outputs are bit-identical either way.
+    /// Required: share proofs are queued and batch-verified on the
+    /// thresholds described in verify_queue.h.
     std::shared_ptr<BatchVerifier> batcher;
   };
 
@@ -71,8 +70,7 @@ class SharedCoin final : public CoinProtocol {
   /// Updates the running minimum with a validated (value, origin) pair.
   void fold_min(BytesView value, crypto::ProcessId origin,
                 BytesView origin_proof);
-  /// Applies one VERIFIED share — the state transition both the inline
-  /// and the deferred path share.
+  /// Applies one VERIFIED share.
   void apply_share(sim::Context& ctx, bool is_first,
                    crypto::ProcessId sender, BytesView value,
                    crypto::ProcessId origin, BytesView origin_proof);
@@ -100,7 +98,8 @@ class SharedCoin final : public CoinProtocol {
   bool done_ = false;
   int output_ = 0;
 
-  PendingVerifyQueue queue_;  // unused (always empty) without a batcher
+  PendingVerifyQueue queue_;
+  FlushScratch scratch_;
 };
 
 }  // namespace coincidence::coin

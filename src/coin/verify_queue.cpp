@@ -7,6 +7,28 @@
 
 namespace coincidence::coin {
 
+namespace {
+
+bool same_bytes(BytesView a, BytesView b) {
+  return a.size() == b.size() &&
+         (a.data() == b.data() || a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
+bool same_share(const crypto::VrfBatchEntry& a,
+                const crypto::VrfBatchEntry& b) {
+  return same_bytes(a.value, b.value) && same_bytes(a.proof, b.proof) &&
+         same_bytes(a.pk, b.pk) && same_bytes(a.input, b.input);
+}
+
+bool same_entry(const crypto::SigBatchEntry& a,
+                const crypto::SigBatchEntry& b) {
+  return a.signer == b.signer && same_bytes(a.message, b.message) &&
+         same_bytes(a.sig, b.sig);
+}
+
+}  // namespace
+
 BatchVerifier::BatchVerifier(Config cfg) : cfg_(std::move(cfg)) {
   COIN_REQUIRE(cfg_.vrf != nullptr, "BatchVerifier: vrf is required");
 }
@@ -19,24 +41,33 @@ BatchVerifier::FlushStats BatchVerifier::verify_shares(
 
   // Memo pass (serial): duplicate and replayed tuples — common under
   // lossy links, and guaranteed across the n receivers of one broadcast
-  // — resolve without touching the crypto.
-  std::vector<std::size_t> miss_of;
-  miss_of.reserve(entries.size());
+  // — resolve without touching the crypto. The relays of one minimum
+  // repeat a tuple within a flush, so a tuple equal to the previous hit
+  // takes its verdict without a second lookup. The buffers are per
+  // thread: one verifier serves every shard thread.
+  thread_local std::vector<std::size_t> miss_of;
+  thread_local std::vector<crypto::VrfBatchEntry> misses;
+  thread_local std::vector<char> verdicts;
+  miss_of.clear();
+  const crypto::VrfBatchEntry* last_hit = nullptr;
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (std::optional<bool> hit = memo_.lookup(entries[i])) {
+    std::optional<bool> hit;
+    if (last_hit && same_share(*last_hit, entries[i]))
+      hit = out[last_hit - entries.data()] != 0;
+    else
+      hit = memo_.lookup(entries[i]);
+    if (hit) {
       out[i] = *hit ? 1 : 0;
       ++stats.memo_hits;
+      last_hit = &entries[i];
     } else {
       miss_of.push_back(i);
     }
   }
 
   if (!miss_of.empty()) {
-    std::vector<crypto::VrfBatchEntry> misses;
-    misses.reserve(miss_of.size());
+    misses.clear();
     for (std::size_t i : miss_of) misses.push_back(entries[i]);
-
-    std::vector<char> verdicts;
     cfg_.vrf->batch_verify(misses, verdicts);
 
     // Fill memo + results serially, in order.
@@ -58,19 +89,6 @@ void BatchVerifier::verify_elections(
                "BatchVerifier: election checks need a sampler");
   cfg_.sampler->committee_val_batch(checks, out);
 }
-
-namespace {
-
-bool same_entry(const crypto::SigBatchEntry& a,
-                const crypto::SigBatchEntry& b) {
-  return a.signer == b.signer && a.message.size() == b.message.size() &&
-         a.sig.size() == b.sig.size() &&
-         std::memcmp(a.message.data(), b.message.data(),
-                     a.message.size()) == 0 &&
-         std::memcmp(a.sig.data(), b.sig.data(), a.sig.size()) == 0;
-}
-
-}  // namespace
 
 BatchVerifier::FlushStats BatchVerifier::verify_signatures(
     std::span<const crypto::SigBatchEntry> entries, std::vector<char>& out) {

@@ -154,6 +154,10 @@ class PendingVerifyQueue {
     BytesView election_proof;  // empty for SharedCoin shares
   };
 
+  /// A queue never holds more than a batch: a coin flushes at the
+  /// watermark.
+  PendingVerifyQueue() { shares_.reserve(BatchVerifier::kWatermark); }
+
   void enqueue(Share s) {
     (s.is_first ? pending_first_ : pending_second_) += 1;
     shares_.push_back(std::move(s));
@@ -164,16 +168,43 @@ class PendingVerifyQueue {
   std::size_t pending_first() const { return pending_first_; }
   std::size_t pending_second() const { return pending_second_; }
 
-  /// Drains the queue, returning the shares in arrival order.
-  std::vector<Share> take() {
+  /// Drains the queue into `out` (cleared first), in arrival order. The
+  /// queue keeps `out`'s old capacity, so a flush that hands its buffer
+  /// back allocates nothing in the steady state.
+  void take(std::vector<Share>& out) {
     pending_first_ = pending_second_ = 0;
-    return std::move(shares_);
+    out.clear();
+    out.swap(shares_);
   }
 
  private:
   std::vector<Share> shares_;
   std::size_t pending_first_ = 0;
   std::size_t pending_second_ = 0;
+};
+
+/// A coin's flush buffers, sized for a full batch at construction and
+/// kept across flushes, so a coin allocates nothing per flush. A flush
+/// moves them out and back, so a flush re-entered from a completion
+/// callback finds them empty and allocates its own instead of
+/// overwriting the outer one's.
+struct FlushScratch {
+  FlushScratch() {
+    const std::size_t k = BatchVerifier::kWatermark;
+    shares.reserve(k);
+    checks.reserve(k);
+    entries.reserve(k);
+    entry_of.reserve(k);
+    accept.reserve(k);
+    verdicts.reserve(k);
+  }
+
+  std::vector<PendingVerifyQueue::Share> shares;
+  std::vector<committee::Sampler::ValCheck> checks;  // whp coin only
+  std::vector<crypto::VrfBatchEntry> entries;
+  std::vector<std::size_t> entry_of;  // share index of each entry
+  std::vector<char> accept;           // verdict per share
+  std::vector<char> verdicts;         // verdict per entry
 };
 
 }  // namespace coincidence::coin

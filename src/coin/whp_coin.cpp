@@ -53,7 +53,7 @@ WhpCoin::WhpCoin(Config cfg, DoneFn on_done)
       second_seed_(cfg_.tag + "/second"),
       first_seen_(cfg_.params.n, false),
       second_seen_(cfg_.params.n, false) {
-  COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler,
+  COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler && cfg_.batcher,
                "WhpCoin: missing crypto environment");
   COIN_REQUIRE(cfg_.params.n > 0 && cfg_.params.W > 0,
                "WhpCoin: bad parameters");
@@ -63,8 +63,7 @@ WhpCoin::WhpCoin(Config cfg, DoneFn on_done)
 }
 
 WhpCoin::~WhpCoin() {
-  if (cfg_.batcher && queue_.pending() > 0)
-    cfg_.batcher->note_discarded(queue_.pending());
+  if (queue_.pending() > 0) cfg_.batcher->note_discarded(queue_.pending());
 }
 
 void WhpCoin::fold_min(BytesView value, crypto::ProcessId origin,
@@ -143,7 +142,7 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
 bool WhpCoin::should_flush() const {
   // Candidate threshold (see verify_queue.h): if the pending shares
   // could carry a phase across W, flush now so the threshold action
-  // fires in this delivery frame, like inline verification.
+  // fires in this delivery frame.
   if (!sent_second_ && in_second_ &&
       first_count_ + queue_.pending_first() >= cfg_.params.W)
     return true;
@@ -153,54 +152,51 @@ bool WhpCoin::should_flush() const {
 }
 
 void WhpCoin::flush_queue(sim::Context& ctx) {
-  std::vector<PendingVerifyQueue::Share> shares = queue_.take();
+  // Moved out and back: a flush re-entered from a completion callback
+  // finds the buffers empty and allocates its own.
+  FlushScratch s = std::move(scratch_);
+  queue_.take(s.shares);
+  const std::vector<PendingVerifyQueue::Share>& shares = s.shares;
   cfg_.batcher->note_flushed(shares.size());
 
   // The sender must prove membership in the phase's committee…
-  std::vector<committee::Sampler::ValCheck> checks;
-  checks.reserve(shares.size());
-  for (const PendingVerifyQueue::Share& s : shares)
-    checks.push_back(committee::Sampler::ValCheck{
-        s.is_first ? &first_seed_ : &second_seed_, s.sender,
-        s.election_proof});
-  std::vector<char> election_ok;
-  cfg_.batcher->verify_elections(checks, election_ok);
+  s.checks.clear();
+  for (const PendingVerifyQueue::Share& sh : shares)
+    s.checks.push_back(committee::Sampler::ValCheck{
+        sh.is_first ? &first_seed_ : &second_seed_, sh.sender,
+        sh.election_proof});
+  cfg_.batcher->verify_elections(s.checks, s.accept);
 
   // …and the carried value must be the originator's honest VRF output.
-  // Shares that already failed the election check stay out of the VRF
-  // batch, matching the inline short-circuit.
-  std::vector<crypto::VrfBatchEntry> entries;
-  std::vector<std::size_t> entry_of;
-  entries.reserve(shares.size());
-  entry_of.reserve(shares.size());
+  // Shares that failed the election check stay out of the VRF batch.
+  s.entries.clear();
+  s.entry_of.clear();
   for (std::size_t i = 0; i < shares.size(); ++i) {
-    if (!election_ok[i]) continue;
-    const PendingVerifyQueue::Share& s = shares[i];
-    entries.push_back(crypto::VrfBatchEntry{cfg_.registry->pk_of(s.origin),
-                                            vrf_input_, s.value,
-                                            s.origin_proof});
-    entry_of.push_back(i);
+    if (!s.accept[i]) continue;
+    const PendingVerifyQueue::Share& sh = shares[i];
+    s.entries.push_back(crypto::VrfBatchEntry{cfg_.registry->pk_of(sh.origin),
+                                              vrf_input_, sh.value,
+                                              sh.origin_proof});
+    s.entry_of.push_back(i);
   }
-  std::vector<char> vrf_ok;
-  BatchVerifier::FlushStats stats =
-      cfg_.batcher->verify_shares(entries, vrf_ok);
-
-  std::vector<char> accept(shares.size(), 0);
-  for (std::size_t j = 0; j < entries.size(); ++j)
-    accept[entry_of[j]] = vrf_ok[j];
-  std::size_t rejects = 0;
-  for (char a : accept)
-    if (!a) ++rejects;
+  const BatchVerifier::FlushStats stats =
+      cfg_.batcher->verify_shares(s.entries, s.verdicts);
+  for (std::size_t j = 0; j < s.entries.size(); ++j)
+    s.accept[s.entry_of[j]] = s.verdicts[j];
   ctx.count(sim::Counter::kVerifyFlushes, 1);
   ctx.count(sim::Counter::kVerifyShares, shares.size());
-  ctx.count(sim::Counter::kVerifyRejects, rejects);
+  ctx.count(sim::Counter::kVerifyRejects,
+            shares.size() - s.entries.size() + stats.rejects);
   ctx.count(sim::Counter::kVerifyMemoHits, stats.memo_hits);
 
   for (std::size_t i = 0; i < shares.size(); ++i) {
-    if (!accept[i]) continue;
-    const PendingVerifyQueue::Share& s = shares[i];
-    apply_share(ctx, s.is_first, s.sender, s.value, s.origin, s.origin_proof);
+    if (!s.accept[i]) continue;
+    const PendingVerifyQueue::Share& sh = shares[i];
+    apply_share(ctx, sh.is_first, sh.sender, sh.value, sh.origin,
+                sh.origin_proof);
   }
+  s.shares.clear();  // drop the payload references now
+  scratch_ = std::move(s);
 }
 
 bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
@@ -210,9 +206,7 @@ bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
 
   // Fast discard: nothing below mutates state once the coin is done, and
   // firsts only matter to second-committee consumers (line 7). Returning
-  // before the decode and the two verifications is observably identical
-  // — every later path for these cases returns true with no state change
-  // — and spares most processes the per-message hash work.
+  // before the decode spares most processes the per-message work.
   if (is_first ? (!in_second_ || done_) : done_) return true;
 
   Wire wire;
@@ -220,38 +214,23 @@ bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
   if (wire.origin >= cfg_.params.n) return true;
   if (is_first && wire.origin != msg.from) return true;
 
-  if (cfg_.batcher) {
-    // Deferred path. Senders already counted for the phase drop here
-    // (inline: verify then fail mark_seen, no state change); senders with
-    // only PENDING shares must still enqueue — their queued share might
-    // fail verification where this one passes.
-    const std::vector<bool>& seen = is_first ? first_seen_ : second_seen_;
-    if (msg.from < seen.size() && seen[msg.from]) return true;
-    PendingVerifyQueue::Share share;
-    share.buf = msg.payload;  // refcount bump keeps the views alive
-    share.sender = msg.from;
-    share.origin = wire.origin;
-    share.is_first = is_first;
-    share.value = wire.value;
-    share.origin_proof = wire.origin_proof;
-    share.election_proof = wire.election_proof;
-    queue_.enqueue(std::move(share));
-    cfg_.batcher->note_enqueued();
-    if (should_flush()) flush_queue(ctx);
-    return true;
-  }
-
-  // The sender must prove membership in the phase's committee…
-  const std::string& seed = is_first ? first_seed_ : second_seed_;
-  if (!cfg_.sampler->committee_val(seed, msg.from, wire.election_proof))
-    return true;
-  // …and the carried value must be the originator's honest VRF output.
-  if (!cfg_.vrf->verify(cfg_.registry->pk_of(wire.origin), vrf_input_,
-                        wire.value, wire.origin_proof))
-    return true;
-
-  apply_share(ctx, is_first, msg.from, wire.value, wire.origin,
-              wire.origin_proof);
+  // Senders already counted for the phase drop here: a verified share
+  // from them would fail mark_seen with no state change. Senders with
+  // only PENDING shares must still enqueue — their queued share might
+  // fail verification where this one passes.
+  const std::vector<bool>& seen = is_first ? first_seen_ : second_seen_;
+  if (msg.from < seen.size() && seen[msg.from]) return true;
+  PendingVerifyQueue::Share share;
+  share.buf = msg.payload;  // refcount bump keeps the views alive
+  share.sender = msg.from;
+  share.origin = wire.origin;
+  share.is_first = is_first;
+  share.value = wire.value;
+  share.origin_proof = wire.origin_proof;
+  share.election_proof = wire.election_proof;
+  queue_.enqueue(std::move(share));
+  cfg_.batcher->note_enqueued();
+  if (should_flush()) flush_queue(ctx);
   return true;
 }
 

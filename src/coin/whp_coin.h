@@ -26,7 +26,8 @@ namespace coincidence::coin {
 
 class WhpCoin final : public CoinProtocol {
  public:
-  /// Uses the setup's params, vrf, registry, sampler and batcher.
+  /// Uses the setup's params, vrf, registry, sampler and batcher (all
+  /// required).
   struct Config : Setup {
     /// Instance routing prefix (also the committee seed).
     std::string tag{};
@@ -64,8 +65,7 @@ class WhpCoin final : public CoinProtocol {
   void fold_min(BytesView value, crypto::ProcessId origin,
                 BytesView origin_proof);
   bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
-  /// Applies one share whose election AND value proofs verified — the
-  /// state transition shared by the inline and deferred paths.
+  /// Applies one share whose election AND value proofs verified.
   void apply_share(sim::Context& ctx, bool is_first,
                    crypto::ProcessId sender, BytesView value,
                    crypto::ProcessId origin, BytesView origin_proof);
@@ -104,7 +104,8 @@ class WhpCoin final : public CoinProtocol {
   bool done_ = false;
   int output_ = 0;
 
-  PendingVerifyQueue queue_;  // unused (always empty) without a batcher
+  PendingVerifyQueue queue_;
+  FlushScratch scratch_;
 };
 
 }  // namespace coincidence::coin

@@ -43,11 +43,11 @@ CoinReport run_coin_trial(const CoinOptions& options) {
         cfg.f = f;
         cfg.vrf = env.vrf;
         cfg.registry = env.registry;
+        cfg.batcher = env.batcher;
         return std::make_unique<coin::SharedCoin>(cfg);
       }
       case CoinKind::kWhp: {
         coin::WhpCoin::Config cfg{env};
-        cfg.batcher = nullptr;  // coin trials verify inline
         cfg.tag = "coin";
         cfg.round = options.round;
         return std::make_unique<coin::WhpCoin>(cfg);

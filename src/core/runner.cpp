@@ -197,7 +197,6 @@ RunOptions parse_run_options(const Args& args, RunOptions o) {
   o.transport_retransmits = static_cast<std::uint32_t>(
       get_size("retransmits", o.transport_retransmits));
   o.adaptive_victims = get_size("adaptive-victims", o.adaptive_victims);
-  o.defer_verify = !args.get_bool("no-defer-verify", !o.defer_verify);
   o.shards = get_size("shards", o.shards);
   o.threads = get_size("sim-threads", o.threads);
   if (o.shards > 0 && o.adversary != AdversaryKind::kRandom)
@@ -258,7 +257,6 @@ std::string repro_command(const RunOptions& o) {
     os << " --retransmits " << o.transport_retransmits;
   if (o.adaptive_victims != defaults.adaptive_victims)
     os << " --adaptive-victims " << o.adaptive_victims;
-  if (!o.defer_verify) os << " --no-defer-verify";
   if (o.shards) os << " --shards " << o.shards;
   if (o.threads) os << " --sim-threads " << o.threads;
   if (!o.chaos.empty()) os << " --schedule \"" << o.chaos.spec() << '"';
@@ -294,8 +292,7 @@ RunReport run_agreement(const RunOptions& options, const Env& env,
                "run_agreement: n below the protocol's minimum");
   COIN_REQUIRE(env.n() == options.n, "run_agreement: env.n() != options.n");
 
-  coin::Setup setup = env;
-  if (!options.defer_verify) setup.batcher = nullptr;
+  const coin::Setup& setup = env;
   const std::size_t f = resilience_f(options.protocol, options.n, env);
   const std::size_t faulty = options.crash + options.silent + options.junk +
                              options.crash_recover;

@@ -102,14 +102,6 @@ struct RunOptions {
   /// regardless).
   std::uint32_t transport_retransmits = 24;
 
-  /// Routes coin-share and election-proof checks through the Env's
-  /// BatchVerifier (deferred queues + folded batch verification,
-  /// coin/verify_queue.h) instead of inline per-message verification.
-  /// Decisions, sends and metrics words are bit-identical either way;
-  /// only the verify_* counters (and wall-clock) differ. Applies to the
-  /// VRF-backed protocols (kBaWhp, kMmrWhpCoin, kMmrSharedCoin).
-  bool defer_verify = true;
-
   std::uint64_t max_rounds = 64;
 
   /// Reliable-broadcast backend for the protocols that disseminate over
@@ -233,7 +225,7 @@ RunReport run_agreement(const RunOptions& options, const Env& env,
 ///   --protocol --adversary --rbc --n --seed --epsilon --d --max-rounds
 ///   --crash --silent --junk --crash-recover --recover-after
 ///   --drop --dup --replay --reliable-channel --retransmits
-///   --adaptive-victims --no-defer-verify --shards --sim-threads
+///   --adaptive-victims --shards --sim-threads
 ///   --ones k (the first k processes propose 1) --expected 0|1
 ///   --preset NAME | --schedule SPEC (sim/chaos.h)
 /// A flag that is absent keeps the value `o` arrives with, so a tool

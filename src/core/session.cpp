@@ -91,12 +91,10 @@ SessionReport Session::run_concurrent_slots(
   auto slot_words = std::make_shared<SlotWordObserver>(slots);
   sim.add_observer(slot_words);
 
-  coin::Setup setup = env_;
-  if (!defer_verify_) setup.batcher = nullptr;
   for (sim::ProcessId i = 0; i < n; ++i) {
     auto host = std::make_unique<SlotHost>(slots);
     for (std::size_t slot = 0; slot < slots; ++slot) {
-      ba::BaWhp::Config bcfg{setup};
+      ba::BaWhp::Config bcfg{env_};
       bcfg.tag = "slot" + std::to_string(slot);
       bcfg.max_rounds = max_rounds;
       bcfg.skip_timeout = ba::auto_skip_timeout(n, slots);

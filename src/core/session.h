@@ -52,11 +52,6 @@ class Session {
   /// One setup, reused by every slot (the §3 property).
   explicit Session(Env env);
 
-  /// Routes every slot's share/election checks through the Env's shared
-  /// BatchVerifier (see RunOptions::defer_verify). On by default; slot
-  /// decisions and word counts are bit-identical either way.
-  void set_defer_verify(bool on) { defer_verify_ = on; }
-
   /// Runs `inputs.size()` BA-WHP instances *concurrently* in a single
   /// simulation: every process participates in all slots at once;
   /// inputs[slot][process] is its proposal for that slot. Committee seeds
@@ -73,7 +68,6 @@ class Session {
 
  private:
   Env env_;
-  bool defer_verify_ = true;
 };
 
 }  // namespace coincidence::core

@@ -10,22 +10,24 @@
 namespace coincidence::crypto {
 
 void KeyRegistry::register_keypair(ProcessId id, Bytes sk, Bytes pk) {
-  COIN_REQUIRE(by_id_.count(id) == 0, "KeyRegistry: duplicate id");
+  COIN_REQUIRE(!has(id), "KeyRegistry: duplicate id");
   COIN_REQUIRE(by_pk_.count(pk) == 0, "KeyRegistry: duplicate public key");
   by_pk_[pk] = id;
+  if (id >= by_id_.size()) by_id_.resize(std::size_t{id} + 1);
   by_id_[id] = Entry{std::move(sk), std::move(pk)};
+  ++size_;
 }
 
 const Bytes& KeyRegistry::sk_of(ProcessId id) const {
-  auto it = by_id_.find(id);
-  COIN_REQUIRE(it != by_id_.end(), "KeyRegistry: unknown id");
-  return it->second.sk;
+  const Entry* e = entry(id);
+  COIN_REQUIRE(e != nullptr, "KeyRegistry: unknown id");
+  return e->sk;
 }
 
 const Bytes& KeyRegistry::pk_of(ProcessId id) const {
-  auto it = by_id_.find(id);
-  COIN_REQUIRE(it != by_id_.end(), "KeyRegistry: unknown id");
-  return it->second.pk;
+  const Entry* e = entry(id);
+  COIN_REQUIRE(e != nullptr, "KeyRegistry: unknown id");
+  return e->pk;
 }
 
 bool KeyRegistry::BytesLess::operator()(BytesView a, BytesView b) const {
@@ -37,7 +39,7 @@ bool KeyRegistry::BytesLess::operator()(BytesView a, BytesView b) const {
 const Bytes* KeyRegistry::sk_for_pk(BytesView pk) const {
   auto it = by_pk_.find(pk);
   if (it == by_pk_.end()) return nullptr;
-  return &by_id_.at(it->second).sk;
+  return &entry(it->second)->sk;
 }
 
 std::shared_ptr<KeyRegistry> KeyRegistry::create_for(std::size_t n,

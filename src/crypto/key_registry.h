@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.h"
@@ -31,8 +32,8 @@ class KeyRegistry {
   /// Registers a keypair for `id`; throws if `id` already registered.
   void register_keypair(ProcessId id, Bytes sk, Bytes pk);
 
-  std::size_t size() const { return by_id_.size(); }
-  bool has(ProcessId id) const { return by_id_.count(id) > 0; }
+  std::size_t size() const { return size_; }
+  bool has(ProcessId id) const { return entry(id) != nullptr; }
 
   const Bytes& sk_of(ProcessId id) const;
   const Bytes& pk_of(ProcessId id) const;
@@ -54,7 +55,13 @@ class KeyRegistry {
     bool operator()(BytesView a, BytesView b) const;
   };
 
-  std::map<ProcessId, Entry> by_id_;
+  /// The keypair of `id`, or nullptr.
+  const Entry* entry(ProcessId id) const {
+    return id < by_id_.size() && by_id_[id] ? &*by_id_[id] : nullptr;
+  }
+
+  std::vector<std::optional<Entry>> by_id_;  // indexed by id: ids are dense
+  std::size_t size_ = 0;
   std::map<Bytes, ProcessId, BytesLess> by_pk_;
 };
 

@@ -94,7 +94,6 @@ void LogProcess::activate_slot(sim::Context& ctx) {
   ba::MultiValuedBa::Config mcfg{cfg_};
   mcfg.tag = cfg_.slot_prefix + std::to_string(k);
   mcfg.max_rounds = cfg_.max_rounds;
-  mcfg.extra_rounds = cfg_.extra_rounds;
   mcfg.skip_timeout = cfg_.skip_timeout;
   mcfg.max_candidates = cfg_.max_candidates;
   mcfg.rbc = cfg_.rbc;

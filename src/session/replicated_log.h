@@ -51,7 +51,6 @@ struct LogConfig : coin::Setup {
 
   // Forwarded to every slot's MultiValuedBa (see mv_ba.h / ba_whp.h).
   std::uint64_t max_rounds = 32;
-  std::uint64_t extra_rounds = 4;
   std::uint64_t skip_timeout = 0;
   std::size_t max_candidates = 8;
   /// Dissemination backend for every slot's proposal broadcasts

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coin/verify_queue.h"
 #include "common/errors.h"
 #include "common/ser.h"
 #include "crypto/fast_vrf.h"
@@ -10,31 +11,24 @@
 namespace coincidence::ba {
 namespace {
 
-struct Fixture {
+struct Fixture : coin::Setup {
   explicit Fixture(std::size_t n, double eps = 0.25, double d = 0.02,
-                   std::uint64_t key_seed = 7)
-      : params(committee::Params::derive(n, eps, d, /*strict=*/false)),
-        registry(crypto::KeyRegistry::create_for(n, key_seed)),
-        vrf(std::make_shared<crypto::FastVrf>(registry)),
-        sampler(std::make_shared<committee::Sampler>(vrf, registry,
-                                                     params.sample_prob())),
-        signer(std::make_shared<crypto::Signer>(registry)) {}
-
-  Approver::Config config(const std::string& tag) const {
-    Approver::Config cfg;
-    cfg.tag = tag;
-    cfg.params = params;
-    cfg.registry = registry;
-    cfg.sampler = sampler;
-    cfg.signer = signer;
-    return cfg;
+                   std::uint64_t key_seed = 7) {
+    params = committee::Params::derive(n, eps, d, /*strict=*/false);
+    registry = crypto::KeyRegistry::create_for(n, key_seed);
+    vrf = std::make_shared<crypto::FastVrf>(registry);
+    sampler = std::make_shared<committee::Sampler>(vrf, registry,
+                                                   params.sample_prob());
+    signer = std::make_shared<crypto::Signer>(registry);
+    batcher = std::make_shared<coin::BatchVerifier>(
+        coin::BatchVerifier::Config{vrf, sampler, signer});
   }
 
-  committee::Params params;
-  std::shared_ptr<crypto::KeyRegistry> registry;
-  std::shared_ptr<crypto::FastVrf> vrf;
-  std::shared_ptr<committee::Sampler> sampler;
-  std::shared_ptr<crypto::Signer> signer;
+  Approver::Config config(const std::string& tag) const {
+    Approver::Config cfg{*this};
+    cfg.tag = tag;
+    return cfg;
+  }
 };
 
 struct ApproverRun {

@@ -28,21 +28,16 @@ struct AttackFixture {
                                                      params.sample_prob())),
         signer(std::make_shared<crypto::Signer>(registry)) {}
 
+  /// A config with a fresh BatchVerifier, whose ok memo is shared by
+  /// every approver built from it.
   Approver::Config config() const {
     Approver::Config cfg;
     cfg.tag = "apv";
     cfg.params = params;
+    cfg.vrf = vrf;
     cfg.registry = registry;
     cfg.sampler = sampler;
     cfg.signer = signer;
-    return cfg;
-  }
-
-  /// config() with a fresh BatchVerifier: the deferred path, whose ok
-  /// memo is shared by every approver built from this config.
-  Approver::Config batched_config() const {
-    Approver::Config cfg = config();
-    cfg.vrf = vrf;
     cfg.batcher = std::make_shared<coin::BatchVerifier>(
         coin::BatchVerifier::Config{vrf, sampler, signer});
     return cfg;
@@ -57,8 +52,9 @@ struct AttackFixture {
     cfg.f = 1;
     cfg.seed = seed;
     auto sim = std::make_unique<sim::Simulation>(cfg);
+    const Approver::Config acfg = config();
     for (std::size_t i = 0; i < n; ++i)
-      sim->add_process(std::make_unique<ApproverHost>(config(), input));
+      sim->add_process(std::make_unique<ApproverHost>(acfg, input));
     sim->corrupt(static_cast<sim::ProcessId>(n - 1),
                  sim::FaultPlan::silent());
     return sim;
@@ -74,7 +70,7 @@ struct AttackFixture {
 
   /// Runs every process with `cfg` on input `input` and returns the oks
   /// process 0 applied: W honest certificates, each cached in cfg's ok
-  /// memo when cfg has a batcher.
+  /// memo.
   std::vector<Approver::AppliedOk> honest_oks(const Approver::Config& cfg,
                                               Value input,
                                               std::uint64_t seed) const {
@@ -346,7 +342,7 @@ std::unique_ptr<Approver> deliver_oks(const Approver::Config& cfg,
 
 TEST(ApproverCertMemo, VariantsOfACachedCertificateAreRejected) {
   AttackFixture fx(40);
-  const Approver::Config cfg = fx.batched_config();
+  const Approver::Config cfg = fx.config();
   const auto honest = fx.honest_oks(cfg, kZero, 7);
   ASSERT_EQ(honest.size(), fx.params.W);
   const Approver::AppliedOk& ok = honest[0];
@@ -376,7 +372,7 @@ TEST(ApproverCertMemo, VariantsOfACachedCertificateAreRejected) {
 
 TEST(ApproverCertMemo, CachedCertificateRelayedByANonMemberIsRejected) {
   AttackFixture fx(40);
-  const Approver::Config cfg = fx.batched_config();
+  const Approver::Config cfg = fx.config();
   const auto honest = fx.honest_oks(cfg, kZero, 8);
   const Approver::AppliedOk& ok = honest[0];
   const crypto::ProcessId relay = fx.not_ok_elected();
@@ -397,7 +393,7 @@ TEST(ApproverCertMemo, ForgedCertificateSeenFirstDoesNotPoisonTheHonestOne) {
   const Approver::AppliedOk& ok = honest[0];
 
   // A fresh memo meets every forged variant before the honest bytes.
-  const Approver::Config cfg = fx.batched_config();
+  const Approver::Config cfg = fx.config();
   for (const auto& [name, bytes] : forged_variants(ok.buf)) {
     const SharedBytes forged(bytes);
     EXPECT_FALSE(
@@ -420,7 +416,7 @@ TEST(ApproverCertMemo, ForgedCertificateSeenFirstDoesNotPoisonTheHonestOne) {
 
 TEST(ApproverCertMemo, BatcherAndInlinePathsAcceptTheSameSet) {
   AttackFixture fx(40);
-  const Approver::Config cfg = fx.batched_config();
+  const Approver::Config cfg = fx.config();
   const auto honest = fx.honest_oks(cfg, kZero, 10);
   const crypto::ProcessId relay = fx.not_ok_elected();
 

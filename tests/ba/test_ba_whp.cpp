@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "ba_harness.h"
+#include "coin/verify_queue.h"
 #include "common/errors.h"
+#include "common/rng.h"
 #include "crypto/fast_vrf.h"
 
 namespace coincidence::ba {
@@ -14,37 +16,31 @@ using testing::BaRunSpec;
 using testing::mixed_inputs;
 using testing::run_ba;
 
-struct Fixture {
+struct Fixture : coin::Setup {
   explicit Fixture(std::size_t n, double eps = 0.25, double d = 0.02,
-                   std::uint64_t key_seed = 11)
-      : n(n),
-        params(committee::Params::derive(n, eps, d, /*strict=*/false)),
-        registry(crypto::KeyRegistry::create_for(n, key_seed)),
-        vrf(std::make_shared<crypto::FastVrf>(registry)),
-        sampler(std::make_shared<committee::Sampler>(vrf, registry,
-                                                     params.sample_prob())),
-        signer(std::make_shared<crypto::Signer>(registry)) {}
+                   std::uint64_t key_seed = 11) {
+    params = committee::Params::derive(n, eps, d, /*strict=*/false);
+    registry = crypto::KeyRegistry::create_for(n, key_seed);
+    vrf = std::make_shared<crypto::FastVrf>(registry);
+    sampler = std::make_shared<committee::Sampler>(vrf, registry,
+                                                   params.sample_prob());
+    signer = std::make_shared<crypto::Signer>(registry);
+    batcher = std::make_shared<coin::BatchVerifier>(
+        coin::BatchVerifier::Config{vrf, sampler, signer});
+  }
+
+  BaWhp::Config config() const {
+    BaWhp::Config cfg{*this};
+    cfg.tag = "ba";
+    cfg.max_rounds = 32;
+    return cfg;
+  }
 
   testing::BaFactory factory() const {
     return [this](sim::ProcessId, Value input) {
-      BaWhp::Config cfg;
-      cfg.tag = "ba";
-      cfg.params = params;
-      cfg.vrf = vrf;
-      cfg.registry = registry;
-      cfg.sampler = sampler;
-      cfg.signer = signer;
-      cfg.max_rounds = 32;
-      return std::make_unique<BaWhp>(cfg, input);
+      return std::make_unique<BaWhp>(config(), input);
     };
   }
-
-  std::size_t n;
-  committee::Params params;
-  std::shared_ptr<crypto::KeyRegistry> registry;
-  std::shared_ptr<crypto::FastVrf> vrf;
-  std::shared_ptr<committee::Sampler> sampler;
-  std::shared_ptr<crypto::Signer> signer;
 };
 
 TEST(BaWhp, ValidityAllProposeSame) {
@@ -175,11 +171,11 @@ TEST(BaWhp, EstimateAndRoundAccessors) {
 // 14/16 decided). The pair of tests pins the repro and the fix.
 BaRunSpec wedge_spec(const Fixture& fx) {
   BaRunSpec spec;
-  spec.n = fx.n;
+  spec.n = fx.n();
   spec.f_budget = 2;
   spec.seed = 23;
-  spec.inputs = std::vector<Value>(fx.n, kZero);
-  for (std::size_t i = 0; i < fx.n; ++i)
+  spec.inputs = std::vector<Value>(fx.n(), kZero);
+  for (std::size_t i = 0; i < fx.n(); ++i)
     spec.inputs[i] = static_cast<Value>(i % 2);
   spec.corruptions = {{46, sim::FaultPlan::silent()},
                       {47, sim::FaultPlan::silent()}};
@@ -189,14 +185,8 @@ BaRunSpec wedge_spec(const Fixture& fx) {
 testing::BaFactory wedge_factory(const Fixture& fx,
                                  std::uint64_t skip_timeout) {
   return [&fx, skip_timeout](sim::ProcessId, Value input) {
-    BaWhp::Config cfg;
+    BaWhp::Config cfg = fx.config();
     cfg.tag = "slot7";
-    cfg.params = fx.params;
-    cfg.vrf = fx.vrf;
-    cfg.registry = fx.registry;
-    cfg.sampler = fx.sampler;
-    cfg.signer = fx.signer;
-    cfg.max_rounds = 32;
     cfg.skip_timeout = skip_timeout;
     return std::make_unique<BaWhp>(cfg, input);
   };
@@ -222,14 +212,72 @@ TEST(BaWhpSkip, SkipFallbackRescuesWedgedRound) {
   EXPECT_GE(r.max_decided_round(), 1u);
 }
 
+/// A lone process's world: a settable clock, and a count of the
+/// skip-reqs it broadcasts.
+class LoneClock final : public sim::Context {
+ public:
+  explicit LoneClock(std::size_t n) : n_(n) {}
+  sim::ProcessId self() const override { return 0; }
+  std::size_t n() const override { return n_; }
+  void send(sim::ProcessId, sim::Tag, SharedBytes, std::size_t) override {}
+  void broadcast(sim::Tag tag, SharedBytes, std::size_t) override {
+    if (tag.str().ends_with("/skip")) ++skip_reqs;
+  }
+  Rng& rng() override { return rng_; }
+  std::uint64_t causal_depth() const override { return 0; }
+  std::uint64_t now() const override { return now_; }
+
+  std::uint64_t now_ = 0;
+  std::size_t skip_reqs = 0;
+
+ private:
+  std::size_t n_;
+  Rng rng_{1};
+};
+
+struct LoneRun {
+  std::size_t skip_reqs = 0;
+  std::size_t backlog = 0;
+};
+
+/// A lone BaWhp with skip_timeout 100, woken every 10 events for 2,000
+/// events; with `junk`, process 5 sends it one "ba/x<i>" message (a tag
+/// that names no round) per tick.
+LoneRun lone_skip_run(bool junk) {
+  Fixture fx(48);
+  BaWhp::Config cfg = fx.config();
+  cfg.skip_timeout = 100;
+  BaWhp ba(cfg, kZero);
+  LoneClock ctx(fx.n());
+  ba.on_start(ctx);
+  for (std::uint64_t t = 10; t <= 2000; t += 10) {
+    ctx.now_ = t;
+    if (junk) {
+      sim::Message msg;
+      msg.from = 5;
+      msg.tag = sim::Tag("ba/x" + std::to_string(t));
+      ba.on_message(ctx, msg);
+    }
+    ba.on_wakeup(ctx);
+  }
+  return {ctx.skip_reqs, ba.backlog_size()};
+}
+
+TEST(BaWhpSkip, TagsNamingNoRoundAreNeitherBackloggedNorProgress) {
+  // A tag that names no round is no sub-instance's traffic: it must not
+  // grow the backlog (replayed at every phase change) nor slide the skip
+  // deadline, or one junk sender keeps a wedged round from ever asking
+  // to skip.
+  const LoneRun quiet = lone_skip_run(false);
+  const LoneRun junk = lone_skip_run(true);
+  EXPECT_GT(quiet.skip_reqs, 0u);
+  EXPECT_EQ(junk.skip_reqs, quiet.skip_reqs);
+  EXPECT_EQ(junk.backlog, quiet.backlog);
+}
+
 TEST(BaWhp, RejectsBadConstruction) {
   Fixture fx(60);
-  BaWhp::Config cfg;
-  cfg.params = fx.params;
-  cfg.vrf = fx.vrf;
-  cfg.registry = fx.registry;
-  cfg.sampler = fx.sampler;
-  cfg.signer = fx.signer;
+  BaWhp::Config cfg = fx.config();
   EXPECT_THROW(BaWhp(cfg, kBot), PreconditionError);  // ⊥ not a valid input
   cfg.signer = nullptr;
   EXPECT_THROW(BaWhp(cfg, kZero), PreconditionError);

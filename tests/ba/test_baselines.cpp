@@ -165,7 +165,9 @@ struct MmrSharedCoinFixture {
       : n(n),
         f(f),
         registry(crypto::KeyRegistry::create_for(n, key_seed)),
-        vrf(std::make_shared<crypto::FastVrf>(registry)) {}
+        vrf(std::make_shared<crypto::FastVrf>(registry)),
+        batcher(std::make_shared<coin::BatchVerifier>(
+            coin::BatchVerifier::Config{vrf})) {}
 
   testing::BaFactory factory() const {
     return [this](sim::ProcessId, Value input) {
@@ -180,6 +182,7 @@ struct MmrSharedCoinFixture {
         ccfg.f = f;
         ccfg.vrf = vrf;
         ccfg.registry = registry;
+        ccfg.batcher = batcher;
         return std::make_unique<coin::SharedCoin>(ccfg);
       };
       return std::make_unique<Mmr>(cfg, input);
@@ -189,6 +192,7 @@ struct MmrSharedCoinFixture {
   std::size_t n, f;
   std::shared_ptr<crypto::KeyRegistry> registry;
   std::shared_ptr<crypto::FastVrf> vrf;
+  std::shared_ptr<coin::BatchVerifier> batcher;
 };
 
 TEST(MmrSharedCoin, ValidityUnanimous) {

@@ -32,13 +32,9 @@ StrictOutcome run_strict(std::size_t n, int runs, std::uint64_t seed) {
     cfg.seed = seed * 131 + run;
     sim::Simulation sim(cfg);
     for (crypto::ProcessId i = 0; i < n; ++i) {
-      WhpCoin::Config ccfg;
+      WhpCoin::Config ccfg{env};
       ccfg.tag = "strict/" + std::to_string(run);
       ccfg.round = static_cast<std::uint64_t>(run);
-      ccfg.params = env.params;
-      ccfg.vrf = env.vrf;
-      ccfg.registry = env.registry;
-      ccfg.sampler = env.sampler;
       sim.add_process(std::make_unique<CoinHost>(
           std::make_unique<WhpCoin>(ccfg)));
     }
@@ -103,13 +99,9 @@ TEST(WhpCoinStrictParams, LowEdgeDRestoresLiveness) {
     cfg.seed = 400 + run;
     sim::Simulation sim(cfg);
     for (crypto::ProcessId i = 0; i < n; ++i) {
-      WhpCoin::Config ccfg;
+      WhpCoin::Config ccfg{env};
       ccfg.tag = "edge/" + std::to_string(run);
       ccfg.round = static_cast<std::uint64_t>(run);
-      ccfg.params = env.params;
-      ccfg.vrf = env.vrf;
-      ccfg.registry = env.registry;
-      ccfg.sampler = env.sampler;
       sim.add_process(std::make_unique<CoinHost>(
           std::make_unique<WhpCoin>(ccfg)));
     }

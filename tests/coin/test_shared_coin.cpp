@@ -19,7 +19,8 @@ struct Fixture {
   explicit Fixture(std::size_t n, std::uint64_t key_seed = 42)
       : n(n),
         registry(crypto::KeyRegistry::create_for(n, key_seed)),
-        vrf(std::make_shared<crypto::FastVrf>(registry)) {}
+        vrf(std::make_shared<crypto::FastVrf>(registry)),
+        batcher(std::make_shared<BatchVerifier>(BatchVerifier::Config{vrf})) {}
 
   testing::CoinFactory factory(std::size_t f, std::uint64_t round) const {
     return [this, f, round](crypto::ProcessId) {
@@ -30,6 +31,7 @@ struct Fixture {
       cfg.f = f;
       cfg.vrf = vrf;
       cfg.registry = registry;
+      cfg.batcher = batcher;
       return std::make_unique<SharedCoin>(cfg);
     };
   }
@@ -37,6 +39,7 @@ struct Fixture {
   std::size_t n;
   std::shared_ptr<crypto::KeyRegistry> registry;
   std::shared_ptr<crypto::FastVrf> vrf;
+  std::shared_ptr<BatchVerifier> batcher;
 };
 
 TEST(SharedCoin, AllCorrectProcessesReturnFaultFree) {
@@ -153,7 +156,9 @@ class ForgedValueEnv : public ::testing::Test {
   static constexpr std::size_t kN = 6;
   ForgedValueEnv()
       : registry_(crypto::KeyRegistry::create_for(kN, 9)),
-        vrf_(std::make_shared<crypto::FastVrf>(registry_)) {}
+        vrf_(std::make_shared<crypto::FastVrf>(registry_)),
+        batcher_(
+            std::make_shared<BatchVerifier>(BatchVerifier::Config{vrf_})) {}
 
   std::unique_ptr<SharedCoin> make_coin(std::size_t f) const {
     SharedCoin::Config cfg;
@@ -163,11 +168,13 @@ class ForgedValueEnv : public ::testing::Test {
     cfg.f = f;
     cfg.vrf = vrf_;
     cfg.registry = registry_;
+    cfg.batcher = batcher_;
     return std::make_unique<SharedCoin>(cfg);
   }
 
   std::shared_ptr<crypto::KeyRegistry> registry_;
   std::shared_ptr<crypto::FastVrf> vrf_;
+  std::shared_ptr<BatchVerifier> batcher_;
 };
 
 TEST_F(ForgedValueEnv, ForgedMinimumIsIgnored) {
@@ -240,6 +247,7 @@ TEST_F(ForgedValueEnv, RejectsBadConfig) {
   cfg.f = 2;  // n - f <= f: quorum intersection impossible
   cfg.vrf = vrf_;
   cfg.registry = registry_;
+  cfg.batcher = batcher_;
   EXPECT_THROW(SharedCoin{cfg}, PreconditionError);
   cfg.f = 1;
   cfg.vrf = nullptr;
@@ -260,6 +268,7 @@ TEST_F(ForgedValueEnv, DoneCallbackFiresExactlyOnce) {
     ccfg.f = 1;
     ccfg.vrf = vrf_;
     ccfg.registry = registry_;
+    ccfg.batcher = batcher_;
     auto coin = std::make_unique<SharedCoin>(
         ccfg, i == 0 ? [&fired](int) { ++fired; } : SharedCoin::DoneFn{});
     sim.add_process(std::make_unique<CoinHost>(std::move(coin)));

@@ -18,31 +18,25 @@ using testing::run_coin;
 // assertions are stable: a given seed set either passes forever or fails
 // forever. Small-n runs use the paper's formulas with relaxed lower-bound
 // constants (Params strict=false), as catalogued in DESIGN.md §6.
-struct Fixture {
-  Fixture(std::size_t n, double epsilon, double d, std::uint64_t key_seed = 77)
-      : params(committee::Params::derive(n, epsilon, d, /*strict=*/false)),
-        registry(crypto::KeyRegistry::create_for(n, key_seed)),
-        vrf(std::make_shared<crypto::FastVrf>(registry)),
-        sampler(std::make_shared<committee::Sampler>(vrf, registry,
-                                                     params.sample_prob())) {}
+struct Fixture : Setup {
+  Fixture(std::size_t n, double epsilon, double d, std::uint64_t key_seed = 77) {
+    params = committee::Params::derive(n, epsilon, d, /*strict=*/false);
+    registry = crypto::KeyRegistry::create_for(n, key_seed);
+    vrf = std::make_shared<crypto::FastVrf>(registry);
+    sampler = std::make_shared<committee::Sampler>(vrf, registry,
+                                                   params.sample_prob());
+    batcher = std::make_shared<BatchVerifier>(
+        BatchVerifier::Config{vrf, sampler, nullptr});
+  }
 
   testing::CoinFactory factory(std::uint64_t round) const {
     return [this, round](crypto::ProcessId) {
-      WhpCoin::Config cfg;
+      WhpCoin::Config cfg{*this};
       cfg.tag = "whp/" + std::to_string(round);
       cfg.round = round;
-      cfg.params = params;
-      cfg.vrf = vrf;
-      cfg.registry = registry;
-      cfg.sampler = sampler;
       return std::make_unique<WhpCoin>(cfg);
     };
   }
-
-  committee::Params params;
-  std::shared_ptr<crypto::KeyRegistry> registry;
-  std::shared_ptr<crypto::FastVrf> vrf;
-  std::shared_ptr<committee::Sampler> sampler;
 };
 
 TEST(WhpCoin, TerminatesAndAgreesOnTypicalRun) {
@@ -274,12 +268,8 @@ TEST(WhpCoin, OutputBeforeDoneThrows) {
 
 TEST(WhpCoin, RejectsMissingEnvironment) {
   Fixture fx(40, 0.25, 0.02);
-  WhpCoin::Config cfg;
+  WhpCoin::Config cfg{fx};
   cfg.tag = "x";
-  cfg.round = 0;
-  cfg.params = fx.params;
-  cfg.vrf = fx.vrf;
-  cfg.registry = fx.registry;
   cfg.sampler = nullptr;
   EXPECT_THROW(WhpCoin{cfg}, PreconditionError);
 }

@@ -22,13 +22,9 @@ TEST(DdhIntegration, WhpCoinRunsOverRealVrf) {
   cfg.seed = 5;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
-    coin::WhpCoin::Config ccfg;
+    coin::WhpCoin::Config ccfg{env};
     ccfg.tag = "coin";
     ccfg.round = 0;
-    ccfg.params = env.params;
-    ccfg.vrf = env.vrf;
-    ccfg.registry = env.registry;
-    ccfg.sampler = env.sampler;
     sim.add_process(
         std::make_unique<coin::CoinHost>(std::make_unique<coin::WhpCoin>(ccfg)));
   }

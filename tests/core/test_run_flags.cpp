@@ -69,7 +69,6 @@ void expect_same_flags(const RunOptions& a, const RunOptions& b) {
   EXPECT_EQ(a.reliable_channel, b.reliable_channel);
   EXPECT_EQ(a.transport_retransmits, b.transport_retransmits);
   EXPECT_EQ(a.adaptive_victims, b.adaptive_victims);
-  EXPECT_EQ(a.defer_verify, b.defer_verify);
   EXPECT_EQ(a.shards, b.shards);
   EXPECT_EQ(a.threads, b.threads);
   EXPECT_EQ(a.chaos.spec(), b.chaos.spec());
@@ -130,7 +129,6 @@ TEST(RunFlags, ChaosPresetRunRoundTrips) {
   o.max_rounds = 9;
   o.adversary = AdversaryKind::kAdaptiveCorruption;
   o.adaptive_victims = 2;
-  o.defer_verify = false;
   o.chaos = sim::ChaosSchedule::preset("combined", o.n);
   o.inputs.assign(o.n, ba::kOne);
   o.expected_decision = 1;

@@ -118,16 +118,13 @@ TEST_P(FuzzGrid, RandomPayloadsNeverWedgeTheProtocol) {
             cc.f = (n - 1) / 3;
             cc.vrf = env.vrf;
             cc.registry = env.registry;
+            cc.batcher = env.batcher;
             return std::make_unique<coin::SharedCoin>(cc);
           }
           if (protocol == core::Protocol::kMmrWhpCoin) {
-            coin::WhpCoin::Config cc;
+            coin::WhpCoin::Config cc{env};
             cc.tag = tag;
             cc.round = round;
-            cc.params = env.params;
-            cc.vrf = env.vrf;
-            cc.registry = env.registry;
-            cc.sampler = env.sampler;
             return std::make_unique<coin::WhpCoin>(cc);
           }
           coin::DealerCoin::Config cc;
@@ -139,13 +136,8 @@ TEST_P(FuzzGrid, RandomPayloadsNeverWedgeTheProtocol) {
         return std::make_unique<ba::Mmr>(c, input);
       }
       case core::Protocol::kBaWhp: {
-        ba::BaWhp::Config c;
+        ba::BaWhp::Config c{env};
         c.tag = "ba";
-        c.params = env.params;
-        c.vrf = env.vrf;
-        c.registry = env.registry;
-        c.sampler = env.sampler;
-        c.signer = env.signer;
         return std::make_unique<ba::BaWhp>(c, input);
       }
     }

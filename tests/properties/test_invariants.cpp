@@ -55,13 +55,8 @@ TEST(Invariants, ProcessReplaceability_OneBroadcastPerCommitteeRole) {
   auto counter = std::make_shared<SendCounter>();
   sim.add_observer(counter);
   for (crypto::ProcessId i = 0; i < 48; ++i) {
-    ba::BaWhp::Config bcfg;
+    ba::BaWhp::Config bcfg{env};
     bcfg.tag = "ba";
-    bcfg.params = env.params;
-    bcfg.vrf = env.vrf;
-    bcfg.registry = env.registry;
-    bcfg.sampler = env.sampler;
-    bcfg.signer = env.signer;
     sim.add_process(
         std::make_unique<ba::BaWhp>(bcfg, i < 24 ? ba::kOne : ba::kZero));
   }
@@ -94,13 +89,9 @@ TEST(Invariants, WhpCoinSendersAreExactlyCommitteeMembers) {
   auto counter = std::make_shared<SendCounter>();
   sim.add_observer(counter);
   for (crypto::ProcessId i = 0; i < 64; ++i) {
-    coin::WhpCoin::Config ccfg;
+    coin::WhpCoin::Config ccfg{env};
     ccfg.tag = "coin";
     ccfg.round = 0;
-    ccfg.params = env.params;
-    ccfg.vrf = env.vrf;
-    ccfg.registry = env.registry;
-    ccfg.sampler = env.sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(ccfg)));
   }
@@ -130,13 +121,9 @@ TEST(Invariants, TraceRecorderCapturesAndFilters) {
   sim.add_observer(all);
   sim.add_observer(firsts);
   for (crypto::ProcessId i = 0; i < 40; ++i) {
-    coin::WhpCoin::Config ccfg;
+    coin::WhpCoin::Config ccfg{env};
     ccfg.tag = "coin";
     ccfg.round = 0;
-    ccfg.params = env.params;
-    ccfg.vrf = env.vrf;
-    ccfg.registry = env.registry;
-    ccfg.sampler = env.sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(ccfg)));
   }
@@ -175,13 +162,9 @@ TEST(Invariants, TraceIsIdenticalAcrossReplays) {
     auto trace = std::make_shared<sim::TraceRecorder>();
     sim.add_observer(trace);
     for (crypto::ProcessId i = 0; i < 32; ++i) {
-      coin::WhpCoin::Config ccfg;
+      coin::WhpCoin::Config ccfg{env};
       ccfg.tag = "coin";
       ccfg.round = 0;
-      ccfg.params = env.params;
-      ccfg.vrf = env.vrf;
-      ccfg.registry = env.registry;
-      ccfg.sampler = env.sampler;
       sim.add_process(std::make_unique<coin::CoinHost>(
           std::make_unique<coin::WhpCoin>(ccfg)));
     }
@@ -222,13 +205,8 @@ TEST(Invariants, ReplaceabilityMakesAdaptiveHuntingWorthless) {
       sim.set_adversary(std::make_unique<sim::CommitteeHunterAdversary>(
           "", sim::FaultPlan::silent()));
     for (crypto::ProcessId i = 0; i < n; ++i) {
-      ba::BaWhp::Config bcfg;
+      ba::BaWhp::Config bcfg{env};
       bcfg.tag = "ba";
-      bcfg.params = env.params;
-      bcfg.vrf = env.vrf;
-      bcfg.registry = env.registry;
-      bcfg.sampler = env.sampler;
-      bcfg.signer = env.signer;
       sim.add_process(
           std::make_unique<ba::BaWhp>(bcfg, i % 2 ? ba::kOne : ba::kZero));
     }

@@ -78,13 +78,8 @@ TEST(WordAccounting, BaWhpMatchesPublishedSchedule) {
   sim::Simulation sim(cfg);
   sim.add_observer(auditor);
   for (crypto::ProcessId i = 0; i < 48; ++i) {
-    ba::BaWhp::Config bcfg;
+    ba::BaWhp::Config bcfg{env};
     bcfg.tag = "ba";
-    bcfg.params = env.params;
-    bcfg.vrf = env.vrf;
-    bcfg.registry = env.registry;
-    bcfg.sampler = env.sampler;
-    bcfg.signer = env.signer;
     sim.add_process(
         std::make_unique<ba::BaWhp>(bcfg, i < 24 ? ba::kOne : ba::kZero));
   }
@@ -171,6 +166,7 @@ TEST(WordAccounting, BaselinesMatchPublishedSchedules) {
               cc.f = f;
               cc.vrf = env.vrf;
               cc.registry = env.registry;
+              cc.batcher = env.batcher;
               return std::make_unique<coin::SharedCoin>(cc);
             }
             coin::DealerCoin::Config cc;

@@ -1,14 +1,20 @@
-// Every layer runs on the Env's own setup. Deferred and inline
-// verification are bit-identical on the wire, so a driver hop that
-// dropped the batcher or swapped the sampler would change no word,
-// decision or golden; only the Env's shared caches can tell. These runs
-// read them after a replicated log (erasure-coded RBC, so the broadcast
-// memo is in play) and a binary BA-WHP run.
+// Every layer runs on the Env's own setup. A driver hop that swapped the
+// sampler or the batcher for a fresh one would change no word, decision
+// or golden; only the Env's shared caches can tell. These runs read them
+// after a replicated log (erasure-coded RBC, so the broadcast memo is in
+// play) and a binary BA-WHP run. A hop that dropped the batcher fails at
+// once: every protocol refuses a setup without one.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "ba/approver.h"
+#include "ba/ba_whp.h"
+#include "ba/mv_ba.h"
+#include "coin/shared_coin.h"
+#include "coin/whp_coin.h"
 #include "committee/sampler.h"
+#include "common/errors.h"
 #include "core/env.h"
 #include "core/runner.h"
 #include "session/log_driver.h"
@@ -55,6 +61,25 @@ TEST(SetupWiring, BinaryAgreementUsesTheEnvsCaches) {
   // The report reads the same verifier.
   EXPECT_EQ(r.sig_checks, env.batcher->sig_checks());
   EXPECT_EQ(r.verify_enqueued, env.batcher->enqueued());
+}
+
+TEST(SetupWiring, EveryProtocolRefusesANullBatcher) {
+  core::Env env = core::Env::make_relaxed(16, 2);
+  env.batcher = nullptr;
+  EXPECT_THROW(coin::WhpCoin(coin::WhpCoin::Config{env}), PreconditionError);
+  coin::SharedCoin::Config shared;
+  shared.round = 0;
+  shared.n = env.n();
+  shared.f = env.f();
+  shared.vrf = env.vrf;
+  shared.registry = env.registry;
+  EXPECT_THROW(coin::SharedCoin{shared}, PreconditionError);
+  EXPECT_THROW(ba::Approver(ba::Approver::Config{env}, ba::kZero),
+               PreconditionError);
+  EXPECT_THROW(ba::BaWhp(ba::BaWhp::Config{env}, ba::kZero),
+               PreconditionError);
+  EXPECT_THROW(ba::MultiValuedBa(ba::MultiValuedBa::Config{env}, Bytes{}),
+               PreconditionError);
 }
 
 }  // namespace

@@ -90,13 +90,9 @@ RunSurface run_whp_coin(std::size_t shards, std::size_t threads) {
   auto trace = std::make_shared<sim::TraceRecorder>();
   sim.add_observer(trace);
   for (crypto::ProcessId i = 0; i < n; ++i) {
-    coin::WhpCoin::Config ccfg;
+    coin::WhpCoin::Config ccfg{env};
     ccfg.tag = "coin";
     ccfg.round = 1;
-    ccfg.params = env.params;
-    ccfg.vrf = env.vrf;
-    ccfg.registry = env.registry;
-    ccfg.sampler = env.sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(std::move(ccfg))));
   }
@@ -128,13 +124,8 @@ RunSurface run_ba_whp(std::size_t shards, std::size_t threads) {
   auto trace = std::make_shared<sim::TraceRecorder>();
   sim.add_observer(trace);
   for (crypto::ProcessId i = 0; i < n; ++i) {
-    ba::BaWhp::Config bcfg;
+    ba::BaWhp::Config bcfg{env};
     bcfg.tag = "ba";
-    bcfg.params = env.params;
-    bcfg.vrf = env.vrf;
-    bcfg.registry = env.registry;
-    bcfg.sampler = env.sampler;
-    bcfg.signer = env.signer;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
         std::move(bcfg), static_cast<ba::Value>(i % 2)));
@@ -170,13 +161,8 @@ RunSurface run_chaos(std::size_t shards, std::size_t threads) {
   auto trace = std::make_shared<sim::TraceRecorder>();
   sim.add_observer(trace);
   for (crypto::ProcessId i = 0; i < n; ++i) {
-    ba::BaWhp::Config bcfg;
+    ba::BaWhp::Config bcfg{env};
     bcfg.tag = "ba";
-    bcfg.params = env.params;
-    bcfg.vrf = env.vrf;
-    bcfg.registry = env.registry;
-    bcfg.sampler = env.sampler;
-    bcfg.signer = env.signer;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
         std::move(bcfg), static_cast<ba::Value>(i % 2)));
@@ -266,13 +252,9 @@ TEST(ShardedSim, ShardStatsAccountForEveryDelivery) {
   cfg.threads = 1;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
-    coin::WhpCoin::Config ccfg;
+    coin::WhpCoin::Config ccfg{env};
     ccfg.tag = "coin";
     ccfg.round = 1;
-    ccfg.params = env.params;
-    ccfg.vrf = env.vrf;
-    ccfg.registry = env.registry;
-    ccfg.sampler = env.sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(std::move(ccfg))));
   }

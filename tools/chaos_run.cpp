@@ -12,7 +12,7 @@
 //               [--rbc bracha|ec] [--epsilon 0.25 --d 0.02] [--max-rounds 64]
 //               [--drop p --dup p --replay p] [--reliable-channel
 //                --retransmits 24] [--adaptive-victims k]
-//               [--no-defer-verify] [--shards 0 --sim-threads 0] [--quiet]
+//               [--shards 0 --sim-threads 0] [--quiet]
 //   The run flags are core::parse_run_options's, shared with run_report;
 //   only the default --n (32) is this tool's own.
 //   exit 0: run completed with zero invariant violations

@@ -10,7 +10,7 @@
 //                [--drop p --dup p --replay p] [--reliable-channel
 //                 --retransmits 24]
 //                [--epsilon 0.25 --d 0.02] [--max-rounds 64]
-//                [--adaptive-victims k] [--no-defer-verify]
+//                [--adaptive-victims k]
 //                [--preset NAME | --schedule SPEC]
 //                [--shards 0 --sim-threads 0]
 //                [--top 10] [--samples 1] [--threads 0] [--tag-filter P]
