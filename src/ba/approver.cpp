@@ -146,9 +146,9 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   // The signature check answers from the run-wide SigMemo: a broadcast
   // ⟨echo,v⟩ reaches n receivers but its HMAC is recomputed once.
   // Verdicts are identical to Signer::verify.
-  if (!cfg_.batcher->check_signature(
-          {msg.from, BytesView(echo_sign_bytes(v)), sig}))
-    return true;
+  const bool signed_by_sender = cfg_.batcher->check_signature(
+      {msg.from, BytesView(echo_sign_bytes(v)), sig});
+  if (!signed_by_sender) return true;
   if (!mark_seen(echo_seen_[v], msg.from)) return true;
   // Retain the delivered buffer by refcount; signature and election stay
   // views into it — no deep copy (the old code copied both blobs).

@@ -1,12 +1,12 @@
 // Deferred coin-share verification (the batch-verification plane).
 //
-// With inline verification every delivered share pays a full VRF proof
-// check on arrival — the dominant CPU cost of a run under the DDH
+// Checking each delivered share on arrival would pay a full VRF proof
+// check per message — the dominant CPU cost of a run under the DDH
 // backend. Instead, coins push arriving shares into a per-instance
-// PendingVerifyQueue and flush it through a shared BatchVerifier when
+// PendingVerifyQueue and flush it through the run's BatchVerifier when
 //   (a) the *candidate* count (verified + pending) reaches the phase
-//       threshold — so threshold actions still fire in the same delivery
-//       frame an inline verifier would have fired them in,
+//       threshold — so threshold actions fire in the delivery frame
+//       whose share completes the threshold,
 //   (b) the pending count hits the batch-size watermark, or
 //   (c) the round ends (a retired coin simply drops its queue: its
 //       output was already delivered).
@@ -14,10 +14,9 @@
 // linear combination (near-k-fold amortization) and consults the
 // verified-share memo so duplicate/replayed tuples never re-verify.
 //
-// Applying flushed shares in arrival order with the same guards the
-// inline path uses makes the deferred path's state evolution — sends,
-// decides, outputs — bit-identical to inline verification; only the new
-// Metrics verify counters can tell the two apart.
+// Flushed shares apply in arrival order under the coin's own guards, so
+// sends, decides and outputs are exactly those of checking every share
+// on arrival; only the Metrics verify counters show the batching.
 #pragma once
 
 #include <atomic>

@@ -31,25 +31,18 @@ Bytes framed(VerdictMemo::Fields key) {
   return out;
 }
 
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
-
 bool same_key(const Bytes& stored, VerdictMemo::Fields key) {
+  if (framed_size(key) != stored.size()) return false;
   const std::uint8_t* p = stored.data();
-  std::size_t left = stored.size();
   for (BytesView f : key) {
-    if (left < kLenBytes || get_u64(p) != f.size() ||
-        left - kLenBytes < f.size())
-      return false;
+    std::uint8_t len[kLenBytes];
+    put_u64(len, f.size());
+    if (std::memcmp(p, len, kLenBytes) != 0) return false;
     p += kLenBytes;
     if (!f.empty() && std::memcmp(p, f.data(), f.size()) != 0) return false;
     p += f.size();
-    left -= kLenBytes + f.size();
   }
-  return left == 0;
+  return true;
 }
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t word) {

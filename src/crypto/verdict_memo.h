@@ -59,9 +59,9 @@ class VerdictMemo {
     std::array<std::uint8_t, 8> bytes_{};
   };
 
-  /// A multiply-xorshift hash over the fields, eight bytes at a time,
-  /// with a length marker before each field, for keys without a cheaper
-  /// well-spread fingerprint.
+  /// A multiply-xorshift hash over the fields, eight bytes at a time in
+  /// two lanes, with a length marker before each field, for keys without
+  /// a cheaper well-spread fingerprint.
   static std::uint64_t fingerprint(Fields key);
 
   /// The cached verdict for `key`, if any. Counts a hit or a miss.

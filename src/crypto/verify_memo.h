@@ -21,14 +21,12 @@ class VerifyMemo {
  public:
   /// The cached verdict for `e`, if any. Counts a hit or miss.
   std::optional<bool> lookup(const VrfBatchEntry& e) const {
-    const VerdictMemo::Fields key = {e.pk, e.input, e.value, e.proof};
-    return memo_.lookup(VerdictMemo::fingerprint(key), key);
+    return memo_.lookup(fingerprint(e), {e.pk, e.input, e.value, e.proof});
   }
 
   /// Records the verdict for `e` (overwrites on the unlikely re-store).
   void store(const VrfBatchEntry& e, bool ok) {
-    const VerdictMemo::Fields key = {e.pk, e.input, e.value, e.proof};
-    memo_.store(VerdictMemo::fingerprint(key), key, ok);
+    memo_.store(fingerprint(e), {e.pk, e.input, e.value, e.proof}, ok);
   }
 
   std::uint64_t hits() const { return memo_.hits(); }
@@ -36,6 +34,14 @@ class VerifyMemo {
   std::size_t size() const { return memo_.size(); }
 
  private:
+  /// The value alone: an honest VRF output is pseudorandom and unique to
+  /// its (pk, input), so it spreads the table without hashing the proof;
+  /// forged variants of one value only share a probe run, and the exact
+  /// compare of all four fields still decides a hit.
+  static std::uint64_t fingerprint(const VrfBatchEntry& e) {
+    return VerdictMemo::fingerprint({e.value});
+  }
+
   VerdictMemo memo_;
 };
 
