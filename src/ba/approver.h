@@ -24,16 +24,17 @@
 // signing strings are hoisted into members, and all per-value/per-sender
 // tracking uses flat arrays and bitmaps. Through the run's
 // coin::BatchVerifier, an <ok> certificate (its W signed echoes and
-// their elections) is checked once per run: all n receivers of one broadcast get the same bytes, so
-// its verdict goes into the run-wide BatchVerifier::ok_memo(), keyed by
-// (ok seed, ok payload) and looked up both at arrival and again at the
-// flush of the pending-ok queue. A hit skips the entry parse, the
-// distinct-sender check and the 2W election and signature lookups. A
-// miss runs the W+1 elections in one folded batch and the W signatures
-// through the SigMemo, then stores the verdict, negative ones included.
-// Only the sender's own ok election is checked per delivery, since it
-// depends on the sender. Accept/reject sets are those of checking every
-// election and signature of every message.
+// their elections) is checked once per run: all n receivers of one
+// broadcast get the same bytes, so its verdict goes into the run-wide
+// BatchVerifier::ok_memo(), keyed by (ok seed, ok payload) and looked up
+// both at arrival and again at the flush of the pending-ok queue. A hit
+// skips the entry parse, the distinct-sender check and the 2W election
+// and signature lookups. A miss runs the W+1 elections in one folded
+// batch and the W signatures through the SigMemo, then stores the
+// verdict, negative ones included. Only the sender's own ok election is
+// checked per delivery, since it depends on the sender. Accept/reject
+// sets are those of checking every election and signature of every
+// message.
 #pragma once
 
 #include <array>
@@ -54,8 +55,8 @@ namespace coincidence::ba {
 class Approver {
  public:
   /// Uses the setup's params, sampler, signer and batcher (all
-  /// required). Each <ok> waits in a pending-ok queue; a flush answers each
-  /// certificate from the ok memo, or checks its W+1 election proofs in
+  /// required). Each <ok> waits in a pending-ok queue; a flush answers
+  /// each certificate from the ok memo, or checks its W+1 election proofs in
   /// one committee_val_batch call and its W HMAC echo signatures through
   /// BatchVerifier::verify_signatures. Echo signatures answer from the
   /// same SigMemo.

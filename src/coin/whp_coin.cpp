@@ -152,8 +152,7 @@ bool WhpCoin::should_flush() const {
 }
 
 void WhpCoin::flush_queue(sim::Context& ctx) {
-  // Moved out and back: a flush re-entered from a completion callback
-  // finds the buffers empty and allocates its own.
+  // Moved out and back: see FlushScratch.
   FlushScratch s = std::move(scratch_);
   queue_.take(s.shares);
   const std::vector<PendingVerifyQueue::Share>& shares = s.shares;

@@ -19,7 +19,8 @@ using testing::run_coin;
 // forever. Small-n runs use the paper's formulas with relaxed lower-bound
 // constants (Params strict=false), as catalogued in DESIGN.md §6.
 struct Fixture : Setup {
-  Fixture(std::size_t n, double epsilon, double d, std::uint64_t key_seed = 77) {
+  Fixture(std::size_t n, double epsilon, double d,
+          std::uint64_t key_seed = 77) {
     params = committee::Params::derive(n, epsilon, d, /*strict=*/false);
     registry = crypto::KeyRegistry::create_for(n, key_seed);
     vrf = std::make_shared<crypto::FastVrf>(registry);

@@ -18,7 +18,8 @@ inline std::string run_outcome(const RunReport& r) {
      << (r.decision ? std::to_string(*r.decision) : "-")
      << " round=" << r.max_decided_round << " words=" << r.correct_words
      << " messages=" << r.messages << " duration=" << r.duration << " tags=";
-  for (const auto& [tag, words] : r.words_by_tag) os << tag << ":" << words << ";";
+  for (const auto& [tag, words] : r.words_by_tag)
+    os << tag << ":" << words << ";";
   return os.str();
 }
 
