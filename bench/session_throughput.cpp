@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
             << " silent=2 ==\n\n";
   Table lt({"rbc", "slots", "committed", "agreed", "requests",
             "req/100k deliv", "decide p50", "decide p90", "words/slot",
-            "rounds skipped"});
+            "rbc words/slot", "rounds skipped"});
   for (std::size_t slots = 4; slots <= log_slots_max; slots *= 2) {
     for (ba::RbcBackend backend : backends) {
       core::Env env = core::Env::make_relaxed(n, seed);
@@ -175,6 +175,8 @@ int main(int argc, char** argv) {
                               static_cast<double>(lr.decide_latency_max));
       bench::BenchJson::field(row, "words_per_slot",
                               static_cast<double>(lr.words_per_slot));
+      bench::BenchJson::field(row, "rbc_words_per_slot",
+                              static_cast<double>(lr.rbc_words / slots));
       bench::BenchJson::field(row, "rounds_skipped",
                               static_cast<double>(lr.rounds_skipped));
       lt.add_row({ba::to_string(backend), std::to_string(slots),
@@ -185,6 +187,7 @@ int main(int argc, char** argv) {
                   Table::count(lr.decide_latency_p50),
                   Table::count(lr.decide_latency_p90),
                   Table::count(lr.words_per_slot),
+                  Table::count(lr.rbc_words / slots),
                   std::to_string(lr.rounds_skipped)});
     }
   }

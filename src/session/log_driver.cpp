@@ -91,6 +91,8 @@ LogReport run_replicated_log(const core::Env& env,
   }
   report.deliveries = sim.deliveries();
   report.correct_words = sim.metrics().correct_words();
+  for (const auto& [phase, words] : sim.metrics().words_by_phase())
+    if (phase.find("/rbc/") != std::string::npos) report.rbc_words += words;
   report.messages = sim.metrics().messages_sent();
   for (sim::ProcessId i = 0; i < n; ++i)
     report.duration = std::max(report.duration, sim.depth_of(i));

@@ -46,6 +46,9 @@ struct LogReport {
 
   std::uint64_t deliveries = 0;
   std::uint64_t correct_words = 0;
+  /// The part of correct_words sent by the proposal broadcasts (tags
+  /// with an "/rbc/" component).
+  std::uint64_t rbc_words = 0;
   std::uint64_t messages = 0;
   std::uint64_t duration = 0;  // max causal depth
   std::uint64_t words_per_slot = 0;
