@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
   // --- E16: multivalued replicated log (src/session). ------------------
   // Pipelined MvBa slots batching simulated client requests, run once
   // per dissemination backend (ba/broadcast.h). Under Bracha each slot
-  // pays a full n-source RBC (echo/ready are n^2 broadcasts of the
-  // payload), so words/slot is dissemination-dominated; the erasure-
+  // pays max_candidates (8) RBCs, each echoing the payload n^2 times, so
+  // words/slot is dissemination-dominated; the erasure-
   // coded backend ships ⌈|v|/k⌉-word fragments plus λ·log n Merkle
   // branches instead, which is where the O(n²·|v|) → O(n·|v| + n²·λ)
   // headline comes from. The 64-request default batch (~2KB proposals)

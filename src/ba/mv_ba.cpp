@@ -35,6 +35,11 @@ MultiValuedBa::MultiValuedBa(Config cfg, Bytes proposal)
   std::sort(keyed.begin(), keyed.end());
   rank_.reserve(n);
   for (const auto& [key, p] : keyed) rank_.push_back(p);
+  broadcaster_.assign(n, false);
+  for (std::size_t k = 0; k < effective_max(); ++k)
+    broadcaster_[rank_[k]] = true;
+  // The backend interned this tag already: no new TagId.
+  rbc_initial_ = sim::Tag(cfg_.tag + "/rbc/initial");
 }
 
 std::size_t MultiValuedBa::effective_max() const {
@@ -42,9 +47,13 @@ std::size_t MultiValuedBa::effective_max() const {
   return cfg_.max_candidates == 0 ? n : std::min(cfg_.max_candidates, n);
 }
 
+bool MultiValuedBa::broadcaster(sim::ProcessId p) const {
+  return p < broadcaster_.size() && broadcaster_[p];
+}
+
 void MultiValuedBa::on_start(sim::Context& ctx) {
   ctx_ = &ctx;
-  rbc_->broadcast(ctx, proposal_);
+  if (broadcaster(ctx.self())) rbc_->broadcast(ctx, proposal_);
   pump(ctx);
 }
 
@@ -53,6 +62,9 @@ void MultiValuedBa::on_message(sim::Context& ctx, const sim::Message& msg) {
   // RBC and inner BAs keep running after a local decision: stragglers
   // still need our echoes/readies for totality and our grace-round BA
   // traffic (BaWhp halts itself after kExtraRounds).
+  // A proposal from outside the examined prefix could never be adopted:
+  // no correct process echoes it, so it never delivers anywhere.
+  if (msg.tag == rbc_initial_ && !broadcaster(msg.from)) return;
   if (rbc_->handle(ctx, msg)) {
     // A delivery may have opened the activation gate (or completed an
     // awaited adoption — finish() fires from on_rbc_deliver directly).
@@ -101,7 +113,7 @@ void MultiValuedBa::pump(sim::Context& ctx) {
     if (k >= effective_max()) {
       finish(ctx);  // every candidate rejected: no-op decision
     } else if (delivered_[rank_[k]].has_value() ||
-               rbc_->delivered_count() + cfg_.params.f >= cfg_.params.n) {
+               rbc_->delivered_count() + cfg_.params.f >= effective_max()) {
       activation_due_ = false;
       activate_next(ctx);
       progress = true;

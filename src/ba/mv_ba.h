@@ -5,8 +5,14 @@
 // (and hence without a leader bottleneck or view-change machinery) is
 // the Cachin–Kursawe–Petzold–Shoup / Ben-Or–El-Yaniv style reduction:
 //
-//   1. every process reliably broadcasts its proposal (Bracha RBC, so
-//      all correct processes converge on the same per-source payloads);
+//   1. the processes ranked below K = max_candidates (step 2; K = n when
+//      max_candidates is 0) reliably broadcast their proposals (Bracha
+//      or erasure-coded RBC, so all correct processes converge on the
+//      same per-source payloads). Only these K candidates are ever
+//      examined, so nobody else broadcasts, and correct processes drop
+//      an initial from any other source before the backend sees it: no
+//      correct process echoes it, so it never delivers. A slot costs K
+//      RBCs, not n;
 //   2. candidates are examined in a deterministic pseudo-random order
 //      (rank by sha256(tag, pid) — no process can place itself first
 //      for a given instance tag without breaking the hash);
@@ -18,10 +24,11 @@
 //      BA validity guarantees some correct process had delivered it, and
 //      RBC totality then guarantees every correct process eventually
 //      does — adopters who are still waiting decide upon delivery.
-//   5. if every examined candidate's BA decides 0 (possible only when
-//      the adversary wins every race; expected candidates examined is
-//      O(1) since > half the ranks are correct), the instance closes
-//      with a no-op decision (decision() == -1, empty value).
+//   5. if all K candidates' BAs decide 0 (possible only when the
+//      adversary wins every race or silences the whole public rank
+//      prefix; expected candidates examined is O(1) since > half the
+//      ranks are correct), the instance closes with a no-op decision
+//      (decision() == -1, empty value).
 //
 // Agreement is inherited from binary BA agreement (all correct processes
 // see the same per-candidate bits, in the same order) plus RBC agreement
@@ -66,7 +73,8 @@ class MultiValuedBa final : public BaProcess {
     /// Round-skip liveness fallback, forwarded to inner instances.
     std::uint64_t skip_timeout = 0;
     /// Stop examining candidates after this many rejections and close
-    /// with the no-op decision. 0 means all n proposers are eligible.
+    /// with the no-op decision. Only these first-ranked proposers
+    /// broadcast. 0 means all n proposers are eligible.
     std::size_t max_candidates = 0;
     /// Dissemination backend for the proposal broadcasts (broadcast.h):
     /// Bracha echoes the full value n² times, the erasure-coded backend
@@ -112,6 +120,8 @@ class MultiValuedBa final : public BaProcess {
 
  private:
   std::size_t effective_max() const;
+  /// Ranked below effective_max(): the only proposers who broadcast.
+  bool broadcaster(sim::ProcessId p) const;
   void activate_next(sim::Context& ctx);
   /// The single state-machine driver: latches fresh inner decisions
   /// (adopt on 1, queue the next candidate on 0), activates the queued
@@ -129,6 +139,9 @@ class MultiValuedBa final : public BaProcess {
   // Deterministic candidate examination order: pids sorted by
   // sha256(tag || "/rank/" || pid), ties by pid.
   std::vector<sim::ProcessId> rank_;
+  // Indexed by proposer id: ranked below effective_max().
+  std::vector<bool> broadcaster_;
+  sim::Tag rbc_initial_;  // "<tag>/rbc/initial"
   // Delivered RBC payloads, indexed by *proposer id* (not rank).
   std::vector<std::optional<Bytes>> delivered_;
 
@@ -141,10 +154,12 @@ class MultiValuedBa final : public BaProcess {
 
   // Candidate bas_.size() is due for activation (start, or the previous
   // candidate decided 0) but waits for its gate: the candidate's own RBC
-  // delivery, or n-f total deliveries (so a crashed proposer cannot
-  // stall the examination — with n-f delivered, input 0 is honest).
-  // Without the gate every process would input 0 to candidate 0, whose
-  // BA starts before any delivery can fire, wasting a full instance.
+  // delivery, or K-f deliveries (so a crashed proposer cannot stall the
+  // examination — at most f of the K broadcasters are faulty, so K-f
+  // deliveries always come, and with them input 0 is honest; the gate is
+  // open at once when K <= f). Without the gate every process would
+  // input 0 to candidate 0, whose BA starts before any delivery can
+  // fire, wasting a full instance.
   bool activation_due_ = true;
   bool decided_ = false;
   int adopted_ = -1;

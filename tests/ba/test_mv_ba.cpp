@@ -6,12 +6,17 @@
 // dry, and determinism of the candidate examination order.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "ba/mv_ba.h"
 #include "common/errors.h"
+#include "common/ser.h"
 #include "core/env.h"
+#include "sim/observer.h"
 #include "sim/simulation.h"
 
 namespace coincidence::ba {
@@ -45,24 +50,61 @@ struct MvRun {
   }
 };
 
-std::unique_ptr<MvRun> run_mv(const core::Env& env, std::uint64_t seed,
-                              std::size_t silent,
-                              const MultiValuedBa::Config& cfg) {
+/// Runs one instance with the processes in `silenced` silent from birth.
+/// `observer` (optional) watches the run; `after_start` (optional) runs
+/// between start() and the run to decision, e.g. to inject traffic.
+std::unique_ptr<MvRun> run_silencing(
+    const core::Env& env, std::uint64_t seed,
+    const std::vector<sim::ProcessId>& silenced,
+    const MultiValuedBa::Config& cfg,
+    std::shared_ptr<sim::Observer> observer = nullptr,
+    const std::function<void(sim::Simulation&)>& after_start = {}) {
   sim::SimConfig scfg;
   scfg.n = env.n();
-  scfg.f = silent;
+  scfg.f = silenced.size();
   scfg.seed = seed;
   auto run = std::make_unique<MvRun>(scfg);
+  if (observer) run->sim.add_observer(std::move(observer));
   for (sim::ProcessId i = 0; i < env.n(); ++i)
     run->sim.add_process(
         std::make_unique<MultiValuedBa>(cfg, proposal_of(i)));
-  for (std::size_t i = 0; i < silent; ++i)
-    run->sim.corrupt(static_cast<sim::ProcessId>(env.n() - 1 - i),
-                     sim::FaultPlan::silent());
+  for (sim::ProcessId p : silenced)
+    run->sim.corrupt(p, sim::FaultPlan::silent());
   run->sim.start();
+  if (after_start) after_start(run->sim);
   run->sim.run_until([&] { return run->all_correct_decided(); });
   return run;
 }
+
+/// Silences the `silent` highest ids.
+std::unique_ptr<MvRun> run_mv(const core::Env& env, std::uint64_t seed,
+                              std::size_t silent,
+                              const MultiValuedBa::Config& cfg) {
+  std::vector<sim::ProcessId> silenced;
+  for (std::size_t i = 0; i < silent; ++i)
+    silenced.push_back(static_cast<sim::ProcessId>(env.n() - 1 - i));
+  return run_silencing(env, seed, silenced, cfg);
+}
+
+/// Records who correct processes disseminate for: the senders of
+/// proposal initials, and the sources named by their echoes (both RBC
+/// backends open an echo with the u32 source).
+class DisseminationLog final : public sim::Observer {
+ public:
+  void on_send(const sim::Message& msg, bool sender_correct) override {
+    if (!sender_correct) return;
+    const std::string& tag = msg.tag.str();
+    if (tag.ends_with("/rbc/initial")) {
+      initial_senders.insert(msg.from);
+    } else if (tag.ends_with("/rbc/echo")) {
+      Reader r(msg.payload);
+      echoed_sources.insert(r.u32());
+    }
+  }
+
+  std::set<sim::ProcessId> initial_senders;
+  std::set<sim::ProcessId> echoed_sources;
+};
 
 TEST(MultiValuedBaTest, DistinctProposalsAgreeOnOneValidValue) {
   core::Env env = core::Env::make_relaxed(48, 21);
@@ -72,6 +114,12 @@ TEST(MultiValuedBaTest, DistinctProposalsAgreeOnOneValidValue) {
   const MultiValuedBa& first = run->at(0);
   ASSERT_FALSE(first.decided_noop());
   const sim::ProcessId proposer = first.decided_proposer();
+  // max_candidates = 0: all n proposers are candidates and broadcast,
+  // and the run is pinned.
+  EXPECT_EQ(proposer, 34u);
+  EXPECT_EQ(first.rbc_delivered_count(), 48u);
+  EXPECT_EQ(run->sim.metrics().correct_words(), 1154016u);
+  EXPECT_EQ(run->sim.deliveries(), 230252u);
   for (sim::ProcessId i = 0; i < env.n(); ++i) {
     const MultiValuedBa& p = run->at(i);
     EXPECT_EQ(p.decision(), first.decision());
@@ -129,6 +177,81 @@ TEST(MultiValuedBaTest, NoopDecisionWhenCandidatePoolExhausted) {
     EXPECT_TRUE(run.at(i).decided_noop());
     EXPECT_EQ(run.at(i).decision(), -1);
     EXPECT_TRUE(run.at(i).decided_value().empty());
+  }
+}
+
+TEST(MultiValuedBaTest, OnlyTheRankPrefixBroadcasts) {
+  // With max_candidates = K only the first K ranks can be adopted, so
+  // only they broadcast, on either backend.
+  core::Env env = core::Env::make_relaxed(48, 21);
+  for (RbcBackend backend : {RbcBackend::kBracha, RbcBackend::kEc}) {
+    MultiValuedBa::Config cfg = base_config(env);
+    cfg.max_candidates = 8;
+    cfg.rbc = backend;
+    const std::vector<sim::ProcessId> rank =
+        MultiValuedBa(cfg, Bytes{}).rank_order();
+    const std::set<sim::ProcessId> prefix(rank.begin(), rank.begin() + 8);
+    auto log = std::make_shared<DisseminationLog>();
+    auto run = run_silencing(env, /*seed=*/3, {}, cfg, log);
+    ASSERT_TRUE(run->all_correct_decided()) << to_string(backend);
+    EXPECT_EQ(log->initial_senders, prefix) << to_string(backend);
+    EXPECT_EQ(log->echoed_sources, prefix) << to_string(backend);
+    for (sim::ProcessId i = 0; i < env.n(); ++i) {
+      ASSERT_FALSE(run->at(i).decided_noop());
+      EXPECT_EQ(prefix.count(run->at(i).decided_proposer()), 1u);
+      EXPECT_LE(run->at(i).rbc_delivered_count(), 8u);
+    }
+  }
+}
+
+TEST(MultiValuedBaTest, AnInitialFromOutsideThePrefixDrawsNoEcho) {
+  // A Byzantine proposer ranked last pushes its own initial to everyone.
+  // No correct process echoes it, so it never delivers anywhere.
+  core::Env env = core::Env::make_relaxed(48, 21);
+  MultiValuedBa::Config cfg = base_config(env);
+  cfg.max_candidates = 8;
+  const sim::ProcessId outsider =
+      MultiValuedBa(cfg, Bytes{}).rank_order().back();
+  auto log = std::make_shared<DisseminationLog>();
+  auto run = run_silencing(
+      env, /*seed=*/5, {outsider}, cfg, log, [&](sim::Simulation& sim) {
+        const Bytes forged = proposal_of(outsider);
+        for (sim::ProcessId to = 0; to < env.n(); ++to)
+          if (to != outsider)
+            sim.inject(outsider, to, "mvba/rbc/initial", forged,
+                       value_words(forged.size()));
+      });
+  ASSERT_TRUE(run->all_correct_decided());
+  EXPECT_EQ(log->echoed_sources.count(outsider), 0u);
+  for (sim::ProcessId i = 0; i < env.n(); ++i) {
+    if (i == outsider) continue;
+    ASSERT_FALSE(run->at(i).decided_noop());
+    EXPECT_NE(run->at(i).decided_proposer(), outsider);
+    EXPECT_LE(run->at(i).rbc_delivered_count(), 8u);
+  }
+}
+
+TEST(MultiValuedBaTest, SilentHeadOpensTheGateThroughKMinusF) {
+  // The first-ranked proposer is silent, so candidate 0 can activate
+  // only once K − f other prefix broadcasts delivered. Only the K − 1
+  // live prefix sources ever deliver, and a later prefix candidate wins.
+  core::Env env = core::Env::make_relaxed(48, 26);
+  MultiValuedBa::Config cfg = base_config(env);
+  cfg.max_candidates = 8;
+  cfg.skip_timeout = 30000;  // a committee short of W live members
+  const std::vector<sim::ProcessId> rank =
+      MultiValuedBa(cfg, Bytes{}).rank_order();
+  ASSERT_GT(8u, env.f());  // the gate waits for at least one delivery
+  auto run = run_silencing(env, /*seed=*/11, {rank.front()}, cfg);
+  ASSERT_TRUE(run->all_correct_decided());
+  const std::set<sim::ProcessId> later(rank.begin() + 1, rank.begin() + 8);
+  for (sim::ProcessId i = 0; i < env.n(); ++i) {
+    if (i == rank.front()) continue;
+    const MultiValuedBa& p = run->at(i);
+    ASSERT_FALSE(p.decided_noop());
+    EXPECT_EQ(later.count(p.decided_proposer()), 1u);
+    EXPECT_GE(p.candidates_activated(), 1u);
+    EXPECT_LE(p.rbc_delivered_count(), 7u);
   }
 }
 
