@@ -224,15 +224,21 @@ void TraceRecorder::dump_jsonl(std::ostream& os) const {
 std::vector<Hop> critical_path(const std::vector<TraceRecorder::Rec>& recs) {
   using Rec = TraceRecorder::Rec;
   std::map<std::uint64_t, std::size_t> send_at;  // send_seq -> record idx
-  // Chronological deliver-record indices per process.
+  // Chronological record indices: every delivery, and per process the
+  // deliveries to it and its self-sends (which stand for their
+  // unrecorded self-deliveries).
+  std::vector<std::size_t> delivers;
   std::map<ProcessId, std::vector<std::size_t>> delivers_at;
+  std::map<ProcessId, std::vector<std::size_t>> self_sends_at;
   std::size_t deepest = recs.size();
   std::uint64_t max_depth = 0;
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const Rec& r = recs[i];
     if (r.kind == Rec::Kind::kSend) {
       send_at.emplace(r.send_seq, i);
+      if (r.from == r.to) self_sends_at[r.from].push_back(i);
     } else if (r.kind == Rec::Kind::kDeliver) {
+      delivers.push_back(i);
       delivers_at[r.to].push_back(i);
       if (r.depth >= max_depth) {
         max_depth = r.depth;
@@ -240,6 +246,17 @@ std::vector<Hop> critical_path(const std::vector<TraceRecorder::Rec>& recs) {
       }
     }
   }
+  // The latest of `cands` before record `before` at `depth`, or
+  // recs.size().
+  auto latest = [&](const std::vector<std::size_t>& cands, std::size_t before,
+                    std::uint64_t depth) {
+    std::size_t found = recs.size();
+    for (std::size_t idx : cands) {
+      if (idx >= before) break;
+      if (recs[idx].depth == depth) found = idx;
+    }
+    return found;
+  };
 
   std::vector<Hop> chain;
   if (deepest == recs.size()) return chain;
@@ -248,19 +265,28 @@ std::vector<Hop> critical_path(const std::vector<TraceRecorder::Rec>& recs) {
   while (true) {
     const Rec& d = recs[cur];
     chain.push_back({d.from, d.to, d.tag, d.depth});
-    auto sent = send_at.find(d.send_seq);
-    if (sent == send_at.end()) break;
-    const Rec& s = recs[sent->second];
-    if (s.depth <= 1) break;  // the sender started this chain
-    // The delivery that raised the sender to depth s.depth - 1, latest
-    // before the send.
-    const auto& cands = delivers_at[s.from];
-    std::size_t prev = recs.size();
-    for (std::size_t idx : cands) {
-      if (idx >= sent->second) break;
-      const Rec& c = recs[idx];
-      if (c.depth == s.depth - 1) prev = idx;
+    std::size_t sent = cur;  // a self-send is its own send
+    if (d.kind == Rec::Kind::kDeliver) {
+      auto it = send_at.find(d.send_seq);
+      if (it == send_at.end()) break;
+      sent = it->second;
     }
+    const Rec& s = recs[sent];
+    if (s.depth <= 1) break;  // the sender started this chain
+    // What raised the sender to depth s.depth - 1 before it sent: an
+    // earlier delivery to it; else the delivery whose step made the send
+    // (the legacy loop records a delivery after the sends of its
+    // handler, so it is the next delivery of all, and went to the
+    // sender); else one of the sender's own self-sends.
+    std::size_t prev = latest(delivers_at[s.from], sent, s.depth - 1);
+    if (prev == recs.size()) {
+      auto step = std::upper_bound(delivers.begin(), delivers.end(), sent);
+      if (step != delivers.end() && recs[*step].to == s.from &&
+          recs[*step].depth == s.depth - 1)
+        prev = *step;
+    }
+    if (prev == recs.size())
+      prev = latest(self_sends_at[s.from], sent, s.depth - 1);
     if (prev == recs.size()) break;
     cur = prev;
   }

@@ -110,10 +110,13 @@ struct Hop {
 };
 
 /// Reconstructs the longest causal message chain from the trace records:
-/// start at the deepest deliver event, then repeatedly step to the
-/// delivery that set the sender's causal depth just before it sent.
-/// Self-deliveries are internal (no deliver event), so the chain may
-/// stop early at a process whose depth came from its own queue.
+/// start at the deepest deliver event, then repeatedly step to what
+/// raised the sender to one depth less before it sent: a delivery to it
+/// (the legacy loop records a step's delivery after the sends of its
+/// handler), or else, since self-deliveries leave no deliver event, the
+/// sender's latest earlier self-send at that depth. The chain then has
+/// one hop per depth level; it is a suffix only when the trace lacks
+/// earlier records (a tag filter).
 std::vector<Hop> critical_path(const std::vector<TraceRecorder::Rec>& recs);
 
 }  // namespace coincidence::sim

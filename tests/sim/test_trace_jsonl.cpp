@@ -218,11 +218,57 @@ TEST(TraceJsonl, CriticalPathIsACausalChain) {
   const auto& recs = run.trace->records();
   const std::vector<sim::Hop> path = sim::critical_path(recs);
   expect_causal_chain(recs, path);
-  // Earlier hops ran through self-queues, so the chain is a suffix.
+  // One hop per depth level: self-sends (from == to) stand for the
+  // self-deliveries the trace does not record.
   std::ostringstream hops;
   for (const sim::Hop& h : path)
     hops << h.depth << ':' << h.from << "->" << h.to << ' ' << h.tag << '\n';
   EXPECT_EQ(hops.str(),
+            "1:1->1 bracha/0/1/initial\n"
+            "2:1->1 bracha/0/1/echo\n"
+            "3:1->2 bracha/0/1/echo\n"
+            "4:2->1 bracha/0/1/echo\n"
+            "5:1->2 bracha/0/1/ready\n"
+            "6:2->3 bracha/0/1/ready\n"
+            "7:3->3 bracha/0/1/echo\n"
+            "8:3->3 bracha/0/1/ready\n"
+            "9:3->3 bracha/0/1/echo\n"
+            "10:3->3 bracha/0/1/ready\n"
+            "11:3->3 bracha/0/1/echo\n"
+            "12:3->3 bracha/0/1/ready\n"
+            "13:3->1 bracha/0/2/initial\n"
+            "14:1->2 bracha/0/2/echo\n"
+            "15:2->2 bracha/0/2/initial\n"
+            "16:2->0 bracha/0/2/echo\n"
+            "17:0->0 bracha/0/2/initial\n"
+            "18:0->0 bracha/0/2/echo\n"
+            "19:0->0 bracha/0/2/echo\n"
+            "20:0->0 bracha/0/2/echo\n"
+            "21:0->1 bracha/0/2/ready\n"
+            "22:1->1 bracha/0/2/ready\n"
+            "23:1->0 bracha/0/2/ready\n"
+            "24:0->1 bracha/0/2/echo\n"
+            "25:1->1 bracha/0/2/echo\n"
+            "26:1->0 bracha/0/2/ready\n"
+            "27:0->0 bracha/0/3/initial\n"
+            "28:0->2 bracha/0/3/echo\n"
+            "29:2->2 bracha/0/3/initial\n"
+            "30:2->2 bracha/0/3/echo\n"
+            "31:2->2 bracha/0/2/ready\n"
+            "32:2->3 bracha/0/3/echo\n"
+            "33:3->3 bracha/0/3/initial\n"
+            "34:3->3 bracha/0/3/echo\n"
+            "35:3->3 bracha/0/3/echo\n"
+            "36:3->1 bracha/0/3/ready\n"
+            "37:1->0 bracha/0/3/ready\n"
+            "38:0->0 bracha/0/3/echo\n"
+            "39:0->0 bracha/0/3/ready\n"
+            "40:0->0 bracha/0/3/echo\n"
+            "41:0->0 bracha/0/3/ready\n"
+            "42:0->0 bracha/0/3/echo\n"
+            "43:0->0 bracha/0/3/ready\n"
+            "44:0->1 bracha/0/3/ready\n"
+            "45:1->1 bracha/1/1/initial\n"
             "46:1->0 bracha/1/1/echo\n"
             "47:0->1 bracha/1/1/echo\n");
 
@@ -236,7 +282,7 @@ TEST(TraceJsonl, CriticalPathIsACausalChain) {
   auto whp_run = run_traced(whp, {});
   ASSERT_TRUE(whp_run.report.all_correct_decided);
   const auto whp_path = sim::critical_path(whp_run.trace->records());
-  EXPECT_EQ(whp_path.size(), 8u);
+  EXPECT_EQ(whp_path.size(), 13u);
   expect_causal_chain(whp_run.trace->records(), whp_path);
 }
 

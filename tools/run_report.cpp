@@ -79,7 +79,7 @@ void print_critical_path(std::ostream& os,
                          const std::vector<sim::Hop>& chain) {
   os << "critical path (" << chain.size() << " hops";
   if (!chain.empty() && chain.front().depth > 1)
-    os << ", suffix — earlier hops ran through self-queues";
+    os << ", suffix — earlier hops are not in the trace";
   os << "):\n";
   const std::size_t kHead = 8, kTail = 8;
   for (std::size_t i = 0; i < chain.size(); ++i) {
