@@ -39,17 +39,20 @@ LogReport run_replicated_log(const core::Env& env,
   for (std::size_t i = 0; i < opts.silent_faults; ++i)
     sim.corrupt(--next, sim::FaultPlan::silent());
 
-  auto log_of = [&](sim::ProcessId i) -> LogProcess& {
-    return dynamic_cast<LogProcess&>(sim.process(i));
-  };
+  std::vector<const LogProcess*> logs;
+  logs.reserve(n);
+  for (sim::ProcessId i = 0; i < n; ++i)
+    logs.push_back(&dynamic_cast<const LogProcess&>(sim.process(i)));
 
   sim.start();
+  // Commits and corruptions never revert, so processes below the cursor
+  // never need another look.
+  sim::ProcessId settled = 0;
   sim.run_until([&] {
-    for (sim::ProcessId i = 0; i < n; ++i) {
-      if (sim.is_corrupted(i)) continue;
-      if (!log_of(i).all_committed()) return false;
-    }
-    return true;
+    while (settled < n &&
+           (sim.is_corrupted(settled) || logs[settled]->all_committed()))
+      ++settled;
+    return settled == n;
   });
 
   LogReport report;
@@ -60,7 +63,7 @@ LogReport run_replicated_log(const core::Env& env,
   crypto::Digest first_fp{};
   for (sim::ProcessId i = 0; i < n; ++i) {
     if (sim.is_corrupted(i)) continue;
-    LogProcess& log = log_of(i);
+    const LogProcess& log = *logs[i];
     if (!log.all_committed()) {
       report.all_committed = false;
       continue;
