@@ -132,10 +132,10 @@ void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
 }
 
 void BaWhp::begin_round(sim::Context& ctx) {
-  // Halting rule: participate through round decided+kExtraRounds, then
+  // Halting rule: participate through round decided+extra_rounds, then
   // stop — one extra round is what Lemma 6.16 needs whp; the rest is
   // slack for the whp-failure tail.
-  if ((decision_ && round_ > decision_round_ + kExtraRounds) ||
+  if ((decision_ && round_ > decision_round_ + cfg_.extra_rounds) ||
       round_ >= cfg_.max_rounds) {
     phase_ = Phase::kHalted;
     if (approver_) retired_approvers_.push_back(std::move(approver_));

@@ -54,6 +54,11 @@ namespace coincidence::ba {
 
 class BaWhp final : public BaProcess {
  public:
+  /// Rounds to keep participating after deciding. Lemma 6.16 says one
+  /// extra round suffices whp; the rest is slack for the rare whp-failure
+  /// so stragglers are not stranded by halted deciders.
+  static constexpr std::uint64_t kExtraRounds = 4;
+
   /// The setup is handed whole to every round's approvers and coin.
   struct Config : coin::Setup {
     std::string tag = "ba";
@@ -66,12 +71,12 @@ class BaWhp final : public BaProcess {
     /// extra messages, byte-identical to prior releases. Multi-slot
     /// drivers arm auto_skip_timeout() (below).
     std::uint64_t skip_timeout = 0;
+    /// Rounds to keep participating after deciding. With the skip
+    /// fallback armed, 0 is enough: a process still undecided skips the
+    /// silent next round, and a halted decider answers its skip-req with
+    /// a decision certificate. MultiValuedBa sets 0 when it arms skips.
+    std::uint64_t extra_rounds = kExtraRounds;
   };
-
-  /// Rounds to keep participating after deciding. Lemma 6.16 says one
-  /// extra round suffices whp; the rest is slack for the rare whp-failure
-  /// so stragglers are not stranded by halted deciders.
-  static constexpr std::uint64_t kExtraRounds = 4;
 
   BaWhp(Config cfg, Value initial);
 

@@ -53,6 +53,7 @@ bool MultiValuedBa::broadcaster(sim::ProcessId p) const {
 
 void MultiValuedBa::on_start(sim::Context& ctx) {
   ctx_ = &ctx;
+  due_at_ = ctx.now();
   if (broadcaster(ctx.self())) rbc_->broadcast(ctx, proposal_);
   pump(ctx);
 }
@@ -61,7 +62,7 @@ void MultiValuedBa::on_message(sim::Context& ctx, const sim::Message& msg) {
   ctx_ = &ctx;
   // RBC and inner BAs keep running after a local decision: stragglers
   // still need our echoes/readies for totality and our grace-round BA
-  // traffic (BaWhp halts itself after kExtraRounds).
+  // traffic (BaWhp halts itself after its extra rounds).
   // A proposal from outside the examined prefix could never be adopted:
   // no correct process echoes it, so it never delivers anywhere.
   if (msg.tag == rbc_initial_ && !broadcaster(msg.from)) return;
@@ -86,6 +87,11 @@ void MultiValuedBa::activate_next(sim::Context& ctx) {
   bcfg.tag = cfg_.tag + "/c" + std::to_string(k);
   bcfg.max_rounds = cfg_.max_rounds;
   bcfg.skip_timeout = cfg_.skip_timeout;
+  // Armed, the skip fallback carries a straggler to the decision (its
+  // skip-req draws a decider's certificate), so a decided candidate BA
+  // halts at once. Its grace rounds would only feed the delivery clock
+  // that a sibling slot's committee-tail wedge is waiting out.
+  if (cfg_.skip_timeout > 0) bcfg.extra_rounds = 0;
   const Value input = delivered_[rank_[k]].has_value() ? kOne : kZero;
   ba_done_.push_back(false);
   bas_.activate(ctx, std::make_unique<BaWhp>(std::move(bcfg), input));
@@ -106,19 +112,33 @@ void MultiValuedBa::pump(sim::Context& ctx) {
         if (adopted_ < 0) adopt(ctx, k);
       } else if (adopted_ < 0 && k + 1 == bas_.size()) {
         activation_due_ = true;
+        due_at_ = ctx.now();
       }
     }
     if (decided_ || adopted_ >= 0 || !activation_due_) continue;
     const std::size_t k = bas_.size();
     if (k >= effective_max()) {
       finish(ctx);  // every candidate rejected: no-op decision
-    } else if (delivered_[rank_[k]].has_value() ||
-               rbc_->delivered_count() + cfg_.params.f >= effective_max()) {
+    } else if (delivered_[rank_[k]].has_value() || gate_open(ctx)) {
       activation_due_ = false;
+      grace_until_.reset();
       activate_next(ctx);
       progress = true;
     }
   }
+}
+
+bool MultiValuedBa::gate_open(sim::Context& ctx) {
+  if (rbc_->delivered_count() + cfg_.params.f < effective_max()) return false;
+  if (effective_max() == cfg_.params.n) return true;
+  const std::uint64_t now = ctx.now();
+  if (!grace_until_) {
+    // The quorum just completed: give the candidate's own broadcast as
+    // long again as the quorum took.
+    grace_until_ = now + (now - due_at_);
+    if (*grace_until_ > now) ctx.schedule_wakeup(*grace_until_ - now);
+  }
+  return now >= *grace_until_;
 }
 
 void MultiValuedBa::adopt(sim::Context& ctx, std::size_t k) {

@@ -129,6 +129,8 @@ class MultiValuedBa final : public BaProcess {
   /// out. Looped to a fixed point — a replayed backlog can decide a
   /// freshly activated instance on the spot.
   void pump(sim::Context& ctx);
+  /// The count half of the activation gate, with its grace period.
+  bool gate_open(sim::Context& ctx);
   void adopt(sim::Context& ctx, std::size_t k);
   void finish(sim::Context& ctx);
   void on_rbc_deliver(sim::ProcessId source, const Bytes& payload);
@@ -159,8 +161,18 @@ class MultiValuedBa final : public BaProcess {
   // deliveries always come, and with them input 0 is honest; the gate is
   // open at once when K <= f). Without the gate every process would
   // input 0 to candidate 0, whose BA starts before any delivery can
-  // fire, wasting a full instance.
+  // fire, wasting a full instance. With K < n broadcasters, K-f can be
+  // half of them, and whether the candidate's own broadcast is in that
+  // half is a race: a process that loses it inputs 0, and the BA may
+  // reject a correct candidate (half the slots of the 48-process log
+  // ran a second candidate BA). So past the quorum the gate
+  // waits as many delivery events again as the quorum took since the
+  // activation fell due (grace_until_, a wakeup), then opens. With K = n
+  // the n-f quorum already waits out all but f broadcasts, and the gate
+  // opens on it as before.
   bool activation_due_ = true;
+  std::uint64_t due_at_ = 0;
+  std::optional<std::uint64_t> grace_until_;
   bool decided_ = false;
   int adopted_ = -1;
   std::uint64_t decided_round_ = 0;

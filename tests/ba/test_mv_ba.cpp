@@ -255,6 +255,50 @@ TEST(MultiValuedBaTest, SilentHeadOpensTheGateThroughKMinusF) {
   }
 }
 
+TEST(MultiValuedBaTest, TheGateWaitsOutTheHeadCandidatesBroadcast) {
+  // K - f = 4 of the K = 8 prefix broadcasts can deliver before rank 0's
+  // own. Past that quorum the gate waits as long again, so every process
+  // inputs 1 to candidate 0 and its BA adopts it: no candidate BA is
+  // wasted on a lost race.
+  core::Env env = core::Env::make_relaxed(48, 21);
+  for (RbcBackend backend : {RbcBackend::kBracha, RbcBackend::kEc}) {
+    for (const char* tag : {"slot0", "slot1", "slot2", "slot3"}) {
+      MultiValuedBa::Config cfg = base_config(env, tag);
+      cfg.max_candidates = 8;
+      cfg.rbc = backend;
+      auto run = run_silencing(env, /*seed=*/3, {}, cfg);
+      ASSERT_TRUE(run->all_correct_decided()) << tag;
+      for (sim::ProcessId i = 0; i < env.n(); ++i) {
+        EXPECT_EQ(run->at(i).candidates_activated(), 1u)
+            << to_string(backend) << " " << tag;
+        EXPECT_EQ(run->at(i).decision(), 0) << to_string(backend) << " " << tag;
+      }
+    }
+  }
+}
+
+TEST(MultiValuedBaTest, ArmedSkipHaltsCandidateBasOnceTheyDecide) {
+  // With the skip fallback armed, a decided candidate BA halts at once: a
+  // straggler skips the silent next round and gets a decision certificate
+  // for its skip-req, so no grace round is needed.
+  core::Env env = core::Env::make_relaxed(48, 22);
+  MultiValuedBa::Config cfg = base_config(env);
+  cfg.max_candidates = 8;
+  cfg.skip_timeout = 30000;
+  auto run = run_mv(env, /*seed=*/7, /*silent=*/2, cfg);
+  ASSERT_TRUE(run->all_correct_decided());
+  run->sim.run();  // drain the grace traffic
+  for (sim::ProcessId i = 0; i < env.n(); ++i) {
+    if (run->sim.is_corrupted(i)) continue;
+    const MultiValuedBa& p = run->at(i);
+    ASSERT_FALSE(p.decided_noop());
+    const BaWhp* adopted = p.inner(static_cast<std::size_t>(p.decision()));
+    ASSERT_NE(adopted, nullptr);
+    EXPECT_STREQ(adopted->phase_name(), "halted");
+    EXPECT_LE(adopted->current_round(), adopted->decided_round() + 1);
+  }
+}
+
 TEST(MultiValuedBaTest, RankOrderIsADeterministicTagKeyedPermutation) {
   core::Env env = core::Env::make_relaxed(48, 24);
   MultiValuedBa a(base_config(env, "slot0"), Bytes{});

@@ -221,8 +221,8 @@ TEST(ReplicatedLog, DdhGoldenN16) {
   EXPECT_TRUE(r.agreement);
   EXPECT_EQ(r.fingerprint,
             "06bd642b099cf63d9e00aab9f71ba2159d0100adfb0809a93844320b88558afe");
-  EXPECT_EQ(r.correct_words, 145920u);
-  EXPECT_EQ(r.deliveries, 15974u);
+  EXPECT_EQ(r.correct_words, 106080u);
+  EXPECT_EQ(r.deliveries, 16682u);
 }
 
 TEST(ReplicatedLog, DdhGoldenN32) {
@@ -234,7 +234,7 @@ TEST(ReplicatedLog, DdhGoldenN32) {
   EXPECT_TRUE(r.agreement);
   EXPECT_EQ(r.fingerprint,
             "53fc270f08c65d9c40c89a703d6ee99255e7d467f192f51b7ae7736b44dabf85");
-  EXPECT_EQ(r.correct_words, 394272u);
+  EXPECT_EQ(r.correct_words, 390880u);
   EXPECT_EQ(r.deliveries, 44422u);
 }
 
