@@ -19,7 +19,6 @@
 // on arrival; only the Metrics verify counters show the batching.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "common/shared_bytes.h"
+#include "common/striped_counter.h"
 #include "committee/sampler.h"
 #include "crypto/sig_memo.h"
 #include "crypto/signer.h"
@@ -44,7 +44,9 @@ namespace coincidence::coin {
 /// memos dedup identical tuples across receivers: a share or an <ok>
 /// broadcast to n processes verifies once, not n times. Concurrent
 /// sharded handlers only read the memos (their stores wait for the
-/// superstep barrier, common/write_sink.h) and bump the atomic counters.
+/// superstep barrier, common/write_sink.h), and every counter here and
+/// in the memos is a StripedCounter (common/striped_counter.h): a
+/// handler thread counts on its own cache line, and a read sums them.
 class BatchVerifier {
  public:
   struct Config {
@@ -105,9 +107,9 @@ class BatchVerifier {
 
   /// Signature-path counters (verify_signatures + check_signature),
   /// cumulative across all processes of the run.
-  std::uint64_t sig_batches() const { return sig_batches_; }
-  std::uint64_t sig_checks() const { return sig_checks_; }
-  std::uint64_t sig_rejects() const { return sig_rejects_; }
+  std::uint64_t sig_batches() const { return sig_batches_.value(); }
+  std::uint64_t sig_checks() const { return sig_checks_.value(); }
+  std::uint64_t sig_rejects() const { return sig_rejects_.value(); }
 
   /// Queue-lifecycle ledger, maintained by the coins that defer into this
   /// verifier: every share enqueued into a PendingVerifyQueue is either
@@ -120,9 +122,9 @@ class BatchVerifier {
   void note_enqueued() { ++enqueued_; }
   void note_flushed(std::uint64_t k) { flushed_ += k; }
   void note_discarded(std::uint64_t k) { discarded_ += k; }
-  std::uint64_t enqueued() const { return enqueued_; }
-  std::uint64_t flushed() const { return flushed_; }
-  std::uint64_t discarded() const { return discarded_; }
+  std::uint64_t enqueued() const { return enqueued_.value(); }
+  std::uint64_t flushed() const { return flushed_.value(); }
+  std::uint64_t discarded() const { return discarded_.value(); }
 
  private:
   Config cfg_;
@@ -130,12 +132,12 @@ class BatchVerifier {
   crypto::SigMemo sig_memo_;
   crypto::VerdictMemo rbc_memo_;
   crypto::VerdictMemo ok_memo_;
-  std::atomic<std::uint64_t> sig_batches_ = 0;
-  std::atomic<std::uint64_t> sig_checks_ = 0;
-  std::atomic<std::uint64_t> sig_rejects_ = 0;
-  std::atomic<std::uint64_t> enqueued_ = 0;
-  std::atomic<std::uint64_t> flushed_ = 0;
-  std::atomic<std::uint64_t> discarded_ = 0;
+  StripedCounter sig_batches_;
+  StripedCounter sig_checks_;
+  StripedCounter sig_rejects_;
+  StripedCounter enqueued_;
+  StripedCounter flushed_;
+  StripedCounter discarded_;
 };
 
 /// Arrival-ordered buffer of not-yet-verified coin shares. The payload

@@ -24,13 +24,14 @@
 // Fields are length-framed in the stored copy, so ("ab", "c") and
 // ("a", "bc") are different keys, and keys with different field counts
 // never match. One memo serves every process of a run on both
-// simulator engines: lookups only read the table and bump atomic
-// counters, and store() goes through defer_write (common/write_sink.h),
-// so on the sharded engine a store waits for the superstep barrier.
+// simulator engines: lookups only read the table and count themselves on
+// the calling thread's stripe of a StripedCounter (common/
+// striped_counter.h), and store() goes through defer_write (common/
+// write_sink.h), so on the sharded engine a store waits for the
+// superstep barrier.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -39,6 +40,7 @@
 
 #include "common/bytes.h"
 #include "common/shared_bytes.h"
+#include "common/striped_counter.h"
 #include "common/write_sink.h"
 
 namespace coincidence::crypto {
@@ -86,8 +88,8 @@ class VerdictMemo {
     return ok;
   }
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
+  std::uint64_t hits() const { return hits_.value(); }
+  std::uint64_t misses() const { return misses_.value(); }
   std::size_t size() const { return entries_.size(); }
 
  private:
@@ -111,8 +113,10 @@ class VerdictMemo {
 
   std::vector<Slot> slots_;  // power-of-two size, at most half full
   std::vector<Entry> entries_;
-  mutable std::atomic<std::uint64_t> hits_ = 0;
-  mutable std::atomic<std::uint64_t> misses_ = 0;
+  // Line-aligned, so counting never dirties the line of the two headers
+  // above that every lookup reads.
+  mutable StripedCounter hits_;
+  mutable StripedCounter misses_;
 };
 
 }  // namespace coincidence::crypto
