@@ -27,8 +27,8 @@ std::uint64_t mix64(std::uint64_t z) {
 
 // ------------------------------------------------------------- effects --
 
-/// One side effect a handler caused. Recorded on the running activation's
-/// effect list and applied by commit_effects in the exact order the
+/// One side effect a handler caused. Appended to the running activation's
+/// effect buffer and applied by commit_effects in the exact order the
 /// handler issued it — on both engines and in every serial callback.
 struct Simulation::Effect {
   enum class Kind : std::uint8_t {
@@ -63,15 +63,24 @@ struct Simulation::CalEntry {
   std::uint64_t enqueue_index = 0;  // deliveries_ at routing (age basis)
   std::uint64_t delivery_pre = 0;   // deliveries_ just before this commit
   Message msg;
-  std::vector<Effect> effects;
+  // The activation's effects: [effects_begin, effects_end) of its
+  // shard's effect buffer.
+  std::size_t effects_begin = 0;
+  std::size_t effects_end = 0;
 };
 
 /// Per-shard runtime: the calendar ring (slot s holds entries due at
-/// supersteps congruent to s mod W) and the current superstep's work.
+/// supersteps congruent to s mod W), the current superstep's work, and
+/// the effect buffer its activations append to in rank order. Every
+/// buffer keeps its capacity across supersteps, so once they have grown
+/// the engine allocates nothing per superstep, and a handler thread
+/// writes only its own shard's state.
 struct Simulation::ShardState {
   std::vector<std::vector<CalEntry>> ring;
   std::vector<CalEntry> acts;
+  std::vector<Effect> effects;
   WriteSink writes;  // run-wide cache writes of this shard's handlers
+  ShardStats stats;
 };
 
 // ---------------------------------------------------------------- Slot --
@@ -87,9 +96,10 @@ struct Simulation::Slot {
   std::uint64_t depth = 0;    // causal depth observed so far
   std::deque<Message> self_queue;
   Bytes stable_storage;       // survives kCrashRecover (Context::persist)
-  // The running activation: its effect list and the delivery clock its
-  // handlers read through now(). Only the activation's own thread (the
-  // slot's home shard, on the sharded engine) touches them.
+  // The running activation: the effect buffer it appends to and the
+  // delivery clock its handlers read through now(). Only the
+  // activation's own thread (the slot's home shard, on the sharded
+  // engine) touches them.
   std::vector<Effect>* effects = nullptr;
   std::uint64_t now = 0;
 
@@ -228,7 +238,6 @@ Simulation::Simulation(SimConfig cfg)
       shard_states_.push_back(std::move(st));
     }
     slot_counts_.assign(kShardSlack, 0);
-    shard_stats_.assign(cfg_.shards, ShardStats{});
     const std::size_t in_flight = cfg_.expected_in_flight > 0
                                       ? cfg_.expected_in_flight
                                       : 16 * cfg_.n;
@@ -311,6 +320,13 @@ Process& Simulation::process(ProcessId id) {
   return *slots_[id]->process;
 }
 
+std::vector<ShardStats> Simulation::shard_stats() const {
+  std::vector<ShardStats> out;
+  out.reserve(shard_states_.size());
+  for (const auto& st : shard_states_) out.push_back(st->stats);
+  return out;
+}
+
 std::uint64_t Simulation::depth_of(ProcessId id) const {
   COIN_REQUIRE(id < slots_.size(), "depth_of: bad id");
   return slots_[id]->depth;
@@ -352,6 +368,7 @@ void Simulation::run_serial(ProcessId id, bool drain_self,
   std::vector<Effect> effects = std::move(serial_effects_);
   activate(*slots_[id], effects, deliveries_, drain_self, handler);
   commit_effects(id, effects);
+  effects.clear();
   serial_effects_ = std::move(effects);
 }
 
@@ -413,7 +430,7 @@ void Simulation::record_send(ProcessId from, ProcessId to, Tag tag,
 // a decision only when the reporter was correct at the call; observers
 // see everything, with the DecideEvent.correct flag carrying the
 // distinction.
-void Simulation::commit_effects(ProcessId who, std::vector<Effect>& effects) {
+void Simulation::commit_effects(ProcessId who, std::span<Effect> effects) {
   for (Effect& e : effects) {
     switch (e.kind) {
       case Effect::Kind::kSend: {
@@ -469,7 +486,6 @@ void Simulation::commit_effects(ProcessId who, std::vector<Effect>& effects) {
         break;
     }
   }
-  effects.clear();
 }
 
 // A delivery's own events. The legacy loop runs the receiver's activation
@@ -871,7 +887,8 @@ bool Simulation::step() {
 //   2. exchange: pull the due calendar slot per shard, sort by rank —
 //      parallel, pure;
 //   3. handlers: each shard runs its activations in rank order, each
-//      recording its effects — parallel, shard-local state only; the
+//      appending its effects to the shard's effect buffer and keeping
+//      its [begin, end) range — parallel, shard-local state only; the
 //      run-wide caches are read-only, and their writes queue on the
 //      shard's WriteSink, drained in shard order after the phase;
 //   4. commit: each delivery's events, then commit_effects, in the
@@ -901,20 +918,23 @@ void Simulation::route_message(Message msg) {
 
 void Simulation::run_shard_handlers(std::size_t shard) {
   ShardState& st = *shard_states_[shard];
-  ShardStats& stats = shard_stats_[shard];
   const WriteSink::Scope deferred(st.writes);
+  std::uint64_t handler_calls = 0;
   for (CalEntry& act : st.acts) {
     Slot& receiver = *slots_[act.msg.to];
+    act.effects_begin = st.effects.size();
     if (!(receiver.corrupted && receiver.crash_like())) {
       // The legacy loop increments deliveries_ before dispatching, so a
       // handler sees "my delivery's index + 1"; delivery_pre is exactly
       // that index under the canonical merge order.
-      stats.handler_calls +=
-          activate(receiver, act.effects, act.delivery_pre + 1,
+      handler_calls +=
+          activate(receiver, st.effects, act.delivery_pre + 1,
                    /*drain_self=*/true, [&] { receiver.deliver(act.msg); });
     }
-    ++stats.deliveries;
+    act.effects_end = st.effects.size();
   }
+  st.stats.handler_calls += handler_calls;
+  st.stats.deliveries += st.acts.size();
 }
 
 bool Simulation::superstep() {
@@ -956,17 +976,17 @@ bool Simulation::superstep() {
   for (const auto& st : shard_states_)
     if (!st->ring[slot].empty()) ++busy;
   if (busy < cfg_.shards) {
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (shard_states_[s]->ring[slot].empty()) {
-        ++shard_stats_[s].idle_supersteps;
+    for (auto& st : shard_states_) {
+      if (st->ring[slot].empty()) {
+        ++st->stats.idle_supersteps;
         ++merge_stalls_;
       }
     }
   }
   shard_pool_->for_each_index(cfg_.shards, [&](std::size_t s) {
     ShardState& st = *shard_states_[s];
-    st.acts = std::move(st.ring[slot]);
-    st.ring[slot].clear();
+    // acts is empty here; the swap hands its capacity to the ring slot.
+    st.acts.swap(st.ring[slot]);
     std::sort(st.acts.begin(), st.acts.end(),
               [](const CalEntry& a, const CalEntry& b) {
                 return a.okey != b.okey ? a.okey < b.okey
@@ -982,9 +1002,10 @@ bool Simulation::superstep() {
   for (const auto& st : shard_states_) total += st->acts.size();
   calendar_size_ -= total;
   slot_counts_[slot] = 0;
-  std::vector<std::pair<std::size_t, std::size_t>> order;  // (shard, index)
-  order.reserve(total);
-  std::vector<std::size_t> cursor(cfg_.shards, 0);
+  auto& order = merge_order_;
+  auto& cursor = merge_cursor_;
+  order.clear();
+  cursor.assign(cfg_.shards, 0);
   for (std::size_t k = 0; k < total; ++k) {
     std::size_t best = static_cast<std::size_t>(-1);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
@@ -1014,13 +1035,19 @@ bool Simulation::superstep() {
   // hash-addressed schedule's "choice" is never forced by fairness
   // (delay is structurally bounded by W).
   for (const auto& [s, i] : order) {
-    CalEntry& act = shard_states_[s]->acts[i];
+    ShardState& st = *shard_states_[s];
+    CalEntry& act = st.acts[i];
     begin_delivery(act.msg, act.delivery_pre - act.enqueue_index,
                    /*forced_by_fairness=*/false);
     end_delivery(act.msg);
-    commit_effects(act.msg.to, act.effects);
+    commit_effects(act.msg.to,
+                   std::span<Effect>(st.effects).subspan(
+                       act.effects_begin, act.effects_end - act.effects_begin));
   }
-  for (auto& st : shard_states_) st->acts.clear();
+  for (auto& st : shard_states_) {
+    st->acts.clear();
+    st->effects.clear();
+  }
   return true;
 }
 

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -194,7 +195,7 @@ class Simulation {
   /// which a shard had nothing to deliver while some other shard did —
   /// the deterministic load-imbalance measure run_report surfaces.
   std::uint64_t merge_stalls() const { return merge_stalls_; }
-  const std::vector<ShardStats>& shard_stats() const { return shard_stats_; }
+  std::vector<ShardStats> shard_stats() const;
 
  private:
   struct Slot;       // per-process runtime state
@@ -204,9 +205,10 @@ class Simulation {
   struct ShardState; // sharded engine: per-shard calendar + work list
 
   // The one effect path (DESIGN.md §5g). A handler runs as an activation
-  // that records its side effects on an effect list; commit_effects then
-  // applies them in issue order. Both engines and every serial callback
-  // go through it; only when the commit happens differs per engine.
+  // that appends its side effects to an effect buffer; commit_effects
+  // then applies the activation's range of it in issue order. Both
+  // engines and every serial callback go through it; only when the
+  // commit happens, and whose buffer holds the range, differs per engine.
   template <class Handler>
   std::size_t activate(Slot& slot, std::vector<Effect>& effects,
                        std::uint64_t now, bool drain_self, Handler&& handler);
@@ -214,7 +216,7 @@ class Simulation {
   void run_serial(ProcessId id, bool drain_self, Handler&& handler);
   void record_send(ProcessId from, ProcessId to, Tag tag, SharedBytes payload,
                    std::size_t words, bool retransmit);
-  void commit_effects(ProcessId who, std::vector<Effect>& effects);
+  void commit_effects(ProcessId who, std::span<Effect> effects);
   void begin_delivery(const Message& msg, std::uint64_t age,
                       bool forced_by_fairness);
   void end_delivery(const Message& msg);
@@ -300,7 +302,10 @@ class Simulation {
   std::uint64_t calendar_size_ = 0;   // in-flight entries across shards
   std::vector<std::uint64_t> slot_counts_;  // per ring slot, across shards
   std::uint64_t merge_stalls_ = 0;
-  std::vector<ShardStats> shard_stats_;
+  // The commit order of the current superstep as (shard, index) pairs,
+  // and the k-way merge's per-shard cursors; kept across supersteps.
+  std::vector<std::pair<std::size_t, std::size_t>> merge_order_;
+  std::vector<std::size_t> merge_cursor_;
 };
 
 }  // namespace coincidence::sim

@@ -9,7 +9,8 @@
 // These tests sweep shards {1,2,4,8} x threads {1,8} over a whp_coin
 // flip, a ba_whp agreement across duplicating/replaying links with silent
 // faults, and a chaos-schedule run, comparing every surface against the
-// shards=1/threads=1 reference.
+// shards=1/threads=1 reference. A synthetic process then drives every
+// shape of per-activation effect range the superstep commit replays.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -188,6 +189,83 @@ RunSurface run_chaos(std::size_t shards, std::size_t threads) {
   return surface_of(sim, *trace, std::move(decisions));
 }
 
+/// A process whose activations cover every shape of effect range the
+/// superstep commit replays: empty ranges (echo receipts, and the
+/// crashed receivers, which run no handler at all), ranges that hold the
+/// self-sends the activation drains, and a handler that records a
+/// broadcast, a wakeup, a count and a decide in one activation.
+class EffectMix final : public sim::Process {
+ public:
+  void on_start(sim::Context& ctx) override {
+    ctx.broadcast(start_, Bytes{static_cast<std::uint8_t>(ctx.self())}, 1);
+  }
+
+  void on_message(sim::Context& ctx, const sim::Message& msg) override {
+    if (msg.tag == echo_) return;
+    if (msg.tag == self_) {
+      // A drained self-send: the first link of each chain adds a second.
+      ctx.count(Counter::kVerifyShares, 1);
+      if (msg.payload.data()[0] == 0)
+        ctx.send(ctx.self(), self_, Bytes{1}, 1);
+      return;
+    }
+    if (msg.tag == wake_) {
+      ctx.note_round(++rounds_);
+      return;
+    }
+    if (msg.from == 0) {
+      decision_ = static_cast<int>(ctx.self() % 2);
+      ctx.broadcast(echo_, Bytes{2}, 1);
+      ctx.schedule_wakeup(7);
+      ctx.count(Counter::kSigVerifySigs, 2);
+      ctx.note_decide(mix_, decision_, 0);
+    } else if (msg.from % 2 == 1) {
+      ctx.send(ctx.self(), self_, Bytes{0}, 1);
+    }
+  }
+
+  void on_wakeup(sim::Context& ctx) override {
+    ctx.send(0, wake_, Bytes{3}, 1);
+  }
+
+  int decision() const { return decision_; }
+
+ private:
+  const sim::Tag start_{"mix/start"};
+  const sim::Tag echo_{"mix/echo"};
+  const sim::Tag self_{"mix/self"};
+  const sim::Tag wake_{"mix/wake"};
+  const sim::Tag mix_{"mix"};
+  std::uint64_t rounds_ = 0;
+  int decision_ = -1;
+};
+
+RunSurface run_effect_mix(std::size_t shards, std::size_t threads) {
+  const std::size_t n = 12;
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.f = 2;
+  cfg.seed = 17;
+  cfg.shards = shards;
+  cfg.threads = threads;
+  sim::Simulation sim(cfg);
+  sim.metrics().enable_detail();
+  auto trace = std::make_shared<sim::TraceRecorder>();
+  sim.add_observer(trace);
+  for (sim::ProcessId i = 0; i < n; ++i)
+    sim.add_process(std::make_unique<EffectMix>());
+  sim.corrupt(5, sim::FaultPlan::crash());
+  sim.corrupt(10, sim::FaultPlan::crash());
+  sim.start();
+  sim.run();
+  std::string decisions;
+  for (sim::ProcessId i = 0; i < n; ++i) {
+    const int d = dynamic_cast<EffectMix&>(sim.process(i)).decision();
+    decisions += d < 0 ? '-' : static_cast<char>('0' + d);
+  }
+  return surface_of(sim, *trace, std::move(decisions));
+}
+
 void expect_invariant(const char* what,
                       RunSurface (*run)(std::size_t, std::size_t)) {
   const RunSurface ref = run(1, 1);
@@ -225,6 +303,28 @@ TEST(ShardedSim, BaWhpLossyLinksInvariantAcrossShardsAndThreads) {
 
 TEST(ShardedSim, ChaosScheduleInvariantAcrossShardsAndThreads) {
   expect_invariant("chaos", &run_chaos);
+}
+
+// Each activation's effects are a range of its shard's one effect
+// buffer; the commit must replay every range, empty or not, in merged
+// order at any shard and thread count.
+TEST(ShardedSim, EffectRangesCommitInMergedOrder) {
+  const RunSurface ref = run_effect_mix(1, 1);
+  EXPECT_EQ(ref.decisions, "01010-0101-1");
+  for (const char* tag : {"mix/echo", "mix/self", "mix/wake"})
+    EXPECT_NE(ref.trace_jsonl.find(tag), std::string::npos) << tag;
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                             std::size_t{8}}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const RunSurface got = run_effect_mix(shards, threads);
+      EXPECT_EQ(got.trace_jsonl, ref.trace_jsonl)
+          << "trace diverged at shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(got.metrics_json, ref.metrics_json)
+          << "metrics JSON diverged at shards=" << shards
+          << " threads=" << threads;
+      EXPECT_EQ(got.fingerprint, ref.fingerprint);
+    }
+  }
 }
 
 TEST(ShardedSim, LegacyPathUntouchedByShardConfigZero) {
