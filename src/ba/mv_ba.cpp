@@ -43,8 +43,8 @@ MultiValuedBa::MultiValuedBa(Config cfg, Bytes proposal)
 }
 
 std::size_t MultiValuedBa::effective_max() const {
-  const std::size_t n = cfg_.params.n;
-  return cfg_.max_candidates == 0 ? n : std::min(cfg_.max_candidates, n);
+  const std::size_t k = cfg_.params.f + 1;
+  return cfg_.max_candidates == 0 ? k : std::min(cfg_.max_candidates, k);
 }
 
 bool MultiValuedBa::broadcaster(sim::ProcessId p) const {
@@ -67,6 +67,7 @@ void MultiValuedBa::on_message(sim::Context& ctx, const sim::Message& msg) {
   // no correct process echoes it, so it never delivers anywhere.
   if (msg.tag == rbc_initial_ && !broadcaster(msg.from)) return;
   if (rbc_->handle(ctx, msg)) {
+    rbc_heard_at_ = ctx.now();
     // A delivery may have opened the activation gate (or completed an
     // awaited adoption — finish() fires from on_rbc_deliver directly).
     pump(ctx);
@@ -129,9 +130,24 @@ void MultiValuedBa::pump(sim::Context& ctx) {
 }
 
 bool MultiValuedBa::gate_open(sim::Context& ctx) {
-  if (rbc_->delivered_count() + cfg_.params.f < effective_max()) return false;
-  if (effective_max() == cfg_.params.n) return true;
+  const std::size_t k = effective_max();
+  const std::size_t f = cfg_.params.f;
+  if (k <= f && cfg_.skip_timeout == 0) return true;
   const std::uint64_t now = ctx.now();
+  if (rbc_->delivered_count() < (k > f ? k - f : 1)) {
+    if (k > f) return false;
+    // A capped prefix may be silent as a whole: open once the broadcasts
+    // stayed quiet for K skip budgets. One wakeup is pending at a time;
+    // it re-arms when traffic moved the deadline.
+    const std::uint64_t quiet_until =
+        std::max(due_at_, rbc_heard_at_) + k * cfg_.skip_timeout;
+    if (now >= quiet_until) return true;
+    if (now >= quiet_wakeup_at_) {
+      quiet_wakeup_at_ = quiet_until;
+      ctx.schedule_wakeup(quiet_until - now);
+    }
+    return false;
+  }
   if (!grace_until_) {
     // The quorum just completed: give the candidate's own broadcast as
     // long again as the quorum took.

@@ -5,14 +5,15 @@
 // (and hence without a leader bottleneck or view-change machinery) is
 // the Cachin–Kursawe–Petzold–Shoup / Ben-Or–El-Yaniv style reduction:
 //
-//   1. the processes ranked below K = max_candidates (step 2; K = n when
-//      max_candidates is 0) reliably broadcast their proposals (Bracha
-//      or erasure-coded RBC, so all correct processes converge on the
-//      same per-source payloads). Only these K candidates are ever
-//      examined, so nobody else broadcasts, and correct processes drop
-//      an initial from any other source before the backend sees it: no
-//      correct process echoes it, so it never delivers. A slot costs K
-//      RBCs, not n;
+//   1. the processes ranked below K = f + 1 (step 2), or below the
+//      max_candidates cap when that is smaller, reliably broadcast their
+//      proposals (Bracha or erasure-coded RBC, so all correct processes
+//      converge on the same per-source payloads). f + 1 ranks are the
+//      smallest prefix sure to hold a correct proposer, and only these K
+//      candidates are ever examined, so nobody else broadcasts, and
+//      correct processes drop an initial from any other source before
+//      the backend sees it: no correct process echoes it, so it never
+//      delivers. A slot costs K RBCs, not n;
 //   2. candidates are examined in a deterministic pseudo-random order
 //      (rank by sha256(tag, pid) — no process can place itself first
 //      for a given instance tag without breaking the hash);
@@ -26,9 +27,8 @@
 //      does — adopters who are still waiting decide upon delivery.
 //   5. if all K candidates' BAs decide 0 (possible only when the
 //      adversary wins every race or silences the whole public rank
-//      prefix; expected candidates examined is O(1) since > half the
-//      ranks are correct), the instance closes with a no-op decision
-//      (decision() == -1, empty value).
+//      prefix, which a cap K <= f allows), the instance closes with a
+//      no-op decision (decision() == -1, empty value).
 //
 // Agreement is inherited from binary BA agreement (all correct processes
 // see the same per-candidate bits, in the same order) plus RBC agreement
@@ -72,9 +72,10 @@ class MultiValuedBa final : public BaProcess {
     std::uint64_t max_rounds = 64;
     /// Round-skip liveness fallback, forwarded to inner instances.
     std::uint64_t skip_timeout = 0;
-    /// Stop examining candidates after this many rejections and close
-    /// with the no-op decision. Only these first-ranked proposers
-    /// broadcast. 0 means all n proposers are eligible.
+    /// Cap on K, the f + 1 first-ranked proposers who broadcast and are
+    /// examined before the instance closes with the no-op decision. 0
+    /// means no cap. A cap K <= f lets the adversary silence the whole
+    /// prefix.
     std::size_t max_candidates = 0;
     /// Dissemination backend for the proposal broadcasts (broadcast.h):
     /// Bracha echoes the full value n² times, the erasure-coded backend
@@ -119,6 +120,7 @@ class MultiValuedBa final : public BaProcess {
   }
 
  private:
+  /// K = min(f + 1, max_candidates), or f + 1 when uncapped.
   std::size_t effective_max() const;
   /// Ranked below effective_max(): the only proposers who broadcast.
   bool broadcaster(sim::ProcessId p) const;
@@ -156,23 +158,29 @@ class MultiValuedBa final : public BaProcess {
 
   // Candidate bas_.size() is due for activation (start, or the previous
   // candidate decided 0) but waits for its gate: the candidate's own RBC
-  // delivery, or K-f deliveries (so a crashed proposer cannot stall the
-  // examination — at most f of the K broadcasters are faulty, so K-f
-  // deliveries always come, and with them input 0 is honest; the gate is
-  // open at once when K <= f). Without the gate every process would
-  // input 0 to candidate 0, whose BA starts before any delivery can
-  // fire, wasting a full instance. With K < n broadcasters, K-f can be
-  // half of them, and whether the candidate's own broadcast is in that
-  // half is a race: a process that loses it inputs 0, and the BA may
-  // reject a correct candidate (half the slots of the 48-process log
-  // ran a second candidate BA). So past the quorum the gate
-  // waits as many delivery events again as the quorum took since the
-  // activation fell due (grace_until_, a wakeup), then opens. With K = n
-  // the n-f quorum already waits out all but f broadcasts, and the gate
-  // opens on it as before.
+  // delivery, or a quorum of max(K-f, 1) deliveries (so a crashed
+  // proposer cannot stall the examination — at most f of the K
+  // broadcasters are faulty, so with K = f + 1 one delivery always
+  // comes, and with it input 0 is honest). Without the gate every
+  // process would input 0 to candidate 0, whose BA starts before any
+  // delivery can fire, wasting a full instance. The quorum can be one
+  // of the K broadcasts, and whether it is the candidate's own is a
+  // race: a process that loses it inputs 0, and the BA may reject a
+  // correct candidate. So past the quorum the gate waits as many
+  // delivery events again as the quorum took since the activation fell
+  // due (grace_until_, a wakeup), then opens. A cap K <= f admits a
+  // wholly silent prefix, whose quorum never comes: there the gate
+  // opens at once when the skip fallback is unarmed and, when it is
+  // armed, once no broadcast message arrived for K skip_timeouts
+  // (rbc_heard_at_; quiet_wakeup_at_ is the pending wakeup's tick). The
+  // skip budget paces one BA round, and a live dissemination of K
+  // broadcasts at n = 128 leaves a process unaddressed for longer than
+  // one budget before its first delivery.
   bool activation_due_ = true;
   std::uint64_t due_at_ = 0;
   std::optional<std::uint64_t> grace_until_;
+  std::uint64_t rbc_heard_at_ = 0;
+  std::uint64_t quiet_wakeup_at_ = 0;
   bool decided_ = false;
   int adopted_ = -1;
   std::uint64_t decided_round_ = 0;

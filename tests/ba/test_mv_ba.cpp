@@ -181,25 +181,60 @@ TEST(MultiValuedBaTest, NoopDecisionWhenCandidatePoolExhausted) {
 }
 
 TEST(MultiValuedBaTest, OnlyTheRankPrefixBroadcasts) {
-  // With max_candidates = K only the first K ranks can be adopted, so
-  // only they broadcast, on either backend.
-  core::Env env = core::Env::make_relaxed(48, 21);
+  // Only the first K = min(f + 1, max_candidates) ranks can be adopted,
+  // so only they broadcast, on either backend: f + 1 below the cap of 8
+  // (f = 2 at n = 32, f = 3 at n = 48), the cap at n = 128 (f = 10).
+  for (const auto [n, k] : {std::pair<std::size_t, std::size_t>{32, 3},
+                            {48, 4},
+                            {128, 8}}) {
+    core::Env env = core::Env::make_relaxed(n, 21);
+    for (RbcBackend backend : {RbcBackend::kBracha, RbcBackend::kEc}) {
+      const std::string where = "n=" + std::to_string(n) + " " +
+                                std::string(to_string(backend));
+      MultiValuedBa::Config cfg = base_config(env);
+      cfg.max_candidates = 8;
+      cfg.rbc = backend;
+      const std::vector<sim::ProcessId> rank =
+          MultiValuedBa(cfg, Bytes{}).rank_order();
+      const std::set<sim::ProcessId> prefix(
+          rank.begin(), rank.begin() + static_cast<std::ptrdiff_t>(k));
+      auto log = std::make_shared<DisseminationLog>();
+      auto run = run_silencing(env, /*seed=*/3, {}, cfg, log);
+      ASSERT_TRUE(run->all_correct_decided()) << where;
+      EXPECT_EQ(log->initial_senders, prefix) << where;
+      EXPECT_EQ(log->echoed_sources, prefix) << where;
+      for (sim::ProcessId i = 0; i < env.n(); ++i) {
+        ASSERT_FALSE(run->at(i).decided_noop()) << where;
+        EXPECT_EQ(prefix.count(run->at(i).decided_proposer()), 1u) << where;
+        EXPECT_LE(run->at(i).rbc_delivered_count(), k) << where;
+      }
+    }
+  }
+}
+
+TEST(MultiValuedBaTest, SilencingTheFLowestRanksAdoptsRankF) {
+  // K = f + 1 ranks always hold a correct proposer. With the f lowest
+  // silent, the gate's one-delivery quorum can only be rank f's own
+  // broadcast, so every correct process inputs 0 to the f silent
+  // candidates and 1 to rank f, and adopts its proposal.
+  core::Env env = core::Env::make_relaxed(48, 27);
   for (RbcBackend backend : {RbcBackend::kBracha, RbcBackend::kEc}) {
     MultiValuedBa::Config cfg = base_config(env);
-    cfg.max_candidates = 8;
     cfg.rbc = backend;
+    cfg.skip_timeout = 30000;  // a committee short of W live members
     const std::vector<sim::ProcessId> rank =
         MultiValuedBa(cfg, Bytes{}).rank_order();
-    const std::set<sim::ProcessId> prefix(rank.begin(), rank.begin() + 8);
-    auto log = std::make_shared<DisseminationLog>();
-    auto run = run_silencing(env, /*seed=*/3, {}, cfg, log);
+    const std::vector<sim::ProcessId> silenced(
+        rank.begin(), rank.begin() + static_cast<std::ptrdiff_t>(env.f()));
+    auto run = run_silencing(env, /*seed=*/13, silenced, cfg);
     ASSERT_TRUE(run->all_correct_decided()) << to_string(backend);
-    EXPECT_EQ(log->initial_senders, prefix) << to_string(backend);
-    EXPECT_EQ(log->echoed_sources, prefix) << to_string(backend);
     for (sim::ProcessId i = 0; i < env.n(); ++i) {
-      ASSERT_FALSE(run->at(i).decided_noop());
-      EXPECT_EQ(prefix.count(run->at(i).decided_proposer()), 1u);
-      EXPECT_LE(run->at(i).rbc_delivered_count(), 8u);
+      if (run->sim.is_corrupted(i)) continue;
+      const MultiValuedBa& p = run->at(i);
+      ASSERT_FALSE(p.decided_noop()) << to_string(backend);
+      EXPECT_EQ(p.decision(), static_cast<int>(env.f())) << to_string(backend);
+      EXPECT_EQ(p.decided_value(), proposal_of(rank[env.f()]))
+          << to_string(backend);
     }
   }
 }

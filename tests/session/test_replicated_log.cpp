@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -348,6 +349,95 @@ TEST(ReplicatedLog, CraftedTagsTwiceCannotStallOrSplitTheLog) {
     ASSERT_TRUE(log_of(i).all_committed()) << "process " << i;
     EXPECT_EQ(log_of(i).log_fingerprint(), log_of(0).log_fingerprint())
         << "process " << i;
+  }
+}
+
+/// Runs a log of LogProcesses armed with the auto skip fallback, with
+/// the processes in `silenced` silent from birth, until every correct
+/// process committed it.
+std::unique_ptr<sim::Simulation> run_log_silencing(
+    const core::Env& env, const LogConfig& lcfg,
+    const std::vector<sim::ProcessId>& silenced, std::uint64_t seed) {
+  env.params.require_reachable_quorum(silenced.size());
+  sim::SimConfig cfg;
+  cfg.n = env.n();
+  cfg.f = silenced.size();
+  cfg.seed = seed;
+  auto sim = std::make_unique<sim::Simulation>(cfg);
+  for (std::size_t i = 0; i < env.n(); ++i)
+    sim->add_process(std::make_unique<LogProcess>(lcfg));
+  for (sim::ProcessId p : silenced) sim->corrupt(p, sim::FaultPlan::silent());
+  sim->start();
+  sim->run_until([&] {
+    for (sim::ProcessId i = 0; i < env.n(); ++i)
+      if (!sim->is_corrupted(i) &&
+          !dynamic_cast<const LogProcess&>(sim->process(i)).all_committed())
+        return false;
+    return true;
+  });
+  return sim;
+}
+
+TEST(ReplicatedLog, CappedPrefixAtNAbove96RunsOneCandidatePerSlot) {
+  // At n = 128 (f = 10) the cap puts K = 8 <= f. The gate still waits
+  // for one delivery, and past it as long again, so every process
+  // inputs 1 to candidate 0 and no slot runs a candidate BA on all-zero
+  // inputs.
+  constexpr std::size_t n = 128;
+  const core::Env env = core::Env::make_relaxed(n, 7);
+  LogConfig lcfg{env};
+  lcfg.total_slots = 2;
+  lcfg.pipeline_depth = 2;
+  lcfg.batch_size = 2;
+  lcfg.skip_timeout = auto_skip_timeout(n, lcfg.pipeline_depth);
+  ASSERT_LE(lcfg.max_candidates, env.f());
+  auto sim = run_log_silencing(env, lcfg, {n - 1, n - 2}, /*seed=*/5);
+  for (sim::ProcessId i = 0; i < n - 2; ++i) {
+    const auto& log = dynamic_cast<const LogProcess&>(sim->process(i));
+    ASSERT_TRUE(log.all_committed()) << "process " << i;
+    for (std::size_t s = 0; s < lcfg.total_slots; ++s) {
+      EXPECT_FALSE(log.committed(s).empty()) << "process " << i;
+      EXPECT_EQ(log.slot_instance(s).candidates_activated(), 1u)
+          << "process " << i << " slot " << s;
+    }
+  }
+}
+
+TEST(ReplicatedLog, SilencedCappedPrefixClosesEverySlotNoop) {
+  // A cap of 2 at n = 64 (f = 5) lets the adversary silence both slots'
+  // whole prefixes. No broadcast ever delivers, so the armed gate opens
+  // on its skip_timeout, every candidate BA decides 0, and each slot
+  // closes no-op instead of waiting forever.
+  constexpr std::size_t n = 64;
+  const core::Env env = core::Env::make_relaxed(n, 9);
+  LogConfig lcfg{env};
+  lcfg.total_slots = 2;
+  lcfg.pipeline_depth = 2;
+  lcfg.batch_size = 2;
+  lcfg.max_candidates = 2;
+  lcfg.skip_timeout = auto_skip_timeout(n, lcfg.pipeline_depth);
+  std::set<sim::ProcessId> prefixes;
+  for (std::size_t s = 0; s < lcfg.total_slots; ++s) {
+    ba::MultiValuedBa::Config mcfg{env};
+    mcfg.tag = lcfg.slot_prefix + std::to_string(s);
+    const auto rank = ba::MultiValuedBa(mcfg, Bytes{}).rank_order();
+    prefixes.insert(rank.begin(), rank.begin() + 2);
+  }
+  ASSERT_LE(prefixes.size(), env.f());
+  const std::vector<sim::ProcessId> silenced(prefixes.begin(),
+                                             prefixes.end());
+  auto sim = run_log_silencing(env, lcfg, silenced, /*seed=*/3);
+  std::optional<crypto::Digest> fingerprint;
+  for (sim::ProcessId i = 0; i < n; ++i) {
+    if (prefixes.count(i)) continue;
+    const auto& log = dynamic_cast<const LogProcess&>(sim->process(i));
+    ASSERT_TRUE(log.all_committed()) << "process " << i;
+    if (!fingerprint) fingerprint = log.log_fingerprint();
+    EXPECT_EQ(log.log_fingerprint(), *fingerprint) << "process " << i;
+    for (std::size_t s = 0; s < lcfg.total_slots; ++s) {
+      EXPECT_TRUE(log.slot_instance(s).decided_noop()) << "process " << i;
+      EXPECT_EQ(log.slot_instance(s).candidates_activated(), 2u);
+    }
   }
 }
 
