@@ -114,12 +114,12 @@ TEST(MultiValuedBaTest, DistinctProposalsAgreeOnOneValidValue) {
   const MultiValuedBa& first = run->at(0);
   ASSERT_FALSE(first.decided_noop());
   const sim::ProcessId proposer = first.decided_proposer();
-  // max_candidates = 0: all n proposers are candidates and broadcast,
-  // and the run is pinned.
+  // max_candidates = 0 leaves K = f + 1 = 4: the first four ranks
+  // broadcast, and the run is pinned.
   EXPECT_EQ(proposer, 34u);
-  EXPECT_EQ(first.rbc_delivered_count(), 48u);
-  EXPECT_EQ(run->sim.metrics().correct_words(), 1154016u);
-  EXPECT_EQ(run->sim.deliveries(), 230252u);
+  EXPECT_EQ(first.rbc_delivered_count(), 4u);
+  EXPECT_EQ(run->sim.metrics().correct_words(), 235296u);
+  EXPECT_EQ(run->sim.deliveries(), 29652u);
   for (sim::ProcessId i = 0; i < env.n(); ++i) {
     const MultiValuedBa& p = run->at(i);
     EXPECT_EQ(p.decision(), first.decision());
@@ -262,13 +262,13 @@ TEST(MultiValuedBaTest, AnInitialFromOutsideThePrefixDrawsNoEcho) {
     if (i == outsider) continue;
     ASSERT_FALSE(run->at(i).decided_noop());
     EXPECT_NE(run->at(i).decided_proposer(), outsider);
-    EXPECT_LE(run->at(i).rbc_delivered_count(), 8u);
+    EXPECT_LE(run->at(i).rbc_delivered_count(), 4u);  // K = f + 1
   }
 }
 
 TEST(MultiValuedBaTest, SilentHeadOpensTheGateThroughKMinusF) {
   // The first-ranked proposer is silent, so candidate 0 can activate
-  // only once K − f other prefix broadcasts delivered. Only the K − 1
+  // only once K − f = 1 other prefix broadcast delivered. Only the K − 1
   // live prefix sources ever deliver, and a later prefix candidate wins.
   core::Env env = core::Env::make_relaxed(48, 26);
   MultiValuedBa::Config cfg = base_config(env);
@@ -276,22 +276,23 @@ TEST(MultiValuedBaTest, SilentHeadOpensTheGateThroughKMinusF) {
   cfg.skip_timeout = 30000;  // a committee short of W live members
   const std::vector<sim::ProcessId> rank =
       MultiValuedBa(cfg, Bytes{}).rank_order();
-  ASSERT_GT(8u, env.f());  // the gate waits for at least one delivery
+  const std::size_t k = env.f() + 1;  // below the cap of 8
   auto run = run_silencing(env, /*seed=*/11, {rank.front()}, cfg);
   ASSERT_TRUE(run->all_correct_decided());
-  const std::set<sim::ProcessId> later(rank.begin() + 1, rank.begin() + 8);
+  const std::set<sim::ProcessId> later(
+      rank.begin() + 1, rank.begin() + static_cast<std::ptrdiff_t>(k));
   for (sim::ProcessId i = 0; i < env.n(); ++i) {
     if (i == rank.front()) continue;
     const MultiValuedBa& p = run->at(i);
     ASSERT_FALSE(p.decided_noop());
     EXPECT_EQ(later.count(p.decided_proposer()), 1u);
     EXPECT_GE(p.candidates_activated(), 1u);
-    EXPECT_LE(p.rbc_delivered_count(), 7u);
+    EXPECT_LE(p.rbc_delivered_count(), k - 1);
   }
 }
 
 TEST(MultiValuedBaTest, TheGateWaitsOutTheHeadCandidatesBroadcast) {
-  // K - f = 4 of the K = 8 prefix broadcasts can deliver before rank 0's
+  // K - f = 1 of the K = 4 prefix broadcasts can deliver before rank 0's
   // own. Past that quorum the gate waits as long again, so every process
   // inputs 1 to candidate 0 and its BA adopts it: no candidate BA is
   // wasted on a lost race.

@@ -140,11 +140,11 @@ TEST(ReplicatedLog, ErasureCodedBackendCommitsTheSameRequests) {
 }
 
 TEST(ReplicatedLog, SlotWordsAreSubCubic) {
-  // A slot broadcasts max_candidates = 8 proposals, not n, and each
-  // broadcast costs n² echo words: doubling n multiplies a slot's words
-  // by about 2², where n broadcasts would cost 2³. ~2KB proposals make
-  // the broadcasts the bulk of a slot (2^2.06 here; 2^2.97 when all n
-  // processes broadcast).
+  // A slot broadcasts K = f + 1 proposals below the cap of 8 (3 at
+  // n = 32, 6 at n = 64), not n, and each broadcast costs n² echo words:
+  // doubling n multiplies a broadcast's words by about 2², where n
+  // broadcasts per slot would cost 2³. ~2KB proposals make the
+  // broadcasts the bulk of a slot (2^1.86 per broadcast here).
   auto slot_words = [](std::size_t n) {
     LogRunOptions opts;
     opts.slots = 1;
@@ -156,7 +156,17 @@ TEST(ReplicatedLog, SlotWordsAreSubCubic) {
     EXPECT_EQ(r.noop_slots, 0u) << "n=" << n;
     return static_cast<double>(r.correct_words);
   };
-  EXPECT_LT(slot_words(64) / slot_words(32), std::pow(2.0, 2.5));
+  auto broadcasters = [](std::size_t n) {
+    return static_cast<double>(core::Env::make_relaxed(n, 7).f() + 1);
+  };
+  const double w32 = slot_words(32);
+  const double w64 = slot_words(64);
+  EXPECT_LT((w64 / broadcasters(64)) / (w32 / broadcasters(32)),
+            std::pow(2.0, 2.5));
+  // The same slots cost 1,751,712 and 6,832,448 words when all 8 capped
+  // ranks broadcast.
+  EXPECT_LT(w32, 1751712.0);
+  EXPECT_LT(w64, 6832448.0);
 }
 
 TEST(ReplicatedLog, ErasureCodedShardCountCannotLeakIntoTheLog) {
@@ -222,8 +232,8 @@ TEST(ReplicatedLog, DdhGoldenN16) {
   EXPECT_TRUE(r.agreement);
   EXPECT_EQ(r.fingerprint,
             "06bd642b099cf63d9e00aab9f71ba2159d0100adfb0809a93844320b88558afe");
-  EXPECT_EQ(r.correct_words, 106080u);
-  EXPECT_EQ(r.deliveries, 16682u);
+  EXPECT_EQ(r.correct_words, 67296u);
+  EXPECT_EQ(r.deliveries, 6795u);
 }
 
 TEST(ReplicatedLog, DdhGoldenN32) {
@@ -235,8 +245,8 @@ TEST(ReplicatedLog, DdhGoldenN32) {
   EXPECT_TRUE(r.agreement);
   EXPECT_EQ(r.fingerprint,
             "53fc270f08c65d9c40c89a703d6ee99255e7d467f192f51b7ae7736b44dabf85");
-  EXPECT_EQ(r.correct_words, 390880u);
-  EXPECT_EQ(r.deliveries, 44422u);
+  EXPECT_EQ(r.correct_words, 259680u);
+  EXPECT_EQ(r.deliveries, 24892u);
 }
 
 TEST(ReplicatedLog, RefusesAQuorumNoCommitteeCanReach) {
