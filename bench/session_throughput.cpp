@@ -7,6 +7,7 @@
 // independent — committees are re-sampled per slot from the same keys),
 // so total cost is linear in K with zero marginal setup.
 #include <algorithm>
+#include <iterator>
 #include <iostream>
 #include <vector>
 
@@ -131,9 +132,9 @@ int main(int argc, char** argv) {
   // --- E16: multivalued replicated log (src/session). ------------------
   // Pipelined MvBa slots batching simulated client requests, run once
   // per dissemination backend (ba/broadcast.h). Under Bracha each slot
-  // pays max_candidates (8) RBCs, each echoing the payload n^2 times, so
-  // words/slot is dissemination-dominated; the erasure-
-  // coded backend ships ⌈|v|/k⌉-word fragments plus λ·log n Merkle
+  // pays K = min(f + 1, max_candidates) RBCs (4 at n = 48), each echoing
+  // the payload n^2 times, so words/slot is dissemination-dominated; the
+  // erasure-coded backend ships ⌈|v|/k⌉-word fragments plus λ·log n Merkle
   // branches instead, which is where the O(n²·|v|) → O(n·|v| + n²·λ)
   // headline comes from. The 64-request default batch (~2KB proposals)
   // sits past the coded path's break-even (see E17 below for the sweep).
@@ -250,6 +251,65 @@ int main(int argc, char** argv) {
     }
   }
   et.print(std::cout);
+
+  // --- E18: the log probe, words/slot against n. -------------------------
+  // Two pipelined slots of 64-request batches with two silent processes,
+  // Bracha, seeds 1-2, at each n: a slot's K = min(f + 1, 8) broadcasts
+  // each echo n^2 times, so words/slot grows as K·n^2 and the fitted
+  // slope reads above 2 while K still grows with f. Candidates/slot is 1
+  // when every slot adopts its first-ranked proposer.
+  std::cout << "\n== E18: log probe, slots=2 depth=2 batch=64 silent=2 "
+               "bracha, seeds 1-2 ==\n\n";
+  Table pt({"n", "words/slot", "deliveries/slot", "candidates/slot",
+            "no-op slots"});
+  const std::vector<std::size_t> probe_ns = {32, 48, 64, 96, 128};
+  std::vector<double> probe_xs, probe_ys;
+  for (std::size_t pn : probe_ns) {
+    constexpr std::size_t kSlots = 2;
+    constexpr std::uint64_t kSeeds[] = {1, 2};
+    double words = 0, deliveries = 0, candidates = 0;
+    std::size_t noops = 0;
+    for (std::uint64_t ps : kSeeds) {
+      session::LogRunOptions lopts;
+      lopts.slots = kSlots;
+      lopts.pipeline_depth = kSlots;
+      lopts.batch_size = 64;
+      lopts.silent_faults = 2;
+      lopts.sim_seed = ps;
+      const session::LogReport lr =
+          session::run_replicated_log(core::Env::make_relaxed(pn, ps), lopts);
+      if (!lr.all_committed || !lr.agreement)
+        std::cerr << "E18: n=" << pn << " seed=" << ps
+                  << " did not commit and agree\n";
+      words += static_cast<double>(lr.words_per_slot);
+      deliveries += static_cast<double>(lr.deliveries) / kSlots;
+      candidates += lr.candidates_per_slot;
+      noops += lr.noop_slots;
+    }
+    const double runs = static_cast<double>(std::size(kSeeds));
+    words /= runs;
+    deliveries /= runs;
+    candidates /= runs;
+    probe_xs.push_back(static_cast<double>(pn));
+    probe_ys.push_back(words);
+    bench::BenchJson::Row& row = json.row("e18/n" + std::to_string(pn));
+    bench::BenchJson::field(row, "n", static_cast<double>(pn));
+    bench::BenchJson::field(row, "words_per_slot", words);
+    bench::BenchJson::field(row, "deliveries_per_slot", deliveries);
+    bench::BenchJson::field(row, "candidates_per_slot", candidates);
+    bench::BenchJson::field(row, "noop_slots", static_cast<double>(noops));
+    pt.add_row({std::to_string(pn),
+                Table::count(static_cast<std::uint64_t>(words)),
+                Table::count(static_cast<std::uint64_t>(deliveries)),
+                Table::num(candidates, 2), std::to_string(noops)});
+  }
+  pt.print(std::cout);
+  const double probe_slope = loglog_slope(probe_xs, probe_ys);
+  bench::BenchJson::field(json.row("e18/slope"), "words_per_slot_slope",
+                          probe_slope);
+  std::cout << "\nfitted words/slot slope over n = 32-128: "
+            << Table::num(probe_slope, 2) << "\n";
+
   if (!json_path.empty()) {
     if (!json.write(json_path)) {
       std::cerr << "failed to write " << json_path << "\n";

@@ -59,6 +59,7 @@ LogReport run_replicated_log(const core::Env& env,
   report.slots = opts.slots;
   report.all_committed = true;
   std::vector<std::uint64_t> latencies;
+  std::size_t candidates = 0;
   bool have_first = false;
   crypto::Digest first_fp{};
   for (sim::ProcessId i = 0; i < n; ++i) {
@@ -79,14 +80,18 @@ LogReport run_replicated_log(const core::Env& env,
     } else if (fp != first_fp) {
       report.agreement = false;
     }
-    for (std::size_t s = 0; s < opts.slots; ++s)
+    for (std::size_t s = 0; s < opts.slots; ++s) {
       latencies.push_back(log.decide_latency(s));
+      candidates += log.slot_instance(s).candidates_activated();
+    }
     report.rounds_skipped += log.rounds_skipped();
     report.max_decided_round =
         std::max(report.max_decided_round, log.max_decided_round());
   }
 
   if (!latencies.empty()) {
+    report.candidates_per_slot = static_cast<double>(candidates) /
+                                 static_cast<double>(latencies.size());
     std::sort(latencies.begin(), latencies.end());
     report.decide_latency_p50 = latencies[latencies.size() / 2];
     report.decide_latency_p90 = latencies[latencies.size() * 9 / 10];

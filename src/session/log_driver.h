@@ -62,6 +62,9 @@ struct LogReport {
   std::uint64_t decide_latency_p90 = 0;
   std::uint64_t decide_latency_max = 0;
 
+  /// Candidate BAs a slot activated, averaged over correct processes
+  /// and slots: 1 when every slot adopts its first-ranked proposer.
+  double candidates_per_slot = 0.0;
   std::uint64_t rounds_skipped = 0;  // summed over processes and slots
   std::uint64_t max_decided_round = 0;
   /// Hex log fingerprint shared by the correct processes (empty until
