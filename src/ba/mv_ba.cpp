@@ -54,6 +54,7 @@ bool MultiValuedBa::broadcaster(sim::ProcessId p) const {
 void MultiValuedBa::on_start(sim::Context& ctx) {
   ctx_ = &ctx;
   due_at_ = ctx.now();
+  rbc_heard_at_ = due_at_;
   if (broadcaster(ctx.self())) rbc_->broadcast(ctx, proposal_);
   pump(ctx);
 }
@@ -139,8 +140,7 @@ bool MultiValuedBa::gate_open(sim::Context& ctx) {
     // A capped prefix may be silent as a whole: open once the broadcasts
     // stayed quiet for K skip budgets. One wakeup is pending at a time;
     // it re-arms when traffic moved the deadline.
-    const std::uint64_t quiet_until =
-        std::max(due_at_, rbc_heard_at_) + k * cfg_.skip_timeout;
+    const std::uint64_t quiet_until = rbc_heard_at_ + k * cfg_.skip_timeout;
     if (now >= quiet_until) return true;
     if (now >= quiet_wakeup_at_) {
       quiet_wakeup_at_ = quiet_until;

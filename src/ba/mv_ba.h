@@ -171,8 +171,9 @@ class MultiValuedBa final : public BaProcess {
   // due (grace_until_, a wakeup), then opens. A cap K <= f admits a
   // wholly silent prefix, whose quorum never comes: there the gate
   // opens at once when the skip fallback is unarmed and, when it is
-  // armed, once no broadcast message arrived for K skip_timeouts
-  // (rbc_heard_at_; quiet_wakeup_at_ is the pending wakeup's tick). The
+  // armed, once no broadcast message arrived for K skip_timeouts since
+  // the start (rbc_heard_at_; quiet_wakeup_at_ is the pending wakeup's
+  // tick), so later candidates of a silent prefix open at once. The
   // skip budget paces one BA round, and a live dissemination of K
   // broadcasts at n = 128 leaves a process unaddressed for longer than
   // one budget before its first delivery.

@@ -416,8 +416,8 @@ TEST(ReplicatedLog, CappedPrefixAtNAbove96RunsOneCandidatePerSlot) {
 TEST(ReplicatedLog, SilencedCappedPrefixClosesEverySlotNoop) {
   // A cap of 2 at n = 64 (f = 5) lets the adversary silence both slots'
   // whole prefixes. No broadcast ever delivers, so the armed gate opens
-  // on its skip_timeout, every candidate BA decides 0, and each slot
-  // closes no-op instead of waiting forever.
+  // once the slot stayed quiet for K skip budgets, every candidate BA
+  // decides 0, and each slot closes no-op instead of waiting forever.
   constexpr std::size_t n = 64;
   const core::Env env = core::Env::make_relaxed(n, 9);
   LogConfig lcfg{env};
