@@ -28,6 +28,7 @@ struct LogRunOptions {
   std::size_t threads = 0;
 
   std::uint64_t max_rounds = 32;
+  /// Cap on a slot's f + 1 broadcasters (LogConfig::max_candidates).
   std::size_t max_candidates = 8;
   std::uint64_t client_seed = 0xC11E57;
 

@@ -8,10 +8,10 @@
 // (deterministically generated from LogConfig::client_seed, so runs are
 // replayable). For slot k it proposes a batch of batch_size of its own
 // requests, broadcast only if it ranks among the slot's first
-// max_candidates proposers (the rank rotates per slot tag); the slot's
-// MvBa adopts exactly one proposer's batch (or the no-op value when
-// every examined candidate loses its race), and every correct process
-// appends the same payload at the same position.
+// K = min(f + 1, max_candidates) proposers (the rank rotates per slot
+// tag); the slot's MvBa adopts exactly one proposer's batch (or the
+// no-op value when every examined candidate loses its race), and every
+// correct process appends the same payload at the same position.
 //
 // Pipelining: at most pipeline_depth slots are undecided ("in flight")
 // at once. Slot k activates locally as soon as fewer than depth earlier
@@ -54,9 +54,9 @@ struct LogConfig : coin::Setup {
   // Forwarded to every slot's MultiValuedBa (see mv_ba.h / ba_whp.h).
   std::uint64_t max_rounds = 32;
   std::uint64_t skip_timeout = 0;
-  /// Candidates a slot examines before closing no-op; also who
-  /// broadcasts: only a slot's first max_candidates ranked proposers
-  /// disseminate their batches, so a slot costs max_candidates RBCs.
+  /// Cap on K, the f + 1 first-ranked proposers a slot examines before
+  /// closing no-op; only they disseminate their batches, so a slot
+  /// costs K RBCs. 0 means no cap; 8 binds once f >= 8 (n >= 97).
   std::size_t max_candidates = 8;
   /// Dissemination backend for every slot's proposal broadcasts
   /// (ba/broadcast.h): Bracha or erasure-coded AVID-M.
