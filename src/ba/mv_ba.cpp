@@ -54,7 +54,11 @@ bool MultiValuedBa::broadcaster(sim::ProcessId p) const {
 void MultiValuedBa::on_start(sim::Context& ctx) {
   ctx_ = &ctx;
   due_at_ = ctx.now();
-  rbc_heard_at_ = due_at_;
+  const std::size_t k = effective_max();
+  if (k <= cfg_.params.f && cfg_.skip_timeout > 0) {
+    quiet_until_ = due_at_ + k * cfg_.skip_timeout;
+    ctx.schedule_wakeup(k * cfg_.skip_timeout);
+  }
   if (broadcaster(ctx.self())) rbc_->broadcast(ctx, proposal_);
   pump(ctx);
 }
@@ -68,7 +72,6 @@ void MultiValuedBa::on_message(sim::Context& ctx, const sim::Message& msg) {
   // no correct process echoes it, so it never delivers anywhere.
   if (msg.tag == rbc_initial_ && !broadcaster(msg.from)) return;
   if (rbc_->handle(ctx, msg)) {
-    rbc_heard_at_ = ctx.now();
     // A delivery may have opened the activation gate (or completed an
     // awaited adoption — finish() fires from on_rbc_deliver directly).
     pump(ctx);
@@ -136,17 +139,9 @@ bool MultiValuedBa::gate_open(sim::Context& ctx) {
   if (k <= f && cfg_.skip_timeout == 0) return true;
   const std::uint64_t now = ctx.now();
   if (rbc_->delivered_count() < (k > f ? k - f : 1)) {
-    if (k > f) return false;
-    // A capped prefix may be silent as a whole: open once the broadcasts
-    // stayed quiet for K skip budgets. One wakeup is pending at a time;
-    // it re-arms when traffic moved the deadline.
-    const std::uint64_t quiet_until = rbc_heard_at_ + k * cfg_.skip_timeout;
-    if (now >= quiet_until) return true;
-    if (now >= quiet_wakeup_at_) {
-      quiet_wakeup_at_ = quiet_until;
-      ctx.schedule_wakeup(quiet_until - now);
-    }
-    return false;
+    // A capped prefix may be silent as a whole: open at the fixed
+    // deadline on_start set, which no message can move.
+    return k <= f && now >= quiet_until_;
   }
   if (!grace_until_) {
     // The quorum just completed: give the candidate's own broadcast as

@@ -171,17 +171,16 @@ class MultiValuedBa final : public BaProcess {
   // due (grace_until_, a wakeup), then opens. A cap K <= f admits a
   // wholly silent prefix, whose quorum never comes: there the gate
   // opens at once when the skip fallback is unarmed and, when it is
-  // armed, once no broadcast message arrived for K skip_timeouts since
-  // the start (rbc_heard_at_; quiet_wakeup_at_ is the pending wakeup's
-  // tick), so later candidates of a silent prefix open at once. The
-  // skip budget paces one BA round, and a live dissemination of K
-  // broadcasts at n = 128 leaves a process unaddressed for longer than
-  // one budget before its first delivery.
+  // armed, K skip_timeouts after the instance started (quiet_until_, one
+  // wakeup), so later candidates of a silent prefix open at once. The
+  // deadline is fixed: a faulty process sending junk on the broadcast
+  // tags cannot push it back. The skip budget paces one BA round, and a
+  // live dissemination of K broadcasts at n = 128 leaves a process
+  // unaddressed for longer than one budget before its first delivery.
   bool activation_due_ = true;
   std::uint64_t due_at_ = 0;
   std::optional<std::uint64_t> grace_until_;
-  std::uint64_t rbc_heard_at_ = 0;
-  std::uint64_t quiet_wakeup_at_ = 0;
+  std::uint64_t quiet_until_ = 0;
   bool decided_ = false;
   int adopted_ = -1;
   std::uint64_t decided_round_ = 0;

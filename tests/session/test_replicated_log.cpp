@@ -362,32 +362,6 @@ TEST(ReplicatedLog, CraftedTagsTwiceCannotStallOrSplitTheLog) {
   }
 }
 
-/// Runs a log of LogProcesses armed with the auto skip fallback, with
-/// the processes in `silenced` silent from birth, until every correct
-/// process committed it.
-std::unique_ptr<sim::Simulation> run_log_silencing(
-    const core::Env& env, const LogConfig& lcfg,
-    const std::vector<sim::ProcessId>& silenced, std::uint64_t seed) {
-  env.params.require_reachable_quorum(silenced.size());
-  sim::SimConfig cfg;
-  cfg.n = env.n();
-  cfg.f = silenced.size();
-  cfg.seed = seed;
-  auto sim = std::make_unique<sim::Simulation>(cfg);
-  for (std::size_t i = 0; i < env.n(); ++i)
-    sim->add_process(std::make_unique<LogProcess>(lcfg));
-  for (sim::ProcessId p : silenced) sim->corrupt(p, sim::FaultPlan::silent());
-  sim->start();
-  sim->run_until([&] {
-    for (sim::ProcessId i = 0; i < env.n(); ++i)
-      if (!sim->is_corrupted(i) &&
-          !dynamic_cast<const LogProcess&>(sim->process(i)).all_committed())
-        return false;
-    return true;
-  });
-  return sim;
-}
-
 TEST(ReplicatedLog, CappedPrefixAtNAbove96RunsOneCandidatePerSlot) {
   // At n = 128 (f = 10) the cap puts K = 8 <= f. The gate still waits
   // for one delivery, and past it as long again, so every process
@@ -395,29 +369,27 @@ TEST(ReplicatedLog, CappedPrefixAtNAbove96RunsOneCandidatePerSlot) {
   // inputs.
   constexpr std::size_t n = 128;
   const core::Env env = core::Env::make_relaxed(n, 7);
-  LogConfig lcfg{env};
-  lcfg.total_slots = 2;
-  lcfg.pipeline_depth = 2;
-  lcfg.batch_size = 2;
-  lcfg.skip_timeout = auto_skip_timeout(n, lcfg.pipeline_depth);
-  ASSERT_LE(lcfg.max_candidates, env.f());
-  auto sim = run_log_silencing(env, lcfg, {n - 1, n - 2}, /*seed=*/5);
-  for (sim::ProcessId i = 0; i < n - 2; ++i) {
-    const auto& log = dynamic_cast<const LogProcess&>(sim->process(i));
-    ASSERT_TRUE(log.all_committed()) << "process " << i;
-    for (std::size_t s = 0; s < lcfg.total_slots; ++s) {
-      EXPECT_FALSE(log.committed(s).empty()) << "process " << i;
-      EXPECT_EQ(log.slot_instance(s).candidates_activated(), 1u)
-          << "process " << i << " slot " << s;
-    }
-  }
+  LogRunOptions opts;
+  opts.slots = 2;
+  opts.pipeline_depth = 2;
+  opts.batch_size = 2;
+  opts.silent_faults = 2;
+  opts.sim_seed = 5;
+  ASSERT_LE(opts.max_candidates, env.f());
+  const LogReport r = run_replicated_log(env, opts);
+  ASSERT_TRUE(r.all_committed);
+  EXPECT_TRUE(r.agreement);
+  EXPECT_EQ(r.noop_slots, 0u);
+  EXPECT_EQ(r.candidates_per_slot, 1.0);
 }
 
 TEST(ReplicatedLog, SilencedCappedPrefixClosesEverySlotNoop) {
   // A cap of 2 at n = 64 (f = 5) lets the adversary silence both slots'
   // whole prefixes. No broadcast ever delivers, so the armed gate opens
-  // once the slot stayed quiet for K skip budgets, every candidate BA
-  // decides 0, and each slot closes no-op instead of waiting forever.
+  // K skip budgets after the slot started, every candidate BA decides 0,
+  // and each slot closes no-op instead of waiting forever. One more
+  // faulty process sends an undecodable echo on each slot's broadcast
+  // tag every skip budget: junk cannot push the deadline back.
   constexpr std::size_t n = 64;
   const core::Env env = core::Env::make_relaxed(n, 9);
   LogConfig lcfg{env};
@@ -426,21 +398,57 @@ TEST(ReplicatedLog, SilencedCappedPrefixClosesEverySlotNoop) {
   lcfg.batch_size = 2;
   lcfg.max_candidates = 2;
   lcfg.skip_timeout = auto_skip_timeout(n, lcfg.pipeline_depth);
-  std::set<sim::ProcessId> prefixes;
+  std::set<sim::ProcessId> faulty;
   for (std::size_t s = 0; s < lcfg.total_slots; ++s) {
     ba::MultiValuedBa::Config mcfg{env};
     mcfg.tag = lcfg.slot_prefix + std::to_string(s);
     const auto rank = ba::MultiValuedBa(mcfg, Bytes{}).rank_order();
-    prefixes.insert(rank.begin(), rank.begin() + 2);
+    faulty.insert(rank.begin(), rank.begin() + 2);
   }
-  ASSERT_LE(prefixes.size(), env.f());
-  const std::vector<sim::ProcessId> silenced(prefixes.begin(),
-                                             prefixes.end());
-  auto sim = run_log_silencing(env, lcfg, silenced, /*seed=*/3);
+  sim::ProcessId junk = n - 1;
+  while (faulty.count(junk)) --junk;
+  faulty.insert(junk);
+  ASSERT_LE(faulty.size(), env.f());
+  env.params.require_reachable_quorum(faulty.size());
+
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.f = faulty.size();
+  cfg.seed = 3;
+  sim::Simulation sim(cfg);
+  for (std::size_t i = 0; i < n; ++i)
+    sim.add_process(std::make_unique<LogProcess>(lcfg));
+  for (sim::ProcessId p : faulty) sim.corrupt(p, sim::FaultPlan::silent());
+  auto log_of = [&](sim::ProcessId i) -> const LogProcess& {
+    return dynamic_cast<const LogProcess&>(sim.process(i));
+  };
+  auto committed = [&] {
+    for (sim::ProcessId i = 0; i < n; ++i)
+      if (!faulty.count(i) && !log_of(i).all_committed()) return false;
+    return true;
+  };
+
+  sim.start();
+  // Every slot closes within a few budgets; a gate that junk holds shut
+  // would keep the log open through all of them.
+  constexpr std::size_t kBudgets = 24;
+  std::size_t budgets = 0;
+  for (; budgets < kBudgets && !committed(); ++budgets) {
+    for (std::size_t s = 0; s < lcfg.total_slots; ++s)
+      for (sim::ProcessId to = 0; to < n; ++to)
+        if (!faulty.count(to))
+          sim.inject(junk, to,
+                     lcfg.slot_prefix + std::to_string(s) + "/rbc/echo",
+                     bytes_of("junk"), 1);
+    const std::uint64_t until = sim.deliveries() + lcfg.skip_timeout;
+    sim.run_until([&] { return committed() || sim.deliveries() >= until; });
+  }
+  ASSERT_LT(budgets, kBudgets);
+
   std::optional<crypto::Digest> fingerprint;
   for (sim::ProcessId i = 0; i < n; ++i) {
-    if (prefixes.count(i)) continue;
-    const auto& log = dynamic_cast<const LogProcess&>(sim->process(i));
+    if (faulty.count(i)) continue;
+    const LogProcess& log = log_of(i);
     ASSERT_TRUE(log.all_committed()) << "process " << i;
     if (!fingerprint) fingerprint = log.log_fingerprint();
     EXPECT_EQ(log.log_fingerprint(), *fingerprint) << "process " << i;
