@@ -10,12 +10,19 @@
 // per run (RbcBackend), so every harness — chaos plane, golden traces,
 // shard determinism — exercises both.
 //
+// Each source's broadcast runs inside its echo set E (EchoSet below) of
+// m = min(n, 3f + 1) processes: only they receive the initial and echo
+// and ready, to all n. A broadcast therefore sends m initials and 2·m·n
+// echoes and readies instead of n + 2·n², and its word ledger is
+// O(f·n·|v|) under Bracha (O(n·|v| + f·n·λ·log f) coded).
+//
 // Word accounting lives inside the backends: each computes its own exact
 // wire words from the payload it actually ships (a value v counts
 // 1 + ⌈|v|/8⌉ words, a sha256 digest λ = 4 words), keeping the §2 ledger
 // honest without callers guessing foreign-flow sizes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -66,6 +73,49 @@ class SenderSet {
  private:
   std::vector<bool> seen_;
   std::size_t count_ = 0;
+};
+
+/// The echo set E(s) of source s's broadcast: the m = min(n, 3f + 1) ids
+/// from s upward, wrapping past n − 1, taken in id order. Only members
+/// get s's initial, echo and ready; everyone hears their echoes and
+/// readies. At most f members are faulty and m ≥ 3f + 1, so Bracha's
+/// quorums drawn inside E keep their deterministic guarantees: an echo
+/// quorum > (m + f)/2, amplification at f + 1 and delivery at 2f + 1
+/// member readies. With m = n, E(s) is every process in id order.
+class EchoSet {
+ public:
+  EchoSet(std::size_t n, std::size_t f)
+      : n_(n), m_(std::min(n, 3 * f + 1)), f_(f) {}
+
+  std::size_t size() const { return m_; }
+
+  bool contains(sim::ProcessId source, sim::ProcessId p) const {
+    return source < n_ && p < n_ && (p + n_ - source) % n_ < m_;
+  }
+  /// Member p's position in E(source) in id order (its fragment and
+  /// Merkle leaf in the coded backend); requires contains(source, p).
+  std::size_t index(sim::ProcessId source, sim::ProcessId p) const {
+    const std::size_t wrapped = wrapped_ids(source);
+    return p < wrapped ? p : wrapped + (p - source);
+  }
+  /// The member at position j of E(source).
+  sim::ProcessId member(sim::ProcessId source, std::size_t j) const {
+    const std::size_t wrapped = wrapped_ids(source);
+    return static_cast<sim::ProcessId>(j < wrapped ? j
+                                                   : source + (j - wrapped));
+  }
+
+  bool echo_quorum(std::size_t echoes) const { return 2 * echoes > m_ + f_; }
+
+ private:
+  /// Members below the source: the window's part past n − 1.
+  std::size_t wrapped_ids(sim::ProcessId source) const {
+    return source + m_ > n_ ? source + m_ - n_ : 0;
+  }
+
+  std::size_t n_;
+  std::size_t m_;
+  std::size_t f_;
 };
 
 class Broadcast {

@@ -5,6 +5,7 @@
 
 #include "common/errors.h"
 #include "common/ser.h"
+#include "common/shared_bytes.h"
 
 namespace coincidence::ba {
 
@@ -14,6 +15,7 @@ ReliableBroadcast::ReliableBroadcast(Config cfg, DeliverFn on_deliver)
       tag_initial_(cfg_.tag + "/initial"),
       tag_echo_(cfg_.tag + "/echo"),
       tag_ready_(cfg_.tag + "/ready"),
+      echo_set_(cfg_.n, cfg_.f),
       held_(cfg_.n),
       echoed_sources_(cfg_.n),
       delivered_(cfg_.n, false) {
@@ -56,11 +58,13 @@ ReliableBroadcast::Flow* ReliableBroadcast::held_flow(sim::ProcessId source,
 
 void ReliableBroadcast::broadcast(sim::Context& ctx, Bytes payload) {
   const std::size_t words = value_words(payload.size());
-  ctx.broadcast(tag_initial_, std::move(payload), words);
+  const SharedBytes shared(std::move(payload));
+  for (std::size_t j = 0; j < echo_set_.size(); ++j)
+    ctx.send(echo_set_.member(ctx.self(), j), tag_initial_, shared, words);
 }
 
 void ReliableBroadcast::maybe_send_ready(sim::Context& ctx, Flow& flow) {
-  if (flow.ready_sent) return;
+  if (flow.ready_sent || !echo_set_.contains(flow.source, ctx.self())) return;
   flow.ready_sent = true;
   Writer w;
   w.u32(flow.source);
@@ -85,9 +89,11 @@ void ReliableBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
 
 bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
   if (msg.tag == tag_initial_) {
-    // Echo once per source: the first initial wins; an equivocating
-    // source simply fails to gather a quorum for either payload.
-    if (echoed_sources_.insert(msg.from)) {
+    // Members echo once per source: the first initial wins; an
+    // equivocating source simply fails to gather a quorum for either
+    // payload.
+    if (echo_set_.contains(msg.from, ctx.self()) &&
+        echoed_sources_.insert(msg.from)) {
       Writer w;
       w.u32(msg.from).blob(msg.payload);
       ctx.broadcast(tag_echo_, w.take(),
@@ -111,7 +117,8 @@ bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
   } catch (const CodecError&) {
     return true;
   }
-  if (source >= cfg_.n) return true;
+  // Only E(source)'s echoes and readies count toward its quorums.
+  if (!echo_set_.contains(source, msg.from)) return true;
 
   if (is_echo) {
     Flow* flow = held_flow(source, body);
@@ -122,7 +129,7 @@ bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
       flow->payload.emplace(body.begin(), body.end());
       held_[source].push_back(flow->digest);
     }
-    if (2 * flow->echoes.size() > cfg_.n + cfg_.f)
+    if (echo_set_.echo_quorum(flow->echoes.size()))
       maybe_send_ready(ctx, *flow);
     maybe_deliver(ctx, *flow);  // a ready quorum may already be waiting
   } else {

@@ -1,26 +1,37 @@
 // Bracha's reliable broadcast (Information & Computation 1987) — the
-// classic echo/ready primitive, n > 3f:
+// classic echo/ready primitive, n > 3f — run inside the source's echo
+// set E of m = min(n, 3f + 1) processes (broadcast.h, EchoSet):
 //
-//   source:            broadcast <initial, m>
-//   on <initial, m>:   broadcast <echo, src, m>          (once per source)
-//   on <echo, src, m>  from > (n+f)/2 distinct: broadcast <ready, src, H(m)>
-//   on <ready, src, h> from f+1 distinct:       broadcast <ready, src, h>
-//   on <ready, src, h> from 2f+1 distinct:      deliver (src, m)
+//   source:            send <initial, v> to E
+//   member, on <initial, v>:  broadcast <echo, src, v>   (once per source)
+//   member, on <echo, src, v> from > (m+f)/2 distinct members:
+//                             broadcast <ready, src, H(v)>
+//   member, on <ready, src, h> from f+1 distinct members:
+//                             broadcast <ready, src, h>
+//   anyone, on <ready, src, h> from 2f+1 distinct members
+//           and a payload-bearing echo:  deliver (src, v)
 //
-// Guarantees: if the source is correct everyone delivers its m; if any
-// correct process delivers (src, m), every correct process delivers
-// (src, m) and nobody delivers (src, m') with m' != m. Used as the
+// Initials, echoes and readies from outside E never count. E holds at
+// most f faulty processes and m ≥ 3f + 1, so the quorums keep Bracha's
+// deterministic guarantees while only m processes echo and ready: the
+// RBC tolerates the f its caller configures, not ⌊(n−1)/3⌋. With
+// m = n this is the textbook protocol, message for message.
+//
+// Guarantees: if the source is correct everyone delivers its v; if any
+// correct process delivers (src, v), every correct process delivers
+// (src, v) and nobody delivers (src, v') with v' != v. Used as the
 // broadcast layer of the Bracha BA baseline and independently tested.
 //
 // ISSUE 10 satellite: READY carries the λ-word sha256 digest of the
 // payload instead of re-shipping it (the payload still travels in every
-// ECHO, which is what makes this backend O(n²·|v|) — rbc_ec.h is the
-// coded alternative), and flows are tallied in a FlatMap64 keyed by a
-// 64-bit fold of (source, digest) instead of a std::map that copied the
-// whole payload into its keys. Delivery waits for both the 2f+1 ready
+// ECHO, which is what makes this backend O(m·n·|v|) = O(f·n·|v|) —
+// rbc_ec.h is the coded alternative), and flows are tallied in a
+// FlatMap64 keyed by a 64-bit fold of (source, digest) instead of a
+// std::map that copied the whole payload into its keys. Delivery waits for both the 2f+1 ready
 // quorum and a payload-bearing echo: readies alone no longer identify
-// the value. Word ledger, exact: initial = 1+⌈|m|/8⌉, echo = initial+1
-// (source word), ready = 1+λ.
+// the value. Word ledger, exact: initial = 1+⌈|v|/8⌉ to each of the m
+// members, echo = initial+1 (source word) and ready = 1+λ, each sent by
+// the m members to all n.
 //
 // Each distinct echo value is hashed once per process, not once per
 // echoer: an echo whose bytes equal a payload this process already holds
@@ -87,6 +98,7 @@ class ReliableBroadcast final : public Broadcast {
   sim::Tag tag_initial_;
   sim::Tag tag_echo_;
   sim::Tag tag_ready_;
+  EchoSet echo_set_;
 
   sim::FlatMap64<std::vector<Flow>> flows_;
   // Per source: digests of its flows that hold a payload (one for a

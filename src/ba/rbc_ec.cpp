@@ -50,7 +50,8 @@ EcBroadcast::EcBroadcast(Config cfg, DeliverFn on_deliver)
       on_deliver_(std::move(on_deliver)),
       own_memo_(cfg_.memo ? nullptr : std::make_unique<crypto::VerdictMemo>()),
       memo_(cfg_.memo ? cfg_.memo : own_memo_.get()),
-      rs_(cfg_.n, cfg_.f + 1),
+      echo_set_(cfg_.n, cfg_.f),
+      rs_(echo_set_.size(), cfg_.f + 1),
       tag_initial_(cfg_.tag + "/initial"),
       tag_echo_(cfg_.tag + "/echo"),
       tag_ready_(cfg_.tag + "/ready"),
@@ -108,9 +109,10 @@ bool EcBroadcast::branch_valid(std::size_t index, BytesView root,
   using Int = crypto::VerdictMemo::IntField;
   return memo_->verdict(
       memo_fp(root, index, value_size),
-      {Int(cfg_.n), Int(index), root, Int(value_size), fragment, branch}, [&] {
+      {Int(rs_.n()), Int(index), root, Int(value_size), fragment, branch},
+      [&] {
         const auto implied =
-            crypto::merkle_implied_root(cfg_.n, index, fragment, branch);
+            crypto::merkle_implied_root(rs_.n(), index, fragment, branch);
         return implied &&
                std::equal(root.begin(), root.end(), implied->begin());
       });
@@ -121,7 +123,7 @@ bool EcBroadcast::reencodes_to(sim::Context& ctx, const Flow& flow,
   using Int = crypto::VerdictMemo::IntField;
   return memo_->verdict(
       memo_fp(flow.root, flow.source, value.size()),
-      {Int(cfg_.n), Int(rs_.k()), Int(flow.source), flow.root, value}, [&] {
+      {Int(rs_.n()), Int(rs_.k()), Int(flow.source), flow.root, value}, [&] {
         const std::vector<Bytes> reencoded = rs_.encode(value);
         ctx.count(sim::Counter::kRbcEncodes, 1);
         ctx.count(sim::Counter::kRbcFragmentsEncoded, reencoded.size());
@@ -137,11 +139,11 @@ void EcBroadcast::broadcast(sim::Context& ctx, Bytes payload) {
   const crypto::MerkleTree tree(fragments);
   const std::size_t frag_words =
       fragment_word_count(rs_.fragment_size(size));
-  for (sim::ProcessId i = 0; i < cfg_.n; ++i) {
-    const std::vector<crypto::Digest> branch = tree.branch(i);
+  for (std::size_t j = 0; j < fragments.size(); ++j) {
+    const std::vector<crypto::Digest> branch = tree.branch(j);
     Writer w;
-    w.u64(size).blob(fragments[i]).blob(concat_branch(branch));
-    ctx.send(i, tag_initial_, w.take(),
+    w.u64(size).blob(fragments[j]).blob(concat_branch(branch));
+    ctx.send(echo_set_.member(ctx.self(), j), tag_initial_, w.take(),
              1 + frag_words + branch_words(branch.size()));
   }
 }
@@ -163,10 +165,12 @@ bool EcBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
 }
 
 void EcBroadcast::handle_initial(sim::Context& ctx, const sim::Message& msg) {
-  // Echo once per source: the first branch-valid initial wins; an
-  // equivocating source splits its echo power across roots and gathers a
-  // quorum for at most one.
-  if (echoed_sources_.contains(msg.from)) return;
+  // Members echo once per source: the first branch-valid initial wins;
+  // an equivocating source splits its echo power across roots and
+  // gathers a quorum for at most one.
+  if (!echo_set_.contains(msg.from, ctx.self()) ||
+      echoed_sources_.contains(msg.from))
+    return;
 
   std::uint64_t size = 0;
   BytesView fragment;
@@ -183,18 +187,19 @@ void EcBroadcast::handle_initial(sim::Context& ctx, const sim::Message& msg) {
   // fragment_size(size) cannot wrap, so a claimed |v| near 2^64 fails
   // here and is never echoed (nor counted, in handle_echo).
   if (fragment.size() != rs_.fragment_size(size)) return;
+  const std::size_t leaf = echo_set_.index(msg.from, ctx.self());
   const auto root =
-      crypto::merkle_implied_root(cfg_.n, ctx.self(), fragment, branch);
+      crypto::merkle_implied_root(rs_.n(), leaf, fragment, branch);
   if (!root) return;
 
-  // The echo below is exactly the branch-valid (self, root, |v|,
+  // The echo below is exactly the branch-valid (leaf, root, |v|,
   // fragment, branch): record its verdict so no receiver recomputes it.
   using Int = crypto::VerdictMemo::IntField;
   const BytesView root_view(*root);
-  memo_->store(memo_fp(root_view, ctx.self(), size),
-               {Int(cfg_.n), Int(ctx.self()), root_view, Int(size), fragment,
-                branch},
-               true);
+  memo_->store(
+      memo_fp(root_view, leaf, size),
+      {Int(rs_.n()), Int(leaf), root_view, Int(size), fragment, branch},
+      true);
 
   echoed_sources_.insert(msg.from);
   Writer w;
@@ -223,11 +228,14 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   } catch (const CodecError&) {
     return;
   }
-  if (source >= cfg_.n || root.size() != kDigestSize) return;
+  // Only E(source)'s echoes count, and each member vouches for its *own*
+  // leaf: the branch must place the fragment at the sender's index in
+  // E(source) under the claimed root.
+  if (!echo_set_.contains(source, msg.from) || root.size() != kDigestSize)
+    return;
   if (fragment.size() != rs_.fragment_size(size)) return;
-  // The echoer vouches for its *own* leaf: the branch must place the
-  // fragment at the sender's index under the claimed root.
-  if (!branch_valid(msg.from, root, size, fragment, branch)) return;
+  const std::size_t leaf = echo_set_.index(source, msg.from);
+  if (!branch_valid(leaf, root, size, fragment, branch)) return;
 
   Flow& flow = flow_of(source, held_key(source, root, size));
   if (!flow.echoes.insert(msg.from)) return;
@@ -240,11 +248,11 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   // collision-resistant hash), so first-wins is safe. Once the source is
   // delivered or the flow poisoned, no decode reads fragments again.
   if (!delivered_[source] && !flow.poisoned) {
-    if (flow.fragments.empty()) flow.fragments.resize(cfg_.n);
-    flow.fragments[msg.from] = Fragment{msg.payload, fragment};
+    if (flow.fragments.empty()) flow.fragments.resize(rs_.n());
+    flow.fragments[leaf] = Fragment{msg.payload, fragment};
     ++flow.fragment_count;
   }
-  if (2 * flow.echoes.size() > cfg_.n + cfg_.f) maybe_send_ready(ctx, flow);
+  if (echo_set_.echo_quorum(flow.echoes.size())) maybe_send_ready(ctx, flow);
   maybe_deliver(ctx, flow);  // a ready quorum may be waiting on fragments
 }
 
@@ -261,7 +269,7 @@ void EcBroadcast::handle_ready(sim::Context& ctx, const sim::Message& msg) {
   } catch (const CodecError&) {
     return;
   }
-  if (source >= cfg_.n) return;
+  if (!echo_set_.contains(source, msg.from)) return;
 
   Flow& flow = flow_of(source, key);
   if (!flow.readies.insert(msg.from)) return;
@@ -270,7 +278,7 @@ void EcBroadcast::handle_ready(sim::Context& ctx, const sim::Message& msg) {
 }
 
 void EcBroadcast::maybe_send_ready(sim::Context& ctx, Flow& flow) {
-  if (flow.ready_sent) return;
+  if (flow.ready_sent || !echo_set_.contains(flow.source, ctx.self())) return;
   flow.ready_sent = true;
   Writer w;
   w.u32(flow.source);

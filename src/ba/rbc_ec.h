@@ -1,21 +1,28 @@
 // Erasure-coded reliable broadcast, AVID-M style (ISSUE 10 tentpole).
 //
-// Bracha's protocol re-ships the full value in every echo: O(n²·|v|)
+// Bracha's protocol re-ships the full value in every echo: O(f·n·|v|)
 // words per broadcast. Following AVID (Cachin–Tessaro 2005) and its
 // hash-based AVID-M refinement, the source instead Reed–Solomon-encodes
-// the value into n fragments (k = f+1 data + n−k parity, crypto/
-// reed_solomon.h), commits them to a Merkle root (crypto/merkle.h), and
-// sends process i only fragment i plus its branch:
+// the value into m = min(n, 3f + 1) fragments, one per member of its
+// echo set E (broadcast.h, EchoSet; k = f+1 data + m−k parity, crypto/
+// reed_solomon.h), commits them to an m-leaf Merkle root (crypto/
+// merkle.h), and sends the member at position j of E only fragment j
+// plus its branch:
 //
-//   source:   send <initial, |v|, frag_i, branch_i> to each i
-//   on initial (branch valid at own index):
+//   source:   send <initial, |v|, frag_j, branch_j> to E's j-th member
+//   member, on initial (branch valid at own position):
 //             broadcast <echo, src, |v|, root, frag_self, branch_self>
 //                                                       (once per source)
-//   on echo   (branch valid at sender's index) from > (n+f)/2 distinct:
+//   member, on echo (branch valid at sender's position)
+//             from > (m+f)/2 distinct members:
 //             broadcast <ready, src, H(root ‖ |v|)>
-//   on ready  from f+1 distinct:  broadcast <ready, src, H(root ‖ |v|)>
-//   on ready  from 2f+1 distinct AND ≥ k branch-valid fragments:
+//   member, on ready from f+1 distinct members:
+//             broadcast <ready, src, H(root ‖ |v|)>
+//   anyone, on ready from 2f+1 distinct members AND ≥ k branch-valid
+//             member fragments:
 //             decode; re-encode; recompute root; deliver iff it matches
+//
+// Initials, echoes and readies from outside E never count.
 //
 // The re-encode check makes deliver/no-deliver a deterministic function
 // of the root: if any k root-consistent fragments decode to a value
@@ -28,28 +35,30 @@
 // sizes forms two independent flows, and fragment lengths are validated
 // against ⌈|v|/k⌉ before counting.
 //
-// Quorum math (n > 3f): an echo quorum > (n+f)/2 contains > (n−f)/2 ≥
-// f+1 = k correct processes, each broadcasting its branch-valid fragment
-// to everyone — so whenever any correct process delivers, every correct
-// process eventually holds ≥ k fragments and the 2f+1 readies totality
-// needs. Word ledger, exact: with L = ⌈⌈|v|/k⌉/8⌉ fragment words and
-// B = λ·(branch digests), initial = 1+L+B per process, echo = 1+λ+L+B,
-// ready = 1+λ. The n² term carries hashes only — O(n·|v| + n²·λ·log n)
-// total, the sub-quadratic dissemination bill the paper's multivalued
-// extension assumes.
+// Quorum math (m ≥ 3f + 1, at most f faulty members): an echo quorum
+// > (m+f)/2 contains > (m−f)/2 ≥ f+1 = k correct members, each
+// broadcasting its branch-valid fragment to everyone — so whenever any
+// correct process delivers, every correct process eventually holds ≥ k
+// fragments and the 2f+1 member readies totality needs. Word ledger,
+// exact: with L = ⌈⌈|v|/k⌉/8⌉ fragment words and B = λ·(branch digests
+// of an m-leaf tree), initial = 1+L+B per member, echo = 1+λ+L+B and
+// ready = 1+λ, each sent by the m members to all n. The m·n term carries
+// fragments of |v|/(f+1) and hashes — O(n·|v| + f·n·λ·log f) total, the
+// sub-quadratic dissemination bill the paper's multivalued extension
+// assumes.
 //
 // Verify once, store once. Both checks are pure functions of bytes every
 // correct receiver sees identically, so their verdicts go through a
 // crypto::VerdictMemo (Config::memo; shared by every process of a log
 // run via coin::BatchVerifier::rbc_memo(), private per instance when
 // null):
-//   - echo branch: key (n, echoer index, claimed root, |v|, fragment,
+//   - echo branch: key (m, echoer position, claimed root, |v|, fragment,
 //     branch), verdict "implied root == claimed root". The echoer's own
 //     initial check already decided its echo, so it stores the verdict
 //     before broadcasting and no receiver recomputes an honest echo.
 //     The fingerprint comes from the root, index and size only: fragments
 //     of one value share prefixes and fingerprint poorly.
-//   - consistency: key (n, k, source, root, decoded value), verdict
+//   - consistency: key (m, k, source, root, decoded value), verdict
 //     "re-encoding reproduces the root". Decoding stays per receiver; a
 //     hit skips the re-encode and the tree build (kRbcEncodes counts
 //     only real encodes). The source is in the key although the verdict
@@ -62,12 +71,13 @@
 // sees, and fragments are kept as views into the echo payloads.
 //
 // Cost ledger per broadcast, with a shared memo: one branch check per
-// echoer (the n² receiver checks hit), one encode and tree build at the
+// echoer (the m·n receiver checks hit), one encode and tree build at the
 // source, one decode and one composite hash per receiver, and one
 // re-encode and tree build per distinct decoded value. With private
-// memos each receiver instead pays n branch checks and its own re-encode.
+// memos each receiver instead pays m branch checks and its own re-encode.
 //
-// GF(2^8) caps n at 255; larger cohorts must use the Bracha backend.
+// GF(2^8) caps the code at 255 fragments, so m = 3f + 1 ≤ 255 (f ≤ 84);
+// n itself is uncapped.
 #pragma once
 
 #include <cstdint>
@@ -116,8 +126,8 @@ class EcBroadcast final : public Broadcast {
     crypto::Digest root{};  // learned with the first valid echo
     std::uint64_t value_size = 0;
     bool have_root = false;
-    // Branch-valid fragments by echoer index (n slots once the first
-    // arrives); dropped once the source is delivered or the flow
+    // Branch-valid fragments by echoer position in E (m slots once the
+    // first arrives); dropped once the source is delivered or the flow
     // poisoned (nothing decodes them again).
     std::vector<Fragment> fragments;
     std::size_t fragment_count = 0;
@@ -143,8 +153,8 @@ class EcBroadcast final : public Broadcast {
   crypto::Digest held_key(sim::ProcessId source, BytesView root,
                           std::uint64_t value_size);
 
-  /// Memoised echo check: `branch` places `fragment` at leaf `index`
-  /// under `root`.
+  /// Memoised echo check: `branch` places `fragment` at leaf `index` (the
+  /// echoer's position in E) under `root`.
   bool branch_valid(std::size_t index, BytesView root,
                     std::uint64_t value_size, BytesView fragment,
                     BytesView branch);
@@ -158,7 +168,7 @@ class EcBroadcast final : public Broadcast {
   void maybe_send_ready(sim::Context& ctx, Flow& flow);
   void maybe_deliver(sim::Context& ctx, Flow& flow);
 
-  /// Branch words: λ per digest on the sibling path of an n-leaf tree.
+  /// Branch words: λ per digest on the sibling path of an m-leaf tree.
   std::size_t branch_words(std::size_t branch_len) const {
     return kDigestWords * branch_len;
   }
@@ -167,7 +177,8 @@ class EcBroadcast final : public Broadcast {
   DeliverFn on_deliver_;
   std::unique_ptr<crypto::VerdictMemo> own_memo_;  // when cfg_.memo is null
   crypto::VerdictMemo* memo_;
-  crypto::ReedSolomon rs_;  // k = f+1
+  EchoSet echo_set_;
+  crypto::ReedSolomon rs_;  // m = |E| fragments, k = f+1
   sim::Tag tag_initial_;
   sim::Tag tag_echo_;
   sim::Tag tag_ready_;

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/errors.h"
 #include "common/ser.h"
 #include "crypto/sha256.h"
+#include "sim/observer.h"
 #include "sim/simulation.h"
 
 namespace coincidence::ba {
@@ -266,6 +272,189 @@ TEST_F(RbcDigestReuse, DuplicateEchoCountsOnce) {
   echo(3, held_);
   sim_.run();
   EXPECT_EQ(host().readies_sent, 1u);  // the third distinct echoer
+}
+
+TEST(EchoSet, AtNEquals3fPlus1EveryProcessIsAMemberInIdOrder) {
+  const EchoSet e(7, 2);
+  ASSERT_EQ(e.size(), 7u);
+  for (sim::ProcessId s = 0; s < 7; ++s) {
+    for (sim::ProcessId p = 0; p < 7; ++p) {
+      EXPECT_TRUE(e.contains(s, p)) << s << "," << p;
+      EXPECT_EQ(e.index(s, p), p);
+      EXPECT_EQ(e.member(s, p), p);
+    }
+  }
+}
+
+TEST(EchoSet, WindowStartsAtTheSourceAndWrapsInIdOrder) {
+  // n = 16, f = 3: m = 10, and E(9) is 9..15 plus the wrapped 0..2.
+  const EchoSet e(16, 3);
+  ASSERT_EQ(e.size(), 10u);
+  std::vector<sim::ProcessId> members;
+  for (std::size_t j = 0; j < e.size(); ++j) members.push_back(e.member(9, j));
+  EXPECT_EQ(members, (std::vector<sim::ProcessId>{0, 1, 2, 9, 10, 11, 12, 13,
+                                                  14, 15}));
+  for (std::size_t j = 0; j < e.size(); ++j) {
+    EXPECT_TRUE(e.contains(9, members[j]));
+    EXPECT_EQ(e.index(9, members[j]), j);
+  }
+  for (sim::ProcessId p = 3; p < 9; ++p) EXPECT_FALSE(e.contains(9, p)) << p;
+  EXPECT_FALSE(e.contains(9, 16));  // out of range is never a member
+  // An echo quorum is > (m + f)/2 = 6.5 members.
+  EXPECT_FALSE(e.echo_quorum(6));
+  EXPECT_TRUE(e.echo_quorum(7));
+}
+
+/// Records which processes correct senders address initials to, and who
+/// sends echoes and readies.
+class RoleLog final : public sim::Observer {
+ public:
+  void on_send(const sim::Message& msg, bool sender_correct) override {
+    if (!sender_correct) return;
+    const std::string& tag = msg.tag.str();
+    if (tag == "rbc/initial") initial_to.insert(msg.to);
+    if (tag == "rbc/echo" || tag == "rbc/ready") echoers.insert(msg.from);
+  }
+  std::set<sim::ProcessId> initial_to;
+  std::set<sim::ProcessId> echoers;
+};
+
+TEST(Rbc, NonMemberWithoutAnInitialDeliversFromMembersEchoes) {
+  // n = 16, f = 3: E(9) = {0, 1, 2, 9, ..., 15}. Processes 3..8 get no
+  // initial and neither echo nor ready, yet deliver from the members'
+  // payload-bearing echoes and readies.
+  constexpr sim::ProcessId kSource = 9;
+  sim::SimConfig cfg;
+  cfg.n = 16;
+  cfg.seed = 21;
+  sim::Simulation sim(cfg);
+  for (sim::ProcessId i = 0; i < 16; ++i) {
+    std::optional<Bytes> send;
+    if (i == kSource) send = bytes_of("windowed");
+    sim.add_process(std::make_unique<RbcHost>(rbc_cfg(16, 3), send));
+  }
+  auto roles = std::make_shared<RoleLog>();
+  sim.add_observer(roles);
+  sim.start();
+  sim.run();
+  const std::set<sim::ProcessId> members = {0, 1, 2, 9, 10, 11, 12, 13, 14, 15};
+  EXPECT_EQ(roles->initial_to, members);
+  EXPECT_EQ(roles->echoers, members);
+  for (sim::ProcessId i = 0; i < 16; ++i) {
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
+    ASSERT_EQ(host.delivered.count(kSource), 1u) << i;
+    EXPECT_EQ(host.delivered[kSource], bytes_of("windowed"));
+  }
+}
+
+TEST(Rbc, AllFFaultsInsideOneEchoSetKeepAgreementAndTotality) {
+  // n = 16, f = 3: E(0) = 0..9 holds all three faulty processes. The
+  // source equivocates, initial "a" to members 3..6 and "b" to 7..9;
+  // faulty 0..2 echo and ready both values to everyone. "a" gathers
+  // 4 correct + 3 faulty echoes, the > (m + f)/2 = 6.5 quorum; "b" gets
+  // 3 + 3 and three readies, one short of amplification. Every correct
+  // process delivers "a", non-members included.
+  sim::SimConfig cfg;
+  cfg.n = 16;
+  cfg.f = 3;
+  cfg.seed = 23;
+  sim::Simulation sim(cfg);
+  for (sim::ProcessId i = 0; i < 16; ++i)
+    sim.add_process(std::make_unique<RbcHost>(rbc_cfg(16, 3), std::nullopt));
+  for (sim::ProcessId i = 0; i < 3; ++i)
+    sim.corrupt(i, sim::FaultPlan::silent());
+  sim.start();
+  const Bytes a = bytes_of("a"), b = bytes_of("b");
+  for (sim::ProcessId to = 3; to < 10; ++to)
+    sim.inject(0, to, "rbc/initial", to <= 6 ? a : b, 1);
+  for (sim::ProcessId from = 0; from < 3; ++from) {
+    for (const Bytes& v : {a, b}) {
+      Writer echo;
+      echo.u32(0).blob(v);
+      const crypto::Digest d = crypto::sha256(v);
+      Writer ready;
+      ready.u32(0).blob(BytesView(d.data(), d.size()));
+      for (sim::ProcessId to = 3; to < 16; ++to) {
+        sim.inject(from, to, "rbc/echo", echo.bytes(), 2);
+        sim.inject(from, to, "rbc/ready", ready.bytes(), 3);
+      }
+    }
+  }
+  sim.run();
+  for (sim::ProcessId i = 3; i < 16; ++i) {
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
+    ASSERT_EQ(host.delivered.count(0), 1u) << i;
+    EXPECT_EQ(host.delivered[0], a) << i;
+  }
+}
+
+// Echo-set quorums: at n = 16, f = 3, E(15) = {0, ..., 8, 15}, so process
+// 0 is a member and 9..14 are not. Process 0 is the only correct
+// process; every other process's messages are scripted. An echo quorum
+// is 7 members, 4 member readies amplify and 7 deliver.
+class RbcEchoSet : public ::testing::Test {
+ protected:
+  static constexpr sim::ProcessId kSource = 15;
+
+  RbcEchoSet() : sim_(sim_cfg()) {
+    for (sim::ProcessId i = 0; i < 16; ++i)
+      sim_.add_process(
+          std::make_unique<RbcHost>(rbc_cfg(16, 3), std::nullopt));
+    for (sim::ProcessId i = 1; i < 16; ++i)
+      sim_.corrupt(i, sim::FaultPlan::silent());
+    sim_.start();
+  }
+
+  static sim::SimConfig sim_cfg() {
+    sim::SimConfig cfg;
+    cfg.n = 16;
+    cfg.f = 15;
+    cfg.seed = 25;
+    return cfg;
+  }
+
+  void echo(sim::ProcessId from) {
+    Writer w;
+    w.u32(kSource).blob(payload_);
+    sim_.inject(from, 0, "rbc/echo", w.bytes(), 1);
+  }
+  void ready(sim::ProcessId from) {
+    const crypto::Digest d = crypto::sha256(payload_);
+    Writer w;
+    w.u32(kSource).blob(BytesView(d.data(), d.size()));
+    sim_.inject(from, 0, "rbc/ready", w.bytes(), 1);
+  }
+  RbcHost& host() { return dynamic_cast<RbcHost&>(sim_.process(0)); }
+
+  const Bytes payload_ = bytes_of("echo-set payload");
+  sim::Simulation sim_;
+};
+
+TEST_F(RbcEchoSet, NonMemberEchoesNeverCompleteAQuorum) {
+  // Ten echoers, enough for a quorum of all n, but only four members.
+  for (sim::ProcessId from : {1, 2, 3, 4, 9, 10, 11, 12, 13, 14}) echo(from);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 0u);
+  for (sim::ProcessId from : {5, 6, 7}) echo(from);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 1u);  // the seventh member echo
+}
+
+TEST_F(RbcEchoSet, NonMemberReadiesNeitherAmplifyNorDeliver) {
+  echo(1);  // the payload, far short of a quorum
+  for (sim::ProcessId from = 9; from < 15; ++from) ready(from);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 0u);
+  EXPECT_EQ(host().delivered.count(kSource), 0u);
+  // f + 1 member readies amplify; with this process's own, five of 7.
+  for (sim::ProcessId from : {1, 2, 3, 4}) ready(from);
+  sim_.run();
+  EXPECT_EQ(host().readies_sent, 1u);
+  EXPECT_EQ(host().delivered.count(kSource), 0u);
+  for (sim::ProcessId from : {5, 6}) ready(from);
+  sim_.run();
+  ASSERT_EQ(host().delivered.count(kSource), 1u);
+  EXPECT_EQ(host().delivered[kSource], payload_);
 }
 
 TEST(Rbc, RequiresN3f) {

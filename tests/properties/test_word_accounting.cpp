@@ -198,17 +198,18 @@ TEST(WordAccounting, BaselinesMatchPublishedSchedules) {
 }
 
 TEST(WordAccounting, BrachaEcRbcMatchesPublishedSchedule) {
-  // The erasure-coded dissemination backend, audited at n=8 (a perfect
-  // Merkle tree, so every branch is exactly log2(8) = 3 digests):
-  //   initial = size word + ⌈⌈|v|/k⌉/8⌉ fragment words + λ·3 branch words
-  //   echo    = source word + λ root words + fragment + λ·3 branch words
+  // The erasure-coded dissemination backend, audited at n=16, f=5: the
+  // echo set is m = 3f + 1 = 16 processes, so the Merkle tree has 16
+  // leaves and every branch is exactly log2(16) = 4 digests:
+  //   initial = size word + ⌈⌈|v|/k⌉/8⌉ fragment words + λ·4 branch words
+  //   echo    = source word + λ root words + fragment + λ·4 branch words
   //   ready   = source word + λ composite-digest words.
-  // The 1-byte BA payload at k = f+1 = 3 gives 1-byte fragments.
-  const std::size_t n = 8, f = 2;
+  // The 1-byte BA payload at k = f+1 = 6 gives 1-byte fragments.
+  const std::size_t n = 16, f = 5;
   auto auditor =
       std::make_shared<WordAuditor>(std::map<std::string, std::size_t>{
-          {"initial", 1 + 1 + 4 * 3},
-          {"echo", 1 + 4 + 1 + 4 * 3},
+          {"initial", 1 + 1 + 4 * 4},
+          {"echo", 1 + 4 + 1 + 4 * 4},
           {"ready", 1 + 4},
       });
   sim::SimConfig cfg;
