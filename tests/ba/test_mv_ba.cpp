@@ -118,8 +118,8 @@ TEST(MultiValuedBaTest, DistinctProposalsAgreeOnOneValidValue) {
   // broadcast, and the run is pinned.
   EXPECT_EQ(proposer, 34u);
   EXPECT_EQ(first.rbc_delivered_count(), 4u);
-  EXPECT_EQ(run->sim.metrics().correct_words(), 235296u);
-  EXPECT_EQ(run->sim.deliveries(), 29652u);
+  EXPECT_EQ(run->sim.metrics().correct_words(), 169176u);
+  EXPECT_EQ(run->sim.deliveries(), 15220u);
   for (sim::ProcessId i = 0; i < env.n(); ++i) {
     const MultiValuedBa& p = run->at(i);
     EXPECT_EQ(p.decision(), first.decision());
