@@ -1,6 +1,7 @@
 #include "ba/mv_ba.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "coin/verify_queue.h"
@@ -10,6 +11,10 @@
 namespace coincidence::ba {
 
 MultiValuedBa::MultiValuedBa(Config cfg, Bytes proposal)
+    : MultiValuedBa(std::move(cfg),
+                    [p = std::move(proposal)] { return p; }) {}
+
+MultiValuedBa::MultiValuedBa(Config cfg, ProposalFn proposal)
     : cfg_(std::move(cfg)),
       proposal_(std::move(proposal)),
       delivered_(cfg_.params.n),
@@ -25,9 +30,16 @@ MultiValuedBa::MultiValuedBa(Config cfg, Bytes proposal)
   const std::size_t n = cfg_.params.n;
   std::vector<std::pair<std::uint64_t, sim::ProcessId>> keyed;
   keyed.reserve(n);
+  // Every rank hashes "<tag>/rank/<p>": absorb the shared prefix once and
+  // finish a copy of that state per pid.
+  crypto::Sha256 prefix;
+  prefix.update(bytes_of(cfg_.tag + "/rank/"));
   for (std::size_t p = 0; p < n; ++p) {
-    const crypto::Digest d =
-        crypto::sha256(bytes_of(cfg_.tag + "/rank/" + std::to_string(p)));
+    crypto::Sha256 h = prefix;
+    const std::string id = std::to_string(p);
+    h.update(BytesView(reinterpret_cast<const std::uint8_t*>(id.data()),
+                       id.size()));
+    const crypto::Digest d = h.finish();
     std::uint64_t key = 0;
     for (std::size_t i = 0; i < 8; ++i) key = (key << 8) | d[i];
     keyed.emplace_back(key, static_cast<sim::ProcessId>(p));
@@ -59,7 +71,7 @@ void MultiValuedBa::on_start(sim::Context& ctx) {
     quiet_until_ = due_at_ + k * cfg_.skip_timeout;
     ctx.schedule_wakeup(k * cfg_.skip_timeout);
   }
-  if (broadcaster(ctx.self())) rbc_->broadcast(ctx, proposal_);
+  if (broadcaster(ctx.self())) rbc_->broadcast(ctx, proposal_());
   pump(ctx);
 }
 

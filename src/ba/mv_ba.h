@@ -13,7 +13,9 @@
 //      candidates are ever examined, so nobody else broadcasts, and
 //      correct processes drop an initial from any other source before
 //      the backend sees it: no correct process echoes it, so it never
-//      delivers. A slot costs K RBCs, not n;
+//      delivers. A slot costs K RBCs, not n, and each RBC's echoes and
+//      readies come from its 3f + 1 echo set (broadcast.h), so a slot's
+//      dissemination is K·(3f+1)·n messages, not K·n²;
 //   2. candidates are examined in a deterministic pseudo-random order
 //      (rank by sha256(tag, pid) — no process can place itself first
 //      for a given instance tag without breaking the hash);
@@ -49,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,14 +81,20 @@ class MultiValuedBa final : public BaProcess {
     /// prefix.
     std::size_t max_candidates = 0;
     /// Dissemination backend for the proposal broadcasts (broadcast.h):
-    /// Bracha echoes the full value n² times, the erasure-coded backend
-    /// ships fragments + hashes. Identical delivery semantics.
+    /// Bracha's 3f + 1 echoers each send the full value to all n, the
+    /// erasure-coded backend ships fragments + hashes. Identical
+    /// delivery semantics.
     RbcBackend rbc = RbcBackend::kBracha;
   };
+
+  /// Builds this process's proposal; called once, at start, and only if
+  /// the process ranks among the K broadcasters.
+  using ProposalFn = std::function<Bytes()>;
 
   /// `proposal` is this process's value for the instance; it may be
   /// empty (an empty proposal is still a valid candidate payload).
   MultiValuedBa(Config cfg, Bytes proposal);
+  MultiValuedBa(Config cfg, ProposalFn proposal);
 
   void on_start(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, const sim::Message& msg) override;
@@ -138,7 +147,7 @@ class MultiValuedBa final : public BaProcess {
   void on_rbc_deliver(sim::ProcessId source, const Bytes& payload);
 
   Config cfg_;
-  Bytes proposal_;
+  ProposalFn proposal_;
   std::unique_ptr<Broadcast> rbc_;
   // Deterministic candidate examination order: pids sorted by
   // sha256(tag || "/rank/" || pid), ties by pid.

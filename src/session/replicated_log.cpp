@@ -101,8 +101,11 @@ void LogProcess::activate_slot(sim::Context& ctx) {
   activated_at_.push_back(ctx.now());
   decided_at_.push_back(0);
   committed_at_.push_back(0);
+  // Only the slot's K ranked broadcasters ever build their batch.
   slots_.activate(ctx, std::make_unique<ba::MultiValuedBa>(
-                           std::move(mcfg), batch_for(self_, k)));
+                           std::move(mcfg), [this, k] {
+                             return batch_for(self_, k);
+                           }));
 }
 
 crypto::Digest LogProcess::log_fingerprint() const {
