@@ -134,12 +134,13 @@ int main(int argc, char** argv) {
   // --- E16: multivalued replicated log (src/session). ------------------
   // Pipelined MvBa slots batching simulated client requests, run once
   // per dissemination backend (ba/broadcast.h). Under Bracha each slot
-  // pays K = min(f + 1, max_candidates) RBCs (4 at n = 48), each echoing
-  // the payload n^2 times, so words/slot is dissemination-dominated; the
-  // erasure-coded backend ships ⌈|v|/k⌉-word fragments plus λ·log n Merkle
-  // branches instead, which is where the O(n²·|v|) → O(n·|v| + n²·λ)
-  // headline comes from. The 64-request default batch (~2KB proposals)
-  // sits past the coded path's break-even (see E17 below for the sweep).
+  // pays K = min(f + 1, max_candidates) RBCs (4 at n = 48), each echoed
+  // to all n by its 3f + 1 echo set, so words/slot is
+  // dissemination-dominated; the erasure-coded backend ships ⌈|v|/k⌉-word
+  // fragments plus λ·log(3f + 1) Merkle branches instead, which is where
+  // the O(f·n·|v|) → O(n·|v| + f·n·λ) headline comes from. The 64-request
+  // default batch (~2KB proposals) sits past the coded path's break-even
+  // (see E17 below for the sweep).
   const auto log_slots_max =
       static_cast<std::size_t>(args.get_int("log-slots", 8));
   const auto log_batch =
@@ -197,7 +198,7 @@ int main(int argc, char** argv) {
   lt.print(std::cout);
   std::cout << "\nE16 words/slot: the coded backend wins only past its "
                "break-even payload size\n(per-echo Merkle branches cost "
-               "λ·log2(n) words regardless of |v|); the E17 sweep\nbelow "
+               "λ·log2(3f+1) words regardless of |v|); the E17 sweep\nbelow "
                "shows the crossover explicitly.\n";
 
   // --- E17: bracha-vs-ec words/slot over n and |v|. ---------------------
@@ -257,8 +258,9 @@ int main(int argc, char** argv) {
   // --- E18: the log probe, words/slot against n. -------------------------
   // Two pipelined slots of 64-request batches with two silent processes,
   // Bracha, seeds 1-2, at each n: a slot's K = min(f + 1, 8) broadcasts
-  // each echo n^2 times, so words/slot grows as K·n^2 and the fitted
-  // slope reads above 2 while K still grows with f. Candidates/slot is 1
+  // are each echoed to all n by a 3f + 1 echo set, so words/slot grows as
+  // K·(3f + 1)·n and the fitted slope reads above 2 while K and f still
+  // grow together. Candidates/slot is 1
   // when every slot adopts its first-ranked proposer. The cap binds from
   // n = 97 on (f = 7 at n = 96, so K = 8 either way), so n = 128 also
   // runs uncapped (K = f + 1 = 11, row "e18/n128/uncapped", left out of

@@ -27,11 +27,11 @@
 // ECHO, which is what makes this backend O(m·n·|v|) = O(f·n·|v|) —
 // rbc_ec.h is the coded alternative), and flows are tallied in a
 // FlatMap64 keyed by a 64-bit fold of (source, digest) instead of a
-// std::map that copied the whole payload into its keys. Delivery waits for both the 2f+1 ready
-// quorum and a payload-bearing echo: readies alone no longer identify
-// the value. Word ledger, exact: initial = 1+⌈|v|/8⌉ to each of the m
-// members, echo = initial+1 (source word) and ready = 1+λ, each sent by
-// the m members to all n.
+// std::map that copied the whole payload into its keys. Delivery waits
+// for both the 2f+1 ready quorum and a payload-bearing echo: readies
+// alone no longer identify the value. Word ledger, exact: initial =
+// 1+⌈|v|/8⌉ to each of the m members, echo = initial+1 (source word)
+// and ready = 1+λ, each sent by the m members to all n.
 //
 // Each distinct echo value is hashed once per process, not once per
 // echoer: an echo whose bytes equal a payload this process already holds
