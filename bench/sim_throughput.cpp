@@ -332,7 +332,8 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
 // ---------------------------------------------------------------------------
 // RBC dissemination workload (ISSUE 10): a fixed set of sources reliable-
 // broadcasts 1KB payloads to n processes, once per --rbc backend. Bracha
-// re-ships the full value in every echo (n² payload copies per source);
+// re-ships the full value in every echo ((3f + 1)·n payload copies per
+// source, with f = ⌊(n − 1)/3⌋ here, so nearly n²);
 // the erasure-coded backend ships ⌈|v|/k⌉-byte fragments plus Merkle
 // branches — the alloc/bytes-per-delivery columns are the message-plane
 // cost of that difference, with no BA or crypto on the profile (sha256
