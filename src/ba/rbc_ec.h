@@ -41,8 +41,8 @@
 // correct process delivers, every correct process eventually holds ≥ k
 // fragments and the 2f+1 member readies totality needs. Word ledger,
 // exact: with L = ⌈⌈|v|/k⌉/8⌉ fragment words and B = λ·(branch digests
-// of an m-leaf tree), initial = 1+L+B per member, echo = 1+λ+L+B and
-// ready = 1+λ, each sent by the m members to all n. The m·n term carries
+// of an m-leaf tree), initial = 1+L+B to each member, and echo =
+// 1+λ+L+B and ready = 1+λ, each sent by the m members to all n. The m·n term carries
 // fragments of |v|/(f+1) and hashes — O(n·|v| + f·n·λ·log f) total, the
 // sub-quadratic dissemination bill the paper's multivalued extension
 // assumes.
