@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/errors.h"
+#include "common/scratch_pool.h"
 #include "common/ser.h"
 
 namespace coincidence::ba {
@@ -17,57 +18,75 @@ std::size_t ok_words(std::size_t proof_entries) {
   return 2 + 2 * proof_entries;
 }
 
-Bytes make_echo_sign_bytes(const std::string& tag, Value v) {
-  Writer w;
+// The <tag|"echo"|v> preimage an echo(v) member signs.
+void put_echo_sign_bytes(Writer& w, std::string_view tag, Value v) {
   w.str(tag).str("echo").u8(v);
-  return w.take();
 }
+std::size_t echo_sign_size(std::string_view tag) {
+  return Writer::blob_size(tag.size()) + Writer::blob_size(4) + 1;
+}
+
+BytesView bytes_view(const std::string& s) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()),
+                   s.size());
+}
+
+constexpr std::array<Value, 3> kValues = {kZero, kOne, kBot};
 }  // namespace
 
-Approver::Approver(Config cfg, Value input, DoneFn on_done)
-    : cfg_(std::move(cfg)),
+struct Approver::OkQueue {
+  std::vector<PendingOk> oks;
+  std::vector<OkProofEntry> entries;  // W per unknown certificate
+};
+
+struct Approver::OkFlush {
+  std::vector<committee::Sampler::ValCheck> checks;
+  std::vector<char> elected;  // verdict per check
+  std::vector<crypto::SigBatchEntry> sigs;
+  std::vector<char> verdicts;          // verdict per signature
+  std::vector<std::size_t> sig_ok_of;  // ok index per W-entry sig group
+};
+
+Approver::Approver(const Config& cfg, Value input, DoneFn on_done)
+    : setup_(cfg),
       input_(input),
       on_done_(std::move(on_done)),
-      tag_init_(cfg_.tag + "/init"),
-      tag_echo_(cfg_.tag + "/echo"),
-      tag_ok_(cfg_.tag + "/ok"),
-      init_seed_(cfg_.tag + "/init"),
-      ok_seed_(cfg_.tag + "/ok"),
-      ok_seed_bytes_(bytes_of(ok_seed_)),
-      echo_seeds_{cfg_.tag + "/echo/" + value_name(kZero),
-                  cfg_.tag + "/echo/" + value_name(kOne),
-                  cfg_.tag + "/echo/" + value_name(kBot)},
-      echo_sign_bytes_{make_echo_sign_bytes(cfg_.tag, kZero),
-                       make_echo_sign_bytes(cfg_.tag, kOne),
-                       make_echo_sign_bytes(cfg_.tag, kBot)} {
+      tag_(cfg.tag),
+      tag_init_(sim::join_tag(cfg.tag, "/init")),
+      tag_echo_(sim::join_tag(cfg.tag, "/echo")),
+      tag_ok_(sim::join_tag(cfg.tag, "/ok")),
+      sign_len_(echo_sign_size(cfg.tag)),
+      stride_(cfg.params.n) {
   COIN_REQUIRE(is_valid_value(input), "Approver: input must be 0, 1 or bot");
-  COIN_REQUIRE(cfg_.registry && cfg_.sampler && cfg_.signer && cfg_.batcher,
+  COIN_REQUIRE(setup_.registry && setup_.sampler && setup_.signer &&
+                   setup_.batcher,
                "Approver: missing crypto environment");
-  COIN_REQUIRE(cfg_.params.W > cfg_.params.B,
+  COIN_REQUIRE(setup_.params.W > setup_.params.B,
                "Approver: W must exceed B (S5/S6 need the gap)");
-  // Size every sender bitmap to n and every per-value echo store to W up
-  // front — the steady state allocates nothing per message.
-  for (Value v : {kZero, kOne, kBot}) {
-    init_seen_[v].resize(cfg_.params.n, false);
-    echo_seen_[v].resize(cfg_.params.n, false);
-    echoes_[v].reserve(cfg_.params.W);
+  Writer w;
+  w.reserve(kValues.size() * sign_len_);
+  for (Value v : kValues) {
+    echo_seeds_[v] = sim::join_tag(tag_echo_.str(), "/", value_name(v));
+    put_echo_sign_bytes(w, cfg.tag, v);
   }
-  ok_seen_.resize(cfg_.params.n, false);
-  parse_scratch_.reserve(cfg_.params.W);
-  distinct_scratch_.reserve(cfg_.params.W);
+  echo_sign_bytes_ = w.take();
+  seen_.assign(kRows * stride_, false);
 }
 
 Approver::~Approver() {
   // Round end / teardown: a retired approver drops its pending oks
   // unverified — its host already moved on. The ledger (enqueued ==
   // flushed + discarded) must still balance.
-  if (!pending_oks_.empty())
-    cfg_.batcher->note_discarded(pending_oks_.size());
+  if (!pending_) return;
+  setup_.batcher->note_discarded(pending_->oks.size());
+  pending_->oks.clear();  // drop the payload references
+  pending_->entries.clear();
+  ScratchPool<OkQueue>::give(std::move(pending_));
 }
 
 void Approver::start(sim::Context& ctx) {
-  auto init = cfg_.sampler->sample(ctx.self(), init_seed());
-  auto ok = cfg_.sampler->sample(ctx.self(), ok_seed());
+  auto init = setup_.sampler->sample(ctx.self(), init_seed());
+  auto ok = setup_.sampler->sample(ctx.self(), ok_seed());
   in_init_ = init.sampled;
   in_ok_ = ok.sampled;
   init_election_proof_ = std::move(init.proof);
@@ -75,6 +94,7 @@ void Approver::start(sim::Context& ctx) {
 
   if (in_init_) {
     Writer w;
+    w.reserve(1 + Writer::blob_size(init_election_proof_.size()));
     w.u8(input_).blob(init_election_proof_);
     ctx.broadcast(tag_init_, w.take(), kInitWords);
   }
@@ -87,13 +107,28 @@ bool Approver::handle(sim::Context& ctx, const sim::Message& msg) {
   return false;
 }
 
-bool Approver::mark_seen(std::vector<bool>& seen, crypto::ProcessId from) {
+BytesView Approver::ok_seed_bytes() const { return bytes_view(ok_seed()); }
+
+std::size_t Approver::pending_oks() const {
+  return pending_ ? pending_->oks.size() : 0;
+}
+
+bool Approver::mark_seen(std::size_t row, crypto::ProcessId from) {
   // Equivalent of set::insert().second; senders outside [0, n) (possible
-  // only in harnesses that size params.n below the simulation) grow the
-  // bitmap rather than being dropped, matching the old std::set.
-  if (from >= seen.size()) seen.resize(from + 1, false);
-  if (seen[from]) return false;
-  seen[from] = true;
+  // only in harnesses that size params.n below the simulation) widen
+  // every row rather than being dropped, matching the old std::set.
+  if (from >= stride_) {
+    const std::size_t wide = std::size_t{from} + 1;
+    std::vector<bool> grown(kRows * wide, false);
+    for (std::size_t r = 0; r < kRows; ++r)
+      for (std::size_t p = 0; p < stride_; ++p)
+        grown[r * wide + p] = seen_[r * stride_ + p];
+    seen_.swap(grown);
+    stride_ = wide;
+  }
+  auto bit = seen_[row * stride_ + from];
+  if (bit) return false;
+  bit = true;
   return true;
 }
 
@@ -109,21 +144,24 @@ bool Approver::handle_init(sim::Context& ctx, const sim::Message& msg) {
     return true;
   }
   if (!is_valid_value(v)) return true;
-  if (!cfg_.sampler->committee_val(init_seed(), msg.from, election))
+  if (!setup_.sampler->committee_val(init_seed(), msg.from, election))
     return true;
-  if (!mark_seen(init_seen_[v], msg.from)) return true;
+  if (!mark_seen(kInitRow + v, msg.from)) return true;
   ++init_count_[v];
-  if (init_count_[v] >= cfg_.params.B + 1) maybe_echo(ctx, v);
+  if (init_count_[v] >= setup_.params.B + 1) maybe_echo(ctx, v);
   return true;
 }
 
 void Approver::maybe_echo(sim::Context& ctx, Value v) {
   if (echoed_[v]) return;
   echoed_[v] = true;  // caches the negative so we don't re-sample
-  auto election = cfg_.sampler->sample(ctx.self(), echo_seed(v));
+  auto election = setup_.sampler->sample(ctx.self(), echo_seed(v));
   if (!election.sampled) return;
-  Bytes sig = cfg_.signer->sign(ctx.self(), echo_sign_bytes(v));
+  const crypto::Digest sig =
+      setup_.signer->sign_digest(ctx.self(), echo_sign_bytes(v));
   Writer w;
+  w.reserve(1 + Writer::blob_size(election.proof.size()) +
+            Writer::blob_size(sig.size()));
   w.u8(v).blob(election.proof).blob(sig);
   ctx.broadcast(tag_echo_, w.take(), kEchoWords);
 }
@@ -141,34 +179,44 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
     return true;
   }
   if (!is_valid_value(v)) return true;
-  if (!cfg_.sampler->committee_val(echo_seed(v), msg.from, election))
+  if (!setup_.sampler->committee_val(echo_seed(v), msg.from, election))
     return true;
   // The signature check answers from the run-wide SigMemo: a broadcast
   // ⟨echo,v⟩ reaches n receivers but its HMAC is recomputed once.
   // Verdicts are identical to Signer::verify.
-  const bool signed_by_sender = cfg_.batcher->check_signature(
-      {msg.from, BytesView(echo_sign_bytes(v)), sig});
+  const bool signed_by_sender =
+      setup_.batcher->check_signature({msg.from, echo_sign_bytes(v), sig});
   if (!signed_by_sender) return true;
-  if (!mark_seen(echo_seen_[v], msg.from)) return true;
+  if (!mark_seen(kEchoRow + v, msg.from)) return true;
+  if (!in_ok_ || sent_ok_) return true;  // no ok of ours will cite it
   // Retain the delivered buffer by refcount; signature and election stay
   // views into it — no deep copy (the old code copied both blobs).
-  echoes_[v].push_back({msg.from, msg.payload, sig, election});
-  if (echoes_[v].size() >= cfg_.params.W) maybe_ok(ctx, v);
+  std::vector<SignedEcho>& echoes = echoes_[v];
+  if (echoes.empty()) echoes.reserve(setup_.params.W);
+  echoes.push_back({msg.from, msg.payload, sig, election});
+  if (echoes.size() >= setup_.params.W) maybe_ok(ctx, v);
   return true;
 }
 
 void Approver::maybe_ok(sim::Context& ctx, Value v) {
   if (sent_ok_ || !in_ok_) return;
   sent_ok_ = true;
+  const std::size_t W = setup_.params.W;
+  const std::vector<SignedEcho>& proof = echoes_[v];
+  std::size_t size = 1 + Writer::blob_size(ok_election_proof_.size()) + 4;
+  for (std::size_t i = 0; i < W; ++i)
+    size += 4 + Writer::blob_size(proof[i].signature.size()) +
+            Writer::blob_size(proof[i].election_proof.size());
   Writer w;
+  w.reserve(size);
   w.u8(v).blob(ok_election_proof_);
-  const auto& proof = echoes_[v];
-  w.u32(static_cast<std::uint32_t>(cfg_.params.W));
-  for (std::size_t i = 0; i < cfg_.params.W; ++i) {
+  w.u32(static_cast<std::uint32_t>(W));
+  for (std::size_t i = 0; i < W; ++i) {
     w.u32(proof[i].sender).blob(proof[i].signature).blob(
         proof[i].election_proof);
   }
-  ctx.broadcast(tag_ok_, w.take(), ok_words(cfg_.params.W));
+  ctx.broadcast(tag_ok_, w.take(), ok_words(W));
+  echoes_[v] = {};  // the ok is out; its echoes are no longer needed
 }
 
 std::optional<Approver::OkHead> Approver::parse_ok_head(BytesView payload,
@@ -189,10 +237,9 @@ std::optional<Approver::OkHead> Approver::parse_ok_head(BytesView payload,
 }
 
 bool Approver::parse_ok_entries(BytesView entries, std::size_t W,
-                                std::vector<OkProofEntry>& out,
-                                std::vector<crypto::ProcessId>& ids) {
+                                std::vector<OkProofEntry>& out) {
   // Entries borrow from the message buffer; nothing is copied.
-  out.clear();
+  const std::size_t first = out.size();
   try {
     Reader r(entries);
     for (std::size_t i = 0; i < W; ++i) {
@@ -204,26 +251,28 @@ bool Approver::parse_ok_entries(BytesView entries, std::size_t W,
     }
     r.done();
   } catch (const CodecError&) {
+    out.resize(first);
     return false;
   }
   // The embedded echoes must come from W *distinct* senders. Sort a
   // scratch of ids and scan for an adjacent duplicate.
+  thread_local std::vector<crypto::ProcessId> ids;
   ids.clear();
-  for (const OkProofEntry& e : out) ids.push_back(e.sender);
+  for (std::size_t i = first; i < out.size(); ++i) ids.push_back(out[i].sender);
   std::sort(ids.begin(), ids.end());
-  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
+  if (std::adjacent_find(ids.begin(), ids.end()) == ids.end()) return true;
+  out.resize(first);
+  return false;
 }
 
 bool Approver::check_cert(const coin::Setup& setup,
-                          const std::string& echo_seed,
-                          const Bytes& signed_bytes,
-                          const std::vector<OkProofEntry>& entries) {
+                          const std::string& echo_seed, BytesView signed_bytes,
+                          std::span<const OkProofEntry> entries) {
   for (const OkProofEntry& e : entries)
     if (!setup.sampler->committee_val(echo_seed, e.sender, e.election_proof))
       return false;
   for (const OkProofEntry& e : entries)
-    if (!setup.batcher->check_signature(
-            {e.sender, BytesView(signed_bytes), e.signature}))
+    if (!setup.batcher->check_signature({e.sender, signed_bytes, e.signature}))
       return false;
   return true;
 }
@@ -236,27 +285,35 @@ std::uint64_t Approver::cert_fingerprint(const OkHead& head,
 
 std::optional<bool> Approver::lookup_cert(std::uint64_t fp,
                                           BytesView payload) const {
-  return cfg_.batcher->ok_memo().lookup(fp,
-                                        {BytesView(ok_seed_bytes_), payload});
+  return setup_.batcher->ok_memo().lookup(fp, {ok_seed_bytes(), payload});
 }
 
 bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
   if (done_) return true;
   const std::optional<OkHead> head =
-      parse_ok_head(msg.payload, cfg_.params.W);
+      parse_ok_head(msg.payload, setup_.params.W);
   if (!head) return true;
 
   // Senders already counted for the phase drop here: a verified ok from
   // them would fail mark_seen with no state change. Senders with only
   // PENDING oks must still enqueue — their queued ok might fail
   // verification where this one passes.
-  if (msg.from < ok_seen_.size() && ok_seen_[msg.from]) return true;
+  if (seen(kOkRow, msg.from)) return true;
   PendingOk ok;
   ok.buf = msg.payload;  // refcount bump keeps every view alive
   ok.sender = msg.from;
   ok.v = head->v;
   ok.election = head->election;
   ok.cert_fp = cert_fingerprint(*head, msg.payload.size());
+  if (!pending_) {
+    pending_ = ScratchPool<OkQueue>::take();
+    // The queue flushes by min(W, kWatermark) oks; a new one is sized
+    // for that once.
+    const std::size_t most =
+        std::min(setup_.params.W, coin::BatchVerifier::kWatermark);
+    pending_->oks.reserve(most);
+    pending_->entries.reserve(most * setup_.params.W);
+  }
   // The memo holds only certificates that parsed, so a hit (even a
   // negative one) is an ok the parse below would have enqueued.
   if (const std::optional<bool> hit = lookup_cert(ok.cert_fp, msg.payload)) {
@@ -264,15 +321,12 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
   } else {
     // A malformed certificate or a repeated echo sender drops here, the
     // only stateless filter cheaper than a verification.
-    if (!parse_ok_entries(head->entries, cfg_.params.W, parse_scratch_,
-                          distinct_scratch_))
+    ok.first_entry = pending_->entries.size();
+    if (!parse_ok_entries(head->entries, setup_.params.W, pending_->entries))
       return true;
-    ok.first_entry = pending_entries_.size();
-    pending_entries_.insert(pending_entries_.end(), parse_scratch_.begin(),
-                            parse_scratch_.end());
   }
-  pending_oks_.push_back(std::move(ok));
-  cfg_.batcher->note_enqueued();
+  pending_->oks.push_back(std::move(ok));
+  setup_.batcher->note_enqueued();
   if (should_flush()) flush_ok_queue(ctx);
   return true;
 }
@@ -280,20 +334,21 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
 void Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                         const SharedBytes& buf) {
   if (done_) return;  // state no-op (a flush past the threshold)
-  if (!mark_seen(ok_seen_, sender)) return;
+  if (!mark_seen(kOkRow, sender)) return;
+  if (applied_oks_.empty()) applied_oks_.reserve(setup_.params.W);
   applied_oks_.push_back({sender, v, buf});
   ++ok_count_;
   ok_mask_ |= static_cast<std::uint8_t>(1u << v);
-  if (ok_count_ == cfg_.params.W) {
+  if (ok_count_ == setup_.params.W) {
     done_ = true;
     // Output event: the vals set encoded as a bitmask (bit v for value v).
     int mask = 0;
-    for (Value val : {kZero, kOne, kBot})
+    for (Value val : kValues)
       if (ok_mask_ & (1u << val)) {
         ok_values_.insert(val);
         mask |= 1 << static_cast<int>(val);
       }
-    ctx.note_decide(cfg_.tag, mask, 0);
+    ctx.note_decide(tag_, mask, 0);
     if (on_done_) on_done_(ok_values_);
   }
 }
@@ -302,22 +357,22 @@ bool Approver::should_flush() const {
   // Candidate threshold (see verify_queue.h): if the pending oks could
   // carry the count across W, flush now so done fires in this delivery
   // frame.
-  if (!done_ && ok_count_ + pending_oks_.size() >= cfg_.params.W) return true;
-  return pending_oks_.size() >= coin::BatchVerifier::kWatermark;
+  if (!done_ && ok_count_ + pending_oks() >= setup_.params.W) return true;
+  return pending_oks() >= coin::BatchVerifier::kWatermark;
 }
 
 void Approver::flush_ok_queue(sim::Context& ctx) {
-  // Swap (not move) so both the pending queue and the flush scratch keep
-  // their capacity across flushes.
-  flush_oks_.clear();
-  flush_entries_.clear();
-  std::swap(flush_oks_, pending_oks_);
-  std::swap(flush_entries_, pending_entries_);
-  std::vector<PendingOk>& oks = flush_oks_;
-  const std::vector<OkProofEntry>& entries = flush_entries_;
-  cfg_.batcher->note_flushed(oks.size());
+  // The queue leaves the approver, and the flush leases its buffers: a
+  // completion callback below may start (and flush) another approver,
+  // which takes a queue and buffers of its own.
+  std::unique_ptr<OkQueue> queue = std::move(pending_);
+  std::vector<PendingOk>& oks = queue->oks;
+  const std::vector<OkProofEntry>& entries = queue->entries;
+  ScratchLease<OkFlush> lease;
+  OkFlush& s = *lease;
+  setup_.batcher->note_flushed(oks.size());
 
-  const std::size_t W = cfg_.params.W;
+  const std::size_t W = setup_.params.W;
 
   // Look up again: most receivers queue a certificate before any of them
   // has flushed it, so an arrival miss is often a hit by now.
@@ -330,33 +385,33 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
   // W embedded echo elections of each unknown certificate. Checking past
   // a certificate's first failure changes no verdict (committee_val is
   // pure), only cache population.
-  check_scratch_.clear();
+  s.checks.clear();
   for (PendingOk& ok : oks) {
     if (ok.cert == Cert::kInvalid) continue;
-    ok.first_check = check_scratch_.size();
-    check_scratch_.push_back(
+    ok.first_check = s.checks.size();
+    s.checks.push_back(
         committee::Sampler::ValCheck{&ok_seed(), ok.sender, ok.election});
     if (ok.cert == Cert::kValid) continue;
     ok.checked = true;
     for (std::size_t j = 0; j < W; ++j) {
       const OkProofEntry& e = entries[ok.first_entry + j];
-      check_scratch_.push_back(committee::Sampler::ValCheck{
+      s.checks.push_back(committee::Sampler::ValCheck{
           &echo_seed(ok.v), e.sender, e.election_proof});
     }
   }
-  if (!check_scratch_.empty())
-    cfg_.batcher->verify_elections(check_scratch_, election_ok_scratch_);
+  if (!s.checks.empty())
+    setup_.batcher->verify_elections(s.checks, s.elected);
 
   // Signatures enter the batch only for certificates whose echo
   // elections all passed (elections before signatures, as check_cert).
-  sig_scratch_.clear();
-  sig_ok_of_scratch_.clear();  // ok index per W-entry sig group
+  s.sigs.clear();
+  s.sig_ok_of.clear();
   for (std::size_t i = 0; i < oks.size(); ++i) {
     PendingOk& ok = oks[i];
     if (ok.cert != Cert::kUnknown) continue;
     bool elected = true;
     for (std::size_t j = 1; j <= W; ++j)
-      if (!election_ok_scratch_[ok.first_check + j]) {
+      if (!s.elected[ok.first_check + j]) {
         elected = false;
         break;
       }
@@ -364,43 +419,45 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
       ok.cert = Cert::kInvalid;
       continue;
     }
-    const Bytes& expected = echo_sign_bytes(ok.v);
+    const BytesView expected = echo_sign_bytes(ok.v);
     for (std::size_t j = 0; j < W; ++j) {
       const OkProofEntry& e = entries[ok.first_entry + j];
-      sig_scratch_.push_back(
-          crypto::SigBatchEntry{e.sender, BytesView(expected), e.signature});
+      s.sigs.push_back(crypto::SigBatchEntry{e.sender, expected, e.signature});
     }
-    sig_ok_of_scratch_.push_back(i);
+    s.sig_ok_of.push_back(i);
   }
   coin::BatchVerifier::FlushStats stats =
-      cfg_.batcher->verify_signatures(sig_scratch_, verdict_scratch_);
-  for (std::size_t k = 0; k < sig_ok_of_scratch_.size(); ++k) {
+      setup_.batcher->verify_signatures(s.sigs, s.verdicts);
+  for (std::size_t k = 0; k < s.sig_ok_of.size(); ++k) {
     bool all = true;
     for (std::size_t j = 0; j < W; ++j)
-      if (!verdict_scratch_[k * W + j]) {
+      if (!s.verdicts[k * W + j]) {
         all = false;
         break;
       }
-    oks[sig_ok_of_scratch_[k]].cert = all ? Cert::kValid : Cert::kInvalid;
+    oks[s.sig_ok_of[k]].cert = all ? Cert::kValid : Cert::kInvalid;
   }
   ctx.count(sim::Counter::kSigVerifyFlushes, 1);
-  ctx.count(sim::Counter::kSigVerifySigs, sig_scratch_.size());
+  ctx.count(sim::Counter::kSigVerifySigs, s.sigs.size());
   ctx.count(sim::Counter::kSigVerifyRejects, stats.rejects);
   ctx.count(sim::Counter::kSigVerifyMemoHits, stats.memo_hits);
 
   // Store the verdict of every certificate checked here. The write holds
-  // the payload by refcount and owns its seed bytes: this approver may
-  // retire before a deferred write applies.
-  crypto::VerdictMemo& memo = cfg_.batcher->ok_memo();
+  // the payload by refcount (and, when deferred, owns its seed bytes):
+  // this approver may retire before a deferred write applies.
+  crypto::VerdictMemo& memo = setup_.batcher->ok_memo();
   for (const PendingOk& ok : oks)
     if (ok.checked)
-      memo.store_retained(ok.cert_fp, ok_seed_bytes_, ok.buf, ok.buf,
+      memo.store_retained(ok.cert_fp, ok_seed_bytes(), ok.buf, ok.buf,
                           ok.cert == Cert::kValid);
 
   // Apply survivors in arrival order, each through apply_ok's guards.
   for (const PendingOk& ok : oks)
-    if (ok.cert == Cert::kValid && election_ok_scratch_[ok.first_check])
+    if (ok.cert == Cert::kValid && s.elected[ok.first_check])
       apply_ok(ctx, ok.sender, ok.v, ok.buf);
+  oks.clear();  // drop the payload references
+  queue->entries.clear();
+  ScratchPool<OkQueue>::give(std::move(queue));
 }
 
 std::optional<Value> Approver::verify_ok_payload(
@@ -408,23 +465,27 @@ std::optional<Value> Approver::verify_ok_payload(
     crypto::ProcessId sender, const SharedBytes& owner, BytesView payload) {
   const std::optional<OkHead> head = parse_ok_head(payload, setup.params.W);
   if (!head) return std::nullopt;
-  const std::string ok_seed = approver_tag + "/ok";
+  const std::string& ok_seed = sim::join_tag(approver_tag, "/ok").str();
   if (!setup.sampler->committee_val(ok_seed, sender, head->election))
     return std::nullopt;
 
   // A memo hit answers for the whole certificate; the memo holds only
   // certificates that parsed.
-  const Bytes seed_bytes = bytes_of(ok_seed);
+  const BytesView seed_bytes = bytes_view(ok_seed);
   const std::uint64_t fp = cert_fingerprint(*head, payload.size());
   std::optional<bool> valid =
-      setup.batcher->ok_memo().lookup(fp, {BytesView(seed_bytes), payload});
+      setup.batcher->ok_memo().lookup(fp, {seed_bytes, payload});
   if (!valid) {
-    std::vector<OkProofEntry> entries;
-    std::vector<crypto::ProcessId> ids;
-    if (!parse_ok_entries(head->entries, setup.params.W, entries, ids))
+    thread_local std::vector<OkProofEntry> entries;
+    entries.clear();
+    if (!parse_ok_entries(head->entries, setup.params.W, entries))
       return std::nullopt;
-    valid = check_cert(setup, approver_tag + "/echo/" + value_name(head->v),
-                       make_echo_sign_bytes(approver_tag, head->v), entries);
+    Writer w;
+    put_echo_sign_bytes(w, approver_tag, head->v);
+    valid = check_cert(
+        setup,
+        sim::join_tag(approver_tag, "/echo/", value_name(head->v)).str(),
+        w.bytes(), entries);
     setup.batcher->ok_memo().store_retained(fp, seed_bytes, owner, payload,
                                             *valid);
   }

@@ -19,10 +19,17 @@
 // (Lemmas 6.2–6.4). Word complexity O(nλ²) — the λ² comes from the W
 // signatures inside each ok message.
 //
-// Hot-path notes: echo payload fields are retained as SharedBytes
-// aliases of the delivered buffer (never deep copied), the <echo,v>
-// signing strings are hoisted into members, and all per-value/per-sender
-// tracking uses flat arrays and bitmaps. Through the run's
+// Hot-path notes. A delivery allocates nothing in the steady state:
+// echo payload fields are retained as SharedBytes aliases of the
+// delivered buffer (never deep copied), the committee seeds are the
+// interned tag strings "<tag>/init", "<tag>/echo/<v>" and "<tag>/ok"
+// (sim/tag_table.h: built once per process, then looked up), the three
+// <echo,v> signing strings share one buffer, all per-value/per-sender
+// tracking lives in one bitmap, and a flush borrows its buffers from a
+// per-thread ScratchLease (common/scratch_pool.h). What an instance
+// still allocates is a handful of buffers sized once: its bitmap and
+// signing strings at construction, and its echo, applied-ok and pending
+// queues at first use. Through the run's
 // coin::BatchVerifier, an <ok> certificate (its W signed echoes and
 // their elections) is checked once per run: all n receivers of one
 // broadcast get the same bytes, so its verdict goes into the run-wide
@@ -43,6 +50,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,8 +84,9 @@ class Approver {
     SharedBytes buf;
   };
 
-  /// `input` is this process's approve() argument (0, 1 or ⊥).
-  Approver(Config cfg, Value input, DoneFn on_done = {});
+  /// `input` is this process's approve() argument (0, 1 or ⊥). The
+  /// config is read, not kept: a host re-tags one Config per round.
+  Approver(const Config& cfg, Value input, DoneFn on_done = {});
   ~Approver();
 
   void start(sim::Context& ctx);
@@ -88,6 +97,9 @@ class Approver {
 
   /// The verified oks applied so far, in application order (at most W).
   const std::vector<AppliedOk>& applied_oks() const { return applied_oks_; }
+  /// Moves the applied oks out, for a host that keeps them past this
+  /// instance (a decision certificate); applied_oks() is empty after.
+  std::vector<AppliedOk> take_applied_oks() { return std::move(applied_oks_); }
 
   /// Stateless re-verification of a forwarded <ok> payload with the
   /// checks of handle_ok: parse, W distinct embedded senders, the
@@ -106,7 +118,7 @@ class Approver {
   bool in_init_committee() const { return in_init_; }
   bool in_ok_committee() const { return in_ok_; }
   bool sent_ok() const { return sent_ok_; }
-  std::size_t pending_oks() const { return pending_oks_.size(); }
+  std::size_t pending_oks() const;
 
  private:
   /// A collected signed echo. `buf` aliases the delivered message buffer
@@ -139,8 +151,8 @@ class Approver {
   enum class Cert : std::uint8_t { kUnknown, kValid, kInvalid };
 
   /// An <ok> awaiting its deferred verification sweep. An unknown
-  /// certificate's W proof entries live in
-  /// pending_entries_[first_entry, first_entry+W).
+  /// certificate's W proof entries live in its batch's
+  /// entries[first_entry, first_entry+W).
   struct PendingOk {
     SharedBytes buf;  // keeps every view alive
     crypto::ProcessId sender = 0;
@@ -150,25 +162,27 @@ class Approver {
     Cert cert = Cert::kUnknown;
     bool checked = false;  // verified (and stored) by this flush
     std::size_t first_entry = 0;
-    std::size_t first_check = 0;  // its sender election in check_scratch_
+    std::size_t first_check = 0;  // its sender election in the checks
   };
+
+  /// The pending oks, and the buffers of one flush.
+  struct OkQueue;
+  struct OkFlush;
 
   /// Parses the head of an <ok>: nothing on a malformed head, an invalid
   /// value or an entry count other than W.
   static std::optional<OkHead> parse_ok_head(BytesView payload,
                                              std::size_t W);
-  /// Parses the W proof entries into `out`; false when malformed or when
-  /// two entries share a sender. `ids` is scratch.
+  /// Appends the W proof entries to `out`; false (leaving `out` as it
+  /// was) when malformed or when two entries share a sender.
   static bool parse_ok_entries(BytesView entries, std::size_t W,
-                               std::vector<OkProofEntry>& out,
-                               std::vector<crypto::ProcessId>& ids);
+                               std::vector<OkProofEntry>& out);
   /// The certificate check without the ok memo: the W echo elections,
   /// then the W echo signatures (from the batcher's SigMemo),
   /// stopping at the first failure.
   static bool check_cert(const coin::Setup& setup,
-                         const std::string& echo_seed,
-                         const Bytes& signed_bytes,
-                         const std::vector<OkProofEntry>& entries);
+                         const std::string& echo_seed, BytesView signed_bytes,
+                         std::span<const OkProofEntry> entries);
   /// The ok-memo fingerprint: the head bits and the payload length. The
   /// entries are left out because honest oks embed the same echoes.
   static std::uint64_t cert_fingerprint(const OkHead& head,
@@ -176,16 +190,29 @@ class Approver {
   /// The cached verdict of the certificate in `payload`, if any.
   std::optional<bool> lookup_cert(std::uint64_t fp, BytesView payload) const;
 
-  const std::string& init_seed() const { return init_seed_; }
-  const std::string& echo_seed(Value v) const { return echo_seeds_[v]; }
-  const std::string& ok_seed() const { return ok_seed_; }
+  const std::string& init_seed() const { return tag_init_.str(); }
+  const std::string& echo_seed(Value v) const { return echo_seeds_[v].str(); }
+  const std::string& ok_seed() const { return tag_ok_.str(); }
+  /// ok_seed() as bytes, the first field of an ok-memo key.
+  BytesView ok_seed_bytes() const;
 
-  /// The byte string an echo(v) member signs (hoisted member).
-  const Bytes& echo_sign_bytes(Value v) const { return echo_sign_bytes_[v]; }
+  /// The byte string an echo(v) member signs.
+  BytesView echo_sign_bytes(Value v) const {
+    return BytesView(echo_sign_bytes_).subspan(v * sign_len_, sign_len_);
+  }
 
-  /// insert().second over a growable bitmap (same contract as the old
-  /// std::set: out-of-range senders grow the map, never dropped).
-  static bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
+  // Rows of the sender bitmap: init(v), echo(v) and ok.
+  static constexpr std::size_t kInitRow = 0;
+  static constexpr std::size_t kEchoRow = 3;
+  static constexpr std::size_t kOkRow = 6;
+  static constexpr std::size_t kRows = 7;
+  /// Whether `from` is marked in `row`.
+  bool seen(std::size_t row, crypto::ProcessId from) const {
+    return from < stride_ && seen_[row * stride_ + from];
+  }
+  /// insert().second over one row of the bitmap (same contract as the
+  /// old std::set: out-of-range senders widen the rows, never dropped).
+  bool mark_seen(std::size_t row, crypto::ProcessId from);
 
   void maybe_echo(sim::Context& ctx, Value v);
   void maybe_ok(sim::Context& ctx, Value v);
@@ -205,61 +232,47 @@ class Approver {
   void flush_ok_queue(sim::Context& ctx);
   bool should_flush() const;
 
-  Config cfg_;
+  coin::Setup setup_;
   Value input_;
   DoneFn on_done_;
 
-  // Interned tags, committee seeds and signing strings, built once at
-  // construction: handle() dispatches by integer id and the verifiers
-  // re-use the strings without per-message allocation.
+  // Interned tags, which double as the committee seeds: handle()
+  // dispatches by integer id and the verifiers take the tag strings.
+  sim::Tag tag_;  // the instance tag, the scope of its decide event
   sim::Tag tag_init_;
   sim::Tag tag_echo_;
   sim::Tag tag_ok_;
-  std::string init_seed_;
-  std::string ok_seed_;
-  Bytes ok_seed_bytes_;  // ok_seed_, the first field of an ok-memo key
-  std::array<std::string, 3> echo_seeds_;      // indexed by Value {0, 1, ⊥}
-  std::array<Bytes, 3> echo_sign_bytes_;       // <tag|"echo"|v> preimages
+  std::array<sim::Tag, 3> echo_seeds_;  // indexed by Value {0, 1, ⊥}
+  Bytes echo_sign_bytes_;  // the three <tag|"echo"|v> preimages, in order
+  std::size_t sign_len_ = 0;
 
   bool in_init_ = false;
   bool in_ok_ = false;
   Bytes init_election_proof_;
   Bytes ok_election_proof_;
 
-  // init phase: distinct init-committee senders per value (bitmap+count).
-  std::array<std::vector<bool>, 3> init_seen_;
+  // Distinct senders, kRows rows of stride_ bits.
+  std::vector<bool> seen_;
+  std::size_t stride_ = 0;
+
+  // init phase: distinct init-committee senders per value.
   std::array<std::uint32_t, 3> init_count_{};
   std::array<bool, 3> echoed_{};  // values this process already echoed
 
-  // echo phase: collected signed echoes per value.
+  // echo phase: signed echoes per value, kept only by an ok-committee
+  // member that has not sent its ok (nobody else reads them).
   std::array<std::vector<SignedEcho>, 3> echoes_;
-  std::array<std::vector<bool>, 3> echo_seen_;
   bool sent_ok_ = false;
 
   // ok phase.
-  std::vector<bool> ok_seen_;
   std::vector<AppliedOk> applied_oks_;  // counted oks, application order
   std::uint32_t ok_count_ = 0;
   std::uint8_t ok_mask_ = 0;       // bit v set ⟺ v carried by a valid ok
   std::set<Value> ok_values_;      // materialized from ok_mask_ at done
 
-  // Deferred-verification queue. pending_entries_ is the flat arena of
-  // proof entries, W per pending ok.
-  std::vector<PendingOk> pending_oks_;
-  std::vector<OkProofEntry> pending_entries_;
-
-  // Reused scratch (capacity persists across messages and flushes — the
-  // last avoidable allocations on the ok path). flush_oks_/flush_entries_
-  // swap with the pending queue so both sides keep their capacity.
-  std::vector<OkProofEntry> parse_scratch_;
-  std::vector<crypto::ProcessId> distinct_scratch_;
-  std::vector<PendingOk> flush_oks_;
-  std::vector<OkProofEntry> flush_entries_;
-  std::vector<committee::Sampler::ValCheck> check_scratch_;
-  std::vector<crypto::SigBatchEntry> sig_scratch_;
-  std::vector<char> election_ok_scratch_;
-  std::vector<char> verdict_scratch_;
-  std::vector<std::size_t> sig_ok_of_scratch_;
+  // Deferred-verification queue, taken from this thread's ScratchPool
+  // at the first pending ok and given back by the flush that empties it.
+  std::unique_ptr<OkQueue> pending_;
 
   bool done_ = false;
 };
@@ -268,8 +281,8 @@ class Approver {
 /// harness used by approver tests and the Fig. 1 bench.
 class ApproverHost final : public sim::Process {
  public:
-  ApproverHost(Approver::Config cfg, Value input)
-      : approver_(std::move(cfg), input) {}
+  ApproverHost(const Approver::Config& cfg, Value input)
+      : approver_(cfg, input) {}
 
   void on_start(sim::Context& ctx) override { approver_.start(ctx); }
   void on_message(sim::Context& ctx, const sim::Message& msg) override {

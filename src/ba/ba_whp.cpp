@@ -1,8 +1,11 @@
 #include "ba/ba_whp.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 #include "common/errors.h"
+#include "common/scratch_pool.h"
 #include "common/ser.h"
 #include "sim/snapshot.h"
 
@@ -28,6 +31,8 @@ std::size_t ok_entry_words(std::size_t W) { return 1 + 2 + 2 * W; }
 BaWhp::BaWhp(Config cfg, Value initial)
     : cfg_(std::move(cfg)),
       round_prefix_(cfg_.tag + "/"),
+      approver_cfg_{cfg_},
+      coin_cfg_{cfg_},
       initial_(initial),
       est_(initial) {
   COIN_REQUIRE(is_binary(initial), "BaWhp: initial value must be 0 or 1");
@@ -52,6 +57,8 @@ std::uint64_t BaWhp::decided_round() const {
   return decision_round_;
 }
 
+BaWhp::~BaWhp() { release_backlog(); }
+
 void BaWhp::on_start(sim::Context& ctx) {
   persist_now(ctx);
   begin_round(ctx);
@@ -62,15 +69,17 @@ void BaWhp::persist_now(sim::Context& ctx) {
   // safely. Mid-round progress (approver sets, coin queues) is
   // deliberately NOT persisted — losing it re-runs the round, which the
   // protocol tolerates; persisting it would have to capture sub-instance
-  // crypto state too.
-  Writer w;
+  // crypto state too. The state is encoded in a per-thread buffer, since
+  // persist() copies it out.
+  thread_local Bytes state;
+  Writer w(std::move(state));
   w.u64(round_);
   w.u8(static_cast<std::uint8_t>(est_));
   w.u8(decision_ ? 1 : 0);
   w.u8(decision_ ? static_cast<std::uint8_t>(*decision_) : 0);
   w.u64(decision_round_);
-  ctx.persist(
-      sim::StateSnapshot::pack(kSnapshotKind, kSnapshotVersion, w.take()));
+  state = w.take();
+  ctx.persist(sim::StateSnapshot::pack(kSnapshotKind, kSnapshotVersion, state));
 }
 
 void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
@@ -88,7 +97,7 @@ void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
   coin_.reset();
   retired_approvers_.clear();
   retired_coins_.clear();
-  backlog_.clear();
+  release_backlog();
   if (skip_enabled()) {
     skip_seen_.assign(skip_seen_.size(), false);
     skip_count_ = 0;
@@ -140,6 +149,7 @@ void BaWhp::begin_round(sim::Context& ctx) {
     phase_ = Phase::kHalted;
     if (approver_) retired_approvers_.push_back(std::move(approver_));
     if (coin_) retired_coins_.push_back(std::move(coin_));
+    release_backlog();  // a halted instance replays nothing
     return;
   }
 
@@ -147,7 +157,8 @@ void BaWhp::begin_round(sim::Context& ctx) {
   if (approver_) retired_approvers_.push_back(std::move(approver_));
   if (coin_) retired_coins_.push_back(std::move(coin_));
   if (skip_enabled()) {
-    tag_skip_ = sim::Tag(round_tag(round_) + "/skip");
+    name_round(approver_cfg_.tag, "/skip");
+    tag_skip_ = sim::Tag(approver_cfg_.tag);
     skip_seen_.assign(skip_seen_.size(), false);
     skip_count_ = 0;
     sent_skip_ = false;
@@ -156,10 +167,9 @@ void BaWhp::begin_round(sim::Context& ctx) {
     fwd_lock_.reset();
     if (!decision_) arm_skip_timer(ctx);
   }
-  Approver::Config acfg{cfg_};
-  acfg.tag = round_tag(round_) + "/a1";
+  name_round(approver_cfg_.tag, "/a1");
   approver_ = std::make_unique<Approver>(
-      acfg, est_,
+      approver_cfg_, est_,
       [this, &ctx](const std::set<Value>& vals) { on_vals(ctx, vals); });
   approver_->start(ctx);
   replay_backlog(ctx);
@@ -170,11 +180,10 @@ void BaWhp::on_vals(sim::Context& ctx, const std::set<Value>& vals) {
   propose_ = vals.size() == 1 ? *vals.begin() : kBot;
 
   phase_ = Phase::kCoin;
-  coin::WhpCoin::Config ccfg{cfg_};
-  ccfg.tag = round_tag(round_) + "/coin";
-  ccfg.round = round_;
+  name_round(coin_cfg_.tag, "/coin");
+  coin_cfg_.round = round_;
   coin_ = std::make_unique<coin::WhpCoin>(
-      ccfg, [this, &ctx](int c) { on_coin(ctx, c); });
+      coin_cfg_, [this, &ctx](int c) { on_coin(ctx, c); });
   coin_->start(ctx);
   replay_backlog(ctx);
 }
@@ -184,10 +193,9 @@ void BaWhp::on_coin(sim::Context& ctx, int c) {
 
   phase_ = Phase::kApprovePropose;
   if (approver_) retired_approvers_.push_back(std::move(approver_));
-  Approver::Config acfg{cfg_};
-  acfg.tag = round_tag(round_) + "/a2";
+  name_round(approver_cfg_.tag, "/a2");
   approver_ = std::make_unique<Approver>(
-      acfg, propose_,
+      approver_cfg_, propose_,
       [this, &ctx](const std::set<Value>& props) { on_props(ctx, props); });
   approver_->start(ctx);
   replay_backlog(ctx);
@@ -205,9 +213,10 @@ void BaWhp::on_props(sim::Context& ctx, const std::set<Value>& props) {
         // Retain the W applied oks (props = {v} means all of them carry
         // v) as the decision certificate handed to skip-req senders.
         cert_round_ = round_;
-        cert_oks_.clear();
-        for (const Approver::AppliedOk& ok : approver_->applied_oks())
-          if (ok.v == v) cert_oks_.push_back(ok);
+        cert_oks_ = approver_->take_applied_oks();  // the round is over
+        std::erase_if(cert_oks_, [v](const Approver::AppliedOk& ok) {
+          return ok.v != v;
+        });
         if (cert_oks_.size() < cfg_.params.W) cert_oks_.clear();
       }
     }
@@ -234,28 +243,60 @@ void BaWhp::replay_backlog(sim::Context& ctx) {
   // pass suffices per phase change: offer() re-buffers what still doesn't
   // match, and completion callbacks re-enter via begin_round/on_* which
   // call replay_backlog again. Messages of rounds already passed can
-  // never match again and are dropped.
-  std::vector<sim::Message> pending;
-  pending.swap(backlog_);
+  // never match again and are dropped. The two buffers trade places, so
+  // both keep their capacity; a nested replay finds the spare taken and
+  // starts its own.
+  if (!backlog_ || backlog_->msgs.empty()) return;
+  std::vector<sim::Message> pending = std::move(backlog_->spare);
+  pending.clear();
+  pending.swap(backlog_->msgs);
   for (auto& msg : pending) {
     if (phase_ == Phase::kHalted) break;
     if (*tag_round(msg.tag) < round_) continue;  // stale round
     offer(ctx, msg);
   }
+  pending.clear();
+  if (backlog_) backlog_->spare = std::move(pending);  // gone if we halted
 }
 
-std::optional<std::uint64_t> BaWhp::tag_round(sim::Tag t) const {
-  return sim::tag_index(t.str(), round_prefix_);
+void BaWhp::stash(const sim::Message& msg) {
+  if (!backlog_) backlog_ = ScratchPool<Backlog>::take();
+  backlog_->msgs.push_back(msg);
+}
+
+void BaWhp::release_backlog() {
+  if (!backlog_) return;
+  backlog_->msgs.clear();  // drop the payload references
+  backlog_->spare.clear();
+  ScratchPool<Backlog>::give(std::move(backlog_));
+}
+
+void BaWhp::name_round(std::string& out, std::string_view suffix) const {
+  char digits[20];
+  const auto [end, ec] = std::to_chars(std::begin(digits), std::end(digits),
+                                       round_);
+  out.assign(round_prefix_)
+      .append(std::begin(digits), end)
+      .append(suffix);
+}
+
+BaWhp::TagRoute BaWhp::route(sim::Tag tag) {
+  if (const TagRoute* known = routes_.find(tag.id())) return *known;
+  TagRoute r;
+  std::string_view rest;
+  r.round = sim::tag_index(tag.str(), round_prefix_, &rest);
+  r.skip = r.round && rest == "skip";
+  return routes_[tag.id()] = r;
 }
 
 bool BaWhp::offer(sim::Context& ctx, const sim::Message& msg) {
   // Fallback-plane tags route outside the round sub-instances: a
   // certificate is round-independent, a skip-req is counted (or
   // backlogged / answered with a certificate) by round.
-  if (skip_enabled()) {
-    if (msg.tag == tag_decided_) return handle_decided_cert(ctx, msg);
-    if (is_skip_tag(msg.tag)) return handle_skip_req(ctx, msg);
-  }
+  if (skip_enabled() && msg.tag == tag_decided_)
+    return handle_decided_cert(ctx, msg);
+  const TagRoute route_of = route(msg.tag);
+  if (skip_enabled() && route_of.skip) return handle_skip_req(ctx, msg);
   // Byzantine senders must not grow the backlog without bound: tags
   // naming no round, or a round beyond the protocol horizon, are dropped
   // outright, and they are not progress.
@@ -263,7 +304,7 @@ bool BaWhp::offer(sim::Context& ctx, const sim::Message& msg) {
   // verify queues) were destroyed, and a share re-delivered after a
   // crash-recovery must not re-enter a fresh PendingVerifyQueue for a
   // round this process already finished.
-  const std::optional<std::uint64_t> r = tag_round(msg.tag);
+  const std::optional<std::uint64_t> r = route_of.round;
   if (!r || *r >= cfg_.max_rounds || *r < round_) return false;
   // Try the live sub-instances for the *current* phase; stash otherwise.
   // Every consumed message is progress: the round is demonstrably alive,
@@ -283,7 +324,7 @@ bool BaWhp::offer(sim::Context& ctx, const sim::Message& msg) {
     }
   }
   if (phase_ != Phase::kHalted) {
-    backlog_.push_back(msg);
+    stash(msg);
     // Backlogged traffic is progress too: a current-round message we are
     // not ready for (a1 echoes while we wait in the coin, say) or a
     // faster peer's next-round traffic both prove the instance is being
@@ -311,12 +352,6 @@ void BaWhp::on_message(sim::Context& ctx, const sim::Message& msg) {
 }
 
 // ----------------------------------------------- round-skip fallback --
-
-bool BaWhp::is_skip_tag(sim::Tag tag) const {
-  if (tag == tag_skip_) return true;  // current round, one id compare
-  std::string_view rest;
-  return sim::tag_index(tag.str(), round_prefix_, &rest) && rest == "skip";
-}
 
 void BaWhp::arm_skip_timer(sim::Context& ctx) {
   armed_round_ = round_;
@@ -389,7 +424,7 @@ bool BaWhp::handle_skip_req(sim::Context& ctx, const sim::Message& msg) {
   // instance outright.
   if (decision_) maybe_send_cert(ctx, msg.from);
   if (r > round_) {  // future round: count it when we get there
-    backlog_.push_back(msg);
+    stash(msg);
     return false;
   }
   if (r < round_) return true;  // stale; this round was already left

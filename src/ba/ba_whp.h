@@ -43,12 +43,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "ba/approver.h"
 #include "ba/ba_process.h"
 #include "ba/value.h"
 #include "coin/whp_coin.h"
+#include "sim/flat_map64.h"
 
 namespace coincidence::ba {
 
@@ -79,6 +82,7 @@ class BaWhp final : public BaProcess {
   };
 
   BaWhp(Config cfg, Value initial);
+  ~BaWhp() override;
 
   void on_start(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, const sim::Message& msg) override;
@@ -113,7 +117,9 @@ class BaWhp final : public BaProcess {
     return "?";
   }
   const Approver* active_approver() const { return approver_.get(); }
-  std::size_t backlog_size() const { return backlog_.size(); }
+  std::size_t backlog_size() const {
+    return backlog_ ? backlog_->msgs.size() : 0;
+  }
   std::uint64_t rounds_skipped() const { return rounds_skipped_; }
   bool decided_by_certificate() const { return decided_by_cert_; }
 
@@ -123,6 +129,8 @@ class BaWhp final : public BaProcess {
   std::string round_tag(std::uint64_t r) const {
     return cfg_.tag + "/" + std::to_string(r);
   }
+  /// Sets `out` to "<tag>/<round_>" + suffix, reusing its capacity.
+  void name_round(std::string& out, std::string_view suffix) const;
 
   void begin_round(sim::Context& ctx);
   void on_vals(sim::Context& ctx, const std::set<Value>& vals);
@@ -131,17 +139,32 @@ class BaWhp final : public BaProcess {
   void advance_round(sim::Context& ctx);
   void replay_backlog(sim::Context& ctx);
   bool offer(sim::Context& ctx, const sim::Message& msg);
-  /// The round a "<tag>/<r>/..." tag names (sim::tag_index), if any.
-  /// offer() drops a tag that names none, so the backlog holds only
-  /// round tags.
-  std::optional<std::uint64_t> tag_round(sim::Tag tag) const;
+  /// Appends `msg` to the backlog.
+  void stash(const sim::Message& msg);
+  /// Empties the backlog and gives its buffers back to the pool.
+  void release_backlog();
+
+  /// What a tag names: the round of a "<tag>/<r>/..." tag
+  /// (sim::tag_index), if any, and whether it is "<tag>/<r>/skip".
+  struct TagRoute {
+    std::optional<std::uint64_t> round;
+    bool skip = false;
+  };
+  /// The tag's route, parsed at its first sighting and then read from
+  /// routes_, so a tag routes the same way every time and is parsed once.
+  TagRoute route(sim::Tag tag);
+  /// The round a tag names, if any. offer() drops a tag that names none,
+  /// so the backlog holds only round tags.
+  std::optional<std::uint64_t> tag_round(sim::Tag tag) {
+    return route(tag).round;
+  }
   /// Writes the round-boundary snapshot to stable storage.
   void persist_now(sim::Context& ctx);
 
   // Round-skip fallback (no-ops unless cfg_.skip_timeout > 0).
   bool skip_enabled() const { return cfg_.skip_timeout > 0; }
   /// True for "<tag>/<r>/skip" with a canonical round r.
-  bool is_skip_tag(sim::Tag tag) const;
+  bool is_skip_tag(sim::Tag tag) { return route(tag).skip; }
   void arm_skip_timer(sim::Context& ctx);
   /// A current-round sub-instance consumed a message: the round is
   /// alive, so slide the skip deadline and forgive past attempts. Makes
@@ -164,6 +187,11 @@ class BaWhp final : public BaProcess {
 
   Config cfg_;
   std::string round_prefix_;  // "<tag>/", the round tags' prefix
+  // The sub-instance configs, built once from cfg_: each round only
+  // re-tags them (the sub-instances read them at construction).
+  Approver::Config approver_cfg_;
+  coin::WhpCoin::Config coin_cfg_;
+  sim::FlatMap64<TagRoute> routes_;  // TagId -> route
   Value initial_;  // recovery fallback when no snapshot survives
   Value est_;
   std::optional<int> decision_;
@@ -185,8 +213,14 @@ class BaWhp final : public BaProcess {
 
   // Messages for sub-instances that do not exist yet (future rounds /
   // later phases) — replayed on every phase change. Bounded by the total
-  // traffic of max_rounds rounds.
-  std::vector<sim::Message> backlog_;
+  // traffic of max_rounds rounds. The buffers come from this thread's
+  // ScratchPool at the first stashed message and go back when the
+  // instance halts, recovers or ends.
+  struct Backlog {
+    std::vector<sim::Message> msgs;
+    std::vector<sim::Message> spare;  // the buffer a replay swaps in
+  };
+  std::unique_ptr<Backlog> backlog_;
 
   // --- Round-skip fallback state (all dormant when skip_timeout == 0).
   sim::Tag tag_decided_;              // "<tag>/decided", round-independent

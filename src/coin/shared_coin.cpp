@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/errors.h"
+#include "common/scratch_pool.h"
 #include "common/ser.h"
 
 namespace coincidence::coin {
@@ -128,8 +129,8 @@ bool SharedCoin::should_flush() const {
 }
 
 void SharedCoin::flush_queue(sim::Context& ctx) {
-  // Moved out and back: see FlushScratch.
-  FlushScratch s = std::move(scratch_);
+  ScratchLease<FlushScratch> lease;
+  FlushScratch& s = *lease;
   queue_.take(s.shares);
   const std::vector<PendingVerifyQueue::Share>& shares = s.shares;
   cfg_.batcher->note_flushed(shares.size());
@@ -153,7 +154,6 @@ void SharedCoin::flush_queue(sim::Context& ctx) {
                 sh.origin_proof);
   }
   s.shares.clear();  // drop the payload references now
-  scratch_ = std::move(s);
 }
 
 bool SharedCoin::handle(sim::Context& ctx, const sim::Message& msg) {

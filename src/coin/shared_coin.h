@@ -99,7 +99,6 @@ class SharedCoin final : public CoinProtocol {
   int output_ = 0;
 
   PendingVerifyQueue queue_;
-  FlushScratch scratch_;
 };
 
 }  // namespace coincidence::coin

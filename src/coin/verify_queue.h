@@ -184,22 +184,11 @@ class PendingVerifyQueue {
   std::size_t pending_second_ = 0;
 };
 
-/// A coin's flush buffers, sized for a full batch at construction and
-/// kept across flushes, so a coin allocates nothing per flush. A flush
-/// moves them out and back, so a flush re-entered from a completion
-/// callback finds them empty and allocates its own instead of
-/// overwriting the outer one's.
+/// A coin's flush buffers, leased per flush from this thread's
+/// ScratchLease pool (common/scratch_pool.h): a coin allocates nothing
+/// per flush, and a flush re-entered from a completion callback leases
+/// buffers of its own instead of overwriting the outer one's.
 struct FlushScratch {
-  FlushScratch() {
-    const std::size_t k = BatchVerifier::kWatermark;
-    shares.reserve(k);
-    checks.reserve(k);
-    entries.reserve(k);
-    entry_of.reserve(k);
-    accept.reserve(k);
-    verdicts.reserve(k);
-  }
-
   std::vector<PendingVerifyQueue::Share> shares;
   std::vector<committee::Sampler::ValCheck> checks;  // whp coin only
   std::vector<crypto::VrfBatchEntry> entries;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/errors.h"
+#include "common/scratch_pool.h"
 #include "common/ser.h"
 
 namespace coincidence::coin {
@@ -25,6 +26,9 @@ struct WhpCoin::Wire {
 
   Bytes encode() const {
     Writer w;
+    w.reserve(Writer::blob_size(value.size()) + 4 +
+              Writer::blob_size(origin_proof.size()) +
+              Writer::blob_size(election_proof.size()));
     w.blob(value).u32(origin).blob(origin_proof).blob(election_proof);
     return w.take();
   }
@@ -44,26 +48,35 @@ struct WhpCoin::Wire {
   }
 };
 
-WhpCoin::WhpCoin(Config cfg, DoneFn on_done)
-    : cfg_(std::move(cfg)),
+WhpCoin::WhpCoin(const Config& cfg, DoneFn on_done)
+    : setup_(cfg),
+      round_(cfg.round),
       on_done_(std::move(on_done)),
-      tag_first_(cfg_.tag + "/first"),
-      tag_second_(cfg_.tag + "/second"),
-      first_seed_(cfg_.tag + "/first"),
-      second_seed_(cfg_.tag + "/second"),
-      first_seen_(cfg_.params.n, false),
-      second_seen_(cfg_.params.n, false) {
-  COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler && cfg_.batcher,
+      tag_(cfg.tag),
+      tag_first_(sim::join_tag(cfg.tag, "/first")),
+      tag_second_(sim::join_tag(cfg.tag, "/second")),
+      stride_(cfg.params.n) {
+  COIN_REQUIRE(setup_.vrf && setup_.registry && setup_.sampler &&
+                   setup_.batcher,
                "WhpCoin: missing crypto environment");
-  COIN_REQUIRE(cfg_.params.n > 0 && cfg_.params.W > 0,
+  COIN_REQUIRE(setup_.params.n > 0 && setup_.params.W > 0,
                "WhpCoin: bad parameters");
+  seen_.assign(kRows * stride_, false);
   Writer w;
-  w.str("whp-coin").u64(cfg_.round);
+  w.reserve(Writer::blob_size(8) + 8);
+  w.str("whp-coin").u64(round_);
   vrf_input_ = w.take();
 }
 
 WhpCoin::~WhpCoin() {
-  if (queue_.pending() > 0) cfg_.batcher->note_discarded(queue_.pending());
+  if (queue_.pending() > 0) setup_.batcher->note_discarded(queue_.pending());
+}
+
+const std::set<crypto::ProcessId>& WhpCoin::phase1_snapshot() const {
+  if (snapshot_set_.empty())
+    for (crypto::ProcessId p = 0; p < first_snapshot_.size(); ++p)
+      if (first_snapshot_[p]) snapshot_set_.insert(snapshot_set_.end(), p);
+  return snapshot_set_;
 }
 
 void WhpCoin::fold_min(BytesView value, crypto::ProcessId origin,
@@ -80,27 +93,37 @@ void WhpCoin::fold_min(BytesView value, crypto::ProcessId origin,
   }
 }
 
-bool WhpCoin::mark_seen(std::vector<bool>& seen, crypto::ProcessId from) {
+bool WhpCoin::mark_seen(std::size_t row, crypto::ProcessId from) {
   // Equivalent of set::insert().second; senders outside [0, n) (possible
-  // only in harnesses that size params.n below the simulation) grow the
-  // bitmap rather than being dropped, matching the old std::set.
-  if (from >= seen.size()) seen.resize(from + 1, false);
-  if (seen[from]) return false;
-  seen[from] = true;
+  // only in harnesses that size params.n below the simulation) widen the
+  // rows rather than being dropped, matching the old std::set.
+  if (from >= stride_) {
+    const std::size_t wide = std::size_t{from} + 1;
+    std::vector<bool> grown(kRows * wide, false);
+    for (std::size_t r = 0; r < kRows; ++r)
+      for (std::size_t p = 0; p < stride_; ++p)
+        grown[r * wide + p] = seen_[r * stride_ + p];
+    seen_.swap(grown);
+    stride_ = wide;
+  }
+  auto bit = seen_[row * stride_ + from];
+  if (bit) return false;
+  bit = true;
   return true;
 }
 
 void WhpCoin::start(sim::Context& ctx) {
-  auto first = cfg_.sampler->sample(ctx.self(), first_seed_);
-  auto second = cfg_.sampler->sample(ctx.self(), second_seed_);
+  auto first = setup_.sampler->sample(ctx.self(), first_seed());
+  auto second = setup_.sampler->sample(ctx.self(), second_seed());
   in_first_ = first.sampled;
   in_second_ = second.sampled;
   first_election_proof_ = std::move(first.proof);
   second_election_proof_ = std::move(second.proof);
 
   if (in_first_) {
-    crypto::VrfOutput out =
-        cfg_.vrf->eval(cfg_.registry->sk_of(ctx.self()), vrf_input_);
+    thread_local crypto::VrfOutput out;
+    setup_.vrf->eval_into(setup_.registry->sk_of(ctx.self()), vrf_input_,
+                          out);
     // A first-committee member seeds its own v_i (line 3).
     fold_min(out.value, ctx.self(), out.proof);
     Wire wire{out.value, ctx.self(), out.proof, first_election_proof_};
@@ -113,13 +136,14 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
                           crypto::ProcessId origin, BytesView origin_proof) {
   if (is_first ? (!in_second_ || done_) : done_) return;  // state no-op
   if (is_first) {
-    if (!mark_seen(first_seen_, sender)) return;
+    if (!mark_seen(kFirstRow, sender)) return;
     ++first_count_;
     fold_min(value, origin, origin_proof);
-    if (!sent_second_ && first_count_ == cfg_.params.W) {
+    if (!sent_second_ && first_count_ == setup_.params.W) {
       sent_second_ = true;
-      for (crypto::ProcessId p = 0; p < first_seen_.size(); ++p)
-        if (first_seen_[p]) first_snapshot_.insert(first_snapshot_.end(), p);
+      first_snapshot_.assign(seen_.begin(),
+                             seen_.begin() +
+                                 static_cast<std::ptrdiff_t>(stride_));
       Wire relay{min_value_, min_origin_, min_origin_proof_,
                  second_election_proof_};
       ctx.broadcast(tag_second_, relay.encode(), kWhpCoinMessageWords);
@@ -128,13 +152,13 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
   }
 
   // <second>: every process participates in the final wait (lines 13–17).
-  if (!mark_seen(second_seen_, sender)) return;
+  if (!mark_seen(kSecondRow, sender)) return;
   ++second_count_;
   fold_min(value, origin, origin_proof);
-  if (second_count_ == cfg_.params.W) {
+  if (second_count_ == setup_.params.W) {
     done_ = true;
     output_ = min_value_.back() & 1;
-    ctx.note_decide(cfg_.tag, output_, cfg_.round);
+    ctx.note_decide(tag_, output_, round_);
     if (on_done_) on_done_(output_);
   }
 }
@@ -144,27 +168,27 @@ bool WhpCoin::should_flush() const {
   // could carry a phase across W, flush now so the threshold action
   // fires in this delivery frame.
   if (!sent_second_ && in_second_ &&
-      first_count_ + queue_.pending_first() >= cfg_.params.W)
+      first_count_ + queue_.pending_first() >= setup_.params.W)
     return true;
-  if (!done_ && second_count_ + queue_.pending_second() >= cfg_.params.W)
+  if (!done_ && second_count_ + queue_.pending_second() >= setup_.params.W)
     return true;
   return queue_.pending() >= BatchVerifier::kWatermark;
 }
 
 void WhpCoin::flush_queue(sim::Context& ctx) {
-  // Moved out and back: see FlushScratch.
-  FlushScratch s = std::move(scratch_);
+  ScratchLease<FlushScratch> lease;
+  FlushScratch& s = *lease;
   queue_.take(s.shares);
   const std::vector<PendingVerifyQueue::Share>& shares = s.shares;
-  cfg_.batcher->note_flushed(shares.size());
+  setup_.batcher->note_flushed(shares.size());
 
   // The sender must prove membership in the phase's committee…
   s.checks.clear();
   for (const PendingVerifyQueue::Share& sh : shares)
     s.checks.push_back(committee::Sampler::ValCheck{
-        sh.is_first ? &first_seed_ : &second_seed_, sh.sender,
+        sh.is_first ? &first_seed() : &second_seed(), sh.sender,
         sh.election_proof});
-  cfg_.batcher->verify_elections(s.checks, s.accept);
+  setup_.batcher->verify_elections(s.checks, s.accept);
 
   // …and the carried value must be the originator's honest VRF output.
   // Shares that failed the election check stay out of the VRF batch.
@@ -173,13 +197,13 @@ void WhpCoin::flush_queue(sim::Context& ctx) {
   for (std::size_t i = 0; i < shares.size(); ++i) {
     if (!s.accept[i]) continue;
     const PendingVerifyQueue::Share& sh = shares[i];
-    s.entries.push_back(crypto::VrfBatchEntry{cfg_.registry->pk_of(sh.origin),
+    s.entries.push_back(crypto::VrfBatchEntry{setup_.registry->pk_of(sh.origin),
                                               vrf_input_, sh.value,
                                               sh.origin_proof});
     s.entry_of.push_back(i);
   }
   const BatchVerifier::FlushStats stats =
-      cfg_.batcher->verify_shares(s.entries, s.verdicts);
+      setup_.batcher->verify_shares(s.entries, s.verdicts);
   for (std::size_t j = 0; j < s.entries.size(); ++j)
     s.accept[s.entry_of[j]] = s.verdicts[j];
   ctx.count(sim::Counter::kVerifyFlushes, 1);
@@ -195,7 +219,6 @@ void WhpCoin::flush_queue(sim::Context& ctx) {
                 sh.origin_proof);
   }
   s.shares.clear();  // drop the payload references now
-  scratch_ = std::move(s);
 }
 
 bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
@@ -210,15 +233,14 @@ bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
 
   Wire wire;
   if (!Wire::decode(msg.payload, wire)) return true;
-  if (wire.origin >= cfg_.params.n) return true;
+  if (wire.origin >= setup_.params.n) return true;
   if (is_first && wire.origin != msg.from) return true;
 
   // Senders already counted for the phase drop here: a verified share
   // from them would fail mark_seen with no state change. Senders with
   // only PENDING shares must still enqueue — their queued share might
   // fail verification where this one passes.
-  const std::vector<bool>& seen = is_first ? first_seen_ : second_seen_;
-  if (msg.from < seen.size() && seen[msg.from]) return true;
+  if (seen(is_first ? kFirstRow : kSecondRow, msg.from)) return true;
   PendingVerifyQueue::Share share;
   share.buf = msg.payload;  // refcount bump keeps the views alive
   share.sender = msg.from;
@@ -228,7 +250,7 @@ bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
   share.origin_proof = wire.origin_proof;
   share.election_proof = wire.election_proof;
   queue_.enqueue(std::move(share));
-  cfg_.batcher->note_enqueued();
+  setup_.batcher->note_enqueued();
   if (should_flush()) flush_queue(ctx);
   return true;
 }

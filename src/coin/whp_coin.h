@@ -36,7 +36,8 @@ class WhpCoin final : public CoinProtocol {
 
   using DoneFn = std::function<void(int)>;
 
-  WhpCoin(Config cfg, DoneFn on_done = {});
+  /// The config is read, not kept: a host re-tags one Config per round.
+  WhpCoin(const Config& cfg, DoneFn on_done = {});
   /// A retiring coin settles its verification ledger: whatever is still
   /// queued unverified is reported to the batcher as discarded, keeping
   /// enqueued == flushed + discarded across round ends and crashes.
@@ -55,16 +56,24 @@ class WhpCoin final : public CoinProtocol {
   /// Origins of firsts received when the <second> went out (Lemma B.1's
   /// table row); empty unless this process is a second-committee member
   /// that reached W firsts.
-  const std::set<crypto::ProcessId>& phase1_snapshot() const {
-    return first_snapshot_;
-  }
+  const std::set<crypto::ProcessId>& phase1_snapshot() const;
 
  private:
   struct Wire;
 
+  // Rows of the sender bitmap, and the row copied at second-send.
+  static constexpr std::size_t kFirstRow = 0;
+  static constexpr std::size_t kSecondRow = 1;
+  static constexpr std::size_t kRows = 2;
+
   void fold_min(BytesView value, crypto::ProcessId origin,
                 BytesView origin_proof);
-  bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
+  /// insert().second over one row of the bitmap; out-of-range senders
+  /// widen the rows (see Approver::mark_seen).
+  bool mark_seen(std::size_t row, crypto::ProcessId from);
+  bool seen(std::size_t row, crypto::ProcessId from) const {
+    return from < stride_ && seen_[row * stride_ + from];
+  }
   /// Applies one share whose election AND value proofs verified.
   void apply_share(sim::Context& ctx, bool is_first,
                    crypto::ProcessId sender, BytesView value,
@@ -73,16 +82,19 @@ class WhpCoin final : public CoinProtocol {
   void flush_queue(sim::Context& ctx);
   bool should_flush() const;
 
-  Config cfg_;
+  const std::string& first_seed() const { return tag_first_.str(); }
+  const std::string& second_seed() const { return tag_second_.str(); }
+
+  Setup setup_;
+  std::uint64_t round_ = 0;
   DoneFn on_done_;
 
-  // Precomputed at construction so handle() matches tags by integer id
-  // and verifies against cached seed/input bytes — zero allocations per
-  // delivered message.
+  // Interned at construction so handle() matches tags by integer id; the
+  // tag strings double as the committee seeds, and the VRF input is
+  // cached — zero allocations per delivered message.
+  sim::Tag tag_;  // the instance tag, the scope of its decide event
   sim::Tag tag_first_;
   sim::Tag tag_second_;
-  std::string first_seed_;
-  std::string second_seed_;
   Bytes vrf_input_;
 
   bool in_first_ = false;
@@ -93,19 +105,18 @@ class WhpCoin final : public CoinProtocol {
   Bytes min_value_;  // empty encodes the paper's v_i = ∞
   crypto::ProcessId min_origin_ = 0;
   Bytes min_origin_proof_;
-  // Per-sender dedup bitmaps + counts (replacing std::set: no node
-  // allocation per accepted message).
-  std::vector<bool> first_seen_;
-  std::vector<bool> second_seen_;
+  // Per-sender dedup bitmap (kRows rows of stride_ bits) + counts.
+  std::vector<bool> seen_;
+  std::size_t stride_ = 0;
   std::size_t first_count_ = 0;
   std::size_t second_count_ = 0;
-  std::set<crypto::ProcessId> first_snapshot_;  // first set at second-send
+  std::vector<bool> first_snapshot_;  // the first row at second-send
+  mutable std::set<crypto::ProcessId> snapshot_set_;  // built when read
   bool sent_second_ = false;
   bool done_ = false;
   int output_ = 0;
 
   PendingVerifyQueue queue_;
-  FlushScratch scratch_;
 };
 
 }  // namespace coincidence::coin

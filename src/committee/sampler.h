@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,7 +65,9 @@ class Sampler {
   double threshold() const { return lambda_over_n_; }
 
  private:
-  Bytes vrf_input(const std::string& seed) const;
+  /// Writes the VRF input of committee seed `seed` into `out`, reusing
+  /// its capacity.
+  static void vrf_input(std::string_view seed, Bytes& out);
 
   std::shared_ptr<const crypto::Vrf> vrf_;
   std::shared_ptr<const crypto::KeyRegistry> registry_;
@@ -80,6 +82,9 @@ class Sampler {
 /// would ship. One instance serves every process of a run on both
 /// simulator engines: cache writes go through defer_write
 /// (common/write_sink.h), so sharded handlers only read the caches.
+/// Neither cache allocates per entry: the election cache is an open-
+/// addressed table whose keys and proofs live in one byte arena, and the
+/// verdict cache is a VerdictMemo.
 class CachingSampler final : public Sampler {
  public:
   CachingSampler(std::shared_ptr<const crypto::Vrf> vrf,
@@ -95,12 +100,33 @@ class CachingSampler final : public Sampler {
   void committee_val_batch(std::span<const ValCheck> checks,
                            std::vector<char>& out) const override;
 
-  std::size_t sample_cache_size() const { return sample_cache_.size(); }
+  std::size_t sample_cache_size() const { return elections_.size(); }
   std::size_t val_cache_size() const { return val_memo_.size(); }
 
  private:
-  // Touched about once per (process, committee), so a plain map will do.
-  mutable std::map<std::pair<ProcessId, std::string>, Election> sample_cache_;
+  /// One cached election. Its seed and then its proof are stored at
+  /// election_bytes_[at, at + seed_len + proof_len).
+  struct CachedElection {
+    std::uint64_t fp = 0;  // hash of (id, seed)
+    ProcessId id = 0;
+    bool sampled = false;
+    std::size_t at = 0;
+    std::size_t seed_len = 0;
+    std::size_t proof_len = 0;
+  };
+
+  /// The slot of the (id, seed) entry, or the empty slot ending its run.
+  std::size_t find_election(std::uint64_t fp, ProcessId i,
+                            std::string_view seed) const;
+  void store_election(std::uint64_t fp, ProcessId i, std::string_view seed,
+                      const Election& e) const;
+
+  // The election cache: (id, seed) -> Election, touched about once per
+  // (process, committee). Slots hold 1 + an index into elections_ (0 is
+  // empty) and stay at most half full.
+  mutable std::vector<std::size_t> election_slots_;
+  mutable std::vector<CachedElection> elections_;
+  mutable Bytes election_bytes_;
   // key: (id, seed, proof bytes) -> committee-val verdict.
   mutable crypto::VerdictMemo val_memo_;
 };

@@ -4,81 +4,26 @@
 
 namespace coincidence {
 
-Writer& Writer::u8(std::uint8_t v) {
-  out_.push_back(v);
-  return *this;
-}
-
-Writer& Writer::u32(std::uint32_t v) {
-  for (int i = 3; i >= 0; --i)
-    out_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  return *this;
-}
-
-Writer& Writer::u64(std::uint64_t v) {
-  for (int i = 7; i >= 0; --i)
-    out_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  return *this;
-}
-
 Writer& Writer::blob(BytesView data) {
   COIN_REQUIRE(data.size() <= 0xffffffffULL, "blob too large");
+  room(blob_size(data.size()));
   u32(static_cast<std::uint32_t>(data.size()));
   out_.insert(out_.end(), data.begin(), data.end());
   return *this;
 }
 
-Writer& Writer::str(std::string_view s) {
-  return blob(BytesView(reinterpret_cast<const std::uint8_t*>(s.data()),
-                        s.size()));
-}
-
-void Reader::need(std::size_t n) const {
-  if (data_.size() - pos_ < n) throw CodecError("Reader: truncated input");
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_++];
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_++];
-  return v;
-}
-
 Bytes Reader::blob() {
-  std::uint32_t len = u32();
-  need(len);
-  Bytes out(data_.begin() + pos_, data_.begin() + pos_ + len);
-  pos_ += len;
-  return out;
-}
-
-BytesView Reader::blob_view() {
-  std::uint32_t len = u32();
-  need(len);
-  BytesView out = data_.subspan(pos_, len);
-  pos_ += len;
-  return out;
+  const BytesView v = blob_view();
+  return Bytes(v.begin(), v.end());
 }
 
 std::string Reader::str() {
-  Bytes b = blob();
-  return std::string(b.begin(), b.end());
+  const BytesView v = blob_view();
+  return std::string(v.begin(), v.end());
 }
 
-void Reader::done() const {
-  if (pos_ != data_.size()) throw CodecError("Reader: trailing bytes");
-}
+void Reader::throw_truncated() { throw CodecError("Reader: truncated input"); }
+
+void Reader::throw_trailing() { throw CodecError("Reader: trailing bytes"); }
 
 }  // namespace coincidence

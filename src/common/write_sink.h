@@ -63,4 +63,15 @@ void defer_write(Write&& write) {
     write();
 }
 
+/// Runs `write` now when no sink is installed; otherwise queues the
+/// write `owned()` returns, which must own copies of whatever `write`
+/// only views. A cache store on the legacy loop so copies nothing.
+template <typename Write, typename Owned>
+void defer_write(Write&& write, Owned&& owned) {
+  if (WriteSink* sink = WriteSink::current())
+    sink->push(owned());
+  else
+    write();
+}
+
 }  // namespace coincidence

@@ -7,11 +7,8 @@
 namespace coincidence::crypto {
 
 namespace {
-Bytes tagged_mac(BytesView sk, std::uint8_t tag, BytesView input) {
-  Bytes msg;
-  msg.push_back(tag);
-  append(msg, input);
-  return hmac_sha256_bytes(sk, msg);
+Digest tagged_mac(BytesView sk, std::uint8_t tag, BytesView input) {
+  return hmac_sha256(sk, BytesView(&tag, 1), input);
 }
 }  // namespace
 
@@ -27,7 +24,16 @@ VrfKeyPair FastVrf::keygen(Rng& rng) const {
 }
 
 VrfOutput FastVrf::eval(BytesView sk, BytesView input) const {
-  return {tagged_mac(sk, 0x01, input), tagged_mac(sk, 0x02, input)};
+  VrfOutput out;
+  eval_into(sk, input, out);
+  return out;
+}
+
+void FastVrf::eval_into(BytesView sk, BytesView input, VrfOutput& out) const {
+  const Digest value = tagged_mac(sk, 0x01, input);
+  const Digest proof = tagged_mac(sk, 0x02, input);
+  out.value.assign(value.begin(), value.end());
+  out.proof.assign(proof.begin(), proof.end());
 }
 
 bool FastVrf::verify(BytesView pk, BytesView input,

@@ -25,6 +25,8 @@ class FastVrf final : public Vrf {
 
   VrfKeyPair keygen(Rng& rng) const override;
   VrfOutput eval(BytesView sk, BytesView input) const override;
+  void eval_into(BytesView sk, BytesView input,
+                 VrfOutput& out) const override;
   bool verify(BytesView pk, BytesView input,
               const VrfOutput& out) const override;
   bool verify(BytesView pk, BytesView input, BytesView value,

@@ -5,6 +5,10 @@
 namespace coincidence::crypto {
 
 Digest hmac_sha256(BytesView key, BytesView message) {
+  return hmac_sha256(key, {}, message);
+}
+
+Digest hmac_sha256(BytesView key, BytesView prefix, BytesView message) {
   // Stack pads: every Signer check and VRF eval lands here, so the
   // padded key costs no allocation.
   Digest kd;
@@ -22,6 +26,7 @@ Digest hmac_sha256(BytesView key, BytesView message) {
 
   Sha256 inner;
   inner.update(ipad);
+  inner.update(prefix);
   inner.update(message);
   Digest inner_digest = inner.finish();
 

@@ -13,6 +13,10 @@ namespace coincidence::crypto {
 /// One-shot HMAC-SHA-256.
 Digest hmac_sha256(BytesView key, BytesView message);
 
+/// HMAC-SHA-256 of `prefix || message`, hashed in place: the domain-
+/// separated MACs of Signer and FastVrf build no concatenation.
+Digest hmac_sha256(BytesView key, BytesView prefix, BytesView message);
+
 /// One-shot HMAC-SHA-256 returning Bytes.
 Bytes hmac_sha256_bytes(BytesView key, BytesView message);
 

@@ -1,11 +1,18 @@
 #include "crypto/signer.h"
 
-#include <cstring>
-
 #include "common/errors.h"
 #include "crypto/hmac.h"
 
 namespace coincidence::crypto {
+
+namespace {
+// Domain separation: a signature is the HMAC of "sig" || message.
+constexpr std::uint8_t kSigTag[] = {'s', 'i', 'g'};
+
+Digest sig_mac(BytesView sk, BytesView message) {
+  return hmac_sha256(sk, kSigTag, message);
+}
+}  // namespace
 
 Signer::Signer(std::shared_ptr<const KeyRegistry> registry)
     : registry_(std::move(registry)) {
@@ -13,44 +20,28 @@ Signer::Signer(std::shared_ptr<const KeyRegistry> registry)
 }
 
 Bytes Signer::sign(ProcessId id, BytesView message) const {
-  Bytes tagged = concat({bytes_of("sig"), message});
-  return hmac_sha256_bytes(registry_->sk_of(id), tagged);
+  const Digest sig = sign_digest(id, message);
+  return Bytes(sig.begin(), sig.end());
+}
+
+Digest Signer::sign_digest(ProcessId id, BytesView message) const {
+  return sig_mac(registry_->sk_of(id), message);
 }
 
 bool Signer::verify(ProcessId id, BytesView message, BytesView sig) const {
   if (!registry_->has(id)) return false;
-  Bytes tagged = concat({bytes_of("sig"), message});
-  Digest expect = hmac_sha256(registry_->sk_of(id), tagged);
-  return ct_equal(BytesView(expect.data(), expect.size()), sig);
+  return ct_equal(sig_mac(registry_->sk_of(id), message), sig);
 }
 
 void Signer::batch_verify(std::span<const SigBatchEntry> entries,
                           std::vector<char>& out) const {
   out.assign(entries.size(), 0);
-  Bytes tagged;
-  bool tagged_valid = false;
-  BytesView tagged_for;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const SigBatchEntry& e = entries[i];
     if (!registry_->has(e.signer)) continue;
-    // Re-tag only when the message changes; equal-pointer or equal-bytes
-    // both qualify (the fast pointer test catches the hoisted-member
-    // case, the byte test catches re-encoded duplicates).
-    const bool same =
-        tagged_valid &&
-        (tagged_for.data() == e.message.data()
-             ? tagged_for.size() == e.message.size()
-             : tagged_for.size() == e.message.size() &&
-                   std::memcmp(tagged_for.data(), e.message.data(),
-                               e.message.size()) == 0);
-    if (!same) {
-      tagged = concat({bytes_of("sig"), e.message});
-      tagged_for = e.message;
-      tagged_valid = true;
-    }
-    Digest expect = hmac_sha256(registry_->sk_of(e.signer), tagged);
-    out[i] =
-        ct_equal(BytesView(expect.data(), expect.size()), e.sig) ? 1 : 0;
+    out[i] = ct_equal(sig_mac(registry_->sk_of(e.signer), e.message), e.sig)
+                 ? 1
+                 : 0;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "crypto/key_registry.h"
+#include "crypto/sha256.h"
 
 namespace coincidence::crypto {
 
@@ -30,17 +31,18 @@ class Signer {
 
   /// Signature by process `id` over `message`.
   Bytes sign(ProcessId id, BytesView message) const;
+  /// sign() as a stack digest, for a caller that writes it straight
+  /// into a message.
+  Digest sign_digest(ProcessId id, BytesView message) const;
 
   /// True iff `sig` is `id`'s signature over `message`.
   bool verify(ProcessId id, BytesView message, BytesView sig) const;
 
   /// Verifies a whole batch: on return out[i] == verify(entries[i]...)
   /// for every i, and out.size() == entries.size(). HMAC recomputation
-  /// does not fold the way a multi-exp does, so the amortization here is
-  /// structural: the domain-separation prefix is re-tagged only when the
-  /// message changes between consecutive entries (the approver's W-entry
-  /// sweep signs ONE message), and all verification runs against stack
-  /// digests — no per-entry heap traffic. Callers wanting cross-batch
+  /// does not fold the way a multi-exp does; each entry hashes the
+  /// domain-separation prefix and its message in place into a stack
+  /// digest, with no per-entry heap traffic. Callers wanting cross-batch
   /// dedup wrap this with a SigMemo (see coin::BatchVerifier).
   void batch_verify(std::span<const SigBatchEntry> entries,
                     std::vector<char>& out) const;

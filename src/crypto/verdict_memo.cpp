@@ -132,15 +132,20 @@ void VerdictMemo::store(std::uint64_t fp, Fields key, bool ok) {
   });
 }
 
-void VerdictMemo::store_retained(std::uint64_t fp, Bytes head,
-                                 SharedBytes owner, BytesView tail, bool ok) {
-  defer_write([this, fp, head = std::move(head), owner = std::move(owner),
-               tail, ok] {
-    const Fields key = {BytesView(head), tail};
+void VerdictMemo::store_retained(std::uint64_t fp, BytesView head,
+                                 const SharedBytes& owner, BytesView tail,
+                                 bool ok) {
+  auto write = [this, fp, ok](BytesView h, BytesView t) {
+    const Fields key = {h, t};
     insert(
         fp, ok, [&](const Bytes& stored) { return same_key(stored, key); },
         [&] { return framed(key); });
-  });
+  };
+  defer_write([&] { write(head, tail); },
+              [&] {
+                return [write, head = Bytes(head.begin(), head.end()), owner,
+                        tail] { write(head, tail); };
+              });
 }
 
 void VerdictMemo::grow() {

@@ -73,11 +73,12 @@ class VerdictMemo {
   void store(std::uint64_t fp, Fields key, bool ok);
 
   /// store() for the two-field key (`head`, `tail`), where `tail` points
-  /// into `owner`. A deferred write holds `owner` by refcount and copies
-  /// the key only when it applies and finds the key absent, so the
-  /// concurrent misses of one large key do not each queue a copy.
-  void store_retained(std::uint64_t fp, Bytes head, SharedBytes owner,
-                      BytesView tail, bool ok);
+  /// into `owner`. A deferred write copies `head`, holds `owner` by
+  /// refcount and copies the key only when it applies and finds the key
+  /// absent, so the concurrent misses of one large key do not each queue
+  /// a copy.
+  void store_retained(std::uint64_t fp, BytesView head,
+                      const SharedBytes& owner, BytesView tail, bool ok);
 
   /// The cached verdict for `key`, or `check()` run and recorded.
   template <typename Check>

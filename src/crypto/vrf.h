@@ -52,6 +52,14 @@ class Vrf {
   /// Evaluates VRF_sk(x).
   virtual VrfOutput eval(BytesView sk, BytesView input) const = 0;
 
+  /// eval() into `out`. The default assigns eval()'s result; FastVrf
+  /// writes in place, so a caller that keeps one VrfOutput evaluates
+  /// without allocating.
+  virtual void eval_into(BytesView sk, BytesView input,
+                         VrfOutput& out) const {
+    out = eval(sk, input);
+  }
+
   /// Checks VRF-Ver_pk(x, (y, π)).
   virtual bool verify(BytesView pk, BytesView input,
                       const VrfOutput& out) const = 0;

@@ -22,6 +22,8 @@ struct StateSnapshot {
   static Bytes pack(std::string_view kind, std::uint32_t version,
                     BytesView state) {
     Writer w;
+    w.reserve(Writer::blob_size(kind.size()) + 4 +
+              Writer::blob_size(state.size()));
     w.str(kind).u32(version).blob(state);
     return w.take();
   }

@@ -61,6 +61,12 @@ std::ostream& operator<<(std::ostream& os, const Tag& tag) {
   return os << tag.str();
 }
 
+Tag join_tag(std::string_view a, std::string_view b, std::string_view c) {
+  thread_local std::string name;
+  name.assign(a).append(b).append(c);
+  return Tag(name);
+}
+
 std::optional<std::uint64_t> tag_index(std::string_view tag,
                                        std::string_view prefix,
                                        std::string_view* rest) {

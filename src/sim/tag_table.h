@@ -106,6 +106,12 @@ class Tag {
 
 std::ostream& operator<<(std::ostream& os, const Tag& tag);
 
+/// The tag "<a><b><c>", joined in a per-thread buffer: a tag seen before
+/// costs one lookup and no allocation. Its str() is a stable string, so
+/// protocols also use such tags as the committee seeds they name.
+Tag join_tag(std::string_view a, std::string_view b,
+             std::string_view c = {});
+
 /// The one tag grammar of nested instances: reads `k` out of
 /// "<prefix><k>" or "<prefix><k>/<rest>" — a BA's round under
 /// "<tag>/", a multivalued BA's candidate under "<tag>/c", a log's slot
