@@ -384,6 +384,26 @@ TEST(ReplicatedLog, CappedPrefixAtNAbove96RunsOneCandidatePerSlot) {
   EXPECT_EQ(r.candidates_per_slot, 1.0);
 }
 
+TEST(ReplicatedLog, StalledRunStillCountsItsCandidates) {
+  // One round is too few for seed 3: a candidate BA needs a second
+  // round, halts at the horizon undecided, and no correct process
+  // commits the log. The candidates every process activated still
+  // count (the report once averaged over committed processes only and
+  // read 0 here).
+  constexpr std::size_t n = 48;
+  const core::Env env = core::Env::make_relaxed(n, 3);
+  LogRunOptions opts;
+  opts.slots = 2;
+  opts.pipeline_depth = 2;
+  opts.batch_size = 2;
+  opts.silent_faults = 2;
+  opts.max_rounds = 1;
+  opts.sim_seed = 3;
+  const LogReport r = run_replicated_log(env, opts);
+  ASSERT_FALSE(r.all_committed);
+  EXPECT_GE(r.candidates_per_slot, 1.0);
+}
+
 TEST(ReplicatedLog, SilencedCappedPrefixClosesEverySlotNoop) {
   // A cap of 2 at n = 64 (f = 5) lets the adversary silence both slots'
   // whole prefixes. No broadcast ever delivers, so the armed gate opens
