@@ -121,6 +121,17 @@ class BaWhp final : public BaProcess {
     return backlog_ ? backlog_->msgs.size() : 0;
   }
   std::uint64_t rounds_skipped() const { return rounds_skipped_; }
+
+  /// What a tag names: the round of a "<tag>/<r>/..." tag
+  /// (sim::tag_index), if any, and whether it is "<tag>/<r>/skip".
+  struct TagRoute {
+    std::optional<std::uint64_t> round;
+    bool skip = false;
+    bool operator==(const TagRoute&) const = default;
+  };
+  /// The route offer() gives a tag: parsed at the tag's first sighting,
+  /// then read from a per-TagId memo, so each tag is parsed once.
+  TagRoute route(sim::Tag tag);
   bool decided_by_certificate() const { return decided_by_cert_; }
 
  private:
@@ -144,15 +155,6 @@ class BaWhp final : public BaProcess {
   /// Empties the backlog and gives its buffers back to the pool.
   void release_backlog();
 
-  /// What a tag names: the round of a "<tag>/<r>/..." tag
-  /// (sim::tag_index), if any, and whether it is "<tag>/<r>/skip".
-  struct TagRoute {
-    std::optional<std::uint64_t> round;
-    bool skip = false;
-  };
-  /// The tag's route, parsed at its first sighting and then read from
-  /// routes_, so a tag routes the same way every time and is parsed once.
-  TagRoute route(sim::Tag tag);
   /// The round a tag names, if any. offer() drops a tag that names none,
   /// so the backlog holds only round tags.
   std::optional<std::uint64_t> tag_round(sim::Tag tag) {

@@ -5,8 +5,10 @@
 #include "ba_harness.h"
 #include "coin/verify_queue.h"
 #include "common/errors.h"
+#include "common/ser.h"
 #include "common/rng.h"
 #include "crypto/fast_vrf.h"
+#include "sim/snapshot.h"
 
 namespace coincidence::ba {
 namespace {
@@ -273,6 +275,87 @@ TEST(BaWhpSkip, TagsNamingNoRoundAreNeitherBackloggedNorProgress) {
   EXPECT_GT(quiet.skip_reqs, 0u);
   EXPECT_EQ(junk.skip_reqs, quiet.skip_reqs);
   EXPECT_EQ(junk.backlog, quiet.backlog);
+}
+
+/// LoneClock's world plus stable storage: the last persisted snapshot.
+class StoringClock final : public sim::Context {
+ public:
+  explicit StoringClock(std::size_t n) : n_(n) {}
+  sim::ProcessId self() const override { return 0; }
+  std::size_t n() const override { return n_; }
+  void send(sim::ProcessId, sim::Tag, SharedBytes, std::size_t) override {}
+  void broadcast(sim::Tag, SharedBytes, std::size_t) override {}
+  Rng& rng() override { return rng_; }
+  std::uint64_t causal_depth() const override { return 0; }
+  void persist(BytesView snapshot) override {
+    stored.assign(snapshot.begin(), snapshot.end());
+  }
+
+  Bytes stored;
+
+ private:
+  std::size_t n_;
+  Rng rng_{1};
+};
+
+TEST(BaWhpSkip, TagMemoRoutesEveryTagAsItsFirstSighting) {
+  // offer() parses a tag once and then routes it from a per-TagId memo.
+  // Every kind of tag must route the same way on its second sighting as
+  // on its first, at a process in round 3 (so round 1 is past): the
+  // memo's answer and the backlog it grows must both repeat.
+  Fixture fx(48);
+  BaWhp::Config cfg = fx.config();  // tag "ba", max_rounds 32
+  cfg.skip_timeout = 100;
+  BaWhp ba(cfg, kZero);
+  StoringClock ctx(fx.n());
+  ba.on_start(ctx);
+  // Recover into round 3 from the round-0 snapshot with its round field
+  // (the state's first u64) rewritten.
+  Reader stored(ctx.stored);
+  const std::string kind = stored.str();
+  const std::uint32_t version = stored.u32();
+  Bytes state = stored.blob();
+  const Bytes round3 = Writer().u64(3).bytes();
+  std::copy(round3.begin(), round3.end(), state.begin());
+  ba.on_recover(ctx, sim::StateSnapshot::pack(kind, version, state));
+  ASSERT_EQ(ba.current_round(), 3u);
+
+  struct Case {
+    const char* tag;
+    std::optional<std::uint64_t> round;
+    bool skip;
+    std::size_t backlogged;  // backlog growth per sighting
+  };
+  const Case cases[] = {
+      {"ba/3/skip", 3, true, 0},          // current-round skip: counted
+      {"ba/1/skip", 1, true, 0},          // past-round skip: dropped
+      {"ba/9/skip", 9, true, 1},          // future-round skip: held
+      {"ba/9/a1/init", 9, false, 1},      // future-round traffic: held
+      {"ba/1/a2/ok", 1, false, 0},        // past-round traffic: dropped
+      {"ba/32/skip", 32, true, 0},        // past max_rounds
+      {"ba/40/coin/first", 40, false, 0}, // past max_rounds
+      {"ba/x7", std::nullopt, false, 0},  // names no round
+      {"ba/03/skip", std::nullopt, false, 0},  // non-canonical round
+      {"ba/skip", std::nullopt, false, 0},
+      {"other/3/skip", std::nullopt, false, 0},
+  };
+  sim::ProcessId from = 1;
+  for (const Case& c : cases) {
+    const sim::Tag tag(c.tag);
+    const BaWhp::TagRoute expected{c.round, c.skip};
+    for (int sighting = 1; sighting <= 2; ++sighting) {
+      SCOPED_TRACE(std::string(c.tag) + ", sighting " +
+                   std::to_string(sighting));
+      const std::size_t before = ba.backlog_size();
+      sim::Message msg;
+      msg.from = from++;  // a fresh sender: no dedup hides a repeat
+      msg.tag = tag;
+      ba.on_message(ctx, msg);
+      EXPECT_EQ(ba.backlog_size() - before, c.backlogged);
+      EXPECT_EQ(ba.route(tag), expected);
+    }
+  }
+  EXPECT_EQ(ba.current_round(), 3u);
 }
 
 TEST(BaWhp, RejectsBadConstruction) {
