@@ -277,6 +277,7 @@ int main(int argc, char** argv) {
     constexpr std::uint64_t kSeeds[] = {1, 2};
     double words = 0, deliveries = 0, candidates = 0;
     std::size_t noops = 0;
+    bool all_committed = true, agreement = true;  // over both seeds
     for (std::uint64_t ps : kSeeds) {
       session::LogRunOptions lopts;
       lopts.slots = kSlots;
@@ -290,6 +291,8 @@ int main(int argc, char** argv) {
       if (!lr.all_committed || !lr.agreement)
         std::cerr << "E18: n=" << pn << " cap=" << cap << " seed=" << ps
                   << " did not commit and agree\n";
+      all_committed = all_committed && lr.all_committed;
+      agreement = agreement && lr.agreement;
       words += static_cast<double>(lr.words_per_slot);
       deliveries += static_cast<double>(lr.deliveries) / kSlots;
       candidates += lr.candidates_per_slot;
@@ -312,6 +315,8 @@ int main(int argc, char** argv) {
     bench::BenchJson::field(row, "deliveries_per_slot", deliveries);
     bench::BenchJson::field(row, "candidates_per_slot", candidates);
     bench::BenchJson::field(row, "noop_slots", static_cast<double>(noops));
+    bench::BenchJson::field(row, "all_committed", all_committed ? 1.0 : 0.0);
+    bench::BenchJson::field(row, "agreement", agreement ? 1.0 : 0.0);
     pt.add_row({std::to_string(pn), cap == 0 ? "none" : std::to_string(cap),
                 Table::count(static_cast<std::uint64_t>(words)),
                 Table::count(static_cast<std::uint64_t>(deliveries)),
