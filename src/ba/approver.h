@@ -25,11 +25,17 @@
 // interned tag strings "<tag>/init", "<tag>/echo/<v>" and "<tag>/ok"
 // (sim/tag_table.h: built once per process, then looked up), the three
 // <echo,v> signing strings share one buffer, all per-value/per-sender
-// tracking lives in one bitmap, and a flush borrows its buffers from a
-// per-thread ScratchLease (common/scratch_pool.h). What an instance
-// still allocates is a handful of buffers sized once: its bitmap and
-// signing strings at construction, and its echo, applied-ok and pending
-// queues at first use. Through the run's
+// tracking lives in one bitmap, and every message is sized before it is
+// encoded (Writer::reserve), an <ok> with its W entries included. The
+// pending-ok queue is a pooled object (common/scratch_pool.h): taken at
+// the first pending ok, sized once for a full flush, and given back by
+// the flush that empties it, which leases its own check buffers the
+// same way. So a queue's capacity outlives its approver, and what an
+// instance still allocates is a handful of buffers sized once: its
+// bitmap and signing strings at construction, its election proofs at
+// start(), its echo and applied-ok lists at first use, and the messages
+// it sends. docs/SIM_FAST_PATH.md §6 gives the budget a test gates.
+// Through the run's
 // coin::BatchVerifier, an <ok> certificate (its W signed echoes and
 // their elections) is checked once per run: all n receivers of one
 // broadcast get the same bytes, so its verdict goes into the run-wide
