@@ -26,11 +26,6 @@ std::size_t echo_sign_size(std::string_view tag) {
   return Writer::blob_size(tag.size()) + Writer::blob_size(4) + 1;
 }
 
-BytesView bytes_view(const std::string& s) {
-  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()),
-                   s.size());
-}
-
 constexpr std::array<Value, 3> kValues = {kZero, kOne, kBot};
 }  // namespace
 
@@ -56,7 +51,7 @@ Approver::Approver(const Config& cfg, Value input, DoneFn on_done)
       tag_echo_(sim::join_tag(cfg.tag, "/echo")),
       tag_ok_(sim::join_tag(cfg.tag, "/ok")),
       sign_len_(echo_sign_size(cfg.tag)),
-      stride_(cfg.params.n) {
+      seen_(kRows, cfg.params.n) {
   COIN_REQUIRE(is_valid_value(input), "Approver: input must be 0, 1 or bot");
   COIN_REQUIRE(setup_.registry && setup_.sampler && setup_.signer &&
                    setup_.batcher,
@@ -70,7 +65,6 @@ Approver::Approver(const Config& cfg, Value input, DoneFn on_done)
     put_echo_sign_bytes(w, cfg.tag, v);
   }
   echo_sign_bytes_ = w.take();
-  seen_.assign(kRows * stride_, false);
 }
 
 Approver::~Approver() {
@@ -107,29 +101,10 @@ bool Approver::handle(sim::Context& ctx, const sim::Message& msg) {
   return false;
 }
 
-BytesView Approver::ok_seed_bytes() const { return bytes_view(ok_seed()); }
+BytesView Approver::ok_seed_bytes() const { return view_of(ok_seed()); }
 
 std::size_t Approver::pending_oks() const {
   return pending_ ? pending_->oks.size() : 0;
-}
-
-bool Approver::mark_seen(std::size_t row, crypto::ProcessId from) {
-  // Equivalent of set::insert().second; senders outside [0, n) (possible
-  // only in harnesses that size params.n below the simulation) widen
-  // every row rather than being dropped, matching the old std::set.
-  if (from >= stride_) {
-    const std::size_t wide = std::size_t{from} + 1;
-    std::vector<bool> grown(kRows * wide, false);
-    for (std::size_t r = 0; r < kRows; ++r)
-      for (std::size_t p = 0; p < stride_; ++p)
-        grown[r * wide + p] = seen_[r * stride_ + p];
-    seen_.swap(grown);
-    stride_ = wide;
-  }
-  auto bit = seen_[row * stride_ + from];
-  if (bit) return false;
-  bit = true;
-  return true;
 }
 
 bool Approver::handle_init(sim::Context& ctx, const sim::Message& msg) {
@@ -146,7 +121,7 @@ bool Approver::handle_init(sim::Context& ctx, const sim::Message& msg) {
   if (!is_valid_value(v)) return true;
   if (!setup_.sampler->committee_val(init_seed(), msg.from, election))
     return true;
-  if (!mark_seen(kInitRow + v, msg.from)) return true;
+  if (!seen_.insert(kInitRow + v, msg.from)) return true;
   ++init_count_[v];
   if (init_count_[v] >= setup_.params.B + 1) maybe_echo(ctx, v);
   return true;
@@ -187,7 +162,7 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   const bool signed_by_sender =
       setup_.batcher->check_signature({msg.from, echo_sign_bytes(v), sig});
   if (!signed_by_sender) return true;
-  if (!mark_seen(kEchoRow + v, msg.from)) return true;
+  if (!seen_.insert(kEchoRow + v, msg.from)) return true;
   if (!in_ok_ || sent_ok_) return true;  // no ok of ours will cite it
   // Retain the delivered buffer by refcount; signature and election stay
   // views into it — no deep copy (the old code copied both blobs).
@@ -295,10 +270,10 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
   if (!head) return true;
 
   // Senders already counted for the phase drop here: a verified ok from
-  // them would fail mark_seen with no state change. Senders with only
+  // them would fail seen_.insert with no state change. Senders with only
   // PENDING oks must still enqueue — their queued ok might fail
   // verification where this one passes.
-  if (seen(kOkRow, msg.from)) return true;
+  if (seen_.contains(kOkRow, msg.from)) return true;
   PendingOk ok;
   ok.buf = msg.payload;  // refcount bump keeps every view alive
   ok.sender = msg.from;
@@ -334,7 +309,7 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
 void Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                         const SharedBytes& buf) {
   if (done_) return;  // state no-op (a flush past the threshold)
-  if (!mark_seen(kOkRow, sender)) return;
+  if (!seen_.insert(kOkRow, sender)) return;
   if (applied_oks_.empty()) applied_oks_.reserve(setup_.params.W);
   applied_oks_.push_back({sender, v, buf});
   ++ok_count_;
@@ -471,7 +446,7 @@ std::optional<Value> Approver::verify_ok_payload(
 
   // A memo hit answers for the whole certificate; the memo holds only
   // certificates that parsed.
-  const BytesView seed_bytes = bytes_view(ok_seed);
+  const BytesView seed_bytes = view_of(ok_seed);
   const std::uint64_t fp = cert_fingerprint(*head, payload.size());
   std::optional<bool> valid =
       setup.batcher->ok_memo().lookup(fp, {seed_bytes, payload});

@@ -62,6 +62,7 @@
 
 #include "ba/value.h"
 #include "coin/setup.h"
+#include "common/sender_rows.h"
 #include "sim/process.h"
 
 namespace coincidence::ba {
@@ -207,18 +208,11 @@ class Approver {
     return BytesView(echo_sign_bytes_).subspan(v * sign_len_, sign_len_);
   }
 
-  // Rows of the sender bitmap: init(v), echo(v) and ok.
+  // Rows of seen_: init(v), echo(v) and ok.
   static constexpr std::size_t kInitRow = 0;
   static constexpr std::size_t kEchoRow = 3;
   static constexpr std::size_t kOkRow = 6;
   static constexpr std::size_t kRows = 7;
-  /// Whether `from` is marked in `row`.
-  bool seen(std::size_t row, crypto::ProcessId from) const {
-    return from < stride_ && seen_[row * stride_ + from];
-  }
-  /// insert().second over one row of the bitmap (same contract as the
-  /// old std::set: out-of-range senders widen the rows, never dropped).
-  bool mark_seen(std::size_t row, crypto::ProcessId from);
 
   void maybe_echo(sim::Context& ctx, Value v);
   void maybe_ok(sim::Context& ctx, Value v);
@@ -257,9 +251,7 @@ class Approver {
   Bytes init_election_proof_;
   Bytes ok_election_proof_;
 
-  // Distinct senders, kRows rows of stride_ bits.
-  std::vector<bool> seen_;
-  std::size_t stride_ = 0;
+  SenderRows seen_;  // distinct senders per phase and value
 
   // init phase: distinct init-committee senders per value.
   std::array<std::uint32_t, 3> init_count_{};

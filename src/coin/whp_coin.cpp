@@ -55,13 +55,12 @@ WhpCoin::WhpCoin(const Config& cfg, DoneFn on_done)
       tag_(cfg.tag),
       tag_first_(sim::join_tag(cfg.tag, "/first")),
       tag_second_(sim::join_tag(cfg.tag, "/second")),
-      stride_(cfg.params.n) {
+      seen_(kRows, cfg.params.n) {
   COIN_REQUIRE(setup_.vrf && setup_.registry && setup_.sampler &&
                    setup_.batcher,
                "WhpCoin: missing crypto environment");
   COIN_REQUIRE(setup_.params.n > 0 && setup_.params.W > 0,
                "WhpCoin: bad parameters");
-  seen_.assign(kRows * stride_, false);
   Writer w;
   w.reserve(Writer::blob_size(8) + 8);
   w.str("whp-coin").u64(round_);
@@ -93,25 +92,6 @@ void WhpCoin::fold_min(BytesView value, crypto::ProcessId origin,
   }
 }
 
-bool WhpCoin::mark_seen(std::size_t row, crypto::ProcessId from) {
-  // Equivalent of set::insert().second; senders outside [0, n) (possible
-  // only in harnesses that size params.n below the simulation) widen the
-  // rows rather than being dropped, matching the old std::set.
-  if (from >= stride_) {
-    const std::size_t wide = std::size_t{from} + 1;
-    std::vector<bool> grown(kRows * wide, false);
-    for (std::size_t r = 0; r < kRows; ++r)
-      for (std::size_t p = 0; p < stride_; ++p)
-        grown[r * wide + p] = seen_[r * stride_ + p];
-    seen_.swap(grown);
-    stride_ = wide;
-  }
-  auto bit = seen_[row * stride_ + from];
-  if (bit) return false;
-  bit = true;
-  return true;
-}
-
 void WhpCoin::start(sim::Context& ctx) {
   auto first = setup_.sampler->sample(ctx.self(), first_seed());
   auto second = setup_.sampler->sample(ctx.self(), second_seed());
@@ -136,14 +116,12 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
                           crypto::ProcessId origin, BytesView origin_proof) {
   if (is_first ? (!in_second_ || done_) : done_) return;  // state no-op
   if (is_first) {
-    if (!mark_seen(kFirstRow, sender)) return;
+    if (!seen_.insert(kFirstRow, sender)) return;
     ++first_count_;
     fold_min(value, origin, origin_proof);
     if (!sent_second_ && first_count_ == setup_.params.W) {
       sent_second_ = true;
-      first_snapshot_.assign(seen_.begin(),
-                             seen_.begin() +
-                                 static_cast<std::ptrdiff_t>(stride_));
+      first_snapshot_ = seen_.row(kFirstRow);
       Wire relay{min_value_, min_origin_, min_origin_proof_,
                  second_election_proof_};
       ctx.broadcast(tag_second_, relay.encode(), kWhpCoinMessageWords);
@@ -152,7 +130,7 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
   }
 
   // <second>: every process participates in the final wait (lines 13–17).
-  if (!mark_seen(kSecondRow, sender)) return;
+  if (!seen_.insert(kSecondRow, sender)) return;
   ++second_count_;
   fold_min(value, origin, origin_proof);
   if (second_count_ == setup_.params.W) {
@@ -237,10 +215,10 @@ bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
   if (is_first && wire.origin != msg.from) return true;
 
   // Senders already counted for the phase drop here: a verified share
-  // from them would fail mark_seen with no state change. Senders with
+  // from them would fail seen_.insert with no state change. Senders with
   // only PENDING shares must still enqueue — their queued share might
   // fail verification where this one passes.
-  if (seen(is_first ? kFirstRow : kSecondRow, msg.from)) return true;
+  if (seen_.contains(is_first ? kFirstRow : kSecondRow, msg.from)) return true;
   PendingVerifyQueue::Share share;
   share.buf = msg.payload;  // refcount bump keeps the views alive
   share.sender = msg.from;

@@ -21,6 +21,7 @@
 #include "coin/coin_protocol.h"
 #include "coin/setup.h"
 #include "coin/verify_queue.h"
+#include "common/sender_rows.h"
 
 namespace coincidence::coin {
 
@@ -61,19 +62,13 @@ class WhpCoin final : public CoinProtocol {
  private:
   struct Wire;
 
-  // Rows of the sender bitmap, and the row copied at second-send.
+  // Rows of seen_.
   static constexpr std::size_t kFirstRow = 0;
   static constexpr std::size_t kSecondRow = 1;
   static constexpr std::size_t kRows = 2;
 
   void fold_min(BytesView value, crypto::ProcessId origin,
                 BytesView origin_proof);
-  /// insert().second over one row of the bitmap; out-of-range senders
-  /// widen the rows (see Approver::mark_seen).
-  bool mark_seen(std::size_t row, crypto::ProcessId from);
-  bool seen(std::size_t row, crypto::ProcessId from) const {
-    return from < stride_ && seen_[row * stride_ + from];
-  }
   /// Applies one share whose election AND value proofs verified.
   void apply_share(sim::Context& ctx, bool is_first,
                    crypto::ProcessId sender, BytesView value,
@@ -105,9 +100,7 @@ class WhpCoin final : public CoinProtocol {
   Bytes min_value_;  // empty encodes the paper's v_i = ∞
   crypto::ProcessId min_origin_ = 0;
   Bytes min_origin_proof_;
-  // Per-sender dedup bitmap (kRows rows of stride_ bits) + counts.
-  std::vector<bool> seen_;
-  std::size_t stride_ = 0;
+  SenderRows seen_;  // distinct senders per phase
   std::size_t first_count_ = 0;
   std::size_t second_count_ = 0;
   std::vector<bool> first_snapshot_;  // the first row at second-send

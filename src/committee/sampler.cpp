@@ -65,10 +65,7 @@ auto with_val_key(ProcessId id, const std::string& seed, BytesView proof,
                   Use use) {
   const crypto::VerdictMemo::IntField id_field(id);
   const crypto::VerdictMemo::Fields key = {
-      id_field,
-      BytesView(reinterpret_cast<const std::uint8_t*>(seed.data()),
-                seed.size()),
-      proof};
+      id_field, view_of(seed), proof};
   return use(crypto::VerdictMemo::fingerprint(key), key);
 }
 
@@ -95,7 +92,8 @@ void Sampler::committee_val_batch(std::span<const ValCheck> checks,
   // those inputs' heap buffers, which stay put when `inputs` grows.
   thread_local std::vector<std::pair<const std::string*, Bytes>> inputs;
   thread_local std::vector<crypto::VrfBatchEntry> entries;
-  thread_local std::vector<std::size_t> entry_of;  // entries[j] is checks[entry_of[j]]
+  // entries[j] is checks[entry_of[j]]
+  thread_local std::vector<std::size_t> entry_of;
   thread_local std::vector<char> verdicts;
   std::size_t seeds = 0;
   auto input_of = [&](const std::string* seed) -> BytesView {
@@ -136,9 +134,7 @@ namespace {
 
 std::uint64_t election_fp(ProcessId i, std::string_view seed) {
   return crypto::VerdictMemo::fingerprint(
-      {crypto::VerdictMemo::IntField(i),
-       BytesView(reinterpret_cast<const std::uint8_t*>(seed.data()),
-                 seed.size())});
+      {crypto::VerdictMemo::IntField(i), view_of(seed)});
 }
 
 }  // namespace
@@ -215,7 +211,8 @@ void CachingSampler::committee_val_batch(std::span<const ValCheck> checks,
                                          std::vector<char>& out) const {
   out.assign(checks.size(), 0);
   thread_local std::vector<ValCheck> misses;
-  thread_local std::vector<std::size_t> miss_of;  // misses[j] is checks[miss_of[j]]
+  // misses[j] is checks[miss_of[j]]
+  thread_local std::vector<std::size_t> miss_of;
   thread_local std::vector<char> verdicts;
   misses.clear();
   miss_of.clear();

@@ -22,6 +22,11 @@ Bytes from_hex(std::string_view hex);
 /// Copies the raw characters of `s` (no terminator) into a byte string.
 Bytes bytes_of(std::string_view s);
 
+/// The raw characters of `s` as bytes, without a copy.
+inline BytesView view_of(std::string_view s) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
 /// Big-endian encoding of a 64-bit integer (8 bytes).
 Bytes bytes_of_u64(std::uint64_t v);
 

@@ -44,10 +44,7 @@ class Writer {
   /// Length-prefixed byte string (u32 length + raw bytes).
   Writer& blob(BytesView data);
   /// Length-prefixed UTF-8 string.
-  Writer& str(std::string_view s) {
-    return blob(BytesView(reinterpret_cast<const std::uint8_t*>(s.data()),
-                          s.size()));
-  }
+  Writer& str(std::string_view s) { return blob(view_of(s)); }
 
   /// Encoded size of a blob or str field carrying `n` bytes.
   static constexpr std::size_t blob_size(std::size_t n) { return 4 + n; }
