@@ -1,8 +1,6 @@
 #include "ba/ba_whp.h"
 
 #include <algorithm>
-#include <charconv>
-#include <iterator>
 
 #include "common/errors.h"
 #include "common/scratch_pool.h"
@@ -157,8 +155,7 @@ void BaWhp::begin_round(sim::Context& ctx) {
   if (approver_) retired_approvers_.push_back(std::move(approver_));
   if (coin_) retired_coins_.push_back(std::move(coin_));
   if (skip_enabled()) {
-    name_round(approver_cfg_.tag, "/skip");
-    tag_skip_ = sim::Tag(approver_cfg_.tag);
+    tag_skip_ = sim::join_tag(round_prefix_, std::to_string(round_), "/skip");
     skip_seen_.assign(skip_seen_.size(), false);
     skip_count_ = 0;
     sent_skip_ = false;
@@ -272,12 +269,7 @@ void BaWhp::release_backlog() {
 }
 
 void BaWhp::name_round(std::string& out, std::string_view suffix) const {
-  char digits[20];
-  const auto [end, ec] = std::to_chars(std::begin(digits), std::end(digits),
-                                       round_);
-  out.assign(round_prefix_)
-      .append(std::begin(digits), end)
-      .append(suffix);
+  out.assign(round_prefix_).append(std::to_string(round_)).append(suffix);
 }
 
 BaWhp::TagRoute BaWhp::route(sim::Tag tag) {
