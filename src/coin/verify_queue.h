@@ -185,8 +185,8 @@ class PendingVerifyQueue {
 };
 
 /// A coin's flush buffers, leased per flush from this thread's
-/// ScratchLease pool (common/scratch_pool.h): a coin allocates nothing
-/// per flush, and a flush re-entered from a completion callback leases
+/// ScratchPool (common/scratch_pool.h): a coin allocates nothing per
+/// flush, and a flush re-entered from a completion callback leases
 /// buffers of its own instead of overwriting the outer one's.
 struct FlushScratch {
   std::vector<PendingVerifyQueue::Share> shares;
