@@ -42,8 +42,7 @@ namespace {
 
 // The allocations of one cold run_agreement(kBaWhp) at n = 32, seed 7
 // (environment set-up included), per delivery: 3,313 allocations over
-// 6,737 deliveries, 0.49. It was 3.06 before the BA path pooled its
-// queues and sized its messages once.
+// 6,737 deliveries, 0.49.
 constexpr double kMaxAllocsPerDelivery = 0.50;
 
 struct DeliveryCount final : sim::Observer {

@@ -388,8 +388,7 @@ TEST(ReplicatedLog, StalledRunStillCountsItsCandidates) {
   // One round is too few for seed 3: a candidate BA needs a second
   // round, halts at the horizon undecided, and no correct process
   // commits the log. The candidates every process activated still
-  // count (the report once averaged over committed processes only and
-  // read 0 here).
+  // count: an average over committed processes only would read 0.
   constexpr std::size_t n = 48;
   const core::Env env = core::Env::make_relaxed(n, 3);
   LogRunOptions opts;
