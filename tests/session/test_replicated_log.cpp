@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "session/log_driver.h"
 #include "session/replicated_log.h"
 #include "sim/simulation.h"
+#include "sim/trace.h"
 
 namespace coincidence::session {
 namespace {
@@ -248,6 +251,88 @@ TEST(ReplicatedLog, DdhGoldenN32) {
             "53fc270f08c65d9c40c89a703d6ee99255e7d467f192f51b7ae7736b44dabf85");
   EXPECT_EQ(r.correct_words, 198726u);
   EXPECT_EQ(r.deliveries, 15814u);
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A 2-slot log at n = 32 (f = 2, so each echo set holds 7 of the 32
+/// processes; one silent fault) on the `rbc` backend: the committed log,
+/// its cost, and hashes of the JSONL trace and the detailed metrics JSON,
+/// so any reordering of a slot's RBC traffic shows.
+std::string traced_log_fingerprint(ba::RbcBackend rbc) {
+  constexpr std::size_t n = 32;
+  const core::Env env = core::Env::make_relaxed(n, 13);
+  LogConfig lcfg{env};
+  lcfg.total_slots = 2;
+  lcfg.pipeline_depth = 2;
+  lcfg.batch_size = 2;
+  lcfg.rbc = rbc;
+  lcfg.skip_timeout = auto_skip_timeout(n, lcfg.pipeline_depth);
+
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.f = 1;
+  cfg.seed = 9;
+  sim::Simulation sim(cfg);
+  sim.metrics().enable_detail();
+  auto trace = std::make_shared<sim::TraceRecorder>();
+  sim.add_observer(trace);
+  for (std::size_t i = 0; i < n; ++i)
+    sim.add_process(std::make_unique<LogProcess>(lcfg));
+  sim.corrupt(n - 1, sim::FaultPlan::silent());
+  auto log_of = [&](sim::ProcessId i) -> const LogProcess& {
+    return dynamic_cast<const LogProcess&>(sim.process(i));
+  };
+  sim.start();
+  sim.run_until([&] {
+    for (sim::ProcessId i = 0; i + 1 < n; ++i)
+      if (!log_of(i).all_committed()) return false;
+    return true;
+  });
+
+  std::ostringstream jsonl;
+  trace->dump_jsonl(jsonl);
+  std::ostringstream metrics;
+  sim.metrics().to_json(metrics);
+  std::ostringstream os;
+  os << "committed=" << log_of(0).all_committed() << "\n";
+  os << "fingerprint=" << to_hex(log_of(0).log_fingerprint()) << "\n";
+  os << "correct_words=" << sim.metrics().correct_words() << "\n";
+  os << "deliveries=" << sim.deliveries() << "\n";
+  os << "trace_hash=" << fnv1a(jsonl.str()) << "\n";
+  os << "metrics_hash=" << fnv1a(metrics.str()) << "\n";
+  return os.str();
+}
+
+TEST(ReplicatedLog, TracedGoldenPayloadRbc) {
+  const std::string expected =
+      "committed=1\n"
+      "fingerprint="
+      "53fc270f08c65d9c40c89a703d6ee99255e7d467f192f51b7ae7736b44dabf85\n"
+      "correct_words=198694\n"
+      "deliveries=15752\n"
+      "trace_hash=6382784761268665060\n"
+      "metrics_hash=5571355924379534177\n";
+  EXPECT_EQ(traced_log_fingerprint(ba::RbcBackend::kBracha), expected);
+}
+
+TEST(ReplicatedLog, TracedGoldenErasureCodedRbc) {
+  const std::string expected =
+      "committed=1\n"
+      "fingerprint="
+      "53fc270f08c65d9c40c89a703d6ee99255e7d467f192f51b7ae7736b44dabf85\n"
+      "correct_words=213022\n"
+      "deliveries=15752\n"
+      "trace_hash=18443887580850728746\n"
+      "metrics_hash=7033312297170133365\n";
+  EXPECT_EQ(traced_log_fingerprint(ba::RbcBackend::kEc), expected);
 }
 
 TEST(ReplicatedLog, RefusesAQuorumNoCommitteeCanReach) {

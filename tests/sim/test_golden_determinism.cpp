@@ -178,21 +178,23 @@ struct FaultTally final : sim::Observer {
   void on_recover(sim::ProcessId) override { ++recovers; }
 };
 
-/// Bracha BA over erasure-coded RBC at n=7 with every handler side effect
-/// the simulator knows: a junk sender, a crash-recover restart, lossy
-/// links repaired by the reliable channel (timers and retransmissions),
-/// a retransmit budget low enough to dead-letter frames, and coding
-/// counters. Pins the JSONL trace plus the metrics JSON, so
-/// any reordering of sends, wakeups, notes or counts shows — on the
-/// legacy loop and, absolutely, on the sharded engine.
-std::string faulted_bracha_fingerprint(std::size_t shards) {
+/// Bracha BA over reliable broadcast at n=7 with every handler side
+/// effect the simulator knows: a junk sender, a crash-recover restart,
+/// lossy links repaired by the reliable channel (timers and
+/// retransmissions), a retransmit budget low enough to dead-letter
+/// frames, and, on the erasure-coded backend, coding counters. Pins the
+/// JSONL trace plus the metrics JSON, so any reordering of sends,
+/// wakeups, notes or counts shows — on the legacy loop and, absolutely,
+/// on the sharded engine.
+std::string faulted_bracha_fingerprint(
+    std::size_t shards, ba::RbcBackend rbc = ba::RbcBackend::kEc) {
   core::RunOptions o;
   o.protocol = core::Protocol::kBracha;
   o.n = 7;
   o.seed = 3;
   o.inputs.assign(o.n, ba::kZero);
   for (std::size_t i = 0; i < o.n / 2; ++i) o.inputs[i] = ba::kOne;
-  o.rbc = ba::RbcBackend::kEc;
+  o.rbc = rbc;
   o.junk = 1;
   o.crash_recover = 1;
   o.network.default_link.drop_p = 0.02;
@@ -218,7 +220,8 @@ std::string faulted_bracha_fingerprint(std::size_t shards) {
   EXPECT_EQ(tally->recovers, 1u);
   EXPECT_GT(r.counters[Counter::kRetransmits], 0u);
   EXPECT_GT(r.counters[Counter::kDeadLetters], 0u);
-  EXPECT_GT(r.counters[Counter::kRbcEncodes], 0u);
+  if (rbc == ba::RbcBackend::kEc)
+    EXPECT_GT(r.counters[Counter::kRbcEncodes], 0u);
 
   std::ostringstream jsonl;
   trace->dump_jsonl(jsonl);
@@ -246,6 +249,21 @@ TEST(GoldenDeterminism, FaultedBrachaEcLegacyLoop) {
       "trace_hash=862013167751607484\n"
       "metrics_hash=12709266375542951223\n";
   EXPECT_EQ(faulted_bracha_fingerprint(/*shards=*/0), expected);
+}
+
+TEST(GoldenDeterminism, FaultedBrachaPayloadRbcLegacyLoop) {
+  // The same faulted run over Bracha's payload-echo RBC: pins the order
+  // of that backend's echoes, readies and deliveries.
+  const std::string expected =
+      "decided=1\n"
+      "correct_words=8641\n"
+      "retransmits=3792\n"
+      "dead_letters=760\n"
+      "rbc_encodes=0\n"
+      "trace_hash=13065612457721133980\n"
+      "metrics_hash=6029467805626657188\n";
+  EXPECT_EQ(faulted_bracha_fingerprint(/*shards=*/0, ba::RbcBackend::kBracha),
+            expected);
 }
 
 TEST(GoldenDeterminism, FaultedBrachaEcSharded) {
