@@ -29,9 +29,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/sender_rows.h"
+#include "crypto/sha256.h"
+#include "sim/flat_map64.h"
 #include "sim/process.h"
 
 namespace coincidence::crypto {
@@ -48,32 +52,6 @@ inline std::size_t value_words(std::size_t bytes) {
 
 /// λ: a sha256 digest in 8-byte words.
 inline constexpr std::size_t kDigestWords = 4;
-
-/// Distinct-sender tally for the echo/ready quorums: a bitmap over
-/// process ids plus its population, so an accepted message costs no node
-/// allocation (the std::set it replaces paid one per insert).
-class SenderSet {
- public:
-  explicit SenderSet(std::size_t n = 0) : seen_(n, false) {}
-
-  /// std::set::insert().second: true iff `p` was not yet counted.
-  /// Out-of-range ids grow the map rather than being dropped.
-  bool insert(sim::ProcessId p) {
-    if (p >= seen_.size()) seen_.resize(p + 1, false);
-    if (seen_[p]) return false;
-    seen_[p] = true;
-    ++count_;
-    return true;
-  }
-  bool contains(sim::ProcessId p) const {
-    return p < seen_.size() && seen_[p];
-  }
-  std::size_t size() const { return count_; }
-
- private:
-  std::vector<bool> seen_;
-  std::size_t count_ = 0;
-};
 
 /// The echo set E(s) of source s's broadcast: the m = min(n, 3f + 1) ids
 /// from s upward, wrapping past n − 1, taken in id order. Only members
@@ -147,6 +125,88 @@ class Broadcast {
 
   virtual bool delivered(sim::ProcessId source) const = 0;
   virtual std::size_t delivered_count() const = 0;
+};
+
+/// Bracha's quorum machinery, written once for both backends: the part
+/// of a broadcast that sees only (source, digest) flows, never payloads.
+///
+///   member, on its echo quorum > (m+f)/2 for a flow:  send <ready, src, d>
+///   member, on f+1 member readies for a flow:        send <ready, src, d>
+///   anyone, on 2f+1 member readies for a flow whose payload the backend
+///           can produce:                              deliver (src, payload)
+///
+/// A flow is one (source, 32-byte digest) pair, the digest being what a
+/// ready names: sha256(v) under Bracha, H(root ‖ |v|) coded. A Byzantine
+/// source may equivocate into several live flows; deliver-once per source
+/// lets at most one win. Echoes and readies count once per member of
+/// E(source), by its position there, and a member echoes each source at
+/// most once. A ready costs 1 + λ words. `State` is what a backend keeps
+/// per flow besides the tallies; a backend parses and checks its own
+/// initials and echoes, credits an echo with count_echo, and decides when
+/// a ready quorum delivers. Defined in broadcast.cpp, which instantiates
+/// it for the two backends' states.
+template <class State>
+class QuorumBroadcast : public Broadcast {
+ public:
+  bool delivered(sim::ProcessId source) const final {
+    return sources_.contains(kDeliveredRow, source);
+  }
+  std::size_t delivered_count() const final { return delivered_count_; }
+
+ protected:
+  struct Flow : State {
+    Flow(sim::ProcessId src, const crypto::Digest& d, std::size_t m)
+        : source(src), digest(d), senders(2, m) {}
+
+    sim::ProcessId source;
+    crypto::Digest digest;
+    SenderRows senders;  // echo and ready rows, by position in E(source)
+    std::size_t echoes = 0;
+    std::size_t readies = 0;
+    bool ready_sent = false;
+  };
+
+  QuorumBroadcast(Config cfg, DeliverFn on_deliver);
+
+  Flow& flow_of(sim::ProcessId source, const crypto::Digest& digest);
+
+  /// This process is in E(source) and has not echoed source yet.
+  bool may_echo(const sim::Context& ctx, sim::ProcessId source) const;
+  /// Broadcasts this process's one echo for `source`.
+  void send_echo(sim::Context& ctx, sim::ProcessId source, Bytes wire,
+                 std::size_t words);
+  /// Counts member `from`'s echo toward `flow` (false if it already
+  /// counted), sending this process's ready at the echo quorum.
+  bool count_echo(sim::Context& ctx, Flow& flow, sim::ProcessId from);
+  /// Counts a member's well-formed ready once, sending this process's
+  /// ready at f + 1: the flow it counted toward, else null.
+  Flow* count_ready(sim::Context& ctx, const sim::Message& msg);
+  /// 2f + 1 member readies for a source not delivered yet.
+  bool ready_quorum(const Flow& flow) const;
+  /// The source's one delivery, noted as its decision.
+  void deliver(sim::Context& ctx, sim::ProcessId source, const Bytes& payload);
+
+  Config cfg_;
+  EchoSet echo_set_;
+  // Interned once at construction; handle() matches by integer id.
+  sim::Tag tag_initial_;
+  sim::Tag tag_echo_;
+  sim::Tag tag_ready_;
+
+ private:
+  static constexpr std::size_t kEchoRow = 0;  // Flow::senders rows
+  static constexpr std::size_t kReadyRow = 1;
+  static constexpr std::size_t kEchoedRow = 0;  // sources_ rows
+  static constexpr std::size_t kDeliveredRow = 1;
+
+  void maybe_send_ready(sim::Context& ctx, Flow& flow);
+
+  DeliverFn on_deliver_;
+  // Buckets under a 64-bit fold of (source, digest); the full digest
+  // disambiguates fold collisions.
+  sim::FlatMap64<std::vector<Flow>> flows_;
+  SenderRows sources_;  // per source: echoed, delivered
+  std::size_t delivered_count_ = 0;
 };
 
 enum class RbcBackend : std::uint8_t {

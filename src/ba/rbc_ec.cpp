@@ -25,41 +25,25 @@ std::size_t fragment_word_count(std::size_t fragment_bytes) {
   return (fragment_bytes + 7) / 8;
 }
 
-/// The leading 64 bits of a sha256 digest: already uniform.
-std::uint64_t digest_bits(BytesView digest) {
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < 8; ++i) bits = (bits << 8) | digest[i];
-  return bits;
-}
-
-constexpr std::uint64_t kIndexMix = 0x9e3779b97f4a7c15ULL;
-
 /// Memo fingerprint of a check under `root` for process `index` (echoer
 /// or source) and a `size`-byte value. The fragment and value bytes are
 /// left out: fragments of one value share prefixes and would collide.
 std::uint64_t memo_fp(BytesView root, std::uint64_t index,
                       std::uint64_t size) {
-  return digest_bits(root) ^ (index * kIndexMix) ^
+  std::uint64_t bits = 0;  // the root's leading 64 bits: already uniform
+  for (std::size_t i = 0; i < 8; ++i) bits = (bits << 8) | root[i];
+  return bits ^ (index * 0x9e3779b97f4a7c15ULL) ^
          (size * 0xc2b2ae3d27d4eb4fULL);
 }
 
 }  // namespace
 
 EcBroadcast::EcBroadcast(Config cfg, DeliverFn on_deliver)
-    : cfg_(std::move(cfg)),
-      on_deliver_(std::move(on_deliver)),
+    : QuorumBroadcast(std::move(cfg), std::move(on_deliver)),
       own_memo_(cfg_.memo ? nullptr : std::make_unique<crypto::VerdictMemo>()),
       memo_(cfg_.memo ? cfg_.memo : own_memo_.get()),
-      echo_set_(cfg_.n, cfg_.f),
       rs_(echo_set_.size(), cfg_.f + 1),
-      tag_initial_(cfg_.tag + "/initial"),
-      tag_echo_(cfg_.tag + "/echo"),
-      tag_ready_(cfg_.tag + "/ready"),
-      held_(cfg_.n),
-      echoed_sources_(cfg_.n),
-      delivered_(cfg_.n, false) {
-  COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "EcBroadcast: requires n > 3f");
-}
+      held_(cfg_.n) {}
 
 crypto::Digest EcBroadcast::composite_key(BytesView root,
                                           std::uint64_t value_size) {
@@ -68,25 +52,6 @@ crypto::Digest EcBroadcast::composite_key(BytesView root,
   const Bytes size_bytes = bytes_of_u64(value_size);
   h.update(size_bytes);
   return h.finish();
-}
-
-std::uint64_t EcBroadcast::flow_fold(sim::ProcessId source,
-                                     const crypto::Digest& key) {
-  return digest_bits(key) ^
-         (static_cast<std::uint64_t>(source) * kIndexMix);
-}
-
-EcBroadcast::Flow& EcBroadcast::flow_of(sim::ProcessId source,
-                                        const crypto::Digest& key) {
-  std::vector<Flow>& bucket = flows_[flow_fold(source, key)];
-  for (Flow& flow : bucket)
-    if (flow.source == source && flow.key == key) return flow;
-  Flow& flow = bucket.emplace_back();
-  flow.source = source;
-  flow.key = key;
-  flow.echoes = SenderSet(cfg_.n);
-  flow.readies = SenderSet(cfg_.n);
-  return flow;
 }
 
 crypto::Digest EcBroadcast::held_key(sim::ProcessId source, BytesView root,
@@ -158,7 +123,7 @@ bool EcBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
     return true;
   }
   if (msg.tag == tag_ready_) {
-    handle_ready(ctx, msg);
+    if (Flow* flow = count_ready(ctx, msg)) maybe_deliver(ctx, *flow);
     return true;
   }
   return false;
@@ -168,9 +133,7 @@ void EcBroadcast::handle_initial(sim::Context& ctx, const sim::Message& msg) {
   // Members echo once per source: the first branch-valid initial wins;
   // an equivocating source splits its echo power across roots and
   // gathers a quorum for at most one.
-  if (!echo_set_.contains(msg.from, ctx.self()) ||
-      echoed_sources_.contains(msg.from))
-    return;
+  if (!may_echo(ctx, msg.from)) return;
 
   std::uint64_t size = 0;
   BytesView fragment;
@@ -201,14 +164,13 @@ void EcBroadcast::handle_initial(sim::Context& ctx, const sim::Message& msg) {
       {Int(rs_.n()), Int(leaf), root_view, Int(size), fragment, branch},
       true);
 
-  echoed_sources_.insert(msg.from);
   Writer w;
   w.u32(msg.from).u64(size);
   w.blob(root_view);
   w.blob(fragment).blob(branch);
-  ctx.broadcast(tag_echo_, w.take(),
-                1 + kDigestWords + fragment_word_count(fragment.size()) +
-                    branch_words(branch.size() / kDigestSize));
+  send_echo(ctx, msg.from, w.take(),
+            1 + kDigestWords + fragment_word_count(fragment.size()) +
+                branch_words(branch.size() / kDigestSize));
 }
 
 void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
@@ -238,7 +200,7 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   if (!branch_valid(leaf, root, size, fragment, branch)) return;
 
   Flow& flow = flow_of(source, held_key(source, root, size));
-  if (!flow.echoes.insert(msg.from)) return;
+  if (!count_echo(ctx, flow, msg.from)) return;
   if (!flow.have_root) {
     flow.have_root = true;
     std::copy(root.begin(), root.end(), flow.root.begin());
@@ -247,50 +209,19 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   // Same-index duplicates are byte-identical (same root, same leaf slot,
   // collision-resistant hash), so first-wins is safe. Once the source is
   // delivered or the flow poisoned, no decode reads fragments again.
-  if (!delivered_[source] && !flow.poisoned) {
+  if (!delivered(source) && !flow.poisoned) {
     if (flow.fragments.empty()) flow.fragments.resize(rs_.n());
-    flow.fragments[leaf] = Fragment{msg.payload, fragment};
+    flow.fragments[leaf] = Flow::Fragment{msg.payload, fragment};
     ++flow.fragment_count;
   }
-  if (echo_set_.echo_quorum(flow.echoes.size())) maybe_send_ready(ctx, flow);
   maybe_deliver(ctx, flow);  // a ready quorum may be waiting on fragments
 }
 
-void EcBroadcast::handle_ready(sim::Context& ctx, const sim::Message& msg) {
-  sim::ProcessId source = 0;
-  crypto::Digest key{};
-  try {
-    Reader r(msg.payload);
-    source = r.u32();
-    const BytesView key_bytes = r.blob_view();
-    if (key_bytes.size() != kDigestSize) return;
-    std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
-    r.done();
-  } catch (const CodecError&) {
-    return;
-  }
-  if (!echo_set_.contains(source, msg.from)) return;
-
-  Flow& flow = flow_of(source, key);
-  if (!flow.readies.insert(msg.from)) return;
-  if (flow.readies.size() >= cfg_.f + 1) maybe_send_ready(ctx, flow);
-  maybe_deliver(ctx, flow);
-}
-
-void EcBroadcast::maybe_send_ready(sim::Context& ctx, Flow& flow) {
-  if (flow.ready_sent || !echo_set_.contains(flow.source, ctx.self())) return;
-  flow.ready_sent = true;
-  Writer w;
-  w.u32(flow.source);
-  w.blob(BytesView(flow.key.data(), flow.key.size()));
-  ctx.broadcast(tag_ready_, w.take(), 1 + kDigestWords);
-}
-
 void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
-  if (delivered_[flow.source] || flow.poisoned) return;
-  if (flow.readies.size() < 2 * cfg_.f + 1) return;
   const std::size_t k = cfg_.f + 1;
-  if (!flow.have_root || flow.fragment_count < k) return;
+  if (!ready_quorum(flow) || flow.poisoned || !flow.have_root ||
+      flow.fragment_count < k)
+    return;
 
   // Decode from the k lowest-indexed fragments. The re-encode check
   // below makes the outcome independent of this choice: if it passes,
@@ -321,10 +252,7 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
     return;
   }
 
-  delivered_[flow.source] = true;
-  ++delivered_count_;
-  ctx.note_decide(cfg_.tag, static_cast<int>(flow.source), 0);
-  if (on_deliver_) on_deliver_(flow.source, value);
+  deliver(ctx, flow.source, value);
 }
 
 }  // namespace coincidence::ba

@@ -13,16 +13,13 @@
 //   member, on initial (branch valid at own position):
 //             broadcast <echo, src, |v|, root, frag_self, branch_self>
 //                                                       (once per source)
-//   member, on echo (branch valid at sender's position)
-//             from > (m+f)/2 distinct members:
-//             broadcast <ready, src, H(root ‖ |v|)>
-//   member, on ready from f+1 distinct members:
-//             broadcast <ready, src, H(root ‖ |v|)>
-//   anyone, on ready from 2f+1 distinct members AND ≥ k branch-valid
-//             member fragments:
-//             decode; re-encode; recompute root; deliver iff it matches
 //
-// Initials, echoes and readies from outside E never count.
+// and from there the quorum core of broadcast.h (QuorumBroadcast) over
+// flows (src, H(root ‖ |v|)), counting only echoes whose branch is valid
+// at the sender's position: readies at the echo quorum and at f + 1, and
+// at 2f + 1 member readies AND ≥ k branch-valid member fragments:
+//
+//             decode; re-encode; recompute root; deliver iff it matches
 //
 // The re-encode check makes deliver/no-deliver a deterministic function
 // of the root: if any k root-consistent fragments decode to a value
@@ -42,7 +39,7 @@
 // fragments and the 2f+1 member readies totality needs. Word ledger,
 // exact: with L = ⌈⌈|v|/k⌉/8⌉ fragment words and B = λ·(branch digests
 // of an m-leaf tree), initial = 1+L+B to each member, and echo =
-// 1+λ+L+B and ready = 1+λ, each sent by the m members to all n. The m·n term carries
+// 1+λ+L+B, sent by the m members to all n. The m·n term carries
 // fragments of |v|/(f+1) and hashes — O(n·|v| + f·n·λ·log f) total, the
 // sub-quadratic dissemination bill the paper's multivalued extension
 // assumes.
@@ -90,26 +87,13 @@
 #include "crypto/reed_solomon.h"
 #include "crypto/sha256.h"
 #include "crypto/verdict_memo.h"
-#include "sim/flat_map64.h"
 #include "sim/process.h"
 
 namespace coincidence::ba {
 
-class EcBroadcast final : public Broadcast {
- public:
-  using Config = Broadcast::Config;
-
-  EcBroadcast(Config cfg, DeliverFn on_deliver);
-
-  void broadcast(sim::Context& ctx, Bytes payload) override;
-  bool handle(sim::Context& ctx, const sim::Message& msg) override;
-
-  bool delivered(sim::ProcessId source) const override {
-    return source < delivered_.size() && delivered_[source];
-  }
-  std::size_t delivered_count() const override { return delivered_count_; }
-
- private:
+/// What a coded flow holds besides its tallies; its digest is
+/// H(root ‖ |v|), the ready-quorum identity.
+struct CodedFlow {
   // A branch-valid fragment: a view into the echo that carried it, kept
   // alive by holding that echo's payload (never empty for a parsed echo).
   struct Fragment {
@@ -117,26 +101,25 @@ class EcBroadcast final : public Broadcast {
     BytesView bytes;
   };
 
-  // One flow per (source, H(root ‖ |v|)): fragment store + echo/ready
-  // tallies. Buckets under a 64-bit key fold; the full composite digest
-  // disambiguates fold collisions.
-  struct Flow {
-    sim::ProcessId source = 0;
-    crypto::Digest key{};   // H(root ‖ |v|): the ready-quorum identity
-    crypto::Digest root{};  // learned with the first valid echo
-    std::uint64_t value_size = 0;
-    bool have_root = false;
-    // Branch-valid fragments by echoer position in E (m slots once the
-    // first arrives); dropped once the source is delivered or the flow
-    // poisoned (nothing decodes them again).
-    std::vector<Fragment> fragments;
-    std::size_t fragment_count = 0;
-    SenderSet echoes;
-    SenderSet readies;
-    bool ready_sent = false;
-    bool poisoned = false;  // failed the re-encode consistency check
-  };
+  crypto::Digest root{};  // learned with the first valid echo
+  std::uint64_t value_size = 0;
+  bool have_root = false;
+  // Branch-valid fragments by echoer position in E (m slots once the
+  // first arrives); dropped once the source is delivered or the flow
+  // poisoned (nothing decodes them again).
+  std::vector<Fragment> fragments;
+  std::size_t fragment_count = 0;
+  bool poisoned = false;  // failed the re-encode consistency check
+};
 
+class EcBroadcast final : public QuorumBroadcast<CodedFlow> {
+ public:
+  EcBroadcast(Config cfg, DeliverFn on_deliver);
+
+  void broadcast(sim::Context& ctx, Bytes payload) override;
+  bool handle(sim::Context& ctx, const sim::Message& msg) override;
+
+ private:
   // A (root, |v|) some echo for a source named, with its composite key.
   struct Held {
     crypto::Digest root{};
@@ -146,9 +129,6 @@ class EcBroadcast final : public Broadcast {
 
   static crypto::Digest composite_key(BytesView root,
                                       std::uint64_t value_size);
-  static std::uint64_t flow_fold(sim::ProcessId source,
-                                 const crypto::Digest& key);
-  Flow& flow_of(sim::ProcessId source, const crypto::Digest& key);
   /// H(root ‖ |v|), hashed only the first time `source` pairs them.
   crypto::Digest held_key(sim::ProcessId source, BytesView root,
                           std::uint64_t value_size);
@@ -164,8 +144,6 @@ class EcBroadcast final : public Broadcast {
 
   void handle_initial(sim::Context& ctx, const sim::Message& msg);
   void handle_echo(sim::Context& ctx, const sim::Message& msg);
-  void handle_ready(sim::Context& ctx, const sim::Message& msg);
-  void maybe_send_ready(sim::Context& ctx, Flow& flow);
   void maybe_deliver(sim::Context& ctx, Flow& flow);
 
   /// Branch words: λ per digest on the sibling path of an m-leaf tree.
@@ -173,21 +151,10 @@ class EcBroadcast final : public Broadcast {
     return kDigestWords * branch_len;
   }
 
-  Config cfg_;
-  DeliverFn on_deliver_;
   std::unique_ptr<crypto::VerdictMemo> own_memo_;  // when cfg_.memo is null
   crypto::VerdictMemo* memo_;
-  EchoSet echo_set_;
   crypto::ReedSolomon rs_;  // m = |E| fragments, k = f+1
-  sim::Tag tag_initial_;
-  sim::Tag tag_echo_;
-  sim::Tag tag_ready_;
-
-  sim::FlatMap64<std::vector<Flow>> flows_;
   std::vector<std::vector<Held>> held_;  // per source
-  SenderSet echoed_sources_;  // echo once per source
-  std::vector<bool> delivered_;
-  std::size_t delivered_count_ = 0;
 };
 
 }  // namespace coincidence::ba
