@@ -3,73 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/errors.h"
 #include "common/ser.h"
 #include "crypto/sha256.h"
-#include "sim/observer.h"
+#include "rbc_harness.h"
 #include "sim/simulation.h"
 
 namespace coincidence::ba {
 namespace {
 
-class RbcHost final : public sim::Process {
- public:
-  RbcHost(ReliableBroadcast::Config cfg, std::optional<Bytes> to_send)
-      : rbc_(std::move(cfg),
-             [this](sim::ProcessId src, const Bytes& payload) {
-               delivered[src] = payload;
-             }),
-        to_send_(std::move(to_send)) {}
-
-  void on_start(sim::Context& ctx) override {
-    if (to_send_) rbc_.broadcast(ctx, *to_send_);
-  }
-  void on_message(sim::Context& ctx, const sim::Message& msg) override {
-    // Broadcasts loop back to the sender: a self-addressed ready is this
-    // process's own ready going out.
-    if (msg.from == ctx.self() && msg.tag == sim::Tag("rbc/ready"))
-      ++readies_sent;
-    rbc_.handle(ctx, msg);
-  }
-
-  std::map<sim::ProcessId, Bytes> delivered;
-  std::size_t readies_sent = 0;
-
- private:
-  ReliableBroadcast rbc_;
-  std::optional<Bytes> to_send_;
-};
-
-ReliableBroadcast::Config rbc_cfg(std::size_t n, std::size_t f) {
-  ReliableBroadcast::Config cfg;
-  cfg.tag = "rbc";
-  cfg.n = n;
-  cfg.f = f;
-  return cfg;
-}
-
-TEST(Rbc, CorrectSourceDeliveredByAll) {
-  sim::SimConfig cfg;
-  cfg.n = 7;
-  cfg.seed = 1;
-  sim::Simulation sim(cfg);
-  for (sim::ProcessId i = 0; i < 7; ++i) {
-    std::optional<Bytes> send;
-    if (i == 0) send = bytes_of("hello");
-    sim.add_process(std::make_unique<RbcHost>(rbc_cfg(7, 2), send));
-  }
-  sim.start();
-  sim.run();
-  for (sim::ProcessId i = 0; i < 7; ++i) {
-    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
-    ASSERT_EQ(host.delivered.count(0), 1u) << i;
-    EXPECT_EQ(host.delivered[0], bytes_of("hello"));
-  }
-}
+using testing::RbcHost;
 
 TEST(Rbc, AllSourcesConcurrently) {
   sim::SimConfig cfg;
@@ -78,7 +25,7 @@ TEST(Rbc, AllSourcesConcurrently) {
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
     sim.add_process(std::make_unique<RbcHost>(
-        rbc_cfg(7, 2), bytes_of("m" + std::to_string(i))));
+        RbcBackend::kBracha, 7, 2, bytes_of("m" + std::to_string(i))));
   sim.start();
   sim.run();
   for (sim::ProcessId i = 0; i < 7; ++i) {
@@ -97,7 +44,7 @@ TEST(Rbc, SilentSourceDeliversNothingButOthersUnaffected) {
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
     sim.add_process(std::make_unique<RbcHost>(
-        rbc_cfg(7, 2), bytes_of("m" + std::to_string(i))));
+        RbcBackend::kBracha, 7, 2, bytes_of("m" + std::to_string(i))));
   sim.corrupt(6, sim::FaultPlan::crash());
   sim.start();
   sim.run();
@@ -118,7 +65,8 @@ TEST(Rbc, EquivocatingSourceNeverSplitsDelivery) {
   cfg.seed = 7;
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
-    sim.add_process(std::make_unique<RbcHost>(rbc_cfg(7, 2), std::nullopt));
+    sim.add_process(
+        std::make_unique<RbcHost>(RbcBackend::kBracha, 7, 2, std::nullopt));
   sim.corrupt(0, sim::FaultPlan::silent());
   sim.start();
   for (sim::ProcessId to = 1; to < 7; ++to) {
@@ -137,35 +85,6 @@ TEST(Rbc, EquivocatingSourceNeverSplitsDelivery) {
   }
 }
 
-TEST(Rbc, ForgedReadyQuorumCannotFakeDelivery) {
-  // f Byzantine processes send <ready, src=0, "forged"> without any
-  // initial/echo: 2f+1 readies are required, and only f can be forged
-  // (f+1 amplification needs a correct ready, which needs an echo quorum).
-  sim::SimConfig cfg;
-  cfg.n = 7;
-  cfg.f = 2;
-  cfg.seed = 9;
-  sim::Simulation sim(cfg);
-  for (sim::ProcessId i = 0; i < 7; ++i)
-    sim.add_process(std::make_unique<RbcHost>(rbc_cfg(7, 2), std::nullopt));
-  sim.corrupt(5, sim::FaultPlan::silent());
-  sim.corrupt(6, sim::FaultPlan::silent());
-  sim.start();
-  // READY now carries (source, digest): forge a well-formed one for a
-  // payload nobody echoed.
-  const crypto::Digest d = crypto::sha256(bytes_of("forged"));
-  Writer w;
-  w.u32(0).blob(BytesView(d.data(), d.size()));
-  for (sim::ProcessId from : {5, 6})
-    for (sim::ProcessId to = 0; to < 5; ++to)
-      sim.inject(from, to, "rbc/ready", w.bytes(), 5);
-  sim.run();
-  for (sim::ProcessId i = 0; i < 5; ++i) {
-    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
-    EXPECT_EQ(host.delivered.count(0), 0u) << i;
-  }
-}
-
 TEST(Rbc, MalformedEchoIgnored) {
   sim::SimConfig cfg;
   cfg.n = 4;
@@ -174,8 +93,8 @@ TEST(Rbc, MalformedEchoIgnored) {
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 4; ++i)
     sim.add_process(std::make_unique<RbcHost>(
-        rbc_cfg(4, 1), i == 0 ? std::optional<Bytes>(bytes_of("x"))
-                              : std::nullopt));
+        RbcBackend::kBracha, 4, 1,
+        i == 0 ? std::optional<Bytes>(bytes_of("x")) : std::nullopt));
   sim.corrupt(3, sim::FaultPlan::silent());
   sim.start();
   sim.inject(3, 1, "rbc/echo", bytes_of("garbage-not-codec"), 1);
@@ -195,7 +114,8 @@ class RbcDigestReuse : public ::testing::Test {
 
   RbcDigestReuse() : sim_(sim_cfg()) {
     for (sim::ProcessId i = 0; i < 4; ++i)
-      sim_.add_process(std::make_unique<RbcHost>(rbc_cfg(4, 1), std::nullopt));
+      sim_.add_process(
+          std::make_unique<RbcHost>(RbcBackend::kBracha, 4, 1, std::nullopt));
     for (sim::ProcessId i = 1; i < 4; ++i)
       sim_.corrupt(i, sim::FaultPlan::silent());
     sim_.start();
@@ -303,158 +223,6 @@ TEST(EchoSet, WindowStartsAtTheSourceAndWrapsInIdOrder) {
   // An echo quorum is > (m + f)/2 = 6.5 members.
   EXPECT_FALSE(e.echo_quorum(6));
   EXPECT_TRUE(e.echo_quorum(7));
-}
-
-/// Records which processes correct senders address initials to, and who
-/// sends echoes and readies.
-class RoleLog final : public sim::Observer {
- public:
-  void on_send(const sim::Message& msg, bool sender_correct) override {
-    if (!sender_correct) return;
-    const std::string& tag = msg.tag.str();
-    if (tag == "rbc/initial") initial_to.insert(msg.to);
-    if (tag == "rbc/echo" || tag == "rbc/ready") echoers.insert(msg.from);
-  }
-  std::set<sim::ProcessId> initial_to;
-  std::set<sim::ProcessId> echoers;
-};
-
-TEST(Rbc, NonMemberWithoutAnInitialDeliversFromMembersEchoes) {
-  // n = 16, f = 3: E(9) = {0, 1, 2, 9, ..., 15}. Processes 3..8 get no
-  // initial and neither echo nor ready, yet deliver from the members'
-  // payload-bearing echoes and readies.
-  constexpr sim::ProcessId kSource = 9;
-  sim::SimConfig cfg;
-  cfg.n = 16;
-  cfg.seed = 21;
-  sim::Simulation sim(cfg);
-  for (sim::ProcessId i = 0; i < 16; ++i) {
-    std::optional<Bytes> send;
-    if (i == kSource) send = bytes_of("windowed");
-    sim.add_process(std::make_unique<RbcHost>(rbc_cfg(16, 3), send));
-  }
-  auto roles = std::make_shared<RoleLog>();
-  sim.add_observer(roles);
-  sim.start();
-  sim.run();
-  const std::set<sim::ProcessId> members = {0, 1, 2, 9, 10, 11, 12, 13, 14, 15};
-  EXPECT_EQ(roles->initial_to, members);
-  EXPECT_EQ(roles->echoers, members);
-  for (sim::ProcessId i = 0; i < 16; ++i) {
-    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
-    ASSERT_EQ(host.delivered.count(kSource), 1u) << i;
-    EXPECT_EQ(host.delivered[kSource], bytes_of("windowed"));
-  }
-}
-
-TEST(Rbc, AllFFaultsInsideOneEchoSetKeepAgreementAndTotality) {
-  // n = 16, f = 3: E(0) = 0..9 holds all three faulty processes. The
-  // source equivocates, initial "a" to members 3..6 and "b" to 7..9;
-  // faulty 0..2 echo and ready both values to everyone. "a" gathers
-  // 4 correct + 3 faulty echoes, the > (m + f)/2 = 6.5 quorum; "b" gets
-  // 3 + 3 and three readies, one short of amplification. Every correct
-  // process delivers "a", non-members included.
-  sim::SimConfig cfg;
-  cfg.n = 16;
-  cfg.f = 3;
-  cfg.seed = 23;
-  sim::Simulation sim(cfg);
-  for (sim::ProcessId i = 0; i < 16; ++i)
-    sim.add_process(std::make_unique<RbcHost>(rbc_cfg(16, 3), std::nullopt));
-  for (sim::ProcessId i = 0; i < 3; ++i)
-    sim.corrupt(i, sim::FaultPlan::silent());
-  sim.start();
-  const Bytes a = bytes_of("a"), b = bytes_of("b");
-  for (sim::ProcessId to = 3; to < 10; ++to)
-    sim.inject(0, to, "rbc/initial", to <= 6 ? a : b, 1);
-  for (sim::ProcessId from = 0; from < 3; ++from) {
-    for (const Bytes& v : {a, b}) {
-      Writer echo;
-      echo.u32(0).blob(v);
-      const crypto::Digest d = crypto::sha256(v);
-      Writer ready;
-      ready.u32(0).blob(BytesView(d.data(), d.size()));
-      for (sim::ProcessId to = 3; to < 16; ++to) {
-        sim.inject(from, to, "rbc/echo", echo.bytes(), 2);
-        sim.inject(from, to, "rbc/ready", ready.bytes(), 3);
-      }
-    }
-  }
-  sim.run();
-  for (sim::ProcessId i = 3; i < 16; ++i) {
-    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
-    ASSERT_EQ(host.delivered.count(0), 1u) << i;
-    EXPECT_EQ(host.delivered[0], a) << i;
-  }
-}
-
-// Echo-set quorums: at n = 16, f = 3, E(15) = {0, ..., 8, 15}, so process
-// 0 is a member and 9..14 are not. Process 0 is the only correct
-// process; every other process's messages are scripted. An echo quorum
-// is 7 members, 4 member readies amplify and 7 deliver.
-class RbcEchoSet : public ::testing::Test {
- protected:
-  static constexpr sim::ProcessId kSource = 15;
-
-  RbcEchoSet() : sim_(sim_cfg()) {
-    for (sim::ProcessId i = 0; i < 16; ++i)
-      sim_.add_process(
-          std::make_unique<RbcHost>(rbc_cfg(16, 3), std::nullopt));
-    for (sim::ProcessId i = 1; i < 16; ++i)
-      sim_.corrupt(i, sim::FaultPlan::silent());
-    sim_.start();
-  }
-
-  static sim::SimConfig sim_cfg() {
-    sim::SimConfig cfg;
-    cfg.n = 16;
-    cfg.f = 15;
-    cfg.seed = 25;
-    return cfg;
-  }
-
-  void echo(sim::ProcessId from) {
-    Writer w;
-    w.u32(kSource).blob(payload_);
-    sim_.inject(from, 0, "rbc/echo", w.bytes(), 1);
-  }
-  void ready(sim::ProcessId from) {
-    const crypto::Digest d = crypto::sha256(payload_);
-    Writer w;
-    w.u32(kSource).blob(BytesView(d.data(), d.size()));
-    sim_.inject(from, 0, "rbc/ready", w.bytes(), 1);
-  }
-  RbcHost& host() { return dynamic_cast<RbcHost&>(sim_.process(0)); }
-
-  const Bytes payload_ = bytes_of("echo-set payload");
-  sim::Simulation sim_;
-};
-
-TEST_F(RbcEchoSet, NonMemberEchoesNeverCompleteAQuorum) {
-  // Ten echoers, enough for a quorum of all n, but only four members.
-  for (sim::ProcessId from : {1, 2, 3, 4, 9, 10, 11, 12, 13, 14}) echo(from);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 0u);
-  for (sim::ProcessId from : {5, 6, 7}) echo(from);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 1u);  // the seventh member echo
-}
-
-TEST_F(RbcEchoSet, NonMemberReadiesNeitherAmplifyNorDeliver) {
-  echo(1);  // the payload, far short of a quorum
-  for (sim::ProcessId from = 9; from < 15; ++from) ready(from);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 0u);
-  EXPECT_EQ(host().delivered.count(kSource), 0u);
-  // f + 1 member readies amplify; with this process's own, five of 7.
-  for (sim::ProcessId from : {1, 2, 3, 4}) ready(from);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 1u);
-  EXPECT_EQ(host().delivered.count(kSource), 0u);
-  for (sim::ProcessId from : {5, 6}) ready(from);
-  sim_.run();
-  ASSERT_EQ(host().delivered.count(kSource), 1u);
-  EXPECT_EQ(host().delivered[kSource], payload_);
 }
 
 TEST(Rbc, RequiresN3f) {

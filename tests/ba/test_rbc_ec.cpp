@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -25,39 +24,18 @@
 #include "crypto/merkle.h"
 #include "crypto/reed_solomon.h"
 #include "crypto/verdict_memo.h"
+#include "rbc_harness.h"
 #include "sim/observer.h"
 #include "sim/simulation.h"
 
 namespace coincidence::ba {
 namespace {
 
-class EcHost final : public sim::Process {
- public:
-  EcHost(Broadcast::Config cfg, std::optional<Bytes> to_send)
-      : rbc_(std::move(cfg),
-             [this](sim::ProcessId src, const Bytes& payload) {
-               delivered[src] = payload;
-             }),
-        to_send_(std::move(to_send)) {}
-
-  void on_start(sim::Context& ctx) override {
-    if (to_send_) rbc_.broadcast(ctx, *to_send_);
-  }
-  void on_message(sim::Context& ctx, const sim::Message& msg) override {
-    // Broadcasts loop back to the sender: a self-addressed ready is this
-    // process's own ready going out.
-    if (msg.from == ctx.self() && msg.tag == sim::Tag("rbc/ready"))
-      ++readies_sent;
-    rbc_.handle(ctx, msg);
-  }
-
-  std::map<sim::ProcessId, Bytes> delivered;
-  std::size_t readies_sent = 0;
-
- private:
-  EcBroadcast rbc_;
-  std::optional<Bytes> to_send_;
-};
+using testing::big_value;
+using testing::branch_bytes;
+using testing::echo_wire;
+using testing::initial_wire;
+using testing::RbcHost;
 
 Broadcast::Config ec_cfg(std::size_t n, std::size_t f,
                          crypto::VerdictMemo* memo = nullptr) {
@@ -69,46 +47,6 @@ Broadcast::Config ec_cfg(std::size_t n, std::size_t f,
   return cfg;
 }
 
-Bytes big_value(const std::string& seed, std::size_t size) {
-  Bytes v;
-  v.reserve(size);
-  while (v.size() < size) {
-    for (char c : seed) {
-      if (v.size() == size) break;
-      v.push_back(static_cast<std::uint8_t>(
-          c ^ static_cast<char>(v.size() & 0x7f)));
-    }
-  }
-  return v;
-}
-
-Bytes branch_bytes(const crypto::MerkleTree& tree, std::size_t index) {
-  Bytes out;
-  for (const crypto::Digest& d : tree.branch(index))
-    out.insert(out.end(), d.begin(), d.end());
-  return out;
-}
-
-/// Wire-format initial for leaf `index` of `tree`: what a (possibly
-/// dishonest) source would send that process.
-Bytes initial_wire(std::uint64_t value_size, const Bytes& fragment,
-                   const crypto::MerkleTree& tree, std::size_t index) {
-  Writer w;
-  w.u64(value_size).blob(fragment).blob(branch_bytes(tree, index));
-  return w.take();
-}
-
-/// Wire-format echo for `source`'s dispersal: what an echoer sends after
-/// a valid initial, or a forgery built from parts of one.
-Bytes echo_wire(sim::ProcessId source, std::uint64_t value_size,
-                const crypto::Digest& root, const Bytes& fragment,
-                const Bytes& branch) {
-  Writer w;
-  w.u32(source).u64(value_size);
-  w.blob(BytesView(root.data(), root.size())).blob(fragment).blob(branch);
-  return w.take();
-}
-
 /// Counts the echoes correct processes send.
 class EchoCounter final : public sim::Observer {
  public:
@@ -118,41 +56,19 @@ class EchoCounter final : public sim::Observer {
   std::size_t echoes = 0;
 };
 
-TEST(RbcEc, CorrectSourceDeliveredByAll) {
-  // A value long enough that every fragment carries real data and the
-  // ragged tail exercises the zero-padding path.
-  const Bytes value = big_value("ec-delivers", 611);
-  sim::SimConfig cfg;
-  cfg.n = 7;
-  cfg.seed = 1;
-  sim::Simulation sim(cfg);
-  for (sim::ProcessId i = 0; i < 7; ++i) {
-    std::optional<Bytes> send;
-    if (i == 0) send = value;
-    sim.add_process(std::make_unique<EcHost>(ec_cfg(7, 2), send));
-  }
-  sim.start();
-  sim.run();
-  for (sim::ProcessId i = 0; i < 7; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
-    ASSERT_EQ(host.delivered.count(0), 1u) << i;
-    EXPECT_EQ(host.delivered[0], value);
-  }
-}
-
 TEST(RbcEc, AllSourcesConcurrentlyIncludingEmpty) {
   sim::SimConfig cfg;
   cfg.n = 7;
   cfg.seed = 3;
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
-    sim.add_process(std::make_unique<EcHost>(
-        ec_cfg(7, 2),
+    sim.add_process(std::make_unique<RbcHost>(
+        RbcBackend::kEc, 7, 2,
         i == 3 ? Bytes{} : big_value("m" + std::to_string(i), 64 + i)));
   sim.start();
   sim.run();
   for (sim::ProcessId i = 0; i < 7; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     ASSERT_EQ(host.delivered.size(), 7u) << i;
     EXPECT_EQ(host.delivered[3], Bytes{});
     for (sim::ProcessId s = 0; s < 7; ++s)
@@ -175,13 +91,13 @@ TEST(RbcEc, UninitialedProcessesStillDeliverFromEchoes) {
   for (sim::ProcessId i = 0; i < 7; ++i) {
     std::optional<Bytes> send;
     if (i == 0) send = value;
-    sim.add_process(std::make_unique<EcHost>(ec_cfg(7, 2), send));
+    sim.add_process(std::make_unique<RbcHost>(RbcBackend::kEc, 7, 2, send));
   }
   sim.corrupt(0, sim::FaultPlan::selective({0, 1, 2, 3, 4}));
   sim.start();
   sim.run();
   for (sim::ProcessId i : {5, 6}) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     ASSERT_EQ(host.delivered.count(0), 1u) << i;
     EXPECT_EQ(host.delivered[0], value);
   }
@@ -200,7 +116,7 @@ TEST(RbcEc, RootEquivocatingSourceNeverSplitsDelivery) {
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
     sim.add_process(
-        std::make_unique<EcHost>(ec_cfg(7, 2, &memo), std::nullopt));
+        std::make_unique<RbcHost>(RbcBackend::kEc, 7, 2, std::nullopt, &memo));
   sim.corrupt(0, sim::FaultPlan::silent());
   sim.start();
 
@@ -222,7 +138,7 @@ TEST(RbcEc, RootEquivocatingSourceNeverSplitsDelivery) {
 
   std::optional<Bytes> delivered_value;
   for (sim::ProcessId i = 1; i < 7; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     auto it = host.delivered.find(0);
     if (it == host.delivered.end()) continue;
     if (!delivered_value) delivered_value = it->second;
@@ -243,7 +159,7 @@ TEST(RbcEc, InconsistentDispersalPoisonedNobodyDelivers) {
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
     sim.add_process(
-        std::make_unique<EcHost>(ec_cfg(7, 2, &memo), std::nullopt));
+        std::make_unique<RbcHost>(RbcBackend::kEc, 7, 2, std::nullopt, &memo));
   sim.corrupt(0, sim::FaultPlan::silent());
   sim.start();
 
@@ -256,7 +172,7 @@ TEST(RbcEc, InconsistentDispersalPoisonedNobodyDelivers) {
                1);
   sim.run();
   for (sim::ProcessId i = 1; i < 7; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     EXPECT_EQ(host.delivered.count(0), 0u) << i;
   }
   // The poisoned flow is accounted, never invisible.
@@ -276,7 +192,7 @@ TEST(RbcEc, SizeEquivocationUnderOneRootRejected) {
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
     sim.add_process(
-        std::make_unique<EcHost>(ec_cfg(7, 2, &memo), std::nullopt));
+        std::make_unique<RbcHost>(RbcBackend::kEc, 7, 2, std::nullopt, &memo));
   sim.corrupt(0, sim::FaultPlan::silent());
   sim.start();
 
@@ -293,7 +209,7 @@ TEST(RbcEc, SizeEquivocationUnderOneRootRejected) {
   sim.run();
 
   for (sim::ProcessId i = 1; i < 7; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     auto it = host.delivered.find(0);
     if (it != host.delivered.end())
       EXPECT_EQ(it->second, value) << i;  // only the true size can win
@@ -314,14 +230,14 @@ TEST(RbcEc, SurvivesCrashRecoverChurn) {
   for (sim::ProcessId i = 0; i < 7; ++i) {
     std::optional<Bytes> send;
     if (i == 0) send = value;
-    sim.add_process(std::make_unique<EcHost>(ec_cfg(7, 2), send));
+    sim.add_process(std::make_unique<RbcHost>(RbcBackend::kEc, 7, 2, send));
   }
   sim.corrupt(5, sim::FaultPlan::crash_recover(40));
   sim.corrupt(6, sim::FaultPlan::crash_recover(60));
   sim.start();
   sim.run();
   for (sim::ProcessId i = 0; i < 5; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     ASSERT_EQ(host.delivered.count(0), 1u) << i;
     EXPECT_EQ(host.delivered[0], value);
   }
@@ -334,8 +250,8 @@ TEST(RbcEc, MalformedMessagesIgnored) {
   cfg.seed = 15;
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 4; ++i)
-    sim.add_process(std::make_unique<EcHost>(
-        ec_cfg(4, 1),
+    sim.add_process(std::make_unique<RbcHost>(
+        RbcBackend::kEc, 4, 1,
         i == 0 ? std::optional<Bytes>(big_value("x", 40)) : std::nullopt));
   sim.corrupt(3, sim::FaultPlan::silent());
   sim.start();
@@ -347,7 +263,7 @@ TEST(RbcEc, MalformedMessagesIgnored) {
   w.u32(0).blob(Bytes(32, 0xab));
   sim.inject(3, 1, "rbc/ready", w.bytes(), 5);
   sim.run();
-  auto& host = dynamic_cast<EcHost&>(sim.process(1));
+  auto& host = dynamic_cast<RbcHost&>(sim.process(1));
   ASSERT_EQ(host.delivered.count(0), 1u);
   EXPECT_EQ(host.delivered[0], big_value("x", 40));
 }
@@ -366,7 +282,7 @@ TEST(RbcEc, WrappedValueSizeNeverCrashes) {
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
     sim.add_process(
-        std::make_unique<EcHost>(ec_cfg(7, 2, &memo), std::nullopt));
+        std::make_unique<RbcHost>(RbcBackend::kEc, 7, 2, std::nullopt, &memo));
   auto echoes = std::make_shared<EchoCounter>();
   sim.add_observer(echoes);
   sim.corrupt(0, sim::FaultPlan::silent());
@@ -385,7 +301,7 @@ TEST(RbcEc, WrappedValueSizeNeverCrashes) {
   EXPECT_NO_THROW(sim.run());
   EXPECT_EQ(echoes->echoes, 0u);
   for (sim::ProcessId i = 1; i < 7; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     EXPECT_TRUE(host.delivered.empty()) << i;
   }
 }
@@ -400,12 +316,13 @@ TEST(RbcEc, SharedMemoRunDeliversWithOneReencodePerSource) {
   cfg.seed = 19;
   sim::Simulation sim(cfg);
   for (sim::ProcessId i = 0; i < 7; ++i)
-    sim.add_process(std::make_unique<EcHost>(
-        ec_cfg(7, 2, &memo), big_value("m" + std::to_string(i), 100 + i)));
+    sim.add_process(std::make_unique<RbcHost>(
+        RbcBackend::kEc, 7, 2, big_value("m" + std::to_string(i), 100 + i),
+        &memo));
   sim.start();
   sim.run();
   for (sim::ProcessId i = 0; i < 7; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     ASSERT_EQ(host.delivered.size(), 7u) << i;
     for (sim::ProcessId s = 0; s < 7; ++s)
       EXPECT_EQ(host.delivered[s], big_value("m" + std::to_string(s), 100 + s));
@@ -415,203 +332,6 @@ TEST(RbcEc, SharedMemoRunDeliversWithOneReencodePerSource) {
   // 7 source encodes + 7 re-encodes, against 7 + 49 without the memo.
   EXPECT_EQ(c[sim::Counter::kRbcEncodes], 14u);
   EXPECT_GT(memo.hits(), 0u);
-}
-
-/// Records which processes correct senders address initials to (with the
-/// fragment each carries), and who sends echoes and readies.
-class RoleLog final : public sim::Observer {
- public:
-  void on_send(const sim::Message& msg, bool sender_correct) override {
-    if (!sender_correct) return;
-    const std::string& tag = msg.tag.str();
-    if (tag == "rbc/initial") {
-      Reader r(msg.payload);
-      r.u64();
-      const BytesView fragment = r.blob_view();
-      initial_fragments[msg.to] = Bytes(fragment.begin(), fragment.end());
-    }
-    if (tag == "rbc/echo" || tag == "rbc/ready") echoers.insert(msg.from);
-  }
-  std::map<sim::ProcessId, Bytes> initial_fragments;
-  std::set<sim::ProcessId> echoers;
-};
-
-TEST(RbcEc, NonMemberWithoutAnInitialDeliversFromMembersEchoes) {
-  // n = 16, f = 3: E(9) = {0, 1, 2, 9, ..., 15}, in id order. The source
-  // codes m = 10 fragments and sends the member at position j fragment
-  // j; processes 3..8 get none, never echo or ready, and still decode
-  // from the members' echoed fragments.
-  constexpr sim::ProcessId kSource = 9;
-  const Bytes value = big_value("ec-windowed", 400);
-  sim::SimConfig cfg;
-  cfg.n = 16;
-  cfg.seed = 21;
-  sim::Simulation sim(cfg);
-  for (sim::ProcessId i = 0; i < 16; ++i) {
-    std::optional<Bytes> send;
-    if (i == kSource) send = value;
-    sim.add_process(std::make_unique<EcHost>(ec_cfg(16, 3), send));
-  }
-  auto roles = std::make_shared<RoleLog>();
-  sim.add_observer(roles);
-  sim.start();
-  sim.run();
-  const std::vector<sim::ProcessId> members = {0,  1,  2,  9,  10,
-                                               11, 12, 13, 14, 15};
-  const auto frags = crypto::ReedSolomon(10, 4).encode(value);
-  ASSERT_EQ(roles->initial_fragments.size(), members.size());
-  for (std::size_t j = 0; j < members.size(); ++j)
-    EXPECT_EQ(roles->initial_fragments[members[j]], frags[j]) << j;
-  EXPECT_EQ(roles->echoers,
-            std::set<sim::ProcessId>(members.begin(), members.end()));
-  for (sim::ProcessId i = 0; i < 16; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
-    ASSERT_EQ(host.delivered.count(kSource), 1u) << i;
-    EXPECT_EQ(host.delivered[kSource], value);
-  }
-}
-
-/// One dispersal as a source with a 3f + 1 echo set codes it at n = 16,
-/// f = 3: m = 10 fragments, k = 4, an m-leaf tree.
-struct WindowDispersal {
-  static constexpr std::size_t kM = 10;
-
-  WindowDispersal(sim::ProcessId source, const Bytes& value)
-      : source(source),
-        size(value.size()),
-        frags(crypto::ReedSolomon(kM, 4).encode(value)),
-        tree(frags) {}
-
-  /// The echo of the member at position j.
-  Bytes echo(std::size_t j) const {
-    return echo_wire(source, size, tree.root(), frags[j],
-                     branch_bytes(tree, j));
-  }
-  Bytes initial(std::size_t j) const {
-    return initial_wire(size, frags[j], tree, j);
-  }
-  Bytes ready() const {
-    Writer w;
-    w.u32(source).blob(crypto::sha256(
-        concat({BytesView(tree.root()), bytes_of_u64(size)})));
-    return w.take();
-  }
-
-  sim::ProcessId source;
-  std::uint64_t size;
-  std::vector<Bytes> frags;
-  crypto::MerkleTree tree;
-};
-
-TEST(RbcEc, AllFFaultsInsideOneEchoSetKeepAgreementAndTotality) {
-  // n = 16, f = 3: E(0) = 0..9 (position j is process j) holds all three
-  // faulty processes. The source disperses two values under two roots,
-  // "a" to members 3..6 and "b" to 7..9; faulty 0..2 echo their own
-  // leaves of both trees and ready both. Root a gathers 4 correct + 3
-  // faulty echoes, the > (m + f)/2 = 6.5 quorum, and 7 fragments; root b
-  // 3 + 3 and three readies, one short of amplification. Every correct
-  // process delivers "a", non-members included.
-  crypto::VerdictMemo memo;  // shared, as in a log run
-  sim::SimConfig cfg;
-  cfg.n = 16;
-  cfg.f = 3;
-  cfg.seed = 23;
-  sim::Simulation sim(cfg);
-  for (sim::ProcessId i = 0; i < 16; ++i)
-    sim.add_process(
-        std::make_unique<EcHost>(ec_cfg(16, 3, &memo), std::nullopt));
-  for (sim::ProcessId i = 0; i < 3; ++i)
-    sim.corrupt(i, sim::FaultPlan::silent());
-  sim.start();
-  const Bytes va = big_value("inside-a", 150);
-  const WindowDispersal a(0, va);
-  const WindowDispersal b(0, big_value("inside-b", 150));
-  for (sim::ProcessId to = 3; to < 10; ++to)
-    sim.inject(0, to, "rbc/initial", (to <= 6 ? a : b).initial(to), 1);
-  for (sim::ProcessId from = 0; from < 3; ++from) {
-    for (const WindowDispersal* d : {&a, &b}) {
-      for (sim::ProcessId to = 3; to < 16; ++to) {
-        sim.inject(from, to, "rbc/echo", d->echo(from), 2);
-        sim.inject(from, to, "rbc/ready", d->ready(), 3);
-      }
-    }
-  }
-  sim.run();
-  for (sim::ProcessId i = 3; i < 16; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
-    ASSERT_EQ(host.delivered.count(0), 1u) << i;
-    EXPECT_EQ(host.delivered[0], va) << i;
-  }
-}
-
-// Echo-set quorums on the coded backend: at n = 16, f = 3, E(15) =
-// {0, ..., 8, 15}, so process 0 (position 0) is a member and 9..14 are
-// not. Process 0 is the only correct process; every other process's
-// messages are scripted. An echo quorum is 7 members, 4 member readies
-// amplify and 7 deliver, given k = 4 fragments.
-class RbcEcEchoSet : public ::testing::Test {
- protected:
-  static constexpr sim::ProcessId kSource = 15;
-
-  RbcEcEchoSet() : sim_(sim_cfg()) {
-    for (sim::ProcessId i = 0; i < 16; ++i)
-      sim_.add_process(std::make_unique<EcHost>(ec_cfg(16, 3), std::nullopt));
-    for (sim::ProcessId i = 1; i < 16; ++i)
-      sim_.corrupt(i, sim::FaultPlan::silent());
-    sim_.start();
-  }
-
-  static sim::SimConfig sim_cfg() {
-    sim::SimConfig cfg;
-    cfg.n = 16;
-    cfg.f = 15;
-    cfg.seed = 25;
-    return cfg;
-  }
-
-  /// Member p's echo of its own leaf (position p for p ≤ 8), or, from a
-  /// non-member, a replay of member `leaf`'s echo.
-  void echo(sim::ProcessId from, std::size_t leaf) {
-    sim_.inject(from, 0, "rbc/echo", dispersal_.echo(leaf), 1);
-  }
-  void ready(sim::ProcessId from) {
-    sim_.inject(from, 0, "rbc/ready", dispersal_.ready(), 1);
-  }
-  EcHost& host() { return dynamic_cast<EcHost&>(sim_.process(0)); }
-
-  const Bytes value_ = big_value("ec-echo-set", 200);
-  const WindowDispersal dispersal_{kSource, value_};
-  sim::Simulation sim_;
-};
-
-TEST_F(RbcEcEchoSet, NonMemberEchoesNeverCompleteAQuorum) {
-  // Four members echo their leaves; six non-members replay members'
-  // valid echoes. Ten echoers, but only four members.
-  for (sim::ProcessId from : {1, 2, 3, 4}) echo(from, from);
-  for (sim::ProcessId from = 9; from < 15; ++from) echo(from, from - 8);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 0u);
-  for (sim::ProcessId from : {5, 6, 7}) echo(from, from);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 1u);  // the seventh member echo
-}
-
-TEST_F(RbcEcEchoSet, NonMemberReadiesNeitherAmplifyNorDeliver) {
-  // k = 4 member fragments, short of an echo quorum.
-  for (sim::ProcessId from : {1, 2, 3, 4}) echo(from, from);
-  for (sim::ProcessId from = 9; from < 15; ++from) ready(from);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 0u);
-  EXPECT_EQ(host().delivered.count(kSource), 0u);
-  // f + 1 member readies amplify; with this process's own, five of 7.
-  for (sim::ProcessId from : {1, 2, 3, 4}) ready(from);
-  sim_.run();
-  EXPECT_EQ(host().readies_sent, 1u);
-  EXPECT_EQ(host().delivered.count(kSource), 0u);
-  for (sim::ProcessId from : {5, 6}) ready(from);
-  sim_.run();
-  ASSERT_EQ(host().delivered.count(kSource), 1u);
-  EXPECT_EQ(host().delivered[kSource], value_);
 }
 
 /// A harness Context for driving an EcBroadcast by hand: records the tags
@@ -824,12 +544,13 @@ TEST(RbcEc, DeliversPastTheFieldCapOnN) {
   for (sim::ProcessId i = 0; i < 300; ++i) {
     std::optional<Bytes> send;
     if (i == 290) send = value;  // E(290) wraps past n − 1
-    sim.add_process(std::make_unique<EcHost>(ec_cfg(300, 20), send));
+    sim.add_process(
+        std::make_unique<RbcHost>(RbcBackend::kEc, 300, 20, send));
   }
   sim.start();
   sim.run();
   for (sim::ProcessId i = 0; i < 300; ++i) {
-    auto& host = dynamic_cast<EcHost&>(sim.process(i));
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
     ASSERT_EQ(host.delivered.count(290), 1u) << i;
     EXPECT_EQ(host.delivered[290], value);
   }
