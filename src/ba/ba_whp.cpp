@@ -32,16 +32,14 @@ BaWhp::BaWhp(Config cfg, Value initial)
       approver_cfg_{cfg_},
       coin_cfg_{cfg_},
       initial_(initial),
-      est_(initial) {
+      est_(initial),
+      senders_(3, skip_enabled() ? cfg_.params.n : 0) {
   COIN_REQUIRE(is_binary(initial), "BaWhp: initial value must be 0 or 1");
   COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler && cfg_.signer &&
                    cfg_.batcher,
                "BaWhp: missing crypto environment");
   if (skip_enabled()) {
     tag_decided_ = sim::Tag(cfg_.tag + "/decided");
-    skip_seen_.resize(cfg_.params.n, false);
-    certed_.resize(cfg_.params.n, false);
-    cert_rejected_.resize(cfg_.params.n, false);
   }
 }
 
@@ -97,7 +95,6 @@ void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
   retired_coins_.clear();
   release_backlog();
   if (skip_enabled()) {
-    skip_seen_.assign(skip_seen_.size(), false);
     skip_count_ = 0;
     sent_skip_ = false;
     skip_attempts_ = 0;
@@ -107,8 +104,8 @@ void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
     decided_by_cert_ = false;
     cert_oks_.clear();
     cert_round_ = 0;
-    certed_.assign(certed_.size(), false);
-    cert_rejected_.assign(cert_rejected_.size(), false);
+    for (std::size_t row : {kSkipRow, kCertedRow, kCertRejectedRow})
+      senders_.clear(row);
   }
 
   Bytes state;
@@ -156,7 +153,7 @@ void BaWhp::begin_round(sim::Context& ctx) {
   if (coin_) retired_coins_.push_back(std::move(coin_));
   if (skip_enabled()) {
     tag_skip_ = sim::join_tag(round_prefix_, std::to_string(round_), "/skip");
-    skip_seen_.assign(skip_seen_.size(), false);
+    senders_.clear(kSkipRow);
     skip_count_ = 0;
     sent_skip_ = false;
     skip_attempts_ = 0;
@@ -420,7 +417,7 @@ bool BaWhp::handle_skip_req(sim::Context& ctx, const sim::Message& msg) {
     return false;
   }
   if (r < round_) return true;  // stale; this round was already left
-  if (!mark_seen(skip_seen_, msg.from)) return true;
+  if (!senders_.insert(kSkipRow, msg.from)) return true;
   ++skip_count_;
 
   // Lock forwarding: adopt (after full verification) one non-⊥ ok of the
@@ -472,9 +469,8 @@ void BaWhp::execute_skip(sim::Context& ctx) {
 void BaWhp::maybe_send_cert(sim::Context& ctx, sim::ProcessId to) {
   const std::size_t W = cfg_.params.W;
   if (!decision_ || cert_oks_.size() < W) return;
-  if (to >= certed_.size()) certed_.resize(to + 1, false);
-  if (certed_[to]) return;  // once per requester: spam cannot amplify
-  certed_[to] = true;
+  // Once per requester: spam cannot amplify.
+  if (!senders_.insert(kCertedRow, to)) return;
   Writer w;
   w.u64(cert_round_);
   w.u8(static_cast<std::uint8_t>(*decision_));
@@ -488,8 +484,7 @@ void BaWhp::maybe_send_cert(sim::Context& ctx, sim::ProcessId to) {
 
 bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
   if (decision_) return true;
-  if (msg.from < cert_rejected_.size() && cert_rejected_[msg.from])
-    return true;
+  if (senders_.contains(kCertRejectedRow, msg.from)) return true;
 
   const std::size_t W = cfg_.params.W;
   std::uint64_t r = 0;
@@ -508,7 +503,7 @@ bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
     }
     rd.done();
   } catch (const CodecError&) {
-    mark_seen(cert_rejected_, msg.from);
+    senders_.insert(kCertRejectedRow, msg.from);
     return true;
   }
 
@@ -529,7 +524,7 @@ bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
     valid = verified.has_value() && *verified == v;
   }
   if (!valid) {
-    mark_seen(cert_rejected_, msg.from);
+    senders_.insert(kCertRejectedRow, msg.from);
     return true;
   }
 
@@ -544,13 +539,6 @@ bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
         Approver::AppliedOk{sender, v, SharedBytes::copy_of(payload)});
   ctx.note_decide(cfg_.tag, *decision_, r);
   persist_now(ctx);
-  return true;
-}
-
-bool BaWhp::mark_seen(std::vector<bool>& seen, crypto::ProcessId from) {
-  if (from >= seen.size()) seen.resize(from + 1, false);
-  if (seen[from]) return false;
-  seen[from] = true;
   return true;
 }
 

@@ -51,6 +51,7 @@
 #include "ba/ba_process.h"
 #include "ba/value.h"
 #include "coin/whp_coin.h"
+#include "common/sender_rows.h"
 #include "sim/flat_map64.h"
 
 namespace coincidence::ba {
@@ -184,8 +185,6 @@ class BaWhp final : public BaProcess {
   /// A verified non-⊥ ok of the current round's a2 to forward as a lock:
   /// this process's own applied oks first, else a retained forwarded one.
   std::optional<Approver::AppliedOk> current_lock() const;
-  /// insert().second over a growable sender bitmap (see Approver's).
-  static bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
 
   Config cfg_;
   std::string round_prefix_;  // "<tag>/", the round tags' prefix
@@ -227,7 +226,12 @@ class BaWhp final : public BaProcess {
   // --- Round-skip fallback state (all dormant when skip_timeout == 0).
   sim::Tag tag_decided_;              // "<tag>/decided", round-independent
   sim::Tag tag_skip_;                 // "<tag>/<round_>/skip", per round
-  std::vector<bool> skip_seen_;       // distinct skip-req senders, this round
+  // Distinct senders, a row each: skip-req senders this round,
+  // requesters already answered, senders of invalid certificates.
+  static constexpr std::size_t kSkipRow = 0;
+  static constexpr std::size_t kCertedRow = 1;
+  static constexpr std::size_t kCertRejectedRow = 2;
+  SenderRows senders_;
   std::uint32_t skip_count_ = 0;
   bool sent_skip_ = false;
   std::uint32_t skip_attempts_ = 0;
@@ -246,8 +250,6 @@ class BaWhp final : public BaProcess {
   // the entries of an accepted forwarded certificate. Retained payloads.
   std::vector<Approver::AppliedOk> cert_oks_;
   std::uint64_t cert_round_ = 0;      // a2 round the certificate verifies in
-  std::vector<bool> certed_;          // requesters already answered
-  std::vector<bool> cert_rejected_;   // senders of invalid certificates
 };
 
 /// The skip budget every multi-slot driver arms: 192·n delivery events

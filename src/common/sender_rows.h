@@ -1,6 +1,7 @@
 // Distinct-sender sets for a protocol's phases, in one bitmap.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -25,6 +26,11 @@ class SenderRows {
     if (bit) return false;
     bit = true;
     return true;
+  }
+  /// Empties one row.
+  void clear(std::size_t row) {
+    const auto first = bits_.begin() + static_cast<std::ptrdiff_t>(row * n_);
+    std::fill(first, first + static_cast<std::ptrdiff_t>(n_), false);
   }
   /// One row, a bit per id.
   std::vector<bool> row(std::size_t row) const {
