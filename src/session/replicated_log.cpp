@@ -11,7 +11,7 @@
 namespace coincidence::session {
 
 LogProcess::LogProcess(LogConfig cfg)
-    : cfg_(std::move(cfg)), slots_(cfg_.slot_prefix, cfg_.total_slots) {
+    : cfg_(std::move(cfg)), slots_(kSlotPrefix, cfg_.total_slots) {
   COIN_REQUIRE(cfg_.total_slots > 0, "LogProcess: need at least one slot");
   COIN_REQUIRE(cfg_.pipeline_depth > 0, "LogProcess: depth must be >= 1");
   COIN_REQUIRE(cfg_.batch_size > 0, "LogProcess: batch must be >= 1");
@@ -92,7 +92,7 @@ void LogProcess::pump(sim::Context& ctx) {
 void LogProcess::activate_slot(sim::Context& ctx) {
   const std::size_t k = slots_.size();
   ba::MultiValuedBa::Config mcfg{cfg_};
-  mcfg.tag = cfg_.slot_prefix + std::to_string(k);
+  mcfg.tag = kSlotPrefix + std::to_string(k);
   mcfg.max_rounds = cfg_.max_rounds;
   mcfg.skip_timeout = cfg_.skip_timeout;
   mcfg.max_candidates = cfg_.max_candidates;

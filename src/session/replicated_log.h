@@ -40,11 +40,11 @@
 
 namespace coincidence::session {
 
+/// Slot k's MvBa instance tag is "<kSlotPrefix><k>".
+inline constexpr char kSlotPrefix[] = "slot";
+
 /// The setup is handed whole to every slot's MultiValuedBa.
 struct LogConfig : coin::Setup {
-  /// Slot k's MvBa instance tag is "<slot_prefix><k>".
-  std::string slot_prefix = "slot";
-
   std::size_t total_slots = 8;
   /// Max locally-undecided slots in flight at once (>= 1).
   std::size_t pipeline_depth = 4;
@@ -113,7 +113,7 @@ class LogProcess final : public sim::Process {
   LogConfig cfg_;
   sim::ProcessId self_ = 0;  // bound in on_start
 
-  // Slot k's instance lives at slots_[k], tagged "<slot_prefix><k>";
+  // Slot k's instance lives at slots_[k], tagged "<kSlotPrefix><k>";
   // activation is strictly sequential, and traffic for a slot not
   // activated yet is held and replayed on activation. Done flags latch
   // decided() transitions.

@@ -506,7 +506,7 @@ TEST(ReplicatedLog, SilencedCappedPrefixClosesEverySlotNoop) {
   std::set<sim::ProcessId> faulty;
   for (std::size_t s = 0; s < lcfg.total_slots; ++s) {
     ba::MultiValuedBa::Config mcfg{env};
-    mcfg.tag = lcfg.slot_prefix + std::to_string(s);
+    mcfg.tag = kSlotPrefix + std::to_string(s);
     const auto rank = ba::MultiValuedBa(mcfg, Bytes{}).rank_order();
     faulty.insert(rank.begin(), rank.begin() + 2);
   }
@@ -543,7 +543,7 @@ TEST(ReplicatedLog, SilencedCappedPrefixClosesEverySlotNoop) {
       for (sim::ProcessId to = 0; to < n; ++to)
         if (!faulty.count(to))
           sim.inject(junk, to,
-                     lcfg.slot_prefix + std::to_string(s) + "/rbc/echo",
+                     kSlotPrefix + std::to_string(s) + "/rbc/echo",
                      bytes_of("junk"), 1);
     const std::uint64_t until = sim.deliveries() + lcfg.skip_timeout;
     sim.run_until([&] { return committed() || sim.deliveries() >= until; });
