@@ -6,12 +6,39 @@
 // round; standalone tests and benches wrap one instance in a CoinHost.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
+#include "common/bytes.h"
+#include "crypto/key_registry.h"
 #include "sim/process.h"
 
 namespace coincidence::coin {
+
+/// A coin's running minimum v_i: the least VRF value seen so far, the
+/// process whose VRF produced it, and that process's proof.
+struct MinShare {
+  Bytes value;  // empty encodes the paper's v_i = ∞
+  crypto::ProcessId origin = 0;
+  Bytes proof;
+
+  /// Keeps the smaller of the held share and a validated (v, o, p).
+  /// Lexicographic comparison of the fixed-width big-endian values is the
+  /// numeric order; the origin id breaks the (cryptographically
+  /// negligible) tie. The buffers are reused, not reallocated.
+  void fold(BytesView v, crypto::ProcessId o, BytesView p) {
+    const bool less = std::lexicographical_compare(v.begin(), v.end(),
+                                                   value.begin(), value.end());
+    const bool equal = v.size() == value.size() &&
+                       std::equal(v.begin(), v.end(), value.begin());
+    if (value.empty() || less || (equal && o < origin)) {
+      value.assign(v.begin(), v.end());
+      origin = o;
+      proof.assign(p.begin(), p.end());
+    }
+  }
+};
 
 class CoinProtocol {
  public:

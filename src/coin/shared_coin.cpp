@@ -62,22 +62,6 @@ SharedCoin::~SharedCoin() {
   if (queue_.pending() > 0) cfg_.batcher->note_discarded(queue_.pending());
 }
 
-void SharedCoin::fold_min(BytesView value, crypto::ProcessId origin,
-                          BytesView origin_proof) {
-  // Lexicographic comparison of the fixed-width big-endian values is the
-  // numeric order; origin id breaks the (cryptographically negligible) tie.
-  const bool less = std::lexicographical_compare(
-      value.begin(), value.end(), min_value_.begin(), min_value_.end());
-  const bool equal = value.size() == min_value_.size() &&
-                     std::equal(value.begin(), value.end(),
-                                min_value_.begin());
-  if (min_value_.empty() || less || (equal && origin < min_origin_)) {
-    min_value_.assign(value.begin(), value.end());
-    min_origin_ = origin;
-    min_origin_proof_.assign(origin_proof.begin(), origin_proof.end());
-  }
-}
-
 void SharedCoin::start(sim::Context& ctx) {
   crypto::VrfOutput out =
       cfg_.vrf->eval(cfg_.registry->sk_of(ctx.self()), vrf_input_);
@@ -94,11 +78,11 @@ void SharedCoin::apply_share(sim::Context& ctx, bool is_first,
     if (!first_set_.insert(sender).second) return;
     // Late firsts (after <second> went out) still fold into v_i, exactly
     // as in the pseudo-code: only the *send* is once-only.
-    fold_min(value, origin, origin_proof);
+    min_.fold(value, origin, origin_proof);
     if (!sent_second_ && first_set_.size() == cfg_.n - cfg_.f) {
       sent_second_ = true;
       first_snapshot_ = first_set_;
-      Wire relay{min_value_, min_origin_, min_origin_proof_};
+      Wire relay{min_.value, min_.origin, min_.proof};
       ctx.broadcast(tag_second_, relay.encode(), kCoinMessageWords);
     }
     return;
@@ -106,10 +90,10 @@ void SharedCoin::apply_share(sim::Context& ctx, bool is_first,
 
   // <second>
   if (!second_set_.insert(sender).second) return;
-  fold_min(value, origin, origin_proof);
+  min_.fold(value, origin, origin_proof);
   if (second_set_.size() == cfg_.n - cfg_.f) {
     done_ = true;
-    output_ = min_value_.back() & 1;
+    output_ = min_.value.back() & 1;
     ctx.note_decide(cfg_.tag, output_, cfg_.round);
     if (on_done_) on_done_(output_);
   }

@@ -55,7 +55,7 @@ class SharedCoin final : public CoinProtocol {
   int output() const override;
 
   /// Exposed for whitebox tests: the minimum (value, origin) held so far.
-  const Bytes& current_min_value() const { return min_value_; }
+  const Bytes& current_min_value() const { return min_.value; }
 
   /// The set of origins whose first-phase values this process had
   /// received when it sent its <second> message — the row of the table T
@@ -67,9 +67,6 @@ class SharedCoin final : public CoinProtocol {
  private:
   struct Wire;  // payload codec
 
-  /// Updates the running minimum with a validated (value, origin) pair.
-  void fold_min(BytesView value, crypto::ProcessId origin,
-                BytesView origin_proof);
   /// Applies one VERIFIED share.
   void apply_share(sim::Context& ctx, bool is_first,
                    crypto::ProcessId sender, BytesView value,
@@ -88,9 +85,7 @@ class SharedCoin final : public CoinProtocol {
   sim::Tag tag_second_;
   Bytes vrf_input_;
 
-  Bytes min_value_;            // current minimum VRF value (empty = none)
-  crypto::ProcessId min_origin_ = 0;
-  Bytes min_origin_proof_;     // the originator's VRF proof for min_value_
+  MinShare min_;
   std::set<crypto::ProcessId> first_set_;
   std::set<crypto::ProcessId> first_snapshot_;  // first_set_ at second-send
   std::set<crypto::ProcessId> second_set_;

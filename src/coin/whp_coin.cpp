@@ -78,20 +78,6 @@ const std::set<crypto::ProcessId>& WhpCoin::phase1_snapshot() const {
   return snapshot_set_;
 }
 
-void WhpCoin::fold_min(BytesView value, crypto::ProcessId origin,
-                       BytesView origin_proof) {
-  const bool less = std::lexicographical_compare(
-      value.begin(), value.end(), min_value_.begin(), min_value_.end());
-  const bool equal = value.size() == min_value_.size() &&
-                     std::equal(value.begin(), value.end(),
-                                min_value_.begin());
-  if (min_value_.empty() || less || (equal && origin < min_origin_)) {
-    min_value_.assign(value.begin(), value.end());
-    min_origin_ = origin;
-    min_origin_proof_.assign(origin_proof.begin(), origin_proof.end());
-  }
-}
-
 void WhpCoin::start(sim::Context& ctx) {
   auto first = setup_.sampler->sample(ctx.self(), first_seed());
   auto second = setup_.sampler->sample(ctx.self(), second_seed());
@@ -105,7 +91,7 @@ void WhpCoin::start(sim::Context& ctx) {
     setup_.vrf->eval_into(setup_.registry->sk_of(ctx.self()), vrf_input_,
                           out);
     // A first-committee member seeds its own v_i (line 3).
-    fold_min(out.value, ctx.self(), out.proof);
+    min_.fold(out.value, ctx.self(), out.proof);
     Wire wire{out.value, ctx.self(), out.proof, first_election_proof_};
     ctx.broadcast(tag_first_, wire.encode(), kWhpCoinMessageWords);
   }
@@ -118,11 +104,11 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
   if (is_first) {
     if (!seen_.insert(kFirstRow, sender)) return;
     ++first_count_;
-    fold_min(value, origin, origin_proof);
+    min_.fold(value, origin, origin_proof);
     if (!sent_second_ && first_count_ == setup_.params.W) {
       sent_second_ = true;
       first_snapshot_ = seen_.row(kFirstRow);
-      Wire relay{min_value_, min_origin_, min_origin_proof_,
+      Wire relay{min_.value, min_.origin, min_.proof,
                  second_election_proof_};
       ctx.broadcast(tag_second_, relay.encode(), kWhpCoinMessageWords);
     }
@@ -132,10 +118,10 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
   // <second>: every process participates in the final wait (lines 13–17).
   if (!seen_.insert(kSecondRow, sender)) return;
   ++second_count_;
-  fold_min(value, origin, origin_proof);
+  min_.fold(value, origin, origin_proof);
   if (second_count_ == setup_.params.W) {
     done_ = true;
-    output_ = min_value_.back() & 1;
+    output_ = min_.value.back() & 1;
     ctx.note_decide(tag_, output_, round_);
     if (on_done_) on_done_(output_);
   }

@@ -52,8 +52,8 @@ class WhpCoin final : public CoinProtocol {
   /// Whitebox accessors for tests.
   bool in_first_committee() const { return in_first_; }
   bool in_second_committee() const { return in_second_; }
-  const Bytes& current_min_value() const { return min_value_; }
-  crypto::ProcessId current_min_origin() const { return min_origin_; }
+  const Bytes& current_min_value() const { return min_.value; }
+  crypto::ProcessId current_min_origin() const { return min_.origin; }
   /// Origins of firsts received when the <second> went out (Lemma B.1's
   /// table row); empty unless this process is a second-committee member
   /// that reached W firsts.
@@ -67,8 +67,6 @@ class WhpCoin final : public CoinProtocol {
   static constexpr std::size_t kSecondRow = 1;
   static constexpr std::size_t kRows = 2;
 
-  void fold_min(BytesView value, crypto::ProcessId origin,
-                BytesView origin_proof);
   /// Applies one share whose election AND value proofs verified.
   void apply_share(sim::Context& ctx, bool is_first,
                    crypto::ProcessId sender, BytesView value,
@@ -97,9 +95,7 @@ class WhpCoin final : public CoinProtocol {
   Bytes first_election_proof_;
   Bytes second_election_proof_;
 
-  Bytes min_value_;  // empty encodes the paper's v_i = ∞
-  crypto::ProcessId min_origin_ = 0;
-  Bytes min_origin_proof_;
+  MinShare min_;
   SenderRows seen_;  // distinct senders per phase
   std::size_t first_count_ = 0;
   std::size_t second_count_ = 0;
