@@ -16,6 +16,10 @@
 // echoes and readies instead of n + 2·n², and its word ledger is
 // O(f·n·|v|) under Bracha (O(n·|v| + f·n·λ·log f) coded).
 //
+// The backends differ only in what an initial and an echo carry and in
+// when a payload is known; from the echoes on, both run Bracha's quorums
+// through one core, QuorumBroadcast below.
+//
 // Word accounting lives inside the backends: each computes its own exact
 // wire words from the payload it actually ships (a value v counts
 // 1 + ⌈|v|/8⌉ words, a sha256 digest λ = 4 words), keeping the §2 ledger
@@ -29,7 +33,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -140,11 +143,15 @@ class Broadcast {
 /// source may equivocate into several live flows; deliver-once per source
 /// lets at most one win. Echoes and readies count once per member of
 /// E(source), by its position there, and a member echoes each source at
-/// most once. A ready costs 1 + λ words. `State` is what a backend keeps
-/// per flow besides the tallies; a backend parses and checks its own
-/// initials and echoes, credits an echo with count_echo, and decides when
-/// a ready quorum delivers. Defined in broadcast.cpp, which instantiates
-/// it for the two backends' states.
+/// most once. E(source) holds at most f faulty processes, so the RBC
+/// tolerates the f its caller configures, not ⌊(n−1)/3⌋. A ready costs
+/// 1 + λ words.
+///
+/// `State` is what a backend keeps per flow besides the tallies. A
+/// backend parses and checks its own initials and echoes, credits an
+/// echo with count_echo, and decides when a ready quorum delivers.
+/// Defined in broadcast.cpp, which instantiates it for the two backends'
+/// states.
 template <class State>
 class QuorumBroadcast : public Broadcast {
  public:

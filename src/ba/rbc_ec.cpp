@@ -201,8 +201,7 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
 
   Flow& flow = flow_of(source, held_key(source, root, size));
   if (!count_echo(ctx, flow, msg.from)) return;
-  if (!flow.have_root) {
-    flow.have_root = true;
+  if (flow.echoes == 1) {  // the first echo names the flow's root
     std::copy(root.begin(), root.end(), flow.root.begin());
     flow.value_size = size;
   }
@@ -219,8 +218,7 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
 
 void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
   const std::size_t k = cfg_.f + 1;
-  if (!ready_quorum(flow) || flow.poisoned || !flow.have_root ||
-      flow.fragment_count < k)
+  if (!ready_quorum(flow) || flow.poisoned || flow.fragment_count < k)
     return;
 
   // Decode from the k lowest-indexed fragments. The re-encode check

@@ -103,7 +103,6 @@ struct CodedFlow {
 
   crypto::Digest root{};  // learned with the first valid echo
   std::uint64_t value_size = 0;
-  bool have_root = false;
   // Branch-valid fragments by echoer position in E (m slots once the
   // first arrives); dropped once the source is delivered or the flow
   // poisoned (nothing decodes them again).
