@@ -252,12 +252,18 @@ class EchoSetQuorums : public ::testing::Test {
     sim_.run();
     EXPECT_EQ(host().readies_sent, 0u);
     EXPECT_EQ(host().delivered.count(kSource), 0u);
-    // f + 1 member readies amplify; with this process's own, five of 7.
-    for (sim::ProcessId from : {1, 2, 3, 4}) ready(from);
+    // f member readies do not amplify; f + 1 do.
+    for (sim::ProcessId from : {1, 2, 3}) ready(from);
+    sim_.run();
+    EXPECT_EQ(host().readies_sent, 0u);
+    ready(4);
     sim_.run();
     EXPECT_EQ(host().readies_sent, 1u);
+    // With this process's own ready, six of 7 do not deliver; 2f + 1 do.
+    ready(5);
+    sim_.run();
     EXPECT_EQ(host().delivered.count(kSource), 0u);
-    for (sim::ProcessId from : {5, 6}) ready(from);
+    ready(6);
     sim_.run();
     ASSERT_EQ(host().delivered.count(kSource), 1u);
     EXPECT_EQ(host().delivered[kSource], value_);
