@@ -131,7 +131,8 @@ class Broadcast {
 };
 
 /// Bracha's quorum machinery, written once for both backends: the part
-/// of a broadcast that sees only (source, digest) flows, never payloads.
+/// of a broadcast that works on (source, digest) flows and never reads a
+/// payload.
 ///
 ///   member, on its echo quorum > (m+f)/2 for a flow:  send <ready, src, d>
 ///   member, on f+1 member readies for a flow:        send <ready, src, d>
